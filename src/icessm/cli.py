@@ -12,7 +12,6 @@ import dataclasses
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +76,8 @@ def cmd_scan(a) -> int:
 
 def cmd_bench_locality(a) -> int:
     dims = _parse_dims(a.dims)
-    kinds = list(KIND_NAMES.values())
-
-    def score(kind):
-        return kind, sfc.locality_score(sfc.make_order(kind, dims))
-
-    with ThreadPoolExecutor(max_workers=model.worker_count()) as pool:
-        rows = list(pool.map(score, kinds))
+    rows = [(kind, sfc.locality_score(sfc.make_order(kind, dims)))
+            for kind in KIND_NAMES.values()]
     out = Path(a.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:
@@ -164,9 +158,14 @@ def _load_model(model_dir: str) -> tuple[model.ModelParams, model.ModelConfig]:
     ckpt_path = mdir / "model.ckpt"
     if not cfg_path.exists() or not ckpt_path.exists():
         raise FileNotFoundError(f"missing checkpoint or config in {mdir}")
-    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
-    raw.pop("seed", None)
-    config = model.ModelConfig(**raw)
+    try:
+        raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise TypeError("expected a JSON object")
+        raw.pop("seed", None)
+        config = model.ModelConfig(**raw)
+    except (ValueError, TypeError) as e:  # JSONDecodeError is a ValueError
+        raise FormatError(f"bad model config {cfg_path}: {e}") from e
     return model.load_checkpoint(ckpt_path, config), config
 
 

@@ -10,7 +10,6 @@ fusers are kept as ablation baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,25 +35,15 @@ def unshuffle(v: Tensor) -> Tensor:
     return nd.reshape(nd.moveaxis(nd.reshape(v, (d, 3)), 0, 1), (n,))
 
 
-@dataclass
-class HsaParams:
-    """Group-conv mixing weights over shuffled channel triples."""
-
-    weights: Tensor  # [D, 3, 3]
-    bias: Tensor     # [3*D]
-
-    def tensors(self, prefix: str = "hsa"):
-        yield f"{prefix}.weights", self.weights
-        yield f"{prefix}.bias", self.bias
-
-
-def init_hsa_params(rng: np.random.Generator, d: int) -> HsaParams:
+def init_hsa_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
+    """Group-conv mixing over shuffled channel triples: ``weights`` [D, 3, 3]
+    and ``bias`` [3*D]."""
     # small weights keep the pre-sigmoid logits near 0, so fusion starts close
     # to an even (x1+x2+xf)/2 blend
-    return HsaParams(
-        weights=nd.param(rng.standard_normal((d, 3, 3)).astype(np.float32) / math.sqrt(3)),
-        bias=nd.param(np.zeros(3 * d, dtype=np.float32)),
-    )
+    return {
+        "weights": nd.param(rng.standard_normal((d, 3, 3)).astype(np.float32) / math.sqrt(3)),
+        "bias": nd.param(np.zeros(3 * d, dtype=np.float32)),
+    }
 
 
 def _pool_channels(x: Tensor) -> Tensor:
@@ -62,7 +51,7 @@ def _pool_channels(x: Tensor) -> Tensor:
     return nd.mean(x, axis=(0, 2, 3))
 
 
-def hsa_fuse(x1: Tensor, x2: Tensor, xf: Tensor, p: HsaParams,
+def hsa_fuse(x1: Tensor, x2: Tensor, xf: Tensor, p: dict[str, Tensor],
              return_weights: bool = False):
     """Fuse three [T, D, H, W] features; weights broadcast over T, H and W."""
     if x1.shape != x2.shape or x1.shape != xf.shape:
@@ -72,7 +61,7 @@ def hsa_fuse(x1: Tensor, x2: Tensor, xf: Tensor, p: HsaParams,
         raise ValueError("zero channels")
 
     pooled = nd.concat([_pool_channels(x1), _pool_channels(x2), _pool_channels(xf)])
-    mixed = nd.sigmoid(nd.group_conv1d(shuffle(pooled), p.weights, p.bias))
+    mixed = nd.sigmoid(nd.group_conv1d(shuffle(pooled), p["weights"], p["bias"]))
     a1, a2, af = nd.chunk(unshuffle(mixed), 3)
 
     def scale(a: Tensor, x: Tensor) -> Tensor:
@@ -90,34 +79,25 @@ def sum_fuse(x1: Tensor, x2: Tensor, xf: Tensor) -> Tensor:
     return nd.add(nd.add(x1, x2), xf)
 
 
-@dataclass
-class CaGateParams:
-    """Per-input channel-attention gates for the CAGate ablation."""
-
-    w: list[Tensor]  # 3 x [D, D]
-    b: list[Tensor]  # 3 x [D]
-
-    def tensors(self, prefix: str = "cagate"):
-        for i in range(3):
-            yield f"{prefix}.w{i}", self.w[i]
-            yield f"{prefix}.b{i}", self.b[i]
-
-
-def init_ca_gate_params(rng: np.random.Generator, d: int) -> CaGateParams:
-    return CaGateParams(
-        w=[nd.param(rng.standard_normal((d, d)).astype(np.float32) / math.sqrt(d))
-           for _ in range(3)],
-        b=[nd.param(np.zeros(d, dtype=np.float32)) for _ in range(3)],
-    )
+def init_ca_gate_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
+    """Per-input channel-attention gates for the CAGate ablation: ``w0``..``w2``
+    [D, D] and ``b0``..``b2`` [D]."""
+    weights = [nd.param(rng.standard_normal((d, d)).astype(np.float32) / math.sqrt(d))
+               for _ in range(3)]
+    params = {}
+    for i, w in enumerate(weights):
+        params[f"w{i}"] = w
+        params[f"b{i}"] = nd.param(np.zeros(d, dtype=np.float32))
+    return params
 
 
-def ca_gate_fuse(x1: Tensor, x2: Tensor, xf: Tensor, p: CaGateParams) -> Tensor:
+def ca_gate_fuse(x1: Tensor, x2: Tensor, xf: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Per-input gate (pool -> linear -> sigmoid -> scale), then sum."""
     if x1.shape != x2.shape or x1.shape != xf.shape:
         raise ValueError(f"input shapes differ: {x1.shape}, {x2.shape}, {xf.shape}")
     d = x1.shape[1]
     parts = []
-    for x, w, b in zip((x1, x2, xf), p.w, p.b):
-        gate = nd.sigmoid(nd.linear(_pool_channels(x), w, b))
+    for i, x in enumerate((x1, x2, xf)):
+        gate = nd.sigmoid(nd.linear(_pool_channels(x), p[f"w{i}"], p[f"b{i}"]))
         parts.append(nd.mul(nd.reshape(gate, (1, d, 1, 1)), x))
     return nd.add(nd.add(parts[0], parts[1]), parts[2])

@@ -15,7 +15,6 @@ from the paper, which does not say how latent frames map to lead days.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -80,70 +79,17 @@ class Forecast:
     sigma: np.ndarray | None = None
 
 
-@dataclass
-class FssmParams:
-    mamba: ssm.MambaBlockParams
-    gains: Tensor                       # [D, 3] detail-band gains
-    fuse_hsa: hsa.HsaParams | None
-    fuse_cagate: hsa.CaGateParams | None
-    dw_k: Tensor                        # [D, 3, 3]
-    dw_b: Tensor                        # [D]
+class ModelParams(dict):
+    """Checkpoint name -> Tensor for every learnable tensor, in checkpoint order.
 
-    def tensors(self, prefix: str):
-        yield from self.mamba.tensors(f"{prefix}.mamba")
-        yield f"{prefix}.gains", self.gains
-        if self.fuse_hsa is not None:
-            yield from self.fuse_hsa.tensors(f"{prefix}.hsa")
-        if self.fuse_cagate is not None:
-            yield from self.fuse_cagate.tensors(f"{prefix}.cagate")
-        yield f"{prefix}.dw_k", self.dw_k
-        yield f"{prefix}.dw_b", self.dw_b
-
-
-@dataclass
-class ModelParams:
-    enc1_k: Tensor
-    enc1_b: Tensor
-    enc1_g: Tensor
-    enc1_be: Tensor
-    enc2_k: Tensor
-    enc2_b: Tensor
-    enc2_g: Tensor
-    enc2_be: Tensor
-    blocks: list[FssmParams]
-    dec1_k: Tensor
-    dec1_b: Tensor
-    dec1_g: Tensor
-    dec1_be: Tensor
-    dec2_k: Tensor
-    dec2_b: Tensor
-    dec2_g: Tensor
-    dec2_be: Tensor
-    ref1_k: Tensor
-    ref1_b: Tensor
-    ref2_k: Tensor
-    ref2_b: Tensor
-    head_k: Tensor
-    head_b: Tensor
-    time_w: Tensor | None = None
-    time_b: Tensor | None = None
+    Names are ``enc.*``, then ``fssm{i}.*`` per block (``mamba.*``,
+    ``mamba.ssm.*``, ``gains``, ``hsa.*`` or ``cagate.*``, ``dw_k``, ``dw_b``),
+    then ``dec.*`` and, when ``out_len != in_len``, ``time.w`` and ``time.b``.
+    """
 
     def named_tensors(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for name in ("enc1_k", "enc1_b", "enc1_g", "enc1_be",
-                     "enc2_k", "enc2_b", "enc2_g", "enc2_be"):
-            out[f"enc.{name}"] = getattr(self, name)
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.tensors(f"fssm{i}"))
-        for name in ("dec1_k", "dec1_b", "dec1_g", "dec1_be",
-                     "dec2_k", "dec2_b", "dec2_g", "dec2_be",
-                     "ref1_k", "ref1_b", "ref2_k", "ref2_b",
-                     "head_k", "head_b"):
-            out[f"dec.{name}"] = getattr(self, name)
-        if self.time_w is not None:
-            out["time.w"] = self.time_w
-            out["time.b"] = self.time_b
-        return out
+        """The dict itself; kept for callers that ask for the named view."""
+        return self
 
 
 def init_params(rng: np.random.Generator, config: ModelConfig) -> ModelParams:
@@ -163,37 +109,41 @@ def init_params(rng: np.random.Generator, config: ModelConfig) -> ModelParams:
     def ones(*shape):
         return nd.param(np.ones(shape, dtype=np.float32))
 
-    blocks = []
-    for _ in range(config.n_fssm):
-        blocks.append(FssmParams(
-            mamba=ssm.init_mamba_params(rng, d, config.state_size),
-            gains=ones(d, 3),
-            fuse_hsa=hsa.init_hsa_params(rng, d) if config.fusion == "hsa" else None,
-            fuse_cagate=(hsa.init_ca_gate_params(rng, d)
-                         if config.fusion == "cagate" else None),
-            dw_k=dw_k(d),
-            dw_b=zeros(d),
-        ))
+    # the blocks draw from rng first, but their names sit after enc.*
+    blocks = {}
+    for i in range(config.n_fssm):
+        blk = nd.nest_params("mamba", ssm.init_mamba_params(rng, d, config.state_size))
+        blk["gains"] = ones(d, 3)                      # detail-band gains
+        if config.fusion == "hsa":
+            blk.update(nd.nest_params("hsa", hsa.init_hsa_params(rng, d)))
+        elif config.fusion == "cagate":
+            blk.update(nd.nest_params("cagate", hsa.init_ca_gate_params(rng, d)))
+        blk["dw_k"] = dw_k(d)
+        blk["dw_b"] = zeros(d)
+        blocks.update(nd.nest_params(f"fssm{i}", blk))
 
-    params = ModelParams(
-        enc1_k=conv_k(dh, config.channels, 3), enc1_b=zeros(dh),
-        enc1_g=ones(dh), enc1_be=zeros(dh),
-        enc2_k=conv_k(d, dh, 3), enc2_b=zeros(d),
-        enc2_g=ones(d), enc2_be=zeros(d),
-        blocks=blocks,
-        dec1_k=conv_k(d, dh, 4), dec1_b=zeros(dh),
-        dec1_g=ones(dh), dec1_be=zeros(dh),
-        dec2_k=conv_k(dh, dh, 4), dec2_b=zeros(dh),
-        dec2_g=ones(dh), dec2_be=zeros(dh),
-        ref1_k=dw_k(dh), ref1_b=zeros(dh),
-        ref2_k=dw_k(dh), ref2_b=zeros(dh),
-        head_k=conv_k(config.head_channels, dh, 1), head_b=zeros(config.head_channels),
-    )
+    params = ModelParams(nd.nest_params("enc", {
+        "enc1_k": conv_k(dh, config.channels, 3), "enc1_b": zeros(dh),
+        "enc1_g": ones(dh), "enc1_be": zeros(dh),
+        "enc2_k": conv_k(d, dh, 3), "enc2_b": zeros(d),
+        "enc2_g": ones(d), "enc2_be": zeros(d),
+    }))
+    params.update(blocks)
+    params.update(nd.nest_params("dec", {
+        "dec1_k": conv_k(d, dh, 4), "dec1_b": zeros(dh),
+        "dec1_g": ones(dh), "dec1_be": zeros(dh),
+        "dec2_k": conv_k(dh, dh, 4), "dec2_b": zeros(dh),
+        "dec2_g": ones(dh), "dec2_be": zeros(dh),
+        "ref1_k": dw_k(dh), "ref1_b": zeros(dh),
+        "ref2_k": dw_k(dh), "ref2_b": zeros(dh),
+        "head_k": conv_k(config.head_channels, dh, 1),
+        "head_b": zeros(config.head_channels),
+    }))
     if config.out_len != config.in_len:
-        params.time_w = nd.param(
+        params["time.w"] = nd.param(
             rng.standard_normal((config.in_len, config.out_len)).astype(np.float32)
             / math.sqrt(config.in_len))
-        params.time_b = zeros(config.out_len)
+        params["time.b"] = zeros(config.out_len)
     return params
 
 
@@ -219,7 +169,8 @@ def _route_pair(routed: list[Tensor]) -> tuple[Tensor, Tensor]:
     return fwd, bwd
 
 
-def forward_features(x: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
+def forward_features(x: Tensor, params: dict[str, Tensor],
+                     config: ModelConfig) -> Tensor:
     """Raw head output [L_o, head_channels, H, W]; no clamping.
 
     After the optional ``time_w`` map, channel 0 of the last input frame is
@@ -233,41 +184,44 @@ def forward_features(x: Tensor, params: ModelParams, config: ModelConfig) -> Ten
     if h % 4 or w % 4:
         raise ValueError(f"spatial dims ({h}, {w}) must be divisible by 4")
     slope = config.leaky_slope
+    enc = nd.sub_params(params, "enc")
+    dec = nd.sub_params(params, "dec")
 
-    z = nd.conv2d(x, params.enc1_k, params.enc1_b, stride=2, padding=1)
-    z = nd.leaky_relu(_channel_ln(z, params.enc1_g, params.enc1_be), slope)
-    z = nd.conv2d(z, params.enc2_k, params.enc2_b, stride=2, padding=1)
-    z = nd.leaky_relu(_channel_ln(z, params.enc2_g, params.enc2_be), slope)
+    z = nd.conv2d(x, enc["enc1_k"], enc["enc1_b"], stride=2, padding=1)
+    z = nd.leaky_relu(_channel_ln(z, enc["enc1_g"], enc["enc1_be"]), slope)
+    z = nd.conv2d(z, enc["enc2_k"], enc["enc2_b"], stride=2, padding=1)
+    z = nd.leaky_relu(_channel_ln(z, enc["enc2_g"], enc["enc2_be"]), slope)
 
     dims = (l_in, h // 4, w // 4)
     orders = list(_cached_routes(config.scan_kind, dims, config.n_routes))
 
-    for blk in params.blocks:
+    for i in range(config.n_fssm):
+        blk = nd.sub_params(params, f"fssm{i}")
         seq = ssm.volume_to_seq(z)
-        routed = [ssm.seq_to_volume(r, dims)
-                  for r in ssm.mamba_block(seq, orders, blk.mamba)]
+        routed = [ssm.seq_to_volume(r, dims) for r in
+                  ssm.mamba_block(seq, orders, nd.sub_params(blk, "mamba"))]
         x1, x2 = _route_pair(routed)
-        xf = wavelet.freq_branch(z, blk.gains, config.wavelet_basis)
+        xf = wavelet.freq_branch(z, blk["gains"], config.wavelet_basis)
         if config.fusion == "hsa":
-            fused = hsa.hsa_fuse(x1, x2, xf, blk.fuse_hsa)
+            fused = hsa.hsa_fuse(x1, x2, xf, nd.sub_params(blk, "hsa"))
         elif config.fusion == "sum":
             fused = hsa.sum_fuse(x1, x2, xf)
         else:
-            fused = hsa.ca_gate_fuse(x1, x2, xf, blk.fuse_cagate)
-        mixed = nd.leaky_relu(nd.depthwise_conv2d(fused, blk.dw_k, blk.dw_b), slope)
+            fused = hsa.ca_gate_fuse(x1, x2, xf, nd.sub_params(blk, "cagate"))
+        mixed = nd.leaky_relu(nd.depthwise_conv2d(fused, blk["dw_k"], blk["dw_b"]), slope)
         z = nd.add(z, mixed)
 
-    y = nd.conv_transpose2d(z, params.dec1_k, params.dec1_b, stride=2, padding=1)
-    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, params.dec1_g, params.dec1_be), slope)
-    y = nd.conv_transpose2d(y, params.dec2_k, params.dec2_b, stride=2, padding=1)
-    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, params.dec2_g, params.dec2_be), slope)
+    y = nd.conv_transpose2d(z, dec["dec1_k"], dec["dec1_b"], stride=2, padding=1)
+    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec1_g"], dec["dec1_be"]), slope)
+    y = nd.conv_transpose2d(y, dec["dec2_k"], dec["dec2_b"], stride=2, padding=1)
+    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec2_g"], dec["dec2_be"]), slope)
 
-    y = nd.leaky_relu(nd.depthwise_conv2d(y, params.ref1_k, params.ref1_b), slope)
-    y = nd.leaky_relu(nd.depthwise_conv2d(y, params.ref2_k, params.ref2_b), slope)
-    y = nd.conv2d(y, params.head_k, params.head_b)
+    y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref1_k"], dec["ref1_b"]), slope)
+    y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref2_k"], dec["ref2_b"]), slope)
+    y = nd.conv2d(y, dec["head_k"], dec["head_b"])
 
     if config.out_len != config.in_len:
-        y = nd.moveaxis(nd.linear(nd.moveaxis(y, 0, -1), params.time_w, params.time_b),
+        y = nd.moveaxis(nd.linear(nd.moveaxis(y, 0, -1), params["time.w"], params["time.b"]),
                         -1, 0)
     origin = nd.index(x, np.s_[-1:, :1])                       # [1, 1, H, W]
     # one path for both heads: the mask keeps the residual off the sigma channel
@@ -283,7 +237,7 @@ def _split_head(raw: Tensor, config: ModelConfig) -> tuple[Tensor, Tensor | None
     return mu, nd.add(nd.softplus(s), 1e-6)
 
 
-def forward(x: Tensor | np.ndarray, params: ModelParams,
+def forward(x: Tensor | np.ndarray, params: dict[str, Tensor],
             config: ModelConfig) -> Forecast:
     """Inference: clamp the mean into [0, 1] and expose sigma when gaussian."""
     x = x if isinstance(x, Tensor) else Tensor(x)
@@ -416,14 +370,7 @@ class TrainResult:
     best_val_mae: float = math.inf
 
 
-def worker_count() -> int:
-    env = os.environ.get("ICESSM_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def validation_mae(val_set: list[SampleWindow], params: ModelParams,
+def validation_mae(val_set: list[SampleWindow], params: dict[str, Tensor],
                    config: ModelConfig) -> float:
     total = 0.0
     for swin in val_set:
@@ -446,8 +393,7 @@ def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
         raise ValueError("train and validation splits must be nonempty")
     rng = np.random.default_rng(seed)
     params = init_params(rng, config)
-    named = params.named_tensors()
-    opt = AdamW(named, lr=lr, weight_decay=weight_decay)
+    opt = AdamW(params, lr=lr, weight_decay=weight_decay)
 
     result = TrainResult(params=params)
     best_state: dict[str, np.ndarray] | None = None
@@ -491,7 +437,7 @@ def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
         if val_mae < result.best_val_mae:
             result.best_val_mae = val_mae
             result.best_epoch = epoch
-            best_state = {k: p.data.copy() for k, p in named.items()}
+            best_state = {k: p.data.copy() for k, p in params.items()}
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -501,7 +447,7 @@ def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
             break
 
     if best_state is not None:
-        for k, p in named.items():
+        for k, p in params.items():
             p.data = best_state[k]
     return result
 
@@ -519,7 +465,7 @@ def history_csv(history: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def recursive_forecast(x: np.ndarray, params: ModelParams, config: ModelConfig,
+def recursive_forecast(x: np.ndarray, params: dict[str, Tensor], config: ModelConfig,
                        steps: int = 1) -> np.ndarray:
     """Chain prediction windows, re-feeding each clamped window as the next
     input; returns [steps * out_len, 1, H, W]."""
@@ -539,21 +485,20 @@ def recursive_forecast(x: np.ndarray, params: ModelParams, config: ModelConfig,
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path, params: ModelParams) -> None:
-    nd.save_params(path, params.named_tensors())
+def save_checkpoint(path, params: dict[str, Tensor]) -> None:
+    nd.save_params(path, params)
 
 
 def load_checkpoint(path, config: ModelConfig) -> ModelParams:
     """Rebuild the parameter structure for ``config`` from a checkpoint."""
     stored = nd.load_params(path)
     params = init_params(np.random.default_rng(0), config)
-    named = params.named_tensors()
-    if set(stored) != set(named):
-        missing = set(named) - set(stored)
-        extra = set(stored) - set(named)
+    if set(stored) != set(params):
+        missing = set(params) - set(stored)
+        extra = set(stored) - set(params)
         raise ValueError(f"checkpoint does not match config "
                          f"(missing={sorted(missing)[:3]}, extra={sorted(extra)[:3]})")
-    for k, p in named.items():
+    for k, p in params.items():
         if stored[k].data.shape != p.data.shape:
             raise ValueError(f"checkpoint tensor {k} has shape "
                              f"{stored[k].data.shape}, expected {p.data.shape}")

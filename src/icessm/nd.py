@@ -274,10 +274,14 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _np_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic function: exp is only taken of -|x|."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(np.float32)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(np.float32)
+    s = _np_sigmoid(a.data)
 
     def bw(g):
         a._accum(g * s * (1.0 - s))
@@ -287,8 +291,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def silu(a: Tensor) -> Tensor:
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(np.float32)
+    s = _np_sigmoid(x)
 
     def bw(g):
         a._accum(g * (s + x * s * (1.0 - s)))
@@ -301,9 +304,7 @@ def softplus(a: Tensor) -> Tensor:
     out_data = (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))).astype(np.float32)
 
     def bw(g):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(np.float32)
-        a._accum(g * s)
+        a._accum(g * _np_sigmoid(x))
 
     return _make(out_data, (a,), bw)
 
@@ -448,53 +449,44 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _np_pad2d(x: np.ndarray, ph: int, pw: int, mode: str) -> np.ndarray:
-    if ph == 0 and pw == 0:
+def _np_pad2d(x: np.ndarray, pads: tuple[int, int, int, int], mode: str) -> np.ndarray:
+    """Pad the trailing two axes by (top, bottom, left, right)."""
+    if not any(pads):
         return x
-    spec = [(0, 0)] * (x.ndim - 2) + [(ph, ph), (pw, pw)]
+    top, bottom, left, right = pads
+    spec = [(0, 0)] * (x.ndim - 2) + [(top, bottom), (left, right)]
     return np.pad(x, spec, mode="edge" if mode == "replicate" else "constant")
 
 
-def _np_pad2d_adjoint(g: np.ndarray, ph: int, pw: int, mode: str) -> np.ndarray:
+def _np_pad2d_adjoint(g: np.ndarray, pads: tuple[int, int, int, int],
+                      mode: str) -> np.ndarray:
     """Adjoint of _np_pad2d: fold padded borders back onto the interior."""
-    if ph == 0 and pw == 0:
+    if not any(pads):
         return g
+    top, bottom, left, right = pads
     if mode == "replicate":
         g = g.copy()
-        if ph:
-            g[..., ph, :] += g[..., :ph, :].sum(axis=-2)
-            g[..., -ph - 1, :] += g[..., -ph:, :].sum(axis=-2)
-        if pw:
-            g[..., :, pw] += g[..., :, :pw].sum(axis=-1)
-            g[..., :, -pw - 1] += g[..., :, -pw:].sum(axis=-1)
-    core = g[..., ph:g.shape[-2] - ph, pw:g.shape[-1] - pw]
+        if top:
+            g[..., top, :] += g[..., :top, :].sum(axis=-2)
+        if bottom:
+            g[..., -bottom - 1, :] += g[..., -bottom:, :].sum(axis=-2)
+        if left:
+            g[..., :, left] += g[..., :, :left].sum(axis=-1)
+        if right:
+            g[..., :, -right - 1] += g[..., :, -right:].sum(axis=-1)
+    core = g[..., top:g.shape[-2] - bottom, left:g.shape[-1] - right]
     return np.ascontiguousarray(core)
 
 
 def pad2d(x: Tensor, pads: tuple[int, int, int, int], mode: str = "zero") -> Tensor:
     """Pad the trailing two axes by (top, bottom, left, right)."""
-    top, bottom, left, right = pads
     if min(pads) < 0:
         raise ValueError(f"pads must be non-negative, got {pads}")
-    spec = [(0, 0)] * (x.data.ndim - 2) + [(top, bottom), (left, right)]
-    out_data = np.pad(x.data, spec, mode="edge" if mode == "replicate" else "constant")
 
     def bw(g):
-        gg = g
-        if mode == "replicate":
-            gg = g.copy()
-            if top:
-                gg[..., top, :] += gg[..., :top, :].sum(axis=-2)
-            if bottom:
-                gg[..., -bottom - 1, :] += gg[..., -bottom:, :].sum(axis=-2)
-            if left:
-                gg[..., :, left] += gg[..., :, :left].sum(axis=-1)
-            if right:
-                gg[..., :, -right - 1] += gg[..., :, -right:].sum(axis=-1)
-        h, w = gg.shape[-2], gg.shape[-1]
-        x._accum(np.ascontiguousarray(gg[..., top:h - bottom, left:w - right]))
+        x._accum(_np_pad2d_adjoint(g, pads, mode))
 
-    return _make(out_data, (x,), bw)
+    return _make(_np_pad2d(x.data, pads, mode), (x,), bw)
 
 
 def crop2d(x: Tensor, hw: tuple[int, int]) -> Tensor:
@@ -546,7 +538,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     co, ci, kh, kw = kernels.data.shape
     if x.data.shape[1] != ci:
         raise ValueError(f"conv2d channels: input {x.data.shape[1]} != kernel {ci}")
-    xp = _np_pad2d(x.data, padding, padding, pad_mode)
+    pads = (padding,) * 4
+    xp = _np_pad2d(x.data, pads, pad_mode)
     _check_conv_geometry(xp.shape[2], xp.shape[3], kh, kw, stride)
     cols = _im2col(xp, kh, kw, stride)
     t, _, _, _, ho, wo = cols.shape
@@ -567,7 +560,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
             dcols = np.einsum("ok,top->tkp", kf, gf)
             dcols = dcols.reshape(t, ci, kh, kw, ho, wo)
             dxp = _col2im(dcols, xp.shape, stride)
-            x._accum(_np_pad2d_adjoint(dxp, padding, padding, pad_mode))
+            x._accum(_np_pad2d_adjoint(dxp, pads, pad_mode))
 
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
     return _make(out_data.astype(np.float32), inputs, bw)
@@ -609,7 +602,7 @@ def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor | None = None,
         out_data = out_data + bias.data[None, :, None, None]
 
     def bw(g):
-        gp = _np_pad2d(g, padding, padding, "zero")
+        gp = _np_pad2d(g, (padding,) * 4, "zero")
         cols = _im2col(gp, kh, kw, stride, ho, wo)
         cols2 = cols.reshape(t, ci * kh * kw, ho * wo)
         if bias is not None and bias.requires_grad:
@@ -631,8 +624,8 @@ def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     c, kh, kw = kernels.data.shape
     if x.data.shape[1] != c:
         raise ValueError(f"depthwise channels: input {x.data.shape[1]} != kernel {c}")
-    ph, pw = kh // 2, kw // 2
-    xp = _np_pad2d(x.data, ph, pw, pad_mode)
+    pads = (kh // 2, kh // 2, kw // 2, kw // 2)
+    xp = _np_pad2d(x.data, pads, pad_mode)
     t, _, h, w = x.data.shape
     out_data = np.zeros_like(x.data)
     for i in range(kh):
@@ -655,7 +648,7 @@ def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i:i + h, j:j + w] += kernels.data[None, :, i, j, None, None] * g
-            x._accum(_np_pad2d_adjoint(dxp, ph, pw, pad_mode))
+            x._accum(_np_pad2d_adjoint(dxp, pads, pad_mode))
 
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
     return _make(out_data, inputs, bw)
@@ -872,6 +865,17 @@ def grad_check(f, xs, tolerance: float = 1e-3, step: float = 1e-3) -> GradCheckR
 # ---------------------------------------------------------------------------
 # checkpoint container: named float32 tensors
 # ---------------------------------------------------------------------------
+
+
+def nest_params(prefix: str, params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Put every name of ``params`` under ``prefix.``, keeping the order."""
+    return {f"{prefix}.{name}": t for name, t in params.items()}
+
+
+def sub_params(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
+    """The entries named ``prefix.*``, with ``prefix.`` stripped."""
+    head = prefix + "."
+    return {name[len(head):]: t for name, t in params.items() if name.startswith(head)}
 
 
 def save_params(path, params: dict[str, Tensor]) -> None:

@@ -436,33 +436,6 @@ def routes(order: ScanOrder, n_routes: int) -> list[ScanOrder]:
 
 
 # ---------------------------------------------------------------------------
-# applying orders to volumes
-# ---------------------------------------------------------------------------
-
-
-def apply(order: ScanOrder, volume: np.ndarray) -> np.ndarray:
-    """Flatten a [T, C, H, W] volume into a [N, C] sequence along the order.
-
-    The channel axis is carried along, not scanned.
-    """
-    t, h, w = order.dims
-    if volume.shape[0] != t or volume.shape[2:] != (h, w):
-        raise ValueError(f"volume shape {volume.shape} does not match dims {order.dims}")
-    flat = np.moveaxis(volume, 1, -1).reshape(order.n, volume.shape[1])
-    return flat[order.forward]
-
-
-def inverse_apply(order: ScanOrder, seq: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`apply`: restore the [T, C, H, W] volume."""
-    t, h, w = order.dims
-    if seq.shape[0] != order.n:
-        raise ValueError(f"sequence length {seq.shape[0]} != {order.n}")
-    c = seq.shape[1]
-    flat = seq[order.inverse()]
-    return np.moveaxis(flat.reshape(t, h, w, c), -1, 1)
-
-
-# ---------------------------------------------------------------------------
 # locality statistics
 # ---------------------------------------------------------------------------
 

@@ -12,7 +12,6 @@ factors sit in (0, 1) and the state cannot blow up on bounded input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,41 +20,26 @@ from .nd import Tensor
 from .sfc import ScanOrder
 
 
-@dataclass
-class SsmParams:
-    """Parameters of one selective scan over D channels."""
-
-    a_log: Tensor    # [D, S]; A = -exp(a_log)
-    d_skip: Tensor   # [D]
-    w_delta: Tensor  # [D, 1]
-    b_delta: Tensor  # [1]
-    w_b: Tensor      # [D, S]
-    w_c: Tensor      # [D, S]
-
-    @property
-    def state_size(self) -> int:
-        return self.a_log.shape[1]
-
-    def tensors(self, prefix: str = "ssm"):
-        for name in ("a_log", "d_skip", "w_delta", "b_delta", "w_b", "w_c"):
-            yield f"{prefix}.{name}", getattr(self, name)
-
-
-def init_ssm_params(rng: np.random.Generator, d: int, state_size: int = 8) -> SsmParams:
+def init_ssm_params(rng: np.random.Generator, d: int,
+                    state_size: int = 8) -> dict[str, Tensor]:
+    """Parameters of one selective scan over D channels: ``a_log`` [D, S]
+    (A = -exp(a_log)), ``d_skip`` [D], ``w_delta`` [D, 1], ``b_delta`` [1],
+    ``w_b`` [D, S] and ``w_c`` [D, S]."""
     scale = 1.0 / math.sqrt(d)
     a_log = np.tile(np.log(np.arange(1, state_size + 1, dtype=np.float32)), (d, 1))
-    return SsmParams(
-        a_log=nd.param(a_log),
-        d_skip=nd.param(np.ones(d, dtype=np.float32)),
-        w_delta=nd.param(rng.standard_normal((d, 1)).astype(np.float32) * scale),
+    return {
+        "a_log": nd.param(a_log),
+        "d_skip": nd.param(np.ones(d, dtype=np.float32)),
+        "w_delta": nd.param(rng.standard_normal((d, 1)).astype(np.float32) * scale),
         # softplus(b_delta) == 0.1 at init
-        b_delta=nd.param(np.full(1, math.log(math.expm1(0.1)), dtype=np.float32)),
-        w_b=nd.param(rng.standard_normal((d, state_size)).astype(np.float32) * scale),
-        w_c=nd.param(rng.standard_normal((d, state_size)).astype(np.float32) * scale),
-    )
+        "b_delta": nd.param(np.full(1, math.log(math.expm1(0.1)), dtype=np.float32)),
+        "w_b": nd.param(rng.standard_normal((d, state_size)).astype(np.float32) * scale),
+        "w_c": nd.param(rng.standard_normal((d, state_size)).astype(np.float32) * scale),
+    }
 
 
-def selective_scan(x: Tensor, p: SsmParams, direction: str = "forward") -> Tensor:
+def selective_scan(x: Tensor, p: dict[str, Tensor],
+                   direction: str = "forward") -> Tensor:
     """Scan x[L, D] through the recurrence; 'backward' processes the reversed
     sequence and re-reverses the output."""
     length, d = x.shape
@@ -67,17 +51,17 @@ def selective_scan(x: Tensor, p: SsmParams, direction: str = "forward") -> Tenso
         flip = np.arange(length - 1, -1, -1)
         return nd.gather(selective_scan(nd.gather(x, flip), p, "forward"), flip)
 
-    dt = nd.softplus(nd.add(nd.matmul(x, p.w_delta), p.b_delta))      # [L, 1]
-    b = nd.matmul(x, p.w_b)                                           # [L, S]
-    c = nd.matmul(x, p.w_c)                                           # [L, S]
-    a = nd.neg(nd.exp(p.a_log))                                       # [D, S]
+    dt = nd.softplus(nd.add(nd.matmul(x, p["w_delta"]), p["b_delta"]))  # [L, 1]
+    b = nd.matmul(x, p["w_b"])                                        # [L, S]
+    c = nd.matmul(x, p["w_c"])                                        # [L, S]
+    a = nd.neg(nd.exp(p["a_log"]))                                    # [D, S]
 
-    s = p.state_size
+    s = a.shape[1]
     abar = nd.exp(nd.mul(nd.reshape(dt, (length, 1, 1)), nd.reshape(a, (1, d, s))))
     dtb = nd.mul(dt, b)                                               # [L, S]
     bx = nd.mul(nd.reshape(dtb, (length, 1, s)), nd.reshape(x, (length, d, 1)))
     y = nd.ssm_recurrence(abar, bx, c)                                # [L, D]
-    return nd.add(y, nd.mul(x, nd.reshape(p.d_skip, (1, d))))
+    return nd.add(y, nd.mul(x, nd.reshape(p["d_skip"], (1, d))))
 
 
 def volume_to_seq(v: Tensor) -> Tensor:
@@ -93,7 +77,8 @@ def seq_to_volume(seq: Tensor, dims: tuple[int, int, int]) -> Tensor:
     return nd.moveaxis(nd.reshape(seq, (t, h, w, c)), -1, 1)
 
 
-def hilbert_ssm(v: Tensor, orders: list[ScanOrder], p: SsmParams) -> list[Tensor]:
+def hilbert_ssm(v: Tensor, orders: list[ScanOrder],
+                p: dict[str, Tensor]) -> list[Tensor]:
     """Scan a [T, C, H, W] volume along each route; one output volume per route.
 
     Route fusion happens downstream, the outputs are not averaged here.
@@ -113,55 +98,39 @@ def hilbert_ssm(v: Tensor, orders: list[ScanOrder], p: SsmParams) -> list[Tensor
     return outs
 
 
-@dataclass
-class MambaBlockParams:
-    """Gated sequence block: LN -> expand -> causal conv -> scan -> gate -> out."""
-
-    ln_gamma: Tensor  # [D]
-    ln_beta: Tensor   # [D]
-    w_in: Tensor      # [D, 2D]
-    b_in: Tensor      # [2D]
-    conv_k: Tensor    # [2D, k]
-    conv_b: Tensor    # [2D]
-    w_gate: Tensor    # [D, 2D]
-    b_gate: Tensor    # [2D]
-    ssm: SsmParams    # over 2D channels
-    w_out: Tensor     # [2D, D]
-    b_out: Tensor     # [D]
-
-    def tensors(self, prefix: str = "mamba"):
-        for name in ("ln_gamma", "ln_beta", "w_in", "b_in", "conv_k", "conv_b",
-                     "w_gate", "b_gate", "w_out", "b_out"):
-            yield f"{prefix}.{name}", getattr(self, name)
-        yield from self.ssm.tensors(f"{prefix}.ssm")
-
-
 def init_mamba_params(rng: np.random.Generator, d: int, state_size: int = 8,
-                      conv_kernel: int = 3) -> MambaBlockParams:
+                      conv_kernel: int = 3) -> dict[str, Tensor]:
+    """Gated sequence block (LN -> expand -> causal conv -> scan -> gate -> out):
+    ``ln_gamma``/``ln_beta`` [D], ``w_in``/``w_gate`` [D, 2D] with biases
+    [2D], ``conv_k`` [2D, k], ``conv_b`` [2D], ``w_out`` [2D, D], ``b_out``
+    [D], and the scan over 2D channels under ``ssm.*``."""
     d2 = 2 * d
 
     def lin(din, dout):
         return nd.param(rng.standard_normal((din, dout)).astype(np.float32)
                         / math.sqrt(din))
 
-    return MambaBlockParams(
-        ln_gamma=nd.param(np.ones(d, dtype=np.float32)),
-        ln_beta=nd.param(np.zeros(d, dtype=np.float32)),
-        w_in=lin(d, d2),
-        b_in=nd.param(np.zeros(d2, dtype=np.float32)),
-        conv_k=nd.param(rng.standard_normal((d2, conv_kernel)).astype(np.float32)
-                        / math.sqrt(conv_kernel)),
-        conv_b=nd.param(np.zeros(d2, dtype=np.float32)),
-        w_gate=lin(d, d2),
-        b_gate=nd.param(np.zeros(d2, dtype=np.float32)),
-        ssm=init_ssm_params(rng, d2, state_size),
-        w_out=lin(d2, d),
-        b_out=nd.param(np.zeros(d, dtype=np.float32)),
-    )
+    def zeros(n):
+        return nd.param(np.zeros(n, dtype=np.float32))
+
+    # rng draws go w_in, conv_k, w_gate, scan, w_out; the names keep checkpoint order
+    w_in = lin(d, d2)
+    conv_k = nd.param(rng.standard_normal((d2, conv_kernel)).astype(np.float32)
+                      / math.sqrt(conv_kernel))
+    w_gate = lin(d, d2)
+    scan = init_ssm_params(rng, d2, state_size)
+    return {
+        "ln_gamma": nd.param(np.ones(d, dtype=np.float32)), "ln_beta": zeros(d),
+        "w_in": w_in, "b_in": zeros(d2),
+        "conv_k": conv_k, "conv_b": zeros(d2),
+        "w_gate": w_gate, "b_gate": zeros(d2),
+        "w_out": lin(d2, d), "b_out": zeros(d),
+        **nd.nest_params("ssm", scan),
+    }
 
 
 def mamba_block(x_seq: Tensor, orders: list[ScanOrder],
-                p: MambaBlockParams) -> list[Tensor]:
+                p: dict[str, Tensor]) -> list[Tensor]:
     """Process a raster-ordered [L, D] sequence; returns one [L, D] per route.
 
     The inner width is twice the input width; the same scan parameters serve
@@ -172,13 +141,13 @@ def mamba_block(x_seq: Tensor, orders: list[ScanOrder],
     if dims[0] * dims[1] * dims[2] != length:
         raise ValueError(f"order dims {dims} incompatible with sequence length {length}")
 
-    xn = nd.layernorm(x_seq, p.ln_gamma, p.ln_beta)
-    inner = nd.silu(nd.conv1d_depthwise(nd.linear(xn, p.w_in, p.b_in),
-                                        p.conv_k, p.conv_b))
-    routed = hilbert_ssm(seq_to_volume(inner, dims), orders, p.ssm)
-    gate = nd.silu(nd.linear(xn, p.w_gate, p.b_gate))
+    xn = nd.layernorm(x_seq, p["ln_gamma"], p["ln_beta"])
+    inner = nd.silu(nd.conv1d_depthwise(nd.linear(xn, p["w_in"], p["b_in"]),
+                                        p["conv_k"], p["conv_b"]))
+    routed = hilbert_ssm(seq_to_volume(inner, dims), orders, nd.sub_params(p, "ssm"))
+    gate = nd.silu(nd.linear(xn, p["w_gate"], p["b_gate"]))
     outs = []
     for vol in routed:
         gated = nd.mul(volume_to_seq(vol), gate)
-        outs.append(nd.linear(gated, p.w_out, p.b_out))
+        outs.append(nd.linear(gated, p["w_out"], p["b_out"]))
     return outs

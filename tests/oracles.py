@@ -12,10 +12,10 @@ import numpy as np
 def naive_selective_scan(x, p):
     """Per-step, per-channel, per-state recurrence for the selective scan."""
     length, d = x.shape
-    s = p.state_size
-    a_log = p.a_log.data
-    w_delta, b_delta = p.w_delta.data, p.b_delta.data
-    w_b, w_c, d_skip = p.w_b.data, p.w_c.data, p.d_skip.data
+    a_log = p["a_log"].data
+    s = a_log.shape[1]
+    w_delta, b_delta = p["w_delta"].data, p["b_delta"].data
+    w_b, w_c, d_skip = p["w_b"].data, p["w_c"].data, p["d_skip"].data
     y = np.zeros((length, d), dtype=np.float64)
     h = np.zeros((d, s), dtype=np.float64)
     for l in range(length):

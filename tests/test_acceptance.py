@@ -224,8 +224,8 @@ def test_criterion_06_hsa_contract():
     ident = np.array_equal(hsa.unshuffle(hsa.shuffle(v)).data, v.data)
 
     d = 4
-    zero = hsa.HsaParams(weights=nd.param(np.zeros((d, 3, 3), dtype=np.float32)),
-                         bias=nd.param(np.zeros(3 * d, dtype=np.float32)))
+    zero = {"weights": nd.param(np.zeros((d, 3, 3), dtype=np.float32)),
+            "bias": nd.param(np.zeros(3 * d, dtype=np.float32))}
     xs = [Tensor(rng.normal(size=(2, d, 4, 4)).astype(np.float32)) for _ in range(3)]
     fused = hsa.hsa_fuse(*xs, zero)
     avg_err = float(np.abs(fused.data

@@ -160,8 +160,15 @@ class TestPipeline:
                        "--lr", "1e8")
         assert code == 4
 
-    def test_thread_cap_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ICESSM_THREADS", "2")
-        out = tmp_path / "loc.csv"
-        assert run("bench-locality", "--dims", "4,4,4", "--out", str(out)) == 0
-        assert len(out.read_text().strip().splitlines()) == 6
+    @pytest.mark.parametrize("text", ['{"in_len": 4, "colour": "red"}', '{"in_len": 4,',
+                                      '[4]'],
+                             ids=["unknown-key", "invalid-json", "not-an-object"])
+    def test_bad_config_is_data_error(self, trained, tmp_path, text):
+        # a config.json that does not describe a ModelConfig is a data error
+        _, grid_path, model_dir = trained
+        bad = tmp_path / "model"
+        bad.mkdir()
+        (bad / "model.ckpt").write_bytes((model_dir / "model.ckpt").read_bytes())
+        (bad / "config.json").write_text(text)
+        assert run("predict", "--model", str(bad), "--data", str(grid_path),
+                   "--out", str(tmp_path / "o")) == 3

@@ -33,8 +33,8 @@ class TestHsaFuse:
     def test_forced_zero_logits_average_fusion(self):
         r = rng(2)
         d = 4
-        p = hsa.HsaParams(weights=nd.param(np.zeros((d, 3, 3), dtype=np.float32)),
-                          bias=nd.param(np.zeros(3 * d, dtype=np.float32)))
+        p = {"weights": nd.param(np.zeros((d, 3, 3), dtype=np.float32)),
+             "bias": nd.param(np.zeros(3 * d, dtype=np.float32))}
         x1 = Tensor(r.normal(size=(2, d, 4, 4)))
         x2 = Tensor(r.normal(size=(2, d, 4, 4)))
         xf = Tensor(r.normal(size=(2, d, 4, 4)))
@@ -66,7 +66,7 @@ class TestHsaFuse:
         y, (a1, a2, af) = hsa.hsa_fuse(x1, x2, xf, p, return_weights=True)
         for ch in range(d):
             triple = np.array([c1[ch], c2[ch], cf[ch]])
-            logits = p.weights.data[ch] @ triple + p.bias.data[3 * ch: 3 * ch + 3]
+            logits = p["weights"].data[ch] @ triple + p["bias"].data[3 * ch: 3 * ch + 3]
             w1, w2, wf = sigmoid(logits)
             assert a1.data[ch] == pytest.approx(w1, abs=1e-5)
             assert a2.data[ch] == pytest.approx(w2, abs=1e-5)
@@ -100,10 +100,10 @@ class TestHsaFuse:
         t = r.normal(size=(1, d, 2, 2)).astype(np.float32)
 
         def f(w_, b_):
-            pp = hsa.HsaParams(weights=w_, bias=b_)
+            pp = {"weights": w_, "bias": b_}
             return nd.mean(nd.mul(hsa.hsa_fuse(*xs, pp), Tensor(t)))
 
-        assert nd.grad_check(f, [p.weights, p.bias], tolerance=1e-3).passed
+        assert nd.grad_check(f, [p["weights"], p["bias"]], tolerance=1e-3).passed
 
 
 class TestBaselineFusers:
@@ -121,8 +121,8 @@ class TestBaselineFusers:
         d = 3
         p = hsa.init_ca_gate_params(r, d)
         for i in range(3):
-            p.w[i].data[:] = 0.0
-            p.b[i].data[:] = 40.0  # sigmoid(40) == 1 in float32
+            p[f"w{i}"].data[:] = 0.0
+            p[f"b{i}"].data[:] = 40.0  # sigmoid(40) == 1 in float32
         xs = [Tensor(r.normal(size=(2, d, 4, 4))) for _ in range(3)]
         got = hsa.ca_gate_fuse(*xs, p)
         want = hsa.sum_fuse(*xs)

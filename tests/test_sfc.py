@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icessm import sfc
+from icessm import nd, sfc, ssm
+from icessm.nd import Tensor
 
 
 def manhattan_steps(order):
@@ -151,11 +152,18 @@ class TestRoutes:
 
 
 class TestApply:
+    """The scan path the model takes: flatten in raster order, gather along the
+    order, gather back through its inverse."""
+
+    @staticmethod
+    def scan(order, v):
+        return nd.gather(ssm.volume_to_seq(Tensor(v)), order.forward)
+
     def test_raster_apply_is_flatten(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
-        seq = sfc.apply(sfc.raster((2, 4, 5)), v)
-        assert np.array_equal(seq, np.moveaxis(v, 1, -1).reshape(40, 3))
+        seq = self.scan(sfc.raster((2, 4, 5)), v)
+        assert np.array_equal(seq.data, np.moveaxis(v, 1, -1).reshape(40, 3))
 
     @settings(max_examples=40, deadline=None)
     @given(dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
@@ -164,18 +172,14 @@ class TestApply:
         rng = np.random.default_rng(7)
         v = rng.normal(size=(dims[0], 2, dims[1], dims[2])).astype(np.float32)
         order = sfc.make_order(kind, dims)
-        assert np.array_equal(sfc.inverse_apply(order, sfc.apply(order, v)), v)
+        back = nd.gather(self.scan(order, v), order.inverse())
+        assert np.array_equal(ssm.seq_to_volume(back, dims).data, v)
 
     def test_sequence_matches_forward_list(self):
         order = sfc.gilbert3d((2, 2, 2))
-        t, h, w = order.dims
         v = np.arange(8, dtype=np.float32).reshape(2, 1, 2, 2)
-        seq = sfc.apply(order, v)
-        assert np.array_equal(seq[:, 0].astype(np.int64), order.forward)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sfc.apply(sfc.raster((2, 2, 2)), np.zeros((2, 1, 3, 2), dtype=np.float32))
+        seq = self.scan(order, v)
+        assert np.array_equal(seq.data[:, 0].astype(np.int64), order.forward)
 
 
 class TestLocality:

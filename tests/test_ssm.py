@@ -20,13 +20,13 @@ class TestSelectiveScan:
         x = r.normal(size=(1, 3)).astype(np.float32)
         y = ssm.selective_scan(Tensor(x), p)
         # h_0 = 0, so y_1 = <C_1, dt*B_1*x_1> + d_skip*x_1 per channel
-        raw = float(x[0] @ p.w_delta.data[:, 0] + p.b_delta.data[0])
+        raw = float(x[0] @ p["w_delta"].data[:, 0] + p["b_delta"].data[0])
         dt = math.log1p(math.exp(raw))
-        b1 = x[0] @ p.w_b.data
-        c1 = x[0] @ p.w_c.data
+        b1 = x[0] @ p["w_b"].data
+        c1 = x[0] @ p["w_c"].data
         expect = np.zeros(3, dtype=np.float64)
         for d in range(3):
-            expect[d] = float(c1 @ (dt * b1 * x[0, d])) + p.d_skip.data[d] * x[0, d]
+            expect[d] = float(c1 @ (dt * b1 * x[0, d])) + p["d_skip"].data[d] * x[0, d]
         np.testing.assert_allclose(y.data[0], expect, atol=1e-5)
 
     def test_zero_input_zero_output(self):
@@ -120,16 +120,17 @@ class TestMambaBlock:
         r = rng(12)
         p = ssm.init_mamba_params(r, d=3)
         # force the gate path to exactly 1: silu(b) == 1 at b ~= 1.27846454
-        p.w_gate.data[:] = 0.0
-        p.b_gate.data[:] = 1.2784645
+        p["w_gate"].data[:] = 0.0
+        p["b_gate"].data[:] = 1.2784645
         orders = [sfc.raster((2, 2, 2))]
         x = r.normal(size=(8, 3)).astype(np.float32)
         [out] = ssm.mamba_block(Tensor(x), orders, p)
-        xn = nd.layernorm(Tensor(x), p.ln_gamma, p.ln_beta)
-        inner = nd.silu(nd.conv1d_depthwise(nd.linear(xn, p.w_in, p.b_in),
-                                            p.conv_k, p.conv_b))
-        [scanned] = ssm.hilbert_ssm(ssm.seq_to_volume(inner, (2, 2, 2)), orders, p.ssm)
-        expect = nd.linear(ssm.volume_to_seq(scanned), p.w_out, p.b_out)
+        xn = nd.layernorm(Tensor(x), p["ln_gamma"], p["ln_beta"])
+        inner = nd.silu(nd.conv1d_depthwise(nd.linear(xn, p["w_in"], p["b_in"]),
+                                            p["conv_k"], p["conv_b"]))
+        [scanned] = ssm.hilbert_ssm(ssm.seq_to_volume(inner, (2, 2, 2)), orders,
+                                    nd.sub_params(p, "ssm"))
+        expect = nd.linear(ssm.volume_to_seq(scanned), p["w_out"], p["b_out"])
         np.testing.assert_allclose(out.data, expect.data, atol=1e-5)
 
     def test_block_gradients_match_finite_differences(self):
@@ -153,6 +154,6 @@ class TestMambaBlock:
         with nd.Tape() as tape:
             outs = ssm.mamba_block(x, orders, p)
             tape.backward(nd.mean(nd.square(outs[0])))
-        for name, tensor in p.tensors():
+        for name, tensor in p.items():
             assert tensor.grad is not None, name
             assert np.isfinite(tensor.grad).all(), name
