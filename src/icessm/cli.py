@@ -28,6 +28,10 @@ KIND_NAMES = {
     "hilbert-t": "hilbert_temporal_first",
 }
 
+# config.json keys that earlier versions wrote, each with the one value that
+# is now built in; a directory written then still loads if it holds that value
+RETIRED_KEYS = {"wavelet_basis": "haar", "leaky_slope": 0.01}
+
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
@@ -163,10 +167,17 @@ def _load_model(model_dir: str) -> tuple[model.ModelParams, model.ModelConfig]:
         if not isinstance(raw, dict):
             raise TypeError("expected a JSON object")
         raw.pop("seed", None)
+        for key, only in RETIRED_KEYS.items():
+            value = raw.pop(key, only)
+            if value != only:
+                raise ValueError(f"retired key {key}={value!r}; only {only!r} is supported")
         config = model.ModelConfig(**raw)
     except (ValueError, TypeError) as e:  # JSONDecodeError is a ValueError
         raise FormatError(f"bad model config {cfg_path}: {e}") from e
-    return model.load_checkpoint(ckpt_path, config), config
+    try:
+        return model.load_checkpoint(ckpt_path, config), config
+    except ValueError as e:  # truncated, trailing bytes, or not this config's layout
+        raise FormatError(f"bad checkpoint {ckpt_path}: {e}") from e
 
 
 def _forecast_grid(pred: np.ndarray, start_date: int, land_mask) -> data.Grid3:
@@ -237,7 +248,8 @@ def cmd_eval(a) -> int:
         bias = metrics.bias_map(fc.frames[fi[k]], truth.frames[ti[k]])
         metrics.write_bias_ppm(bias, out_dir / f"bias-day{int(day):05d}.ppm")
     _write_manifest(out_dir, "eval", vars(a))
-    print(f"rmse {report.rmse:.4f}% mae {report.mae:.4f}% nse {report.nse:.4f} "
+    nse = "n/a" if report.nse is None else f"{report.nse:.4f}"
+    print(f"rmse {report.rmse:.4f}% mae {report.mae:.4f}% nse {nse} "
           f"iou {report.iou:.4f} ({common.size} days) -> {out_dir}")
     return 0
 

@@ -221,31 +221,26 @@ def read_grid(path) -> Grid3:
         blob = f.read()
     if blob[:len(MAGIC)] != MAGIC:
         raise FormatError(f"bad magic {blob[:len(MAGIC)]!r}")
-    off = len(MAGIC)
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise FormatError("truncated container")
-        chunk = blob[off:off + n]
-        off += n
-        return chunk
-
-    t, h, w = np.frombuffer(take(12), dtype="<u4").astype(np.int64)
-    if t * h * w > 2 ** 40:
-        raise FormatError("dims overflow")
-    dates = np.frombuffer(take(8 * int(t)), dtype="<i8").astype(np.int64)
+    off = len(MAGIC) + 12
+    if len(blob) < off:
+        raise FormatError("truncated container header")
+    t, h, w = (int(v) for v in np.frombuffer(blob[len(MAGIC):off], dtype="<u4"))
     mask_bytes = (h * w + 7) // 8
-    land = np.unpackbits(np.frombuffer(take(int(mask_bytes)), dtype=np.uint8),
-                         count=int(h * w)).astype(bool).reshape(int(h), int(w))
-    missing = np.empty((int(t), int(h), int(w)), dtype=bool)
-    for ti in range(int(t)):
-        bits = np.unpackbits(np.frombuffer(take(int(mask_bytes)), dtype=np.uint8),
-                             count=int(h * w))
-        missing[ti] = bits.astype(bool).reshape(int(h), int(w))
-    frames = np.frombuffer(take(4 * int(t * h * w)), dtype="<f4").astype(np.float32)
-    if off != len(blob):
-        raise FormatError("trailing bytes in container")
-    frames = frames.reshape(int(t), int(h), int(w)).copy()
+    # check the exact size the header implies before allocating anything
+    size = off + 8 * t + mask_bytes * (t + 1) + 4 * t * h * w
+    if len(blob) != size:
+        what = "truncated container" if len(blob) < size else "trailing bytes in container"
+        raise FormatError(f"{what}: {len(blob)} bytes, header implies {size}")
+
+    def take(n: int) -> np.ndarray:
+        nonlocal off
+        off += n
+        return np.frombuffer(blob, dtype=np.uint8, count=n, offset=off - n)
+
+    dates = take(8 * t).view("<i8").astype(np.int64)
+    land = np.unpackbits(take(mask_bytes), count=h * w).astype(bool).reshape(h, w)
+    missing = np.unpackbits(take(mask_bytes * t).reshape(t, mask_bytes), axis=1,
+                            count=h * w).astype(bool).reshape(t, h, w)
+    frames = take(4 * t * h * w).view("<f4").astype(np.float32).reshape(t, h, w)
     frames[missing] = np.nan
     return Grid3(frames, dates, land)

@@ -50,6 +50,14 @@ def nse(yhat, y, mask=None) -> float:
     return float((1.0 - np.sum((a - b) ** 2) / denom) * 100.0)
 
 
+def _nse_or_none(yhat, y, mask) -> float | None:
+    """NSE, or None where the target has zero variance over the mask."""
+    try:
+        return nse(yhat, y, mask)
+    except ValueError:
+        return None
+
+
 def sie(frame, threshold: float = 0.15, cell_area: float = 1.0) -> float:
     """Total area of cells whose concentration is at least ``threshold``."""
     if not 0.0 < threshold < 1.0:
@@ -100,7 +108,7 @@ def write_bias_ppm(bias: np.ndarray, path, scale: float | None = None) -> None:
 class MetricsReport:
     rmse: float
     mae: float
-    nse: float
+    nse: float | None   # None when the truth has zero variance over the mask
     iou: float
     sie: float          # predicted extent area (last frame)
     sie_true: float
@@ -129,21 +137,17 @@ def evaluate(yhat, y, ocean_mask=None, threshold: float = 0.15,
         yhat, y = yhat[:, 0], y[:, 0]
     per_day = []
     for lead in range(yhat.shape[0]):
-        row = {
+        per_day.append({
             "lead": lead + 1,
             "rmse": rmse(yhat[lead], y[lead], ocean_mask),
             "mae": mae(yhat[lead], y[lead], ocean_mask),
             "iou": iou(yhat[lead], y[lead], threshold),
-        }
-        try:
-            row["nse"] = nse(yhat[lead], y[lead], ocean_mask)
-        except ValueError:
-            row["nse"] = None
-        per_day.append(row)
+            "nse": _nse_or_none(yhat[lead], y[lead], ocean_mask),
+        })
     return MetricsReport(
         rmse=rmse(yhat, y, ocean_mask),
         mae=mae(yhat, y, ocean_mask),
-        nse=nse(yhat, y, ocean_mask),
+        nse=_nse_or_none(yhat, y, ocean_mask),
         iou=iou(yhat, y, threshold),
         sie=sie(yhat[-1], threshold, cell_area),
         sie_true=sie(y[-1], threshold, cell_area),

@@ -26,6 +26,7 @@ from .nd import NumericalError, Tensor
 
 FUSIONS = ("hsa", "sum", "cagate")
 HEADS = ("deterministic", "gaussian")
+LEAKY_SLOPE = 0.01
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,8 @@ class ModelConfig:
     scan_kind: str = "hilbert_temporal_first"
     lambda_grad: float = 0.1
     head: str = "deterministic"
-    wavelet_basis: str = "haar"
     fusion: str = "hsa"
     state_size: int = 8
-    leaky_slope: float = 0.01
 
     def __post_init__(self):
         if self.n_fssm < 1:
@@ -183,14 +182,13 @@ def forward_features(x: Tensor, params: dict[str, Tensor],
                          f"({config.in_len}, {config.channels}, H, W)")
     if h % 4 or w % 4:
         raise ValueError(f"spatial dims ({h}, {w}) must be divisible by 4")
-    slope = config.leaky_slope
     enc = nd.sub_params(params, "enc")
     dec = nd.sub_params(params, "dec")
 
     z = nd.conv2d(x, enc["enc1_k"], enc["enc1_b"], stride=2, padding=1)
-    z = nd.leaky_relu(_channel_ln(z, enc["enc1_g"], enc["enc1_be"]), slope)
+    z = nd.leaky_relu(_channel_ln(z, enc["enc1_g"], enc["enc1_be"]), LEAKY_SLOPE)
     z = nd.conv2d(z, enc["enc2_k"], enc["enc2_b"], stride=2, padding=1)
-    z = nd.leaky_relu(_channel_ln(z, enc["enc2_g"], enc["enc2_be"]), slope)
+    z = nd.leaky_relu(_channel_ln(z, enc["enc2_g"], enc["enc2_be"]), LEAKY_SLOPE)
 
     dims = (l_in, h // 4, w // 4)
     orders = list(_cached_routes(config.scan_kind, dims, config.n_routes))
@@ -201,23 +199,23 @@ def forward_features(x: Tensor, params: dict[str, Tensor],
         routed = [ssm.seq_to_volume(r, dims) for r in
                   ssm.mamba_block(seq, orders, nd.sub_params(blk, "mamba"))]
         x1, x2 = _route_pair(routed)
-        xf = wavelet.freq_branch(z, blk["gains"], config.wavelet_basis)
+        xf = wavelet.freq_branch(z, blk["gains"])
         if config.fusion == "hsa":
             fused = hsa.hsa_fuse(x1, x2, xf, nd.sub_params(blk, "hsa"))
         elif config.fusion == "sum":
             fused = hsa.sum_fuse(x1, x2, xf)
         else:
             fused = hsa.ca_gate_fuse(x1, x2, xf, nd.sub_params(blk, "cagate"))
-        mixed = nd.leaky_relu(nd.depthwise_conv2d(fused, blk["dw_k"], blk["dw_b"]), slope)
+        mixed = nd.leaky_relu(nd.depthwise_conv2d(fused, blk["dw_k"], blk["dw_b"]), LEAKY_SLOPE)
         z = nd.add(z, mixed)
 
     y = nd.conv_transpose2d(z, dec["dec1_k"], dec["dec1_b"], stride=2, padding=1)
-    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec1_g"], dec["dec1_be"]), slope)
+    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec1_g"], dec["dec1_be"]), LEAKY_SLOPE)
     y = nd.conv_transpose2d(y, dec["dec2_k"], dec["dec2_b"], stride=2, padding=1)
-    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec2_g"], dec["dec2_be"]), slope)
+    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec2_g"], dec["dec2_be"]), LEAKY_SLOPE)
 
-    y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref1_k"], dec["ref1_b"]), slope)
-    y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref2_k"], dec["ref2_b"]), slope)
+    y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref1_k"], dec["ref1_b"]), LEAKY_SLOPE)
+    y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref2_k"], dec["ref2_b"]), LEAKY_SLOPE)
     y = nd.conv2d(y, dec["head_k"], dec["head_b"])
 
     if config.out_len != config.in_len:

@@ -1,79 +1,27 @@
-"""One-level 2D discrete wavelet transforms and the high-frequency branch.
+"""One-level 2D Haar wavelet transform and the high-frequency branch.
 
-The transforms are built as explicit per-axis analysis/synthesis matrices
-(periodized filter banks), so they compose with the autodiff primitives and
-stay exactly linear. Haar is the working basis; db2 and bior1.3 are optional
-extras used to show the model is insensitive to the choice.
+The transform works on 2x2 blocks. x[..., H, W] is regrouped into block
+vectors [..., H/2, W/2, 4] holding (x[2i, 2j], x[2i, 2j+1], x[2i+1, 2j],
+x[2i+1, 2j+1]) and multiplied by the orthonormal Haar matrix, whose rows give
+the ll, lh, hl and hh coefficients. The matrix is symmetric and its own
+inverse, so synthesis is the same product followed by the reverse regrouping.
+Both directions are taped autodiff ops and exactly linear.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import nd
 from .nd import Tensor
 
-BASES = ("haar", "db2", "bior1.3")
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT3 = math.sqrt(3.0)
-
-# (analysis_lo, analysis_hi, synthesis_lo, synthesis_hi), each (filter, offset).
-# Offsets align the periodized banks for exact reconstruction; db2's bank is
-# orthogonal so synthesis is the transpose of analysis.
-_D4 = [(1 + _SQRT3) / (4 * _SQRT2), (3 + _SQRT3) / (4 * _SQRT2),
-       (3 - _SQRT3) / (4 * _SQRT2), (1 - _SQRT3) / (4 * _SQRT2)]
-_FILTERS = {
-    "haar": (
-        ([1 / _SQRT2, 1 / _SQRT2], 0),
-        ([1 / _SQRT2, -1 / _SQRT2], 0),
-        None,
-        None,
-    ),
-    "db2": (
-        (_D4, 0),
-        ([(-1) ** n * _D4[3 - n] for n in range(4)], 0),
-        None,
-        None,
-    ),
-    "bior1.3": (
-        ([-1 / (8 * _SQRT2), 1 / (8 * _SQRT2), 1 / _SQRT2, 1 / _SQRT2,
-          1 / (8 * _SQRT2), -1 / (8 * _SQRT2)], -3),
-        ([1 / _SQRT2, -1 / _SQRT2], -1),
-        ([1 / _SQRT2, 1 / _SQRT2], -1),
-        ([-1 / (8 * _SQRT2), -1 / (8 * _SQRT2), 1 / _SQRT2, -1 / _SQRT2,
-          1 / (8 * _SQRT2), 1 / (8 * _SQRT2)], -3),
-    ),
-}
-
-
-def _bank_half(filt, ofs: int, n: int) -> np.ndarray:
-    half = np.zeros((n // 2, n), dtype=np.float64)
-    for k in range(n // 2):
-        for i, v in enumerate(filt):
-            half[k, (2 * k + i + ofs) % n] += v
-    return half
-
-
-@lru_cache(maxsize=None)
-def _matrices(basis: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Analysis matrix A (lo rows then hi rows) and synthesis matrix S with
-    S @ A = I, both float32 [n, n]."""
-    if basis not in _FILTERS:
-        raise ValueError(f"unknown wavelet basis {basis!r}")
-    if n % 2 or n < 2:
-        raise ValueError(f"axis length must be even and >= 2, got {n}")
-    ana_lo, ana_hi, syn_lo, syn_hi = _FILTERS[basis]
-    a = np.vstack([_bank_half(*ana_lo, n), _bank_half(*ana_hi, n)])
-    if syn_lo is None:
-        s = a.T.copy()
-    else:
-        s = np.hstack([_bank_half(*syn_lo, n).T, _bank_half(*syn_hi, n).T])
-    return a.astype(np.float32), s.astype(np.float32)
+# rows: ll, lh (detail along W), hl (detail along H), hh (diagonal)
+_HAAR = Tensor(0.5 * np.array([[1, 1, 1, 1],
+                               [1, -1, 1, -1],
+                               [1, 1, -1, -1],
+                               [1, -1, -1, 1]]))
 
 
 @dataclass
@@ -87,63 +35,55 @@ class DwtPyramid:
     lh: Tensor
     hl: Tensor
     hh: Tensor
-    basis: str
 
 
-def _split_last(x: Tensor) -> tuple[Tensor, Tensor]:
-    return tuple(nd.chunk(x, 2, axis=-1))
+def _analyse(x: Tensor) -> Tensor:
+    """Haar coefficients [..., H/2, W/2, 4] (ll, lh, hl, hh) of x[..., H, W]."""
+    *lead, h, w = x.shape
+    if h % 2 or w % 2 or h < 2 or w < 2:
+        raise ValueError(f"spatial dims must be even and >= 2, got ({h}, {w})")
+    blocks = nd.moveaxis(nd.reshape(x, (*lead, h // 2, 2, w // 2, 2)), -3, -2)
+    # one flat [N, 4] product: numpy runs a stacked matmul as many small ones
+    coeffs = nd.matmul(nd.reshape(blocks, (-1, 4)), _HAAR)
+    return nd.reshape(coeffs, (*lead, h // 2, w // 2, 4))
 
 
-def dwt2(x: Tensor, basis: str = "haar") -> DwtPyramid:
+def _synthesise(coeffs: Tensor) -> Tensor:
+    """Inverse of :func:`_analyse`: [..., H/2, W/2, 4] -> [..., H, W]."""
+    *lead, h2, w2, _ = coeffs.shape
+    blocks = nd.matmul(nd.reshape(coeffs, (-1, 4)), _HAAR)
+    blocks = nd.reshape(blocks, (*lead, h2, w2, 2, 2))
+    return nd.reshape(nd.moveaxis(blocks, -2, -3), (*lead, 2 * h2, 2 * w2))
+
+
+def dwt2(x: Tensor) -> DwtPyramid:
     """One-level 2D analysis of x[..., H, W]; H and W must be even."""
-    h, w = x.shape[-2], x.shape[-1]
-    a_w, _ = _matrices(basis, w)
-    a_h, _ = _matrices(basis, h)
-    # along W
-    xw = nd.matmul(x, Tensor(a_w.T))
-    lo_w, hi_w = _split_last(xw)
-    # along H (via moveaxis so matmul sees it last)
-    out = []
-    for part in (lo_w, hi_w):
-        ph = nd.matmul(nd.moveaxis(part, -2, -1), Tensor(a_h.T))
-        lo_h, hi_h = _split_last(ph)
-        out.append((nd.moveaxis(lo_h, -1, -2), nd.moveaxis(hi_h, -1, -2)))
-    (ll, hl), (lh, hh) = out
-    return DwtPyramid(ll, lh, hl, hh, basis)
+    coeffs = _analyse(x)
+    return DwtPyramid(*(nd.index(coeffs, np.s_[..., k]) for k in range(4)))
 
 
 def idwt2(p: DwtPyramid) -> Tensor:
     """Synthesis back to [..., H, W]; exact inverse of :func:`dwt2`."""
-    h2, w2 = p.ll.shape[-2], p.ll.shape[-1]
-    _, s_h = _matrices(p.basis, 2 * h2)
-    _, s_w = _matrices(p.basis, 2 * w2)
-    lo_w = nd.concat([nd.moveaxis(p.ll, -2, -1), nd.moveaxis(p.hl, -2, -1)], axis=-1)
-    hi_w = nd.concat([nd.moveaxis(p.lh, -2, -1), nd.moveaxis(p.hh, -2, -1)], axis=-1)
-    lo_w = nd.moveaxis(nd.matmul(lo_w, Tensor(s_h.T)), -1, -2)
-    hi_w = nd.moveaxis(nd.matmul(hi_w, Tensor(s_h.T)), -1, -2)
-    xw = nd.concat([lo_w, hi_w], axis=-1)
-    return nd.matmul(xw, Tensor(s_w.T))
+    bands = [nd.reshape(b, (*b.shape, 1)) for b in (p.ll, p.lh, p.hl, p.hh)]
+    return _synthesise(nd.concat(bands, axis=-1))
 
 
-def freq_branch(x: Tensor, gains: Tensor, basis: str = "haar") -> Tensor:
-    """Scale the detail subbands of x[T, C, H, W] by per-channel gains[C, 3].
+def freq_branch(x: Tensor, gains: Tensor) -> Tensor:
+    """Scale the detail subbands of x[T, C, H, W] by per-channel gains[C, 3]
+    (columns lh, hl, hh).
 
-    Gains of 1 make this an identity (up to reconstruction error); larger
-    values amplify the high-frequency content. Odd spatial sizes are
-    replicate-padded for the transform and cropped back.
+    Gains of 1 make this an identity (up to rounding); larger values amplify
+    the high-frequency content. Odd spatial sizes are replicate-padded for the
+    transform and cropped back.
     """
-    if gains.shape != (x.shape[1], 3):
-        raise ValueError(f"gains shape {gains.shape} != ({x.shape[1]}, 3)")
+    c = x.shape[1]
+    if gains.shape != (c, 3):
+        raise ValueError(f"gains shape {gains.shape} != ({c}, 3)")
     h, w = x.shape[-2], x.shape[-1]
     padded = x if (h % 2 == 0 and w % 2 == 0) else nd.pad2d(
         x, (0, h % 2, 0, w % 2), mode="replicate")
-    p = dwt2(padded, basis)
-
-    def scale(band: Tensor, k: int) -> Tensor:
-        g = nd.reshape(nd.chunk(gains, 3, axis=1)[k], (1, x.shape[1], 1, 1))
-        return nd.mul(band, g)
-
-    out = idwt2(DwtPyramid(p.ll, scale(p.lh, 0), scale(p.hl, 1), scale(p.hh, 2), basis))
+    scale = nd.reshape(nd.concat([np.ones((c, 1)), gains], axis=1), (1, c, 1, 1, 4))
+    out = _synthesise(nd.mul(_analyse(padded), scale))
     if out.shape[-2:] != (h, w):
         out = nd.crop2d(out, (h, w))
     return out

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,23 @@ class TestSynthPreprocess:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("preprocess", "--input", str(tmp_path / "nope.sic"),
                    "--out", str(tmp_path / "x.sic")) == 3
+
+    def test_hostile_header_is_data_error(self, tmp_path):
+        # the header claims T=2^18 and H=W=2^11, a 1 TiB missing bitmap; the
+        # 2.6 MB file holds just the dates and the land bitmap
+        t, h, w = 2 ** 18, 2 ** 11, 2 ** 11
+        src = tmp_path / "hostile.sic"
+        src.write_bytes(data.MAGIC + np.array([t, h, w], dtype="<u4").tobytes()
+                        + bytes(8 * t + h * w // 8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(data.FormatError, match="truncated"):
+                data.read_grid(src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * src.stat().st_size  # nothing sized by the header
+        assert run("preprocess", "--input", str(src), "--out", str(tmp_path / "x.sic")) == 3
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +190,47 @@ class TestPipeline:
         (bad / "config.json").write_text(text)
         assert run("predict", "--model", str(bad), "--data", str(grid_path),
                    "--out", str(tmp_path / "o")) == 3
+
+    @pytest.mark.parametrize("damage", ["truncated", "trailing-bytes", "other-config"])
+    def test_corrupt_checkpoint_is_data_error(self, trained, tmp_path, damage):
+        _, grid_path, model_dir = trained
+        ckpt = (model_dir / "model.ckpt").read_bytes()
+        config = json.loads((model_dir / "config.json").read_text())
+        if damage == "truncated":
+            ckpt = ckpt[:len(ckpt) // 2]
+        elif damage == "trailing-bytes":
+            ckpt += bytes(4)
+        else:  # names and shapes of a hidden-8 model under a hidden-16 config
+            config["hidden"] = 16
+        bad = tmp_path / "model"
+        bad.mkdir()
+        (bad / "model.ckpt").write_bytes(ckpt)
+        (bad / "config.json").write_text(json.dumps(config))
+        assert run("predict", "--model", str(bad), "--data", str(grid_path),
+                   "--out", str(tmp_path / "o")) == 3
+
+    @pytest.mark.parametrize("key, value, code", [
+        ("wavelet_basis", "haar", 0), ("leaky_slope", 0.01, 0),
+        ("wavelet_basis", "db2", 3), ("leaky_slope", 0.2, 3)])
+    def test_retired_config_keys(self, trained, tmp_path, key, value, code):
+        # config.json files of earlier versions carry these keys; only the
+        # value that is now built in still loads
+        _, grid_path, model_dir = trained
+        old = tmp_path / "model"
+        old.mkdir()
+        (old / "model.ckpt").write_bytes((model_dir / "model.ckpt").read_bytes())
+        config = json.loads((model_dir / "config.json").read_text())
+        (old / "config.json").write_text(json.dumps({**config, key: value}))
+        assert run("predict", "--model", str(old), "--data", str(grid_path),
+                   "--out", str(tmp_path / "o")) == code
+
+    def test_eval_constant_truth_reports_null_nse(self, tmp_path):
+        grid = tmp_path / "const.sic"
+        data.write_grid(data.Grid3(np.full((3, 4, 4), 0.5), np.arange(3),
+                                   np.zeros((4, 4), dtype=bool)), grid)
+        out = tmp_path / "eval"
+        assert run("eval", "--forecast", str(grid), "--truth", str(grid),
+                   "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["overall"]["nse"] is None
+        assert [row["nse"] for row in report["per_lead_day"]] == [None] * 3

@@ -235,3 +235,10 @@ class TestContainer:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(data.FormatError, match="truncated"):
             data.read_grid(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.sic"
+        data.write_grid(grid_of(np.zeros((2, 4, 4))), path)
+        path.write_bytes(path.read_bytes() + bytes(1))
+        with pytest.raises(data.FormatError, match="trailing bytes"):
+            data.read_grid(path)
