@@ -332,6 +332,11 @@ class AdamW:
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self) -> None:
+        """One update. A non-finite gradient raises NumericalError, naming the
+        parameter and the step, before any parameter is touched."""
+        for k, p in self.params.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericalError(f"non-finite gradient of {k} at step {self.t}")
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
@@ -487,18 +492,54 @@ def save_checkpoint(path, params: dict[str, Tensor]) -> None:
     nd.save_params(path, params)
 
 
+def param_layout(config: ModelConfig):
+    """Yield (name, shape) of every tensor ``init_params`` makes for
+    ``config``, in checkpoint order, without allocating any of them."""
+    d, dh, d2, s, hc = (config.hidden, config.hidden // 2, 2 * config.hidden,
+                        config.state_size, config.head_channels)
+
+    def conv(prefix, kernel, n):  # kernel, then bias and norm gain/shift over n channels
+        return [(f"{prefix}_k", kernel), (f"{prefix}_b", (n,)), (f"{prefix}_g", (n,)),
+                (f"{prefix}_be", (n,))]
+
+    mamba = [("ln_gamma", (d,)), ("ln_beta", (d,)), ("w_in", (d, d2)), ("b_in", (d2,)),
+             ("conv_k", (d2, 3)), ("conv_b", (d2,)), ("w_gate", (d, d2)), ("b_gate", (d2,)),
+             ("w_out", (d2, d)), ("b_out", (d,)), ("ssm.a_log", (d2, s)), ("ssm.d_skip", (d2,)),
+             ("ssm.w_delta", (d2, 1)), ("ssm.b_delta", (1,)), ("ssm.w_b", (d2, s)),
+             ("ssm.w_c", (d2, s))]
+    fusion = {"hsa": [("hsa.weights", (d, 3, 3)), ("hsa.bias", (3 * d,))],
+              "cagate": [(f"cagate.{w}{i}", shape) for i in range(3)
+                         for w, shape in (("w", (d, d)), ("b", (d,)))],
+              "sum": []}[config.fusion]
+    block = ([(f"mamba.{k}", v) for k, v in mamba] + [("gains", (d, 3))] + fusion
+             + [("dw_k", (d, 3, 3)), ("dw_b", (d,))])
+
+    yield from ((f"enc.{k}", v) for k, v in
+                conv("enc1", (dh, config.channels, 3, 3), dh) + conv("enc2", (d, dh, 3, 3), d))
+    for i in range(config.n_fssm):
+        yield from ((f"fssm{i}.{k}", v) for k, v in block)
+    yield from ((f"dec.{k}", v) for k, v in
+                conv("dec1", (d, dh, 4, 4), dh) + conv("dec2", (dh, dh, 4, 4), dh))
+    for k in ("ref1", "ref2"):
+        yield from ((f"dec.{k}_k", (dh, 3, 3)), (f"dec.{k}_b", (dh,)))
+    yield from (("dec.head_k", (hc, dh, 1, 1)), ("dec.head_b", (hc,)))
+    if config.out_len != config.in_len:
+        yield from (("time.w", (config.in_len, config.out_len)), ("time.b", (config.out_len,)))
+
+
 def load_checkpoint(path, config: ModelConfig) -> ModelParams:
-    """Rebuild the parameter structure for ``config`` from a checkpoint."""
+    """Load a checkpoint written for ``config``. Its names and shapes are
+    checked against ``param_layout(config)`` first, so a config that does not
+    match (however large) allocates nothing."""
     stored = nd.load_params(path)
-    params = init_params(np.random.default_rng(0), config)
-    if set(stored) != set(params):
-        missing = set(params) - set(stored)
-        extra = set(stored) - set(params)
-        raise ValueError(f"checkpoint does not match config "
-                         f"(missing={sorted(missing)[:3]}, extra={sorted(extra)[:3]})")
-    for k, p in params.items():
-        if stored[k].data.shape != p.data.shape:
-            raise ValueError(f"checkpoint tensor {k} has shape "
-                             f"{stored[k].data.shape}, expected {p.data.shape}")
-        p.data = stored[k].data
+    params = ModelParams()
+    for name, shape in param_layout(config):
+        if name not in stored:
+            raise ValueError(f"checkpoint does not match config (missing {name})")
+        if stored[name].data.shape != shape:
+            raise ValueError(f"checkpoint tensor {name} has shape "
+                             f"{stored[name].data.shape}, expected {shape}")
+        params[name] = stored.pop(name)
+    if stored:
+        raise ValueError(f"checkpoint does not match config (extra={sorted(stored)[:3]})")
     return params

@@ -11,6 +11,7 @@ independent threads, a single tape is single-threaded.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -94,33 +95,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -143,10 +117,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _tracking(inputs) -> bool:
+    """Whether an op on ``inputs`` is recorded: a tape is active and one needs a gradient."""
+    return _tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _make(out_data, inputs, backward) -> Tensor:
     """Wrap an op result; record the backward rule when taping."""
-    tape = _tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
+    track = _tracking(inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
 
@@ -155,7 +133,7 @@ def _make(out_data, inputs, backward) -> Tensor:
             if out.grad is not None:
                 backward(out.grad)
 
-        tape.record(run)
+        _tape().record(run)
     return out
 
 
@@ -366,19 +344,21 @@ def moveaxis(a: Tensor, src, dst) -> Tensor:
 
 
 def gather(a: Tensor, perm: np.ndarray) -> Tensor:
-    """Reorder axis 0 by a bijective permutation; backward scatters through
-    the inverse permutation."""
+    """Reorder axis 0 by a permutation ``perm[N]``, or by ``perm[N, R]``:
+    column r, a permutation, reorders ``a[:, r]`` (all of them reorder
+    ``a[:, 0]`` when a is [N, 1, ...]). Backward scatters through the inverses."""
     perm = np.asarray(perm, dtype=np.int64)
-    n = a.data.shape[0]
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+    if perm.ndim not in (1, 2) or perm.shape[0] != a.data.shape[0] \
+            or not (np.sort(perm, axis=0).T == np.arange(len(perm))).all():
         raise ValueError("perm must be a bijective permutation of axis 0")
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n)
+    cols = (np.arange(perm.shape[1]),) if perm.ndim == 2 else ()
+    inv = (np.argsort(perm, axis=0),) + cols
+    src = np.broadcast_to(a.data, perm.shape + a.data.shape[perm.ndim:])
 
     def bw(g):
-        a._accum(g[inv])
+        a._accum(_unbroadcast(g[inv], a.data.shape))
 
-    return _make(a.data[perm], (a,), bw)
+    return _make(src[(perm,) + cols], (a,), bw)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -487,19 +467,6 @@ def pad2d(x: Tensor, pads: tuple[int, int, int, int], mode: str = "zero") -> Ten
         x._accum(_np_pad2d_adjoint(g, pads, mode))
 
     return _make(_np_pad2d(x.data, pads, mode), (x,), bw)
-
-
-def crop2d(x: Tensor, hw: tuple[int, int]) -> Tensor:
-    """Keep the top-left (h, w) corner of the trailing two axes."""
-    h, w = hw
-    shape = x.data.shape
-
-    def bw(g):
-        buf = np.zeros(shape, dtype=np.float32)
-        buf[..., :h, :w] = g
-        x._accum(buf)
-
-    return _make(np.ascontiguousarray(x.data[..., :h, :w]), (x,), bw)
 
 
 def _check_conv_geometry(hp, wp, kh, kw, stride):
@@ -761,48 +728,66 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def ssm_recurrence(abar: Tensor, bx: Tensor, c: Tensor) -> Tensor:
-    """Run h_l = abar_l * h_{l-1} + bx_l ; y_l[d] = <c_l, h_l[d]>.
+SCAN_CHUNK = 64
 
-    abar, bx are [L, D, S]; c is [L, S]; returns y[L, D]. The state history is
-    kept for the backward pass. Raises NumericalError naming the first step
-    whose state goes non-finite.
+
+def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Tensor:
+    """Selective scan of R sequences at once, time-major, per route r:
+
+        h_l = exp(dt_l * A) * h_{l-1} + dt_l * B_l x_l^T,   y_l = C_l^T h_l
+
+    x is [L, R, D], dt [L, R], a (A) [D, S], b and c [L, R, S]; the state
+    h_l is [S, D] per route and y is [L, R, D]. Discretisation runs inside,
+    SCAN_CHUNK steps at a time, and is never taped; the [L, R, S, D] state
+    history is kept only when a tape records the call. Raises NumericalError
+    naming the first step whose state goes non-finite.
     """
-    L, d, s = abar.data.shape
-    if bx.data.shape != (L, d, s) or c.data.shape != (L, s):
+    L, r, d = x.data.shape
+    s = a.data.shape[1]
+    if dt.data.shape != (L, r) or a.data.shape != (d, s) \
+            or b.data.shape != (L, r, s) or c.data.shape != (L, r, s):
         raise ValueError("ssm_recurrence shape mismatch")
-    hs = np.empty((L, d, s), dtype=np.float32)
-    h = np.zeros((d, s), dtype=np.float32)
-    for l in range(L):
-        h = abar.data[l] * h + bx.data[l]
-        if not np.isfinite(np.sum(h)):
-            raise NumericalError(f"non-finite SSM state at step {l}")
-        hs[l] = h
-    y = np.einsum("lds,ls->ld", hs, c.data)
+    inputs = (x, dt, a, b, c)
+    at = np.ascontiguousarray(a.data.T)                                 # [S, D]
+    hist = np.empty((L, r, s, d), dtype=np.float32) if _tracking(inputs) else None
+    y = np.empty((L, r, d), dtype=np.float32)
+    h = np.zeros((r, s, d), dtype=np.float32)
+    for l0 in range(0, L, SCAN_CHUNK):
+        chunk = np.s_[l0:l0 + SCAN_CHUNK]
+        dtc = dt.data[chunk][..., None]
+        abar = np.exp(dtc[..., None] * at)
+        hs = np.empty_like(abar) if hist is None else hist[chunk]
+        np.multiply((dtc * b.data[chunk])[..., None], x.data[chunk][:, :, None, :], out=hs)
+        for ab, hk in zip(abar, hs):  # h_l = bx_l + abar_l * h_{l-1}, in place
+            ab *= h
+            hk += ab
+            h = hk
+        if not np.isfinite(h).all():  # a non-finite entry stays non-finite
+            bad = ~np.isfinite(hs).reshape(len(hs), -1).all(axis=1)
+            raise NumericalError(f"non-finite SSM state at step {l0 + int(np.argmax(bad))}")
+        y[chunk] = np.matmul(c.data[chunk][:, :, None, :], hs)[:, :, 0]
 
     def bw(g):
-        dh_next = np.zeros((d, s), dtype=np.float32)
-        dabar = np.empty_like(hs) if abar.requires_grad else None
-        dbx = np.empty_like(hs) if bx.requires_grad else None
-        dc = np.empty((L, s), dtype=np.float32) if c.requires_grad else None
-        for l in range(L - 1, -1, -1):
-            dh = g[l][:, None] * c.data[l][None, :] + dh_next
-            if dc is not None:
-                dc[l] = hs[l].T @ g[l]
-            if dabar is not None:
-                h_prev = hs[l - 1] if l > 0 else 0.0
-                dabar[l] = dh * h_prev
-            if dbx is not None:
-                dbx[l] = dh
-            dh_next = dh * abar.data[l]
-        if dabar is not None:
-            abar._accum(dabar)
-        if dbx is not None:
-            bx._accum(dbx)
-        if dc is not None:
-            c._accum(dc)
+        dtv = dt.data[..., None]
+        dh = c.data[..., None] * g[:, :, None, :]          # g_l C_l, then all of dL/dh_l:
+        abar = np.exp(dtv[..., None] * at)
+        for l in range(L - 1, 0, -1):
+            dh[l - 1] += abar[l] * dh[l]
+        dh_b = np.matmul(b.data[:, :, None, :], dh)[:, :, 0]           # B_l^T dh_l, [L, R, D]
+        q = np.multiply(abar, dh, out=abar)                 # dL/dabar_l * abar_l ...
+        q[0] = 0.0
+        q[1:] *= hist[:-1]                                  # ... = dh_l h_{l-1} abar_l
+        qf = q.reshape(L * r, s * d)
+        grads = (dtv * dh_b,
+                 (dh_b * x.data).sum(axis=-1) + (qf @ at.reshape(-1)).reshape(L, r),
+                 (dt.data.reshape(-1) @ qf).reshape(s, d).T,
+                 dtv * np.matmul(dh, x.data[..., None])[..., 0],
+                 np.matmul(hist, g[..., None])[..., 0])
+        for t, grad in zip(inputs, grads):
+            if t.requires_grad:
+                t._accum(grad)
 
-    return _make(y.astype(np.float32), (abar, bx, c), bw)
+    return _make(y, inputs, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +905,7 @@ def load_params(path) -> dict[str, Tensor]:
         shapes.append((name, dims))
     params = {}
     for name, dims in shapes:
-        n = int(np.prod(dims)) if dims else 1
+        n = math.prod(dims)  # exact: np.prod would wrap around in int64
         arr = np.frombuffer(take(4 * n), dtype="<f4").reshape(dims).copy()
         params[name] = Tensor(arr, requires_grad=True)
     if off != len(blob):

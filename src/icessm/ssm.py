@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from . import nd, sfc
+from . import nd
 from .nd import Tensor
 from .sfc import ScanOrder
 
@@ -40,28 +40,26 @@ def init_ssm_params(rng: np.random.Generator, d: int,
 
 def selective_scan(x: Tensor, p: dict[str, Tensor],
                    direction: str = "forward") -> Tensor:
-    """Scan x[L, D] through the recurrence; 'backward' processes the reversed
-    sequence and re-reverses the output."""
-    length, d = x.shape
+    """Scan x[L, D], or the R sequences of x[L, R, D] at once, along axis 0;
+    'backward' processes the reversed sequences and re-reverses the output."""
+    length, d = x.shape[0], x.shape[-1]
     if length < 1:
         raise ValueError("sequence must have at least one step")
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    if direction == "backward":
-        flip = np.arange(length - 1, -1, -1)
-        return nd.gather(selective_scan(nd.gather(x, flip), p, "forward"), flip)
-
-    dt = nd.softplus(nd.add(nd.matmul(x, p["w_delta"]), p["b_delta"]))  # [L, 1]
-    b = nd.matmul(x, p["w_b"])                                        # [L, S]
-    c = nd.matmul(x, p["w_c"])                                        # [L, S]
-    a = nd.neg(nd.exp(p["a_log"]))                                    # [D, S]
-
-    s = a.shape[1]
-    abar = nd.exp(nd.mul(nd.reshape(dt, (length, 1, 1)), nd.reshape(a, (1, d, s))))
-    dtb = nd.mul(dt, b)                                               # [L, S]
-    bx = nd.mul(nd.reshape(dtb, (length, 1, s)), nd.reshape(x, (length, d, 1)))
-    y = nd.ssm_recurrence(abar, bx, c)                                # [L, D]
-    return nd.add(y, nd.mul(x, nd.reshape(p["d_skip"], (1, d))))
+    backward = direction == "backward"
+    if backward:
+        x = nd.index(x, np.s_[::-1])
+    rows = nd.reshape(x, (-1, d))                        # [L*R, D], one matmul per projection
+    seq = nd.reshape(rows, (length, -1, d))              # [L, R, D]
+    r = seq.shape[1]
+    dt = nd.softplus(nd.add(nd.matmul(rows, p["w_delta"]), p["b_delta"]))
+    b = nd.reshape(nd.matmul(rows, p["w_b"]), (length, r, -1))
+    c = nd.reshape(nd.matmul(rows, p["w_c"]), (length, r, -1))
+    a = nd.neg(nd.exp(p["a_log"]))                       # [D, S]
+    y = nd.ssm_recurrence(seq, nd.reshape(dt, (length, r)), a, b, c)
+    y = nd.reshape(nd.add(y, nd.mul(seq, p["d_skip"])), x.shape)
+    return nd.index(y, np.s_[::-1]) if backward else y
 
 
 def volume_to_seq(v: Tensor) -> Tensor:
@@ -78,8 +76,9 @@ def seq_to_volume(seq: Tensor, dims: tuple[int, int, int]) -> Tensor:
 
 
 def hilbert_ssm(v: Tensor, orders: list[ScanOrder],
-                p: dict[str, Tensor]) -> list[Tensor]:
-    """Scan a [T, C, H, W] volume along each route; one output volume per route.
+                p: dict[str, Tensor]) -> Tensor:
+    """Scan a [T, C, H, W] volume along every route in one scan call; returns
+    the [T*H*W, R, C] outputs in raster order, route r in column r.
 
     Route fusion happens downstream, the outputs are not averaged here.
     """
@@ -89,13 +88,10 @@ def hilbert_ssm(v: Tensor, orders: list[ScanOrder],
     for o in orders:
         if o.dims != (t, h, w):
             raise ValueError(f"order dims {o.dims} do not match volume {(t, h, w)}")
-    flat = volume_to_seq(v)
-    outs = []
-    for o in orders:
-        seq = nd.gather(flat, o.forward)
-        y = selective_scan(seq, p)
-        outs.append(seq_to_volume(nd.gather(y, o.inverse()), (t, h, w)))
-    return outs
+    visit = np.stack([o.forward for o in orders], axis=1)   # [L, R]: voxel at step l of route r
+    flat = nd.reshape(volume_to_seq(v), (t * h * w, 1, c))
+    y = selective_scan(nd.gather(flat, visit), p)
+    return nd.gather(y, np.stack([o.inverse() for o in orders], axis=1))
 
 
 def init_mamba_params(rng: np.random.Generator, d: int, state_size: int = 8,
@@ -133,8 +129,8 @@ def mamba_block(x_seq: Tensor, orders: list[ScanOrder],
                 p: dict[str, Tensor]) -> list[Tensor]:
     """Process a raster-ordered [L, D] sequence; returns one [L, D] per route.
 
-    The inner width is twice the input width; the same scan parameters serve
-    every route.
+    The inner width is twice the input width; the same scan, gate and output
+    parameters serve every route, and all routes run through them together.
     """
     length, d = x_seq.shape
     dims = orders[0].dims
@@ -146,8 +142,7 @@ def mamba_block(x_seq: Tensor, orders: list[ScanOrder],
                                         p["conv_k"], p["conv_b"]))
     routed = hilbert_ssm(seq_to_volume(inner, dims), orders, nd.sub_params(p, "ssm"))
     gate = nd.silu(nd.linear(xn, p["w_gate"], p["b_gate"]))
-    outs = []
-    for vol in routed:
-        gated = nd.mul(volume_to_seq(vol), gate)
-        outs.append(nd.linear(gated, p["w_out"], p["b_out"]))
-    return outs
+    r = len(orders)
+    gated = nd.mul(routed, nd.reshape(gate, (length, 1, 2 * d)))
+    out = nd.linear(nd.reshape(gated, (length * r, 2 * d)), p["w_out"], p["b_out"])
+    return [nd.index(out, np.s_[k::r]) for k in range(r)]   # row l*R + k is route k

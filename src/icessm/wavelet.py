@@ -85,5 +85,5 @@ def freq_branch(x: Tensor, gains: Tensor) -> Tensor:
     scale = nd.reshape(nd.concat([np.ones((c, 1)), gains], axis=1), (1, c, 1, 1, 4))
     out = _synthesise(nd.mul(_analyse(padded), scale))
     if out.shape[-2:] != (h, w):
-        out = nd.crop2d(out, (h, w))
+        out = nd.index(out, np.s_[..., :h, :w])
     return out

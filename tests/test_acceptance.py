@@ -123,10 +123,11 @@ def _op_probes():
     coeff_pad = t(1, 1, 4, 5)
     other = t(3, lo=0.5, hi=2.0)
     other2 = t(2, 3)
-    c_ssm = t(5, 3)
+    c_ssm = t(5, 2, 3)
     perm = np.random.default_rng(6).permutation(6)
     p_ssm = ssm.init_ssm_params(rng, d=3, state_size=2)
-    abar = Tensor(np.exp(-rng.uniform(0.1, 1, size=(5, 2, 3))).astype(np.float32))
+    # x[L=5, R=2, D=2] is probed; dt > 0, A = -exp(.) < 0, B, C [5, 2, 3]
+    scan_dt, scan_a, scan_b = t(5, 2, lo=0.1, hi=1.0), t(2, 3, lo=-1.0, hi=-0.1), t(5, 2, 3)
 
     return [
         ("add", lambda x: nd.mean(nd.add(x, other)), t(2, 3)),
@@ -174,7 +175,7 @@ def _op_probes():
         ("dwt_idwt", lambda x: nd.mean(nd.square(
             wavelet.idwt2(wavelet.dwt2(x)))), t(1, 1, 4, 4)),
         ("ssm_recurrence", lambda x: nd.mean(nd.square(
-            nd.ssm_recurrence(abar, x, c_ssm))), t(5, 2, 3)),
+            nd.ssm_recurrence(x, scan_dt, scan_a, scan_b, c_ssm))), t(5, 2, 2)),
         ("selective_scan", lambda x: nd.mean(nd.square(
             ssm.selective_scan(x, p_ssm))), t(6, 3)),
     ]

@@ -209,6 +209,26 @@ class TestPipeline:
         assert run("predict", "--model", str(bad), "--data", str(grid_path),
                    "--out", str(tmp_path / "o")) == 3
 
+    def test_huge_config_is_data_error(self, trained, tmp_path):
+        # hidden 10^6 asks for TiB-sized weights: the checkpoint's names and
+        # shapes must be compared with the config's layout before any of them
+        _, grid_path, model_dir = trained
+        ckpt = (model_dir / "model.ckpt").read_bytes()
+        config = json.loads((model_dir / "config.json").read_text())
+        bad = tmp_path / "model"
+        bad.mkdir()
+        (bad / "model.ckpt").write_bytes(ckpt)
+        (bad / "config.json").write_text(json.dumps({**config, "hidden": 1_000_000}))
+        tracemalloc.start()
+        try:
+            code = run("predict", "--model", str(bad), "--data", str(grid_path),
+                       "--out", str(tmp_path / "o"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 2 * len(ckpt) + 2 ** 20  # the file and its tensors, nothing sized by the config
+
     @pytest.mark.parametrize("key, value, code", [
         ("wavelet_basis", "haar", 0), ("leaky_slope", 0.01, 0),
         ("wavelet_basis", "db2", 3), ("leaky_slope", 0.2, 3)])

@@ -285,6 +285,28 @@ class TestTraining:
         with pytest.raises(ValueError):
             model.train([], [make_sample(34)], tiny_config())
 
+    def test_nonfinite_gradient_with_finite_loss_raises(self, monkeypatch):
+        # sqrt(0 * raw) adds 0 to the loss but sends inf * 0 = NaN back into
+        # every gradient; AdamW must refuse it before its first update
+        plain = model.sample_loss
+        monkeypatch.setattr(model, "sample_loss", lambda raw, target, config: nd.add(
+            plain(raw, target, config), nd.mean(nd.sqrt(nd.mul(raw, 0.0)))))
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+                nd.NumericalError, match=r"non-finite gradient of enc\.enc1_k at step 0"):
+            model.train([make_sample(50)], [make_sample(51)], tiny_config(), seed=0,
+                        max_epochs=1, batch_size=1)
+
+    def test_adamw_touches_nothing_on_nonfinite_gradient(self):
+        params = {"a": nd.param(np.ones(3)), "b": nd.param(np.ones(2))}
+        params["a"].grad = np.ones(3, dtype=np.float32)
+        params["b"].grad = np.array([0.0, np.nan], dtype=np.float32)
+        opt = model.AdamW(params)
+        with pytest.raises(nd.NumericalError, match="non-finite gradient of b at step 0"):
+            opt.step()
+        assert opt.t == 0
+        for p in params.values():
+            assert (p.data == 1.0).all()
+
     def test_history_csv_format(self):
         rows = [{"epoch": 0, "train_loss": 0.5, "val_mae": 3.25, "lr": 1e-3}]
         csv = model.history_csv(rows)
@@ -329,6 +351,14 @@ class TestCheckpoint:
         params = model.init_params(rng(0), model.ModelConfig(**kw))
         layout = "".join(f"{k}:{tuple(t.shape)};" for k, t in params.items())
         assert hashlib.sha256(layout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kw", [
+        dict(), dict(head="gaussian", out_len=3), dict(fusion="cagate", n_routes=4, out_len=7),
+        dict(fusion="sum", n_fssm=1), dict(hidden=10, state_size=3, channels=2, in_len=5)])
+    def test_layout_matches_init_params(self, kw):
+        cfg = model.ModelConfig(**kw)
+        made = [(k, t.shape) for k, t in model.init_params(rng(0), cfg).items()]
+        assert list(model.param_layout(cfg)) == made
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         cfg = tiny_config()

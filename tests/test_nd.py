@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ class TestPoolAndShape:
 
     def test_pad_crop_round_trip(self):
         x = Tensor(rng(40).normal(size=(2, 1, 3, 5)))
-        back = nd.crop2d(nd.pad2d(x, (0, 1, 0, 1), "replicate"), (3, 5))
+        back = nd.index(nd.pad2d(x, (0, 1, 0, 1), "replicate"), np.s_[..., :3, :5])
         np.testing.assert_array_equal(back.data, x.data)
 
     @pytest.mark.parametrize("mode", ["zero", "replicate"])
@@ -340,42 +341,81 @@ class TestTape:
         assert nd._tape() is None
 
 
+def scan_inputs(r, L, R, D, S):
+    """x, dt > 0, A < 0, B, C for nd.ssm_recurrence."""
+    return (r.normal(size=(L, R, D)).astype(np.float32),
+            r.uniform(0.1, 1.0, size=(L, R)).astype(np.float32),
+            -np.exp(r.uniform(-1.0, 1.0, size=(D, S))).astype(np.float32),
+            r.normal(size=(L, R, S)).astype(np.float32),
+            r.normal(size=(L, R, S)).astype(np.float32))
+
+
 class TestSsmRecurrencePrimitive:
     def test_matches_naive_loop(self):
-        r = rng(22)
-        L, D, S = 12, 3, 4
-        abar = np.exp(-r.uniform(0.1, 1.0, size=(L, D, S))).astype(np.float32)
-        bx = r.normal(size=(L, D, S)).astype(np.float32)
-        c = r.normal(size=(L, S)).astype(np.float32)
-        y = nd.ssm_recurrence(Tensor(abar), Tensor(bx), Tensor(c))
-        h = np.zeros((D, S), dtype=np.float32)
-        expect = np.zeros((L, D), dtype=np.float32)
+        L, R, D, S = 12, 2, 3, 4
+        x, dt, a, b, c = scan_inputs(rng(22), L, R, D, S)
+        y = nd.ssm_recurrence(*map(Tensor, (x, dt, a, b, c)))
+        h = np.zeros((R, D, S), dtype=np.float32)
+        expect = np.zeros((L, R, D), dtype=np.float32)
         for l in range(L):
-            h = abar[l] * h + bx[l]
-            expect[l] = h @ c[l]
+            abar = np.exp(dt[l][:, None, None] * a)
+            h = abar * h + (dt[l][:, None] * b[l])[:, None, :] * x[l][:, :, None]
+            expect[l] = (h * c[l][:, None, :]).sum(axis=-1)
         np.testing.assert_allclose(y.data, expect, atol=1e-5)
 
     def test_grads(self):
-        r = rng(23)
-        L, D, S = 5, 2, 3
-        abar = Tensor(np.exp(-r.uniform(0.1, 1.0, size=(L, D, S))))
-        bx = Tensor(r.normal(size=(L, D, S)) * 0.5)
-        c = Tensor(r.normal(size=(L, S)))
-        t = rng(24).normal(size=(L, D)).astype(np.float32)
+        L, R, D, S = 5, 2, 2, 3
+        inputs = [Tensor(v) for v in scan_inputs(rng(23), L, R, D, S)]
+        t = rng(24).normal(size=(L, R, D)).astype(np.float32)
 
-        def f(a_, b_, c_):
-            return nd.sum_(nd.mul(nd.ssm_recurrence(a_, b_, c_), Tensor(t)))
+        def f(*args):
+            return nd.sum_(nd.mul(nd.ssm_recurrence(*args), Tensor(t)))
 
-        assert nd.grad_check(f, [abar, bx, c], tolerance=1e-3).passed
+        assert nd.grad_check(f, inputs, tolerance=1e-3).passed
+
+    @pytest.mark.parametrize("routes", [2, 4])
+    def test_route_batch_equals_separate_calls(self, routes):
+        x, dt, a, b, c = scan_inputs(rng(26), 70, routes, 5, 4)
+        batched = nd.ssm_recurrence(*map(Tensor, (x, dt, a, b, c))).data
+        for k in range(routes):
+            one = np.s_[:, k:k + 1]
+            single = nd.ssm_recurrence(Tensor(x[one]), Tensor(dt[one]), Tensor(a),
+                                       Tensor(b[one]), Tensor(c[one])).data
+            np.testing.assert_allclose(batched[one], single, atol=1e-6)
+
+    @staticmethod
+    def doubling_scan(L, R, D, kicks):
+        """abar = exp(1 * ln 2) = 2 everywhere; x = 1e38 at each (step, route, channel) in kicks."""
+        x = np.zeros((L, R, D), dtype=np.float32)
+        for kick in kicks:
+            x[kick] = 1e38
+        return (Tensor(x), Tensor(np.ones((L, R))), Tensor(np.full((D, 1), math.log(2.0))),
+                Tensor(np.ones((L, R, 1))), Tensor(np.ones((L, R, 1))))
 
     def test_nonfinite_state_diagnostic(self):
         # state doubles from 1e38: finite at steps 0-1, overflows at step 2
-        L = 4
-        abar = Tensor(np.full((L, 1, 1), 2.0))
-        bx = Tensor(np.full((L, 1, 1), 1e38))
-        c = Tensor(np.ones((L, 1)))
+        args = self.doubling_scan(4, 1, 1, [(0, 0, 0)])
         with np.errstate(over="ignore"), pytest.raises(nd.NumericalError, match="step 2"):
-            nd.ssm_recurrence(abar, bx, c)
+            nd.ssm_recurrence(*args)
+
+    def test_nonfinite_step_named_past_first_chunk(self):
+        # one element of route 1 is kicked at step CHUNK + 3 and overflows two steps later
+        k0 = nd.SCAN_CHUNK + 3
+        args = self.doubling_scan(2 * nd.SCAN_CHUNK, 2, 3, [(k0, 1, 2)])
+        with np.errstate(over="ignore"), \
+                pytest.raises(nd.NumericalError, match=f"step {k0 + 2}$"):
+            nd.ssm_recurrence(*args)
+
+    def test_forward_only_keeps_no_state_history(self):
+        L, R, D, S = 3584, 2, 64, 8
+        inputs = [Tensor(v) for v in scan_inputs(rng(27), L, R, D, S)]
+        tracemalloc.start()
+        try:
+            nd.ssm_recurrence(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < L * R * D * S * 4  # one float32 [L, R, D, S] array, 14.7 MB
 
 
 class TestCheckpoint:

@@ -61,6 +61,30 @@ class TestSelectiveScan:
         y = ssm.selective_scan(Tensor(x), p)
         assert np.isfinite(y.data).all()
 
+    @pytest.mark.parametrize("routes", [2, 4])
+    def test_route_batch_equals_separate_scans(self, routes):
+        r = rng(15)
+        p = ssm.init_ssm_params(r, d=5, state_size=4)
+        x = r.normal(size=(30, routes, 5)).astype(np.float32)
+        for direction in ("forward", "backward"):
+            batched = ssm.selective_scan(Tensor(x), p, direction).data
+            for k in range(routes):
+                single = ssm.selective_scan(Tensor(x[:, k]), p, direction).data
+                np.testing.assert_allclose(batched[:, k], single, atol=1e-6)
+
+    def test_param_gradients_match_finite_differences(self):
+        r = rng(16)
+        p = ssm.init_ssm_params(r, d=3, state_size=2)
+        x = Tensor(r.normal(size=(6, 2, 3)))
+        t = r.normal(size=(6, 2, 3)).astype(np.float32)
+        names = ["a_log", "d_skip", "w_delta", "b_delta", "w_b", "w_c"]
+
+        def f(*tensors):
+            scan = ssm.selective_scan(x, dict(zip(names, tensors)))
+            return nd.mean(nd.mul(scan, Tensor(t)))
+
+        assert nd.grad_check(f, [p[n] for n in names], tolerance=1e-3).passed
+
     def test_bad_direction(self):
         p = ssm.init_ssm_params(rng(6), d=2)
         with pytest.raises(ValueError):
@@ -72,19 +96,18 @@ class TestHilbertSsm:
         r = rng(7)
         p = ssm.init_ssm_params(r, d=3)
         v = r.normal(size=(2, 3, 4, 4)).astype(np.float32)
-        [out] = ssm.hilbert_ssm(Tensor(v), [sfc.raster((2, 4, 4))], p)
+        out = ssm.hilbert_ssm(Tensor(v), [sfc.raster((2, 4, 4))], p)
         flat = np.moveaxis(v, 1, -1).reshape(32, 3)
         plain = ssm.selective_scan(Tensor(flat), p).data
-        np.testing.assert_allclose(
-            np.moveaxis(out.data, 1, -1).reshape(32, 3), plain, atol=1e-6)
+        assert out.shape == (32, 1, 3)
+        np.testing.assert_allclose(out.data[:, 0], plain, atol=1e-6)
 
     def test_two_routes_zero_input(self):
         p = ssm.init_ssm_params(rng(8), d=2)
         orders = sfc.routes(sfc.gilbert3d((2, 2, 2)), 2)
-        outs = ssm.hilbert_ssm(Tensor(np.zeros((2, 2, 2, 2))), orders, p)
-        assert len(outs) == 2
-        for o in outs:
-            np.testing.assert_array_equal(o.data, 0.0)
+        out = ssm.hilbert_ssm(Tensor(np.zeros((2, 2, 2, 2))), orders, p)
+        assert out.shape == (8, 2, 2)
+        np.testing.assert_array_equal(out.data, 0.0)
 
     def test_permutation_equivariance(self):
         # scanning the volume with order F == scanning the F-permuted sequence
@@ -93,13 +116,22 @@ class TestHilbertSsm:
         p = ssm.init_ssm_params(r, d=2)
         v = r.normal(size=(2, 2, 3, 4)).astype(np.float32)
         order = sfc.gilbert3d((2, 3, 4))
-        [out] = ssm.hilbert_ssm(Tensor(v), [order], p)
+        out = ssm.hilbert_ssm(Tensor(v), [order], p)
         flat = np.moveaxis(v, 1, -1).reshape(24, 2)
         manual = ssm.selective_scan(Tensor(flat[order.forward]), p).data
         # voxel i's scanned value sits at sequence position inverse()[i]
         restored = manual[order.inverse()]
-        np.testing.assert_allclose(
-            np.moveaxis(out.data, 1, -1).reshape(24, 2), restored, atol=1e-6)
+        np.testing.assert_allclose(out.data[:, 0], restored, atol=1e-6)
+
+    def test_four_routes_equal_separate_routes(self):
+        r = rng(17)
+        p = ssm.init_ssm_params(r, d=3)
+        v = r.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        orders = sfc.routes(sfc.gilbert3d((2, 4, 4)), 4)
+        out = ssm.hilbert_ssm(Tensor(v), orders, p)
+        for k, o in enumerate(orders):
+            single = ssm.hilbert_ssm(Tensor(v), [o], p)
+            np.testing.assert_allclose(out.data[:, k], single.data[:, 0], atol=1e-6)
 
     def test_dim_mismatch(self):
         p = ssm.init_ssm_params(rng(10), d=1)
@@ -128,9 +160,9 @@ class TestMambaBlock:
         xn = nd.layernorm(Tensor(x), p["ln_gamma"], p["ln_beta"])
         inner = nd.silu(nd.conv1d_depthwise(nd.linear(xn, p["w_in"], p["b_in"]),
                                             p["conv_k"], p["conv_b"]))
-        [scanned] = ssm.hilbert_ssm(ssm.seq_to_volume(inner, (2, 2, 2)), orders,
-                                    nd.sub_params(p, "ssm"))
-        expect = nd.linear(ssm.volume_to_seq(scanned), p["w_out"], p["b_out"])
+        scanned = ssm.hilbert_ssm(ssm.seq_to_volume(inner, (2, 2, 2)), orders,
+                                  nd.sub_params(p, "ssm"))
+        expect = nd.linear(nd.reshape(scanned, (8, 6)), p["w_out"], p["b_out"])
         np.testing.assert_allclose(out.data, expect.data, atol=1e-5)
 
     def test_block_gradients_match_finite_differences(self):
