@@ -254,8 +254,8 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 def _np_sigmoid(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic function: exp is only taken of -|x|."""
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(np.float32)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -476,22 +476,29 @@ def _check_conv_geometry(hp, wp, kh, kw, stride):
         raise ValueError(f"kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, s: int,
-            ho: int | None = None, wo: int | None = None) -> np.ndarray:
-    t, c, hp, wp = xp.shape
+def _conv_cols(xp: np.ndarray, kernels: np.ndarray, s: int,
+               ho: int | None = None, wo: int | None = None):
+    """im2col product of kernels[Co, Ci, kh, kw] with the stride-s windows of
+    xp[T, Ci, Hp, Wp]; returns it as [T, Co, Ho, Wo] and the [T, Ci*kh*kw, Ho*Wo] columns."""
+    co, ci, kh, kw = kernels.shape
+    t, _, hp, wp = xp.shape
     if ho is None:
-        ho = (hp - kh) // s + 1
-        wo = (wp - kw) // s + 1
-    cols = np.empty((t, c, kh, kw, ho, wo), dtype=np.float32)
+        ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
+    cols = np.empty((t, ci, kh, kw, ho, wo), dtype=np.float32)
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + s * ho:s, j:j + s * wo:s]
-    return cols
+    cols = cols.reshape(t, ci * kh * kw, ho * wo)
+    return np.matmul(kernels.reshape(co, -1), cols).reshape(t, co, ho, wo), cols
 
 
-def _col2im(dcols: np.ndarray, shape, s: int) -> np.ndarray:
-    t, c, hp, wp = shape
-    _, _, kh, kw, ho, wo = dcols.shape
+def _conv_cols_adjoint(g: np.ndarray, kernels: np.ndarray, shape, s: int) -> np.ndarray:
+    """Adjoint of _conv_cols in xp (col2im): the kernels' transpose applied to
+    g[T, Co, Ho, Wo], scattered back into zeros of ``shape`` [T, Ci, Hp, Wp]."""
+    co, ci, kh, kw = kernels.shape
+    t, _, ho, wo = g.shape
+    dcols = np.matmul(kernels.reshape(co, -1).T, g.reshape(t, co, ho * wo))
+    dcols = dcols.reshape(t, ci, kh, kw, ho, wo)
     dxp = np.zeros(shape, dtype=np.float32)
     for i in range(kh):
         for j in range(kw):
@@ -499,38 +506,36 @@ def _col2im(dcols: np.ndarray, shape, s: int) -> np.ndarray:
     return dxp
 
 
+def _conv_kernel_grad(g: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
+    """Kernel gradient of _conv_cols from g[T, Co, Ho, Wo], summed over frames and pixels."""
+    t, co = g.shape[:2]
+    return np.tensordot(g.reshape(t, co, -1), cols, axes=([0, 2], [0, 2])).reshape(shape)
+
+
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0, pad_mode: str = "zero") -> Tensor:
     """Cross-correlation of x[T, Cin, H, W] with kernels[Cout, Cin, kh, kw]."""
-    co, ci, kh, kw = kernels.data.shape
+    _, ci, kh, kw = kernels.data.shape
     if x.data.shape[1] != ci:
         raise ValueError(f"conv2d channels: input {x.data.shape[1]} != kernel {ci}")
     pads = (padding,) * 4
     xp = _np_pad2d(x.data, pads, pad_mode)
     _check_conv_geometry(xp.shape[2], xp.shape[3], kh, kw, stride)
-    cols = _im2col(xp, kh, kw, stride)
-    t, _, _, _, ho, wo = cols.shape
-    cols2 = cols.reshape(t, ci * kh * kw, ho * wo)
-    kf = kernels.data.reshape(co, ci * kh * kw)
-    out_data = np.einsum("ok,tkp->top", kf, cols2).reshape(t, co, ho, wo)
+    out_data, cols = _conv_cols(xp, kernels.data, stride)
     if bias is not None:
         out_data = out_data + bias.data[None, :, None, None]
 
     def bw(g):
-        gf = g.reshape(t, co, ho * wo)
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
         if kernels.requires_grad:
-            dk = np.einsum("top,tkp->ok", gf, cols2).reshape(co, ci, kh, kw)
-            kernels._accum(dk)
+            kernels._accum(_conv_kernel_grad(g, cols, kernels.data.shape))
         if x.requires_grad:
-            dcols = np.einsum("ok,top->tkp", kf, gf)
-            dcols = dcols.reshape(t, ci, kh, kw, ho, wo)
-            dxp = _col2im(dcols, xp.shape, stride)
+            dxp = _conv_cols_adjoint(g, kernels.data, xp.shape, stride)
             x._accum(_np_pad2d_adjoint(dxp, pads, pad_mode))
 
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
-    return _make(out_data.astype(np.float32), inputs, bw)
+    return _make(out_data, inputs, bw)
 
 
 def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor | None = None,
@@ -560,29 +565,23 @@ def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor | None = None,
     if h < 1 or w < 1:
         raise ValueError("padding too large for conv_transpose2d output")
 
-    kf = kernels.data.reshape(co, ci * kh * kw)
-    yf = y.data.reshape(t, co, ho * wo)
-    dcols = np.einsum("ok,top->tkp", kf, yf).reshape(t, ci, kh, kw, ho, wo)
-    xp = _col2im(dcols, (t, ci, hp, wp), stride)
+    xp = _conv_cols_adjoint(y.data, kernels.data, (t, ci, hp, wp), stride)
     out_data = np.ascontiguousarray(xp[:, :, padding:hp - padding, padding:wp - padding])
     if bias is not None:
         out_data = out_data + bias.data[None, :, None, None]
 
     def bw(g):
-        gp = _np_pad2d(g, (padding,) * 4, "zero")
-        cols = _im2col(gp, kh, kw, stride, ho, wo)
-        cols2 = cols.reshape(t, ci * kh * kw, ho * wo)
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
+        gp = _np_pad2d(g, (padding,) * 4, "zero")
+        dy, cols = _conv_cols(gp, kernels.data, stride, ho, wo)
         if kernels.requires_grad:
-            dk = np.einsum("top,tkp->ok", yf, cols2).reshape(co, ci, kh, kw)
-            kernels._accum(dk)
+            kernels._accum(_conv_kernel_grad(y.data, cols, kernels.data.shape))
         if y.requires_grad:
-            dy = np.einsum("ok,tkp->top", kf, cols2).reshape(t, co, ho, wo)
             y._accum(dy)
 
     inputs = (y, kernels) if bias is None else (y, kernels, bias)
-    return _make(out_data.astype(np.float32), inputs, bw)
+    return _make(out_data, inputs, bw)
 
 
 def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
@@ -608,7 +607,7 @@ def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
             dk = np.empty_like(kernels.data)
             for i in range(kh):
                 for j in range(kw):
-                    dk[:, i, j] = (g * xp[:, :, i:i + h, j:j + w]).sum(axis=(0, 2, 3))
+                    dk[:, i, j] = np.einsum("tchw,tchw->c", g, xp[:, :, i:i + h, j:j + w])
             kernels._accum(dk)
         if x.requires_grad:
             dxp = np.zeros_like(xp)

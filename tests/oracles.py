@@ -31,6 +31,65 @@ def naive_selective_scan(x, p):
     return y.astype(np.float32)
 
 
+def naive_conv2d(x, k, b=None, stride=1, padding=0, pad_mode="zero"):
+    """Cross-correlation by scalar loops; padded taps read zero or the nearest
+    edge pixel ("replicate")."""
+    t, ci, h, w = x.shape
+    co, _, kh, kw = k.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    out = np.zeros((t, co, ho, wo), dtype=np.float64)
+    for f, o, oy, ox in np.ndindex(t, co, ho, wo):
+        acc = 0.0 if b is None else float(b[o])
+        for c, i, j in np.ndindex(ci, kh, kw):
+            r, q = oy * stride + i - padding, ox * stride + j - padding
+            if pad_mode == "replicate":
+                r, q = min(max(r, 0), h - 1), min(max(q, 0), w - 1)
+            elif not (0 <= r < h and 0 <= q < w):
+                continue
+            acc += float(x[f, c, r, q]) * float(k[o, c, i, j])
+        out[f, o, oy, ox] = acc
+    return out.astype(np.float32)
+
+
+def naive_conv_transpose2d(y, k, b=None, stride=1, padding=0, output_hw=None):
+    """Transposed convolution as a direct scatter: every input pixel adds its
+    value times the kernel into the output window it maps to."""
+    t, co, ho, wo = y.shape
+    _, ci, kh, kw = k.shape
+    if output_hw is None:
+        output_hw = ((ho - 1) * stride + kh - 2 * padding, (wo - 1) * stride + kw - 2 * padding)
+    h, w = output_hw
+    out = np.zeros((t, ci, h, w), dtype=np.float64)
+    for f, o, oy, ox in np.ndindex(t, co, ho, wo):
+        v = float(y[f, o, oy, ox])
+        for c, i, j in np.ndindex(ci, kh, kw):
+            r, q = oy * stride + i - padding, ox * stride + j - padding
+            if 0 <= r < h and 0 <= q < w:
+                out[f, c, r, q] += v * float(k[o, c, i, j])
+    if b is not None:
+        out += np.asarray(b, dtype=np.float64)[None, :, None, None]
+    return out.astype(np.float32)
+
+
+def naive_depthwise_conv2d(x, k, b=None, pad_mode="replicate"):
+    """Per-channel stride-1 'same' convolution by scalar loops."""
+    t, c, h, w = x.shape
+    _, kh, kw = k.shape
+    out = np.zeros((t, c, h, w), dtype=np.float64)
+    for f, ch, r0, q0 in np.ndindex(t, c, h, w):
+        acc = 0.0 if b is None else float(b[ch])
+        for i, j in np.ndindex(kh, kw):
+            r, q = r0 + i - kh // 2, q0 + j - kw // 2
+            if pad_mode == "replicate":
+                r, q = min(max(r, 0), h - 1), min(max(q, 0), w - 1)
+            elif not (0 <= r < h and 0 <= q < w):
+                continue
+            acc += float(x[f, ch, r, q]) * float(k[ch, i, j])
+        out[f, ch, r0, q0] = acc
+    return out.astype(np.float32)
+
+
 def brute_force_errors(yhat, y, mask):
     """Scalar-loop rmse/mae/nse (percent) over masked pixels."""
     diffs = []

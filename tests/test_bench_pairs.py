@@ -1,0 +1,54 @@
+"""The summary of tools/bench_pairs.py on a fixed list of runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"throughput": "higher", "latency_ms_p50": "lower"}
+
+
+def run(pair, side, throughput, latency, workload="train-s16", failed=0):
+    return {"pair": pair, "side": side, "workload": workload, "attempted": 10,
+            "failed": failed, "metrics": {"throughput": throughput, "latency_ms_p50": latency}}
+
+
+RUNS = [
+    run(0, "parent", 10.0, 400.0), run(0, "change", 14.0, 300.0),
+    run(1, "change", 12.0, 410.0), run(1, "parent", 12.0, 390.0),   # tie, parent faster
+    run(2, "parent", 11.0, 420.0), run(2, "change", 15.0, 420.0),   # win, tie
+    run(3, "parent", 13.0, 380.0), run(3, "change", 16.0, 310.0, failed=1),
+    run(4, "parent", 9.0, 500.0),                                   # no partner: left out
+    run(0, "parent", 100.0, 5.0, "preprocess"), run(0, "change", 90.0, 6.0, "preprocess"),
+]
+
+
+def test_wins_count_ties_for_neither_side():
+    s = bench_pairs.summarize(RUNS, BETTER)["train-s16"]
+    assert (s["throughput"]["change_wins"], s["throughput"]["parent_wins"]) == (3, 0)
+    assert (s["latency_ms_p50"]["change_wins"], s["latency_ms_p50"]["parent_wins"]) == (2, 1)
+    assert s["throughput"]["pairs"] == 4
+
+
+def test_medians_and_inclusive_quartiles():
+    s = bench_pairs.summarize(RUNS, BETTER)["train-s16"]
+    # parent throughput 10, 12, 11, 13 (pair 4 has no partner)
+    assert s["throughput"]["parent"] == pytest.approx({"median": 11.5, "q1": 10.75,
+                                                       "q3": 12.25})
+    assert s["latency_ms_p50"]["change"] == pytest.approx({"median": 360.0, "q1": 307.5,
+                                                           "q3": 412.5})
+
+
+def test_operations_and_workloads_are_separate():
+    summary = bench_pairs.summarize(RUNS, BETTER)
+    assert list(summary) == ["train-s16", "preprocess"]
+    assert summary["train-s16"]["operations"] == {"parent": {"attempted": 40, "failed": 0},
+                                                  "change": {"attempted": 40, "failed": 1}}
+    pre = summary["preprocess"]
+    assert pre["throughput"]["parent_wins"] == 1 and pre["latency_ms_p50"]["parent_wins"] == 1
+    assert pre["throughput"]["change"] == {"median": 90.0, "q1": 90.0, "q3": 90.0}

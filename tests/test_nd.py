@@ -1,11 +1,14 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from icessm import nd
 from icessm.nd import Tape, Tensor
+
+from oracles import naive_conv2d, naive_conv_transpose2d, naive_depthwise_conv2d
 
 
 def rng(seed=0):
@@ -77,9 +80,10 @@ class TestConv2d:
         out = nd.depthwise_conv2d(x, k, pad_mode="replicate")
         np.testing.assert_allclose(out.data, 1.5, atol=1e-6)
 
-    def test_conv_grads(self):
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_conv_grads(self, frames):
         r = rng(5)
-        x = Tensor(r.normal(size=(1, 2, 5, 5)))
+        x = Tensor(r.normal(size=(frames, 2, 5, 5)))
         k = Tensor(r.normal(size=(3, 2, 3, 3)) * 0.5)
         b = Tensor(r.normal(size=3))
 
@@ -88,25 +92,70 @@ class TestConv2d:
 
         assert nd.grad_check(f, [x, k, b], tolerance=1e-3).passed
 
-    def test_conv_transpose_grads(self):
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_conv_transpose_grads(self, frames):
+        # the decoder's geometry: 4x4 kernel, stride 2, padding 1, with bias
         r = rng(6)
-        y = Tensor(r.normal(size=(1, 3, 4, 4)))
-        k = Tensor(r.normal(size=(3, 2, 2, 2)) * 0.5)
+        y = Tensor(r.normal(size=(frames, 3, 3, 3)))
+        k = Tensor(r.normal(size=(3, 2, 4, 4)) * 0.5)
+        b = Tensor(r.normal(size=2))
 
-        def f(y_, k_):
-            return nd.mean(nd.square(nd.conv_transpose2d(y_, k_, stride=2)))
+        def f(y_, k_, b_):
+            return nd.mean(nd.square(nd.conv_transpose2d(y_, k_, b_, stride=2, padding=1)))
 
-        assert nd.grad_check(f, [y, k], tolerance=1e-3).passed
+        assert nd.grad_check(f, [y, k, b], tolerance=1e-3).passed
 
-    def test_depthwise_grads(self):
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_depthwise_grads(self, frames):
         r = rng(7)
-        x = Tensor(r.normal(size=(2, 2, 4, 4)))
+        x = Tensor(r.normal(size=(frames, 2, 4, 4)))
         k = Tensor(r.normal(size=(2, 3, 3)) * 0.5)
 
         def f(x_, k_):
             return nd.mean(nd.square(nd.depthwise_conv2d(x_, k_)))
 
         assert nd.grad_check(f, [x, k], tolerance=1e-3).passed
+
+    # the model's geometries: 3x3 stride-2 encoder convs, the 1x1 head
+    @pytest.mark.parametrize("ksize,stride,padding,pad_mode,hw", [
+        (3, 2, 1, "zero", (8, 8)),
+        (3, 2, 1, "zero", (7, 9)),
+        (3, 2, 1, "replicate", (8, 8)),
+        (1, 1, 0, "zero", (5, 6)),
+    ])
+    def test_conv2d_matches_naive(self, ksize, stride, padding, pad_mode, hw):
+        r = rng(30)
+        x = r.normal(size=(3, 4) + hw).astype(np.float32)
+        k = r.normal(size=(5, 4, ksize, ksize)).astype(np.float32)
+        b = r.normal(size=5).astype(np.float32)
+        out = nd.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding,
+                        pad_mode=pad_mode)
+        expect = naive_conv2d(x, k, b, stride, padding, pad_mode)
+        np.testing.assert_allclose(out.data, expect, atol=1e-5)
+
+    # the decoder's geometry: 4x4, stride 2, padding 1; output_hw pins an odd size
+    @pytest.mark.parametrize("in_hw,output_hw", [((4, 4), None), ((3, 4), (7, 8)),
+                                                 ((3, 3), (7, 7))])
+    def test_conv_transpose2d_matches_naive(self, in_hw, output_hw):
+        r = rng(31)
+        y = r.normal(size=(3, 5) + in_hw).astype(np.float32)
+        k = r.normal(size=(5, 4, 4, 4)).astype(np.float32)
+        b = r.normal(size=4).astype(np.float32)
+        out = nd.conv_transpose2d(Tensor(y), Tensor(k), Tensor(b), stride=2, padding=1,
+                                  output_hw=output_hw)
+        expect = naive_conv_transpose2d(y, k, b, 2, 1, output_hw)
+        assert out.data.shape == expect.shape
+        np.testing.assert_allclose(out.data, expect, atol=1e-5)
+
+    @pytest.mark.parametrize("pad_mode", ["replicate", "zero"])
+    def test_depthwise_matches_naive(self, pad_mode):
+        r = rng(32)
+        x = r.normal(size=(3, 4, 6, 5)).astype(np.float32)
+        k = r.normal(size=(4, 3, 3)).astype(np.float32)
+        b = r.normal(size=4).astype(np.float32)
+        out = nd.depthwise_conv2d(Tensor(x), Tensor(k), Tensor(b), pad_mode=pad_mode)
+        np.testing.assert_allclose(out.data, naive_depthwise_conv2d(x, k, b, pad_mode),
+                                   atol=1e-5)
 
     def test_bad_geometry(self):
         x = Tensor(np.zeros((1, 1, 4, 4)))
@@ -211,6 +260,19 @@ class TestActivations:
 
     def test_leaky_relu_negative(self):
         assert nd.leaky_relu(Tensor(-1.0)).item() == pytest.approx(-0.01)
+
+    def test_sigmoid_bitwise_equals_two_branch_formula(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-40, -1e-40,
+                      0.5, -0.5, 20.0, -20.0, 88.0, -88.0, 104.0, -104.0,
+                      3e38, -3e38, np.inf, -np.inf, np.nan, -np.nan], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = np.exp(-np.abs(x))
+            expect = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(np.float32)
+            got = nd.sigmoid(Tensor(x)).data
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), expect.view(np.uint32))
 
     def test_softplus_strictly_positive(self):
         x = Tensor(np.linspace(-30, 30, 41))

@@ -1,0 +1,156 @@
+"""Compare two git refs with the frozen benchmark in alternating pairs.
+
+    python3 tools/bench_pairs.py PARENT_REF CHANGE_REF --pairs 10 --out BENCH_<pr>.json
+
+Each ref's committed files are exported (``git archive``) into a fresh
+directory of its own, so both sides run exactly what is committed and the
+repository's own checkout and ``.git`` are left alone. For each pair and each
+workload in ``BENCHMARK.json``, ``perfbench/run.py --trace 0`` runs once on
+each side at the benchmark's own run length; which side goes first alternates
+from pair to pair, so a slow drift of the machine favours neither. Then each
+side gets one ``--trace 1`` run per workload, at seed ``TRACE_SEED``, for the
+per-layer rows.
+
+The output holds every run, and per workload and end-to-end metric each
+side's median and quartiles and the number of pairs the change won (better in
+the direction ``BENCHMARK.json`` gives; a tie counts for neither side). It is
+rewritten after every pair, so an interrupted run leaves what it measured.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+TRACE_SEED = 1  # seed of the traced runs, fixed so per-layer rows compare across changes
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload: each side's operations attempted and failed, and per
+    metric each side's median and quartiles and the pairs each side won.
+    ``runs`` are untraced run records (``pair``, ``side``, ``workload``,
+    ``attempted``, ``failed``, ``metrics``: name -> value); ``better`` maps each
+    end-to-end metric to "higher" or "lower". Unmatched runs are left out."""
+    by_key: dict[tuple, dict] = {}
+    for run in runs:
+        by_key.setdefault((run["workload"], run["pair"]), {})[run["side"]] = run
+    out: dict[str, dict] = {}
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        pairs = [p for (w, _), p in sorted(by_key.items()) if w == workload
+                 and all(side in p for side in SIDES)]
+        rows = {"operations": {side: {key: sum(p[side][key] for p in pairs)
+                                      for key in ("attempted", "failed")} for side in SIDES}}
+        for metric, direction in better.items():
+            vals = {side: [p[side]["metrics"][metric] for p in pairs] for side in SIDES}
+            sign = 1.0 if direction == "higher" else -1.0
+            diffs = [sign * (c - p) for p, c in zip(vals["parent"], vals["change"])]
+            row = {"pairs": len(pairs), "better": direction,
+                   "change_wins": sum(d > 0 for d in diffs),
+                   "parent_wins": sum(d < 0 for d in diffs)}
+            for side in SIDES:
+                q1, med, q3 = quartiles(vals[side])
+                row[side] = {"median": med, "q1": q1, "q3": q3}
+            rows[metric] = row
+        out[workload] = rows
+    return out
+
+
+def export(ref: str, dest: Path) -> str:
+    """Write the committed files of ``ref`` into ``dest``; return its commit id."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{ref}^{{commit}}"], cwd=ROOT,
+                         check=True, capture_output=True, text=True).stdout.strip()
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return sha
+
+
+def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run; its final JSON line plus the environment line it printed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          timeout=4 * seconds + 600)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited with {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")), None)
+    return {"env": env, "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--seed", type=int, default=5, help="seed of the untraced pairs")
+    args = p.parse_args(argv)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
+
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        shas = {side: export(ref, trees[side])
+                for side, ref in zip(SIDES, (args.parent, args.change))}
+        doc = {"refs": {side: {"ref": ref, "commit": shas[side]}
+                        for side, ref in zip(SIDES, (args.parent, args.change))},
+               "seed": args.seed, "trace_seed": TRACE_SEED, "seconds": seconds,
+               "pairs": args.pairs, "runs": [], "summary": {}, "per_layer": {}}
+
+        def save():
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+        for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for workload in workloads:
+                for side in order:
+                    run = perfbench(trees[side], workload, args.seed, seconds, 0)
+                    doc.setdefault("environment", run.pop("env"))
+                    doc["runs"].append({"pair": pair, "side": side, "workload": workload,
+                                        "trace": 0, **run})
+                    print(f"pair {pair} {workload} {side}: " + ", ".join(
+                        f"{m}={run['metrics'][m]:.4g}" for m in better), flush=True)
+            doc["summary"] = summarize([r for r in doc["runs"] if r["trace"] == 0], better)
+            save()
+        for workload in workloads:
+            rows = {}
+            for side in SIDES:
+                run = perfbench(trees[side], workload, TRACE_SEED, seconds, 1)
+                run.pop("env")
+                doc["runs"].append({"pair": None, "side": side, "workload": workload,
+                                    "trace": 1, **run})
+                for name, value in run["metrics"].items():
+                    rows.setdefault(name, {})[side] = value
+            doc["per_layer"][workload] = rows
+            save()
+            print(f"traced {workload}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
