@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -43,13 +44,19 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     return t, h, w
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict) -> None:
+def _write_manifest(out_dir: Path, command: str, a: argparse.Namespace) -> None:
+    """Record the run: arguments, versions, wall time since ``main`` set
+    ``a.started`` and the process's peak resident set."""
     manifest = {
         "command": command,
-        "args": {k: v for k, v in args.items()
-                 if v is not None and not callable(v) and k != "command"},
+        "args": {k: v for k, v in vars(a).items()
+                 if v is not None and not callable(v) and k not in ("command", "started")},
         "version": __version__,
+        "numpy_version": np.__version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "elapsed_s": round(time.monotonic() - a.started, 3),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"manifest-{command}.json", "w", encoding="utf-8") as f:
@@ -73,7 +80,7 @@ def cmd_scan(a) -> int:
     out = Path(a.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     sfc.write_orders(out, routes)
-    _write_manifest(out.parent, "scan", vars(a))
+    _write_manifest(out.parent, "scan", a)
     print(f"wrote {len(routes)} order(s) to {out}")
     return 0
 
@@ -92,7 +99,7 @@ def cmd_bench_locality(a) -> int:
                     f"{s.median_gap:.6f},{s.max_gap},"
                     f"{s.axis_mean_gaps[0]:.6f},{s.axis_mean_gaps[1]:.6f},"
                     f"{s.axis_mean_gaps[2]:.6f}\n")
-    _write_manifest(out.parent, "bench-locality", vars(a))
+    _write_manifest(out.parent, "bench-locality", a)
     print(f"wrote locality table ({len(rows)} kinds) to {out}")
     return 0
 
@@ -103,7 +110,7 @@ def cmd_synth(a) -> int:
     out = Path(a.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data.write_grid(grid, out)
-    _write_manifest(out.parent, "synth", vars(a))
+    _write_manifest(out.parent, "synth", a)
     print(f"wrote synthetic grid {dims} to {out}")
     return 0
 
@@ -114,7 +121,7 @@ def cmd_preprocess(a) -> int:
     out = Path(a.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data.write_grid(out_grid, out)
-    _write_manifest(out.parent, "preprocess", vars(a))
+    _write_manifest(out.parent, "preprocess", a)
     print(f"preprocessed {a.input} -> {out} ({out_grid.shape[0]} days)")
     return 0
 
@@ -150,7 +157,7 @@ def cmd_train(a) -> int:
         f.write("\n")
     with open(out_dir / "history.csv", "w", encoding="utf-8") as f:
         f.write(model.history_csv(result.history))
-    _write_manifest(out_dir, "train", vars(a))
+    _write_manifest(out_dir, "train", a)
     print(f"best val MAE {result.best_val_mae:.4f}% at epoch {result.best_epoch}; "
           f"checkpoint in {out_dir}")
     return 0
@@ -205,7 +212,7 @@ def cmd_predict(a) -> int:
     if fc.sigma is not None:
         data.write_grid(_forecast_grid(fc.sigma, start, grid.land_mask),
                         out_dir / "sigma.sic")
-    _write_manifest(out_dir, "predict", vars(a))
+    _write_manifest(out_dir, "predict", a)
     print(f"wrote forecast ({fc.mean.shape[0]} days from day {start}) to {out_dir}")
     return 0
 
@@ -224,7 +231,7 @@ def cmd_recurse(a) -> int:
     start = int(grid.dates[anchor]) + config.in_len
     data.write_grid(_forecast_grid(pred, start, grid.land_mask),
                     out_dir / "forecast.sic")
-    _write_manifest(out_dir, "recurse", vars(a))
+    _write_manifest(out_dir, "recurse", a)
     print(f"wrote {pred.shape[0]}-day recursive forecast to {out_dir}")
     return 0
 
@@ -247,7 +254,7 @@ def cmd_eval(a) -> int:
     for k, day in enumerate(common):
         bias = metrics.bias_map(fc.frames[fi[k]], truth.frames[ti[k]])
         metrics.write_bias_ppm(bias, out_dir / f"bias-day{int(day):05d}.ppm")
-    _write_manifest(out_dir, "eval", vars(a))
+    _write_manifest(out_dir, "eval", a)
     nse = "n/a" if report.nse is None else f"{report.nse:.4f}"
     print(f"rmse {report.rmse:.4f}% mae {report.mae:.4f}% nse {nse} "
           f"iou {report.iou:.4f} ({common.size} days) -> {out_dir}")
@@ -339,6 +346,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.started = time.monotonic()
         return args.func(args)
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -144,6 +144,8 @@ class SampleWindow:
 
 def windows(g: Grid3, in_len: int, out_len: int, stride: int = 1) -> list[SampleWindow]:
     """All stride-spaced windows; count = (T - in_len - out_len)//stride + 1."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     t = g.shape[0]
     span = in_len + out_len
     if t < span:

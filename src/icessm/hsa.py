@@ -17,22 +17,24 @@ from . import nd
 from .nd import Tensor
 
 
+def _triples(v: Tensor) -> tuple[list[int], int]:
+    """The leading shape of v and the length 3*D of its last axis."""
+    *lead, n = v.shape
+    if n % 3:
+        raise ValueError(f"expected 3*D vectors on the last axis, got shape {v.shape}")
+    return lead, n
+
+
 def shuffle(v: Tensor) -> Tensor:
-    """[a1..aD, b1..bD, c1..cD] -> [a1,b1,c1, a2,b2,c2, ...]."""
-    n = v.shape[0]
-    if v.ndim != 1 or n % 3:
-        raise ValueError(f"expected a flat 3*D vector, got shape {v.shape}")
-    d = n // 3
-    return nd.reshape(nd.moveaxis(nd.reshape(v, (3, d)), 0, 1), (n,))
+    """[a1..aD, b1..bD, c1..cD] -> [a1,b1,c1, a2,b2,c2, ...] along the last axis."""
+    lead, n = _triples(v)
+    return nd.reshape(nd.moveaxis(nd.reshape(v, (*lead, 3, n // 3)), -2, -1), (*lead, n))
 
 
 def unshuffle(v: Tensor) -> Tensor:
     """Exact inverse of :func:`shuffle`."""
-    n = v.shape[0]
-    if v.ndim != 1 or n % 3:
-        raise ValueError(f"expected a flat 3*D vector, got shape {v.shape}")
-    d = n // 3
-    return nd.reshape(nd.moveaxis(nd.reshape(v, (d, 3)), 0, 1), (n,))
+    lead, n = _triples(v)
+    return nd.reshape(nd.moveaxis(nd.reshape(v, (*lead, n // 3, 3)), -2, -1), (*lead, n))
 
 
 def init_hsa_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
@@ -47,27 +49,28 @@ def init_hsa_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
 
 
 def _pool_channels(x: Tensor) -> Tensor:
-    """[T, D, H, W] -> per-channel mean over time and space, [D]."""
-    return nd.mean(x, axis=(0, 2, 3))
+    """[..., T, D, H, W] -> per-channel mean over time and space, [..., D]."""
+    return nd.mean(x, axis=(-4, -2, -1))
+
+
+def _channel_scale(a: Tensor, x: Tensor) -> Tensor:
+    """Scale x[..., T, D, H, W] by the per-channel weights a[..., D]."""
+    return nd.mul(nd.reshape(a, (*a.shape[:-1], 1, a.shape[-1], 1, 1)), x)
 
 
 def hsa_fuse(x1: Tensor, x2: Tensor, xf: Tensor, p: dict[str, Tensor],
              return_weights: bool = False):
-    """Fuse three [T, D, H, W] features; weights broadcast over T, H and W."""
+    """Fuse three [..., T, D, H, W] features. Every leading index (a sample)
+    is pooled and weighted on its own; weights broadcast over T, H and W."""
     if x1.shape != x2.shape or x1.shape != xf.shape:
         raise ValueError(f"input shapes differ: {x1.shape}, {x2.shape}, {xf.shape}")
-    t, d, h, w = x1.shape
-    if d == 0:
+    if x1.shape[-3] == 0:
         raise ValueError("zero channels")
 
-    pooled = nd.concat([_pool_channels(x1), _pool_channels(x2), _pool_channels(xf)])
+    pooled = nd.concat([_pool_channels(x1), _pool_channels(x2), _pool_channels(xf)], axis=-1)
     mixed = nd.sigmoid(nd.group_conv1d(shuffle(pooled), p["weights"], p["bias"]))
-    a1, a2, af = nd.chunk(unshuffle(mixed), 3)
-
-    def scale(a: Tensor, x: Tensor) -> Tensor:
-        return nd.mul(nd.reshape(a, (1, d, 1, 1)), x)
-
-    y = nd.add(nd.add(scale(a1, x1), scale(a2, x2)), scale(af, xf))
+    a1, a2, af = nd.chunk(unshuffle(mixed), 3, axis=-1)
+    y = nd.add(nd.add(_channel_scale(a1, x1), _channel_scale(a2, x2)), _channel_scale(af, xf))
     if return_weights:
         return y, (a1, a2, af)
     return y
@@ -92,12 +95,10 @@ def init_ca_gate_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
 
 
 def ca_gate_fuse(x1: Tensor, x2: Tensor, xf: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Per-input gate (pool -> linear -> sigmoid -> scale), then sum."""
+    """Per-input gate (pool -> linear -> sigmoid -> scale), then sum; every
+    leading index of [..., T, D, H, W] is gated on its own."""
     if x1.shape != x2.shape or x1.shape != xf.shape:
         raise ValueError(f"input shapes differ: {x1.shape}, {x2.shape}, {xf.shape}")
-    d = x1.shape[1]
-    parts = []
-    for i, x in enumerate((x1, x2, xf)):
-        gate = nd.sigmoid(nd.linear(_pool_channels(x), p[f"w{i}"], p[f"b{i}"]))
-        parts.append(nd.mul(nd.reshape(gate, (1, d, 1, 1)), x))
+    parts = [_channel_scale(nd.sigmoid(nd.linear(_pool_channels(x), p[f"w{i}"], p[f"b{i}"])), x)
+             for i, x in enumerate((x1, x2, xf))]
     return nd.add(nd.add(parts[0], parts[1]), parts[2])

@@ -151,12 +151,6 @@ def _cached_routes(kind: str, dims: tuple[int, int, int], n_routes: int):
     return tuple(sfc.routes(sfc.make_order(kind, dims), n_routes))
 
 
-def _channel_ln(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    c = gamma.shape[0]
-    return nd.layernorm(x, nd.reshape(gamma, (1, c, 1, 1)),
-                        nd.reshape(beta, (1, c, 1, 1)), axis=1)
-
-
 def _route_pair(routed: list[Tensor]) -> tuple[Tensor, Tensor]:
     """Reduce per-route outputs to the two sequence features the fuser takes."""
     if len(routed) == 1:
@@ -170,34 +164,42 @@ def _route_pair(routed: list[Tensor]) -> tuple[Tensor, Tensor]:
 
 def forward_features(x: Tensor, params: dict[str, Tensor],
                      config: ModelConfig) -> Tensor:
-    """Raw head output [L_o, head_channels, H, W]; no clamping.
+    """Raw head output [B, L_o, head_channels, H, W] of a batch
+    x[B, L_in, C, H, W]; no clamping.
 
-    After the optional ``time_w`` map, channel 0 of the last input frame is
-    added to the mean channel of every lead (taped, so input gradients stay
-    exact); the Gaussian sigma channel is left untouched.
+    Convolutions and norms see the B*L_in frames as one frame axis; each
+    block scans the sequences of all B samples along all routes in one scan
+    call. Fusion pooling, the ``time_w`` map and the origin residual act per
+    sample: channel 0 of each sample's last input frame is added to the mean
+    channel of its every lead (taped, so input gradients stay exact); the
+    Gaussian sigma channel is left untouched.
     """
-    l_in, c, h, w = x.shape
-    if l_in != config.in_len or c != config.channels:
+    if x.ndim != 5 or x.shape[1:3] != (config.in_len, config.channels):
         raise ValueError(f"input shape {x.shape} does not match config "
-                         f"({config.in_len}, {config.channels}, H, W)")
+                         f"(B, {config.in_len}, {config.channels}, H, W)")
+    b, l_in, c, h, w = x.shape
     if h % 4 or w % 4:
         raise ValueError(f"spatial dims ({h}, {w}) must be divisible by 4")
     enc = nd.sub_params(params, "enc")
     dec = nd.sub_params(params, "dec")
 
-    z = nd.conv2d(x, enc["enc1_k"], enc["enc1_b"], stride=2, padding=1)
-    z = nd.leaky_relu(_channel_ln(z, enc["enc1_g"], enc["enc1_be"]), LEAKY_SLOPE)
+    z = nd.conv2d(nd.reshape(x, (b * l_in, c, h, w)), enc["enc1_k"], enc["enc1_b"],
+                  stride=2, padding=1)
+    z = nd.leaky_relu(nd.layernorm(z, enc["enc1_g"], enc["enc1_be"], axis=1), LEAKY_SLOPE)
     z = nd.conv2d(z, enc["enc2_k"], enc["enc2_b"], stride=2, padding=1)
-    z = nd.leaky_relu(_channel_ln(z, enc["enc2_g"], enc["enc2_be"]), LEAKY_SLOPE)
+    z = nd.leaky_relu(nd.layernorm(z, enc["enc2_g"], enc["enc2_be"], axis=1), LEAKY_SLOPE)
 
     dims = (l_in, h // 4, w // 4)
     orders = list(_cached_routes(config.scan_kind, dims, config.n_routes))
+    z = nd.reshape(z, (b, l_in, *z.shape[1:]))                  # [B, L_in, D, H/4, W/4]
 
     for i in range(config.n_fssm):
         blk = nd.sub_params(params, f"fssm{i}")
-        seq = ssm.volume_to_seq(z)
-        routed = [ssm.seq_to_volume(r, dims) for r in
-                  ssm.mamba_block(seq, orders, nd.sub_params(blk, "mamba"))]
+        try:
+            routed = [ssm.seq_to_volume(r, dims) for r in
+                      ssm.mamba_block(ssm.volume_to_seq(z), orders, nd.sub_params(blk, "mamba"))]
+        except NumericalError as e:
+            raise NumericalError(f"fssm{i}: {e}") from e
         x1, x2 = _route_pair(routed)
         xf = wavelet.freq_branch(z, blk["gains"])
         if config.fusion == "hsa":
@@ -209,7 +211,8 @@ def forward_features(x: Tensor, params: dict[str, Tensor],
         mixed = nd.leaky_relu(nd.depthwise_conv2d(fused, blk["dw_k"], blk["dw_b"]), LEAKY_SLOPE)
         z = nd.add(z, mixed)
 
-    y = nd.conv_transpose2d(z, dec["dec1_k"], dec["dec1_b"], stride=2, padding=1)
+    y = nd.conv_transpose2d(nd.reshape(z, (b * l_in, *z.shape[2:])), dec["dec1_k"],
+                            dec["dec1_b"], stride=2, padding=1)
     y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec1_g"], dec["dec1_be"]), LEAKY_SLOPE)
     y = nd.conv_transpose2d(y, dec["dec2_k"], dec["dec2_b"], stride=2, padding=1)
     y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec2_g"], dec["dec2_be"]), LEAKY_SLOPE)
@@ -217,11 +220,12 @@ def forward_features(x: Tensor, params: dict[str, Tensor],
     y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref1_k"], dec["ref1_b"]), LEAKY_SLOPE)
     y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref2_k"], dec["ref2_b"]), LEAKY_SLOPE)
     y = nd.conv2d(y, dec["head_k"], dec["head_b"])
+    y = nd.reshape(y, (b, l_in, *y.shape[1:]))
 
     if config.out_len != config.in_len:
-        y = nd.moveaxis(nd.linear(nd.moveaxis(y, 0, -1), params["time.w"], params["time.b"]),
-                        -1, 0)
-    origin = nd.index(x, np.s_[-1:, :1])                       # [1, 1, H, W]
+        y = nd.moveaxis(nd.linear(nd.moveaxis(y, 1, -1), params["time.w"], params["time.b"]),
+                        -1, 1)
+    origin = nd.index(x, np.s_[:, -1:, :1])                    # [B, 1, 1, H, W]
     # one path for both heads: the mask keeps the residual off the sigma channel
     mean_only = np.eye(1, config.head_channels, dtype=np.float32).reshape(1, -1, 1, 1)
     return nd.add(y, nd.mul(origin, mean_only))
@@ -230,19 +234,25 @@ def forward_features(x: Tensor, params: dict[str, Tensor],
 def _split_head(raw: Tensor, config: ModelConfig) -> tuple[Tensor, Tensor | None]:
     if config.head == "deterministic":
         return raw, None
-    mu, s = nd.chunk(raw, 2, axis=1)
+    mu, s = nd.chunk(raw, 2, axis=-3)
     # softplus keeps sigma positive; the floor guards float32 underflow
     return mu, nd.add(nd.softplus(s), 1e-6)
 
 
+def _predict(xb: np.ndarray, params: dict[str, Tensor],
+             config: ModelConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """Means clamped into [0, 1], and sigmas when gaussian, of the batch xb."""
+    mu, sigma = _split_head(forward_features(Tensor(xb), params, config), config)
+    return np.clip(mu.data, 0.0, 1.0), None if sigma is None else sigma.data
+
+
 def forward(x: Tensor | np.ndarray, params: dict[str, Tensor],
             config: ModelConfig) -> Forecast:
-    """Inference: clamp the mean into [0, 1] and expose sigma when gaussian."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    raw = forward_features(x, params, config)
-    mu, sigma = _split_head(raw, config)
-    return Forecast(mean=np.clip(mu.data, 0.0, 1.0),
-                    sigma=None if sigma is None else sigma.data.copy())
+    """Inference on one window x[L_in, C, H, W], run as a batch of one: clamp
+    the mean into [0, 1] and expose sigma when gaussian."""
+    x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
+    mean, sigma = _predict(x[None], params, config)
+    return Forecast(mean=mean[0], sigma=None if sigma is None else sigma[0])
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +273,7 @@ _DIFF_W = Tensor(np.array([[[0, 0, 0], [0, -1, 1], [0, 0, 0]]], dtype=np.float32
 
 def _spatial_diffs(x: Tensor) -> tuple[Tensor, Tensor]:
     # forward differences with replicate boundary (last row/column diff is 0)
-    c = x.shape[1]
+    c = x.shape[-3]
     kh = _DIFF_H if c == 1 else Tensor(np.repeat(_DIFF_H.data, c, axis=0))
     kw = _DIFF_W if c == 1 else Tensor(np.repeat(_DIFF_W.data, c, axis=0))
     return (nd.depthwise_conv2d(x, kh, pad_mode="replicate"),
@@ -305,6 +315,9 @@ def loss_nll(mu: Tensor, sigma: Tensor, y: Tensor) -> Tensor:
 
 
 def sample_loss(raw: Tensor, target: Tensor, config: ModelConfig) -> Tensor:
+    """Training loss of raw head outputs [B, L_o, head_channels, H, W] against
+    targets [B, L_o, 1, H, W]. Every sample has the same size, so the mean
+    over all pixels is the mean over the batch of the per-sample losses."""
     mu, sigma = _split_head(raw, config)
     if sigma is None:
         return loss_total(mu, target, config.lambda_grad)
@@ -374,11 +387,15 @@ class TrainResult:
 
 
 def validation_mae(val_set: list[SampleWindow], params: dict[str, Tensor],
-                   config: ModelConfig) -> float:
+                   config: ModelConfig, batch_size: int = 4) -> float:
+    """Mean over windows of the per-window MAE; one forward per chunk of at
+    most ``batch_size`` windows."""
     total = 0.0
-    for swin in val_set:
-        pred = forward(Tensor(swin.input), params, config)
-        total += metrics.mae(pred.mean, swin.target)
+    for start in range(0, len(val_set), batch_size):
+        chunk = val_set[start:start + batch_size]
+        means, _ = _predict(np.stack([s.input for s in chunk]), params, config)
+        for mean, swin in zip(means, chunk):
+            total += metrics.mae(mean, swin.target)
     return total / len(val_set)
 
 
@@ -389,11 +406,19 @@ def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
           log=None) -> TrainResult:
     """AdamW training with early stopping on validation MAE.
 
-    Deterministic for a fixed seed. Aborts with the offending step index if
-    the loss goes non-finite.
+    Each step takes one forward pass over its batch and one loss, the mean
+    over the batch. Deterministic for a fixed seed. Aborts with the offending
+    step index if the loss goes non-finite. lr = 0 leaves the parameters as
+    initialised.
     """
     if not train_set or not val_set:
         raise ValueError("train and validation splits must be nonempty")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if max_epochs < 1:
+        raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
     rng = np.random.default_rng(seed)
     params = init_params(rng, config)
     opt = AdamW(params, lr=lr, weight_decay=weight_decay)
@@ -412,16 +437,12 @@ def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
             batch = [train_set[i] for i in order[start:start + batch_size]]
             opt.zero_grad()
             with nd.Tape() as tape:
-                losses = [sample_loss(forward_features(Tensor(s.input), params, config),
-                                      Tensor(s.target), config) for s in batch]
-                total = losses[0]
-                for piece in losses[1:]:
-                    total = nd.add(total, piece)
-                total = nd.mul(total, 1.0 / len(batch))
-                loss_val = float(total.data)
+                raw = forward_features(Tensor(np.stack([s.input for s in batch])), params, config)
+                loss = sample_loss(raw, Tensor(np.stack([s.target for s in batch])), config)
+                loss_val = float(loss.data)
                 if not math.isfinite(loss_val):
                     raise NumericalError(f"non-finite loss at step {global_step}")
-                tape.backward(total)
+                tape.backward(loss)
             opt.step()
             epoch_loss += loss_val
             n_batches += 1
@@ -430,7 +451,7 @@ def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
                 done = True
                 break
 
-        val_mae = validation_mae(val_set, params, config)
+        val_mae = validation_mae(val_set, params, config, batch_size)
         row = {"epoch": epoch, "train_loss": epoch_loss / max(n_batches, 1),
                "val_mae": val_mae, "lr": lr}
         result.history.append(row)
@@ -477,7 +498,7 @@ def recursive_forecast(x: np.ndarray, params: dict[str, Tensor], config: ModelCo
     stream = np.asarray(x, dtype=np.float32)
     outputs = []
     for _ in range(steps):
-        pred = forward(Tensor(stream[-config.in_len:]), params, config).mean
+        pred = forward(stream[-config.in_len:], params, config).mean
         outputs.append(pred)
         stream = np.concatenate([stream, pred], axis=0)
     return np.concatenate(outputs, axis=0)

@@ -23,6 +23,16 @@ class NumericalError(RuntimeError):
     """A computation produced non-finite values."""
 
 
+class ScanStateError(NumericalError):
+    """The state of scan sequence ``column`` (axis 1 of the scan input) went
+    non-finite at ``step``."""
+
+    def __init__(self, step: int, column: int):
+        super().__init__(f"non-finite SSM state at step {step}")
+        self.step = step
+        self.column = column
+
+
 _LOCAL = threading.local()
 
 
@@ -89,8 +99,10 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: rules hand the same array to several inputs
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float32)
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -586,68 +598,85 @@ def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor | None = None,
 
 def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
                      pad_mode: str = "replicate") -> Tensor:
-    """Per-channel (kh, kw) convolution, stride 1, 'same' output size."""
+    """Per-channel (kh, kw) convolution of x[..., C, H, W], stride 1, 'same'
+    output size.
+
+    The padded frames are flattened to rows of Wp pixels. Output pixel (r, q)
+    sits at flat position r*Wp + q and tap (i, j) reads position + i*Wp + j,
+    so every tap is one contiguous slice. The output rows carry Wp - W padding
+    columns, which are cropped once at the end.
+    """
     c, kh, kw = kernels.data.shape
-    if x.data.shape[1] != c:
-        raise ValueError(f"depthwise channels: input {x.data.shape[1]} != kernel {c}")
+    *lead, ci, h, w = x.data.shape
+    if ci != c:
+        raise ValueError(f"depthwise channels: input {ci} != kernel {c}")
     pads = (kh // 2, kh // 2, kw // 2, kw // 2)
-    xp = _np_pad2d(x.data, pads, pad_mode)
-    t, _, h, w = x.data.shape
-    out_data = np.zeros_like(x.data)
-    for i in range(kh):
-        for j in range(kw):
-            out_data += kernels.data[None, :, i, j, None, None] * xp[:, :, i:i + h, j:j + w]
+    xp = _np_pad2d(x.data.reshape(-1, c, h, w), pads, pad_mode)
+    n, _, hp, wp = xp.shape
+    xf = xp.reshape(n, c, hp * wp)
+    span = (h - 1) * wp + w                 # flat positions of the first to the last output pixel
+    taps = [(i * wp + j, kernels.data[:, i, j, None]) for i in range(kh) for j in range(kw)]
+    rows = np.zeros((n, c, h * wp), dtype=np.float32)
+    acc = rows[..., :span]
+    for off, k in taps:
+        acc += k * xf[..., off:off + span]
+    out_data = rows.reshape(n, c, h, wp)[..., :w]
     if bias is not None:
-        out_data = out_data + bias.data[None, :, None, None]
+        out_data = out_data + bias.data[:, None, None]
+    out_data = np.ascontiguousarray(out_data).reshape(x.data.shape)
 
     def bw(g):
+        g = g.reshape(n, c, h, w)
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
+        gr = np.zeros((n, c, h, wp), dtype=np.float32)
+        gr[..., :w] = g
+        gf = gr.reshape(n, c, h * wp)[..., :span]       # zero in the padding columns
         if kernels.requires_grad:
-            dk = np.empty_like(kernels.data)
-            for i in range(kh):
-                for j in range(kw):
-                    dk[:, i, j] = np.einsum("tchw,tchw->c", g, xp[:, :, i:i + h, j:j + w])
-            kernels._accum(dk)
+            dk = np.array([np.einsum("ncp,ncp->c", gf, xf[..., off:off + span])
+                           for off, _ in taps], dtype=np.float32)
+            kernels._accum(dk.T.reshape(c, kh, kw))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + h, j:j + w] += kernels.data[None, :, i, j, None, None] * g
-            x._accum(_np_pad2d_adjoint(dxp, pads, pad_mode))
+            dxf = np.zeros_like(xf)
+            for off, k in taps:
+                dxf[..., off:off + span] += k * gf
+            dxp = _np_pad2d_adjoint(dxf.reshape(n, c, hp, wp), pads, pad_mode)
+            x._accum(dxp.reshape(x.data.shape))
 
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
     return _make(out_data, inputs, bw)
 
 
 def conv1d_depthwise(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Causal per-channel 1D convolution of x[L, D] with kernels[D, k].
+    """Causal per-channel 1D convolution along axis 0 of x[L, ..., D] with
+    kernels[D, k]; every other axis holds independent sequences.
 
     Output position l sees inputs l-k+1 .. l (front zero padding).
     """
     d, k = kernels.data.shape
-    if x.data.shape[1] != d:
-        raise ValueError(f"conv1d channels: input {x.data.shape[1]} != kernel {d}")
+    if x.data.shape[-1] != d:
+        raise ValueError(f"conv1d channels: input {x.data.shape[-1]} != kernel {d}")
     length = x.data.shape[0]
-    xp = np.concatenate([np.zeros((k - 1, d), dtype=np.float32), x.data], axis=0)
+    xp = np.concatenate([np.zeros((k - 1, *x.data.shape[1:]), dtype=np.float32), x.data])
     out_data = np.zeros_like(x.data)
     for j in range(k):
-        out_data += kernels.data[None, :, j] * xp[j:j + length]
+        out_data += kernels.data[:, j] * xp[j:j + length]
     if bias is not None:
-        out_data = out_data + bias.data[None, :]
+        out_data = out_data + bias.data
+    rows = tuple(range(x.data.ndim - 1))
 
     def bw(g):
         if bias is not None and bias.requires_grad:
-            bias._accum(g.sum(axis=0))
+            bias._accum(g.sum(axis=rows))
         if kernels.requires_grad:
             dk = np.empty_like(kernels.data)
             for j in range(k):
-                dk[:, j] = (g * xp[j:j + length]).sum(axis=0)
+                dk[:, j] = (g * xp[j:j + length]).sum(axis=rows)
             kernels._accum(dk)
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for j in range(k):
-                dxp[j:j + length] += kernels.data[None, :, j] * g
+                dxp[j:j + length] += kernels.data[:, j] * g
             x._accum(dxp[k - 1:])
 
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
@@ -656,30 +685,30 @@ def conv1d_depthwise(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> 
 
 def group_conv1d(x: Tensor, weights: Tensor, bias: Tensor | None = None,
                  group_size: int = 3) -> Tensor:
-    """Mix a flat channel vector within consecutive groups.
+    """Mix the channel vectors x[..., G*group_size] within consecutive groups.
 
-    x has G*group_size entries; weights[G, group_size, group_size] maps each
-    group through its own small matrix. Mixing never crosses group borders.
+    weights[G, group_size, group_size] maps each group through its own small
+    matrix. Mixing never crosses group borders; leading axes are independent.
     """
-    n = x.data.shape[0]
-    if x.data.ndim != 1 or n % group_size:
+    if x.data.ndim < 1 or x.data.shape[-1] % group_size:
         raise ValueError(f"channel count {x.data.shape} not divisible by group size {group_size}")
-    g_count = n // group_size
+    g_count = x.data.shape[-1] // group_size
     if weights.data.shape != (g_count, group_size, group_size):
         raise ValueError(f"weights shape {weights.data.shape} != {(g_count, group_size, group_size)}")
-    xg = x.data.reshape(g_count, group_size)
-    out_data = np.einsum("gij,gj->gi", weights.data, xg).reshape(n)
+    xg = x.data.reshape(*x.data.shape[:-1], g_count, group_size)
+    out_data = np.einsum("gij,...gj->...gi", weights.data, xg).reshape(x.data.shape)
     if bias is not None:
         out_data = out_data + bias.data
 
     def bw(g):
-        gg = g.reshape(g_count, group_size)
+        gg = g.reshape(xg.shape)
         if bias is not None and bias.requires_grad:
-            bias._accum(g)
+            bias._accum(_unbroadcast(g, bias.data.shape))
         if weights.requires_grad:
-            weights._accum(np.einsum("gi,gj->gij", gg, xg))
+            weights._accum(np.einsum("ngi,ngj->gij", gg.reshape(-1, g_count, group_size),
+                                     xg.reshape(-1, g_count, group_size)))
         if x.requires_grad:
-            x._accum(np.einsum("gij,gi->gj", weights.data, gg).reshape(n))
+            x._accum(np.einsum("gij,...gi->...gj", weights.data, gg).reshape(x.data.shape))
 
     inputs = (x, weights) if bias is None else (x, weights, bias)
     return _make(out_data.astype(np.float32), inputs, bw)
@@ -692,29 +721,50 @@ def group_conv1d(x: Tensor, weights: Tensor, bias: Tensor | None = None,
 NORM_EPS = 1e-5
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, axis=-1) -> Tensor:
+def _norm_affine(x: Tensor, stats_shape, axis: int, gamma: Tensor, beta: Tensor,
+                 view) -> Tensor:
+    """Normalise x to zero mean / unit variance over ``axis`` of its
+    ``stats_shape`` view, then scale by gamma and shift by beta, both
+    reshaped to ``view``. One taped primitive with a hand-written backward."""
+    xs = x.data.reshape(stats_shape)
+    xc = xs - xs.mean(axis=axis, keepdims=True, dtype=np.float32)
+    std = np.sqrt((xc * xc).mean(axis=axis, keepdims=True, dtype=np.float32) + NORM_EPS)
+    xhat = (xc / std).reshape(x.data.shape)
+    gv = gamma.data.reshape(view)
+    shared = tuple(i for i, size in enumerate(view) if size == 1)   # axes gamma broadcasts over
+
+    def bw(g):
+        if gamma.requires_grad:
+            gamma._accum((g * xhat).sum(axis=shared).reshape(gamma.data.shape))
+        if beta.requires_grad:
+            beta._accum(g.sum(axis=shared).reshape(beta.data.shape))
+        if x.requires_grad:
+            gx = (g * gv).reshape(stats_shape)
+            xh = xhat.reshape(stats_shape)
+            dx = (gx - gx.mean(axis=axis, keepdims=True)
+                  - xh * (gx * xh).mean(axis=axis, keepdims=True)) / std
+            x._accum(dx.reshape(x.data.shape))
+
+    return _make(xhat * gv + beta.data.reshape(view), (x, gamma, beta), bw)
+
+
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
     """Normalize to zero mean / unit variance over ``axis``, then affine.
 
-    gamma/beta broadcast against x (shape them accordingly).
+    gamma and beta hold one value per entry of that axis.
     """
-    mu = mean(x, axis=axis, keepdims=True)
-    xc = sub(x, mu)
-    var = mean(square(xc), axis=axis, keepdims=True)
-    xhat = div(xc, sqrt(add(var, NORM_EPS)))
-    return add(mul(xhat, gamma), beta)
+    axis %= x.data.ndim
+    view = tuple(size if i == axis else 1 for i, size in enumerate(x.data.shape))
+    return _norm_affine(x, x.data.shape, axis, gamma, beta, view)
 
 
 def groupnorm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Group normalization over x[T, C, H, W]: statistics per (frame, group)."""
+    """Group normalization over x[T, C, H, W]: statistics per (frame, group),
+    then a per-channel affine."""
     t, c, h, w = x.data.shape
     if c % groups:
         raise ValueError(f"channels {c} not divisible by {groups} groups")
-    xg = reshape(x, (t, groups, c // groups * h * w))
-    mu = mean(xg, axis=2, keepdims=True)
-    xc = sub(xg, mu)
-    var = mean(square(xc), axis=2, keepdims=True)
-    xhat = reshape(div(xc, sqrt(add(var, NORM_EPS))), (t, c, h, w))
-    return add(mul(xhat, reshape(gamma, (1, c, 1, 1))), reshape(beta, (1, c, 1, 1)))
+    return _norm_affine(x, (t, groups, c // groups * h * w), 2, gamma, beta, (1, c, 1, 1))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -738,8 +788,9 @@ def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Te
     x is [L, R, D], dt [L, R], a (A) [D, S], b and c [L, R, S]; the state
     h_l is [S, D] per route and y is [L, R, D]. Discretisation runs inside,
     SCAN_CHUNK steps at a time, and is never taped; the [L, R, S, D] state
-    history is kept only when a tape records the call. Raises NumericalError
-    naming the first step whose state goes non-finite.
+    history is kept only when a tape records the call. Raises ScanStateError
+    naming the first step whose state goes non-finite, and its first
+    non-finite sequence.
     """
     L, r, d = x.data.shape
     s = a.data.shape[1]
@@ -762,8 +813,9 @@ def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Te
             hk += ab
             h = hk
         if not np.isfinite(h).all():  # a non-finite entry stays non-finite
-            bad = ~np.isfinite(hs).reshape(len(hs), -1).all(axis=1)
-            raise NumericalError(f"non-finite SSM state at step {l0 + int(np.argmax(bad))}")
+            bad = ~np.isfinite(hs).reshape(len(hs), r, -1).all(axis=2)      # [steps, R]
+            step = int(np.argmax(bad.any(axis=1)))
+            raise ScanStateError(l0 + step, int(np.argmax(bad[step])))
         y[chunk] = np.matmul(c.data[chunk][:, :, None, :], hs)[:, :, 0]
 
     def bw(g):

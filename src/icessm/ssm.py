@@ -40,8 +40,8 @@ def init_ssm_params(rng: np.random.Generator, d: int,
 
 def selective_scan(x: Tensor, p: dict[str, Tensor],
                    direction: str = "forward") -> Tensor:
-    """Scan x[L, D], or the R sequences of x[L, R, D] at once, along axis 0;
-    'backward' processes the reversed sequences and re-reverses the output."""
+    """Scan x[L, D], or all the sequences of x[L, ..., D] at once, along axis
+    0; 'backward' processes the reversed sequences and re-reverses the output."""
     length, d = x.shape[0], x.shape[-1]
     if length < 1:
         raise ValueError("sequence must have at least one step")
@@ -63,35 +63,57 @@ def selective_scan(x: Tensor, p: dict[str, Tensor],
 
 
 def volume_to_seq(v: Tensor) -> Tensor:
-    """[T, C, H, W] -> [T*H*W, C] in raster order."""
-    t, c, h, w = v.shape
-    return nd.reshape(nd.moveaxis(v, 1, -1), (t * h * w, c))
+    """[..., T, C, H, W] -> [T*H*W, ..., C]: each leading index's volume in
+    raster order."""
+    *lead, t, c, h, w = v.shape
+    n = len(lead)
+    moved = nd.moveaxis(v, (*range(n), n + 1), tuple(range(3, v.ndim)))
+    return nd.reshape(moved, (t * h * w, *lead, c))
 
 
 def seq_to_volume(seq: Tensor, dims: tuple[int, int, int]) -> Tensor:
     """Inverse of :func:`volume_to_seq`."""
     t, h, w = dims
-    c = seq.shape[1]
-    return nd.moveaxis(nd.reshape(seq, (t, h, w, c)), -1, 1)
+    *lead, c = seq.shape[1:]
+    n = len(lead)
+    vol = nd.reshape(seq, (t, h, w, *lead, c))
+    return nd.moveaxis(vol, tuple(range(3, vol.ndim)), (*range(n), n + 1))
+
+
+def _scan_routes(seq: Tensor, orders: list[ScanOrder], p: dict[str, Tensor]) -> Tensor:
+    """Scan the raster-ordered sequences seq[L, ..., C] along every route in
+    one scan call; returns [L, R, ..., C] in raster order, route r at index r.
+
+    The R routes of the N sequences are one [L, R*N] gather, and its inverse,
+    around one selective scan. A non-finite scan state is reported with its
+    route and its sequence (the sample, for a batch).
+    """
+    length, *lead, c = seq.shape
+    visit = np.stack([o.forward for o in orders], axis=1)   # [L, R]: voxel at step l of route r
+    flat = nd.reshape(seq, (length, 1, -1, c))
+    n = flat.shape[2]
+    try:
+        y = selective_scan(nd.gather(flat, visit), p)       # [L, R, N, C]
+    except nd.ScanStateError as e:
+        raise nd.NumericalError(f"{e} (route {e.column // n}, sample {e.column % n})") from e
+    y = nd.gather(y, np.stack([o.inverse() for o in orders], axis=1))
+    return nd.reshape(y, (length, len(orders), *lead, c))
 
 
 def hilbert_ssm(v: Tensor, orders: list[ScanOrder],
                 p: dict[str, Tensor]) -> Tensor:
-    """Scan a [T, C, H, W] volume along every route in one scan call; returns
-    the [T*H*W, R, C] outputs in raster order, route r in column r.
+    """Scan a [..., T, C, H, W] volume along every route in one scan call;
+    returns the [T*H*W, R, ..., C] outputs in raster order, route r at index r.
 
     Route fusion happens downstream, the outputs are not averaged here.
     """
     if not orders:
         raise ValueError("need at least one scan order")
-    t, c, h, w = v.shape
+    t, _, h, w = v.shape[-4:]
     for o in orders:
         if o.dims != (t, h, w):
             raise ValueError(f"order dims {o.dims} do not match volume {(t, h, w)}")
-    visit = np.stack([o.forward for o in orders], axis=1)   # [L, R]: voxel at step l of route r
-    flat = nd.reshape(volume_to_seq(v), (t * h * w, 1, c))
-    y = selective_scan(nd.gather(flat, visit), p)
-    return nd.gather(y, np.stack([o.inverse() for o in orders], axis=1))
+    return _scan_routes(volume_to_seq(v), orders, p)
 
 
 def init_mamba_params(rng: np.random.Generator, d: int, state_size: int = 8,
@@ -127,12 +149,15 @@ def init_mamba_params(rng: np.random.Generator, d: int, state_size: int = 8,
 
 def mamba_block(x_seq: Tensor, orders: list[ScanOrder],
                 p: dict[str, Tensor]) -> list[Tensor]:
-    """Process a raster-ordered [L, D] sequence; returns one [L, D] per route.
+    """Process raster-ordered sequences x_seq[L, ..., D], one per leading
+    index (sample); returns one [L, ..., D] per route.
 
     The inner width is twice the input width; the same scan, gate and output
-    parameters serve every route, and all routes run through them together.
+    parameters serve every route and sample, and all of them run through them
+    together.
     """
-    length, d = x_seq.shape
+    length = x_seq.shape[0]
+    lead = x_seq.shape[1:-1]
     dims = orders[0].dims
     if dims[0] * dims[1] * dims[2] != length:
         raise ValueError(f"order dims {dims} incompatible with sequence length {length}")
@@ -140,9 +165,8 @@ def mamba_block(x_seq: Tensor, orders: list[ScanOrder],
     xn = nd.layernorm(x_seq, p["ln_gamma"], p["ln_beta"])
     inner = nd.silu(nd.conv1d_depthwise(nd.linear(xn, p["w_in"], p["b_in"]),
                                         p["conv_k"], p["conv_b"]))
-    routed = hilbert_ssm(seq_to_volume(inner, dims), orders, nd.sub_params(p, "ssm"))
+    routed = _scan_routes(inner, orders, nd.sub_params(p, "ssm"))      # [L, R, ..., 2D]
     gate = nd.silu(nd.linear(xn, p["w_gate"], p["b_gate"]))
-    r = len(orders)
-    gated = nd.mul(routed, nd.reshape(gate, (length, 1, 2 * d)))
-    out = nd.linear(nd.reshape(gated, (length * r, 2 * d)), p["w_out"], p["b_out"])
-    return [nd.index(out, np.s_[k::r]) for k in range(r)]   # row l*R + k is route k
+    gated = nd.mul(routed, nd.reshape(gate, (length, 1, *lead, gate.shape[-1])))
+    out = nd.linear(gated, p["w_out"], p["b_out"])
+    return [nd.index(out, np.s_[:, k]) for k in range(len(orders))]

@@ -69,14 +69,14 @@ def idwt2(p: DwtPyramid) -> Tensor:
 
 
 def freq_branch(x: Tensor, gains: Tensor) -> Tensor:
-    """Scale the detail subbands of x[T, C, H, W] by per-channel gains[C, 3]
+    """Scale the detail subbands of x[..., C, H, W] by per-channel gains[C, 3]
     (columns lh, hl, hh).
 
     Gains of 1 make this an identity (up to rounding); larger values amplify
     the high-frequency content. Odd spatial sizes are replicate-padded for the
     transform and cropped back.
     """
-    c = x.shape[1]
+    c = x.shape[-3]
     if gains.shape != (c, 3):
         raise ValueError(f"gains shape {gains.shape} != ({c}, 3)")
     h, w = x.shape[-2], x.shape[-1]

@@ -123,6 +123,21 @@ class TestPipeline:
         assert config["in_len"] == 4 and config["seed"] == 0
         manifest = json.loads((model_dir / "manifest-train.json").read_text())
         assert manifest["command"] == "train"
+        assert manifest["numpy_version"] == np.__version__
+        assert 0 < manifest["elapsed_s"] < 600
+        assert 0 < manifest["peak_rss_mb"] < 4096
+        assert "started" not in manifest["args"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "0"), ("--batch-size", "-1"), ("--epochs", "0"),
+        ("--lr", "nan"), ("--lr", "-0.001"), ("--stride", "0")])
+    def test_bad_training_flag_is_usage_error(self, trained, tmp_path, flag, value):
+        _, grid_path, _ = trained
+        out = tmp_path / "bad"
+        code = run("train", "--data", str(grid_path), "--out", str(out), "--in-len", "4",
+                   "--out-len", "4", "--hidden", "8", "--fssm", "1", "--epochs", "1", flag, value)
+        assert code == 2
+        assert not (out / "model.ckpt").exists()
 
     def test_predict_shape(self, trained):
         root, grid_path, model_dir = trained

@@ -125,8 +125,8 @@ class TestForward:
     def test_input_gradient_matches_finite_differences(self):
         cfg = tiny_config(hidden=4, n_fssm=1)
         params = model.init_params(rng(14), cfg)
-        x = Tensor(rng(15).uniform(size=(4, 1, 8, 8)))
-        y = Tensor(rng(16).uniform(size=(4, 1, 8, 8)))
+        x = Tensor(rng(15).uniform(size=(1, 4, 1, 8, 8)))
+        y = Tensor(rng(16).uniform(size=(1, 4, 1, 8, 8)))
 
         def f(x_):
             return model.sample_loss(model.forward_features(x_, params, cfg), y, cfg)
@@ -137,14 +137,71 @@ class TestForward:
     def test_selected_param_gradients_match_finite_differences(self):
         cfg = tiny_config(hidden=4, n_fssm=1)
         params = model.init_params(rng(17), cfg)
-        x = Tensor(rng(18).uniform(size=(4, 1, 8, 8)))
-        y = Tensor(rng(19).uniform(size=(4, 1, 8, 8)))
+        x = Tensor(rng(18).uniform(size=(1, 4, 1, 8, 8)))
+        y = Tensor(rng(19).uniform(size=(1, 4, 1, 8, 8)))
         for name in ("dec.head_b", "fssm0.gains", "fssm0.mamba.ssm.a_log", "dec.dec1_b"):
             def f(_p):
                 return model.sample_loss(model.forward_features(x, params, cfg), y, cfg)
 
             report = nd.grad_check(f, params[name], tolerance=1e-2)
             assert report.passed, report
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("kw", [
+        dict(), dict(head="gaussian"), dict(out_len=3), dict(fusion="sum"),
+        dict(fusion="cagate", n_routes=4)],
+        ids=["hsa", "gaussian", "out3", "sum", "cagate-4routes"])
+    def test_batch_equals_single_samples(self, kw):
+        cfg = tiny_config(**kw)
+        params = model.init_params(rng(60), cfg)
+        x = rng(61).uniform(size=(3, 4, 1, 8, 8)).astype(np.float32)
+        batched = model.forward_features(Tensor(x), params, cfg).data
+        assert batched.shape == (3, cfg.out_len, cfg.head_channels, 8, 8)
+        for k in range(3):
+            single = model.forward_features(Tensor(x[k:k + 1]), params, cfg).data
+            np.testing.assert_allclose(batched[k], single[0], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("head", ["deterministic", "gaussian"])
+    def test_batch_loss_and_grads_are_per_sample_means(self, head):
+        cfg = tiny_config(head=head, out_len=3)
+        params = model.init_params(rng(62), cfg)
+        samples = [make_sample(s, l_out=3) for s in (63, 64, 65)]
+
+        def loss_and_grads(batch):
+            for p in params.values():
+                p.zero_grad()
+            with nd.Tape() as tape:
+                raw = model.forward_features(Tensor(np.stack([s.input for s in batch])),
+                                             params, cfg)
+                loss = model.sample_loss(raw, Tensor(np.stack([s.target for s in batch])), cfg)
+                tape.backward(loss)
+            return float(loss.data), {k: p.grad.copy() for k, p in params.items()}
+
+        loss, grads = loss_and_grads(samples)
+        singles = [loss_and_grads([s]) for s in samples]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), abs=1e-6)
+        for k, g in grads.items():
+            want = np.mean([gs[k] for _, gs in singles], axis=0)
+            np.testing.assert_allclose(g, want, rtol=1e-4, atol=1e-5, err_msg=k)
+
+    def test_nonfinite_scan_names_block_route_and_sample(self):
+        # a NaN last frame in sample 1 reaches the scan only in that sample's
+        # sequences; the reversed raster route (route 1) visits it at step 0
+        cfg = tiny_config(scan_kind="raster", n_fssm=2)
+        params = model.init_params(rng(66), cfg)
+        x = rng(67).uniform(size=(3, 4, 1, 8, 8)).astype(np.float32)
+        x[1, -1] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(
+                nd.NumericalError,
+                match=r"^fssm0: non-finite SSM state at step 0 \(route 1, sample 1\)$"):
+            model.forward_features(Tensor(x), params, cfg)
+
+    def test_unbatched_input_rejected(self):
+        cfg = tiny_config()
+        params = model.init_params(rng(68), cfg)
+        with pytest.raises(ValueError, match="does not match config"):
+            model.forward_features(Tensor(np.zeros((4, 1, 8, 8))), params, cfg)
 
 
 class TestLosses:
@@ -284,6 +341,12 @@ class TestTraining:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
             model.train([], [make_sample(34)], tiny_config())
+
+    @pytest.mark.parametrize("kw", [dict(batch_size=0), dict(max_epochs=0), dict(lr=-1e-3),
+                                    dict(lr=math.nan), dict(lr=math.inf)])
+    def test_bad_schedule_rejected(self, kw):
+        with pytest.raises(ValueError):
+            model.train([make_sample(35)], [make_sample(36)], tiny_config(), **kw)
 
     def test_nonfinite_gradient_with_finite_loss_raises(self, monkeypatch):
         # sqrt(0 * raw) adds 0 to the loss but sends inf * 0 = NaN back into

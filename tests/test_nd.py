@@ -157,6 +157,39 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, naive_depthwise_conv2d(x, k, b, pad_mode),
                                    atol=1e-5)
 
+    @pytest.mark.parametrize("shape", [(2, 1, 5, 7), (1, 3, 7, 3), (3, 1, 1, 1)],
+                             ids=["one-channel-odd", "odd", "one-pixel"])
+    @pytest.mark.parametrize("pad_mode", ["replicate", "zero"])
+    def test_depthwise_odd_shapes_match_naive(self, shape, pad_mode):
+        r = rng(33)
+        x = r.normal(size=shape).astype(np.float32)
+        k = r.normal(size=(shape[1], 3, 3)).astype(np.float32)
+        b = r.normal(size=shape[1]).astype(np.float32)
+        out = nd.depthwise_conv2d(Tensor(x), Tensor(k), Tensor(b), pad_mode=pad_mode)
+        np.testing.assert_allclose(out.data, naive_depthwise_conv2d(x, k, b, pad_mode),
+                                   atol=1e-5)
+
+    def test_depthwise_leading_axes_are_frames(self):
+        r = rng(34)
+        x = r.normal(size=(2, 3, 4, 5, 6)).astype(np.float32)
+        k = r.normal(size=(4, 3, 3)).astype(np.float32)
+        out = nd.depthwise_conv2d(Tensor(x), Tensor(k))
+        flat = nd.depthwise_conv2d(Tensor(x.reshape(6, 4, 5, 6)), Tensor(k))
+        np.testing.assert_array_equal(out.data, flat.data.reshape(x.shape))
+
+    @pytest.mark.parametrize("shape", [(2, 1, 5, 3), (1, 2, 3, 5)], ids=["one-channel", "odd"])
+    @pytest.mark.parametrize("pad_mode", ["replicate", "zero"])
+    def test_depthwise_odd_shape_grads(self, shape, pad_mode):
+        r = rng(35)
+        x = Tensor(r.normal(size=shape))
+        k = Tensor(r.normal(size=(shape[1], 3, 3)) * 0.5)
+        b = Tensor(r.normal(size=shape[1]))
+
+        def f(x_, k_, b_):
+            return nd.mean(nd.square(nd.depthwise_conv2d(x_, k_, b_, pad_mode=pad_mode)))
+
+        assert nd.grad_check(f, [x, k, b], tolerance=1e-3).passed
+
     def test_bad_geometry(self):
         x = Tensor(np.zeros((1, 1, 4, 4)))
         with pytest.raises(ValueError):
@@ -249,6 +282,79 @@ class TestNorms:
             return nd.mean(nd.mul(nd.layernorm(x_, g_, b_), Tensor(t)))
 
         assert nd.grad_check(f, [x, g, b], tolerance=2e-3).passed
+
+
+    def test_layernorm_channel_axis_grads(self):
+        r = rng(14)
+        x = Tensor(r.normal(size=(2, 3, 2, 2)))
+        g = Tensor(r.normal(size=3))
+        b = Tensor(r.normal(size=3))
+        t = rng(15).normal(size=(2, 3, 2, 2)).astype(np.float32)
+
+        def f(x_, g_, b_):
+            return nd.mean(nd.mul(nd.layernorm(x_, g_, b_, axis=1), Tensor(t)))
+
+        assert nd.grad_check(f, [x, g, b], tolerance=2e-3).passed
+
+    def test_groupnorm_grads(self):
+        r = rng(16)
+        x = Tensor(r.normal(size=(2, 4, 2, 3)))
+        g = Tensor(r.normal(size=4))
+        b = Tensor(r.normal(size=4))
+        t = rng(17).normal(size=(2, 4, 2, 3)).astype(np.float32)
+
+        def f(x_, g_, b_):
+            return nd.mean(nd.mul(nd.groupnorm(x_, 2, g_, b_), Tensor(t)))
+
+        assert nd.grad_check(f, [x, g, b], tolerance=2e-3).passed
+
+    @pytest.mark.parametrize("norm", ["layernorm-last", "layernorm-channel", "groupnorm"])
+    def test_fused_norms_match_composite(self, norm):
+        # the primitives against the same formula built from taped elementary ops
+        r = rng(18)
+        x = Tensor(r.normal(size=(3, 4, 5, 6)) * 2 + 0.5, requires_grad=True)
+        c = 6 if norm == "layernorm-last" else 4
+        g = Tensor(r.normal(size=c), requires_grad=True)
+        b = Tensor(r.normal(size=c), requires_grad=True)
+        t = Tensor(rng(19).normal(size=x.shape))
+        if norm == "groupnorm":
+            def fused():
+                return nd.groupnorm(x, 2, g, b)
+
+            def composite():
+                xg = nd.reshape(x, (3, 2, -1))
+                xhat = nd.reshape(composite_normalize(xg, 2), x.shape)
+                return nd.add(nd.mul(xhat, nd.reshape(g, (1, c, 1, 1))),
+                              nd.reshape(b, (1, c, 1, 1)))
+        else:
+            axis = -1 if norm == "layernorm-last" else 1
+            view = (c,) if axis == -1 else (1, c, 1, 1)
+
+            def fused():
+                return nd.layernorm(x, g, b, axis=axis)
+
+            def composite():
+                return nd.add(nd.mul(composite_normalize(x, axis), nd.reshape(g, view)),
+                              nd.reshape(b, view))
+        grads = []
+        for build in (fused, composite):
+            for p in (x, g, b):
+                p.zero_grad()
+            with Tape() as tape:
+                out = build()
+                tape.backward(nd.mean(nd.mul(out, t)))
+            grads.append((out.data, [p.grad.copy() for p in (x, g, b)]))
+        (y1, g1), (y2, g2) = grads
+        np.testing.assert_array_equal(y1, y2)     # same float32 operations in the same order
+        for a, e in zip(g1, g2):
+            np.testing.assert_allclose(a, e, rtol=1e-4, atol=1e-6)
+
+
+def composite_normalize(x, axis):
+    """(x - mean) / sqrt(var + eps) over ``axis``, one taped op per step."""
+    xc = nd.sub(x, nd.mean(x, axis=axis, keepdims=True))
+    var = nd.mean(nd.square(xc), axis=axis, keepdims=True)
+    return nd.div(xc, nd.sqrt(nd.add(var, nd.NORM_EPS)))
 
 
 class TestActivations:
@@ -389,6 +495,17 @@ class TestTape:
             tape.backward(y)
         np.testing.assert_array_equal(x.grad, a + b)
 
+    def test_first_gradient_is_copied(self):
+        # add hands one gradient array to both inputs; they must not share it
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            y = nd.add(a, b)
+            tape.backward(nd.sum_(nd.add(y, nd.mul(a, 2.0))))
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(a.grad, 3.0)
+        np.testing.assert_array_equal(b.grad, 1.0)
+
     def test_no_tape_means_no_tracking(self):
         x = Tensor(np.ones(3), requires_grad=True)
         out = nd.sum_(nd.square(x))
@@ -465,8 +582,9 @@ class TestSsmRecurrencePrimitive:
         k0 = nd.SCAN_CHUNK + 3
         args = self.doubling_scan(2 * nd.SCAN_CHUNK, 2, 3, [(k0, 1, 2)])
         with np.errstate(over="ignore"), \
-                pytest.raises(nd.NumericalError, match=f"step {k0 + 2}$"):
+                pytest.raises(nd.NumericalError, match=f"step {k0 + 2}$") as err:
             nd.ssm_recurrence(*args)
+        assert err.value.column == 1
 
     def test_forward_only_keeps_no_state_history(self):
         L, R, D, S = 3584, 2, 64, 8
