@@ -31,7 +31,7 @@ KIND_NAMES = {
 
 # config.json keys that earlier versions wrote, each with the one value that
 # is now built in; a directory written then still loads if it holds that value
-RETIRED_KEYS = {"wavelet_basis": "haar", "leaky_slope": 0.01}
+RETIRED_KEYS = {"wavelet_basis": "haar", "leaky_slope": 0.01, "channels": 1}
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:

@@ -33,7 +33,6 @@ LEAKY_SLOPE = 0.01
 class ModelConfig:
     in_len: int = 14
     out_len: int = 14
-    channels: int = 1
     hidden: int = 32
     n_fssm: int = 3
     n_routes: int = 2
@@ -122,7 +121,7 @@ def init_params(rng: np.random.Generator, config: ModelConfig) -> ModelParams:
         blocks.update(nd.nest_params(f"fssm{i}", blk))
 
     params = ModelParams(nd.nest_params("enc", {
-        "enc1_k": conv_k(dh, config.channels, 3), "enc1_b": zeros(dh),
+        "enc1_k": conv_k(dh, 1, 3), "enc1_b": zeros(dh),
         "enc1_g": ones(dh), "enc1_be": zeros(dh),
         "enc2_k": conv_k(d, dh, 3), "enc2_b": zeros(d),
         "enc2_g": ones(d), "enc2_be": zeros(d),
@@ -151,32 +150,46 @@ def _cached_routes(kind: str, dims: tuple[int, int, int], n_routes: int):
     return tuple(sfc.routes(sfc.make_order(kind, dims), n_routes))
 
 
-def _route_pair(routed: list[Tensor]) -> tuple[Tensor, Tensor]:
-    """Reduce per-route outputs to the two sequence features the fuser takes."""
-    if len(routed) == 1:
-        return routed[0], routed[0]
-    if len(routed) == 2:
-        return routed[0], routed[1]
-    fwd = nd.mul(nd.add(routed[0], routed[2]), 0.5)
-    bwd = nd.mul(nd.add(routed[1], routed[3]), 0.5)
-    return fwd, bwd
+def _fssm_block(z: Tensor, blk: dict[str, Tensor], orders: list[sfc.ScanOrder],
+                config: ModelConfig) -> Tensor:
+    """One scan/frequency block on z[B, T, D, h, w]: z plus the fused,
+    depthwise-mixed route and wavelet features. Its temporaries are freed on
+    return, before the next block or the decoder allocates."""
+    routed = ssm.mamba_block(ssm.volume_to_seq(z), orders, nd.sub_params(blk, "mamba"))
+    vol = ssm.seq_to_volume(routed, orders[0].dims)               # [R, B, T, D, h, w]
+    if len(orders) == 4:
+        # route 2*rotation + direction: average the two rotations per direction
+        vol = nd.mean(nd.reshape(vol, (2, 2, *vol.shape[1:])), axis=0)
+    x1 = nd.index(vol, np.s_[0])
+    # one route feeds both fuser inputs as one tensor; two copies of it would
+    # sum its gradient in another order, and training would not repeat bit for bit
+    x2 = x1 if len(orders) == 1 else nd.index(vol, np.s_[-1])
+    xf = wavelet.freq_branch(z, blk["gains"])
+    if config.fusion == "hsa":
+        fused = hsa.hsa_fuse(x1, x2, xf, nd.sub_params(blk, "hsa"))
+    elif config.fusion == "sum":
+        fused = hsa.sum_fuse(x1, x2, xf)
+    else:
+        fused = hsa.ca_gate_fuse(x1, x2, xf, nd.sub_params(blk, "cagate"))
+    mixed = nd.leaky_relu(nd.depthwise_conv2d(fused, blk["dw_k"], blk["dw_b"]), LEAKY_SLOPE)
+    return nd.add(z, mixed)
 
 
 def forward_features(x: Tensor, params: dict[str, Tensor],
                      config: ModelConfig) -> Tensor:
     """Raw head output [B, L_o, head_channels, H, W] of a batch
-    x[B, L_in, C, H, W]; no clamping.
+    x[B, L_in, 1, H, W]; no clamping.
 
     Convolutions and norms see the B*L_in frames as one frame axis; each
     block scans the sequences of all B samples along all routes in one scan
     call. Fusion pooling, the ``time_w`` map and the origin residual act per
-    sample: channel 0 of each sample's last input frame is added to the mean
-    channel of its every lead (taped, so input gradients stay exact); the
+    sample: each sample's last input frame is added to the mean channel of
+    its every lead (taped, so input gradients stay exact); the
     Gaussian sigma channel is left untouched.
     """
-    if x.ndim != 5 or x.shape[1:3] != (config.in_len, config.channels):
+    if x.ndim != 5 or x.shape[1:3] != (config.in_len, 1):
         raise ValueError(f"input shape {x.shape} does not match config "
-                         f"(B, {config.in_len}, {config.channels}, H, W)")
+                         f"(B, {config.in_len}, 1, H, W)")
     b, l_in, c, h, w = x.shape
     if h % 4 or w % 4:
         raise ValueError(f"spatial dims ({h}, {w}) must be divisible by 4")
@@ -194,22 +207,10 @@ def forward_features(x: Tensor, params: dict[str, Tensor],
     z = nd.reshape(z, (b, l_in, *z.shape[1:]))                  # [B, L_in, D, H/4, W/4]
 
     for i in range(config.n_fssm):
-        blk = nd.sub_params(params, f"fssm{i}")
         try:
-            routed = [ssm.seq_to_volume(r, dims) for r in
-                      ssm.mamba_block(ssm.volume_to_seq(z), orders, nd.sub_params(blk, "mamba"))]
+            z = _fssm_block(z, nd.sub_params(params, f"fssm{i}"), orders, config)
         except NumericalError as e:
             raise NumericalError(f"fssm{i}: {e}") from e
-        x1, x2 = _route_pair(routed)
-        xf = wavelet.freq_branch(z, blk["gains"])
-        if config.fusion == "hsa":
-            fused = hsa.hsa_fuse(x1, x2, xf, nd.sub_params(blk, "hsa"))
-        elif config.fusion == "sum":
-            fused = hsa.sum_fuse(x1, x2, xf)
-        else:
-            fused = hsa.ca_gate_fuse(x1, x2, xf, nd.sub_params(blk, "cagate"))
-        mixed = nd.leaky_relu(nd.depthwise_conv2d(fused, blk["dw_k"], blk["dw_b"]), LEAKY_SLOPE)
-        z = nd.add(z, mixed)
 
     y = nd.conv_transpose2d(nd.reshape(z, (b * l_in, *z.shape[2:])), dec["dec1_k"],
                             dec["dec1_b"], stride=2, padding=1)
@@ -225,7 +226,7 @@ def forward_features(x: Tensor, params: dict[str, Tensor],
     if config.out_len != config.in_len:
         y = nd.moveaxis(nd.linear(nd.moveaxis(y, 1, -1), params["time.w"], params["time.b"]),
                         -1, 1)
-    origin = nd.index(x, np.s_[:, -1:, :1])                    # [B, 1, 1, H, W]
+    origin = nd.index(x, np.s_[:, -1:])                        # [B, 1, 1, H, W]
     # one path for both heads: the mask keeps the residual off the sigma channel
     mean_only = np.eye(1, config.head_channels, dtype=np.float32).reshape(1, -1, 1, 1)
     return nd.add(y, nd.mul(origin, mean_only))
@@ -536,7 +537,7 @@ def param_layout(config: ModelConfig):
              + [("dw_k", (d, 3, 3)), ("dw_b", (d,))])
 
     yield from ((f"enc.{k}", v) for k, v in
-                conv("enc1", (dh, config.channels, 3, 3), dh) + conv("enc2", (d, dh, 3, 3), d))
+                conv("enc1", (dh, 1, 3, 3), dh) + conv("enc2", (d, dh, 3, 3), d))
     for i in range(config.n_fssm):
         yield from ((f"fssm{i}.{k}", v) for k, v in block)
     yield from ((f"dec.{k}", v) for k, v in

@@ -4,16 +4,12 @@ Every operation computes its forward value eagerly with numpy and, when a
 tape is active and an input requires gradients, records a backward rule on
 the tape. ``Tape.backward`` replays the rules in exact reverse execution
 order, accumulating gradients additively across fan-out.
-
-Tapes are kept in thread-local storage: independent tapes may run on
-independent threads, a single tape is single-threaded.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +29,7 @@ class ScanStateError(NumericalError):
         self.column = column
 
 
-_LOCAL = threading.local()
-
-
-def _tape() -> "Tape | None":
-    return getattr(_LOCAL, "tape", None)
+_TAPE: "Tape | None" = None   # the active tape; at most one at a time
 
 
 class Tape:
@@ -51,13 +43,15 @@ class Tape:
         self._records: list = []
 
     def __enter__(self) -> "Tape":
-        if getattr(_LOCAL, "tape", None) is not None:
-            raise RuntimeError("a tape is already active on this thread")
-        _LOCAL.tape = self
+        global _TAPE
+        if _TAPE is not None:
+            raise RuntimeError("a tape is already active")
+        _TAPE = self
         return self
 
     def __exit__(self, *exc):
-        _LOCAL.tape = None
+        global _TAPE
+        _TAPE = None
         return False
 
     def record(self, backward) -> None:
@@ -131,7 +125,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _tracking(inputs) -> bool:
     """Whether an op on ``inputs`` is recorded: a tape is active and one needs a gradient."""
-    return _tape() is not None and any(t.requires_grad for t in inputs)
+    return _TAPE is not None and any(t.requires_grad for t in inputs)
 
 
 def _make(out_data, inputs, backward) -> Tensor:
@@ -145,7 +139,7 @@ def _make(out_data, inputs, backward) -> Tensor:
             if out.grad is not None:
                 backward(out.grad)
 
-        _tape().record(run)
+        _TAPE.record(run)
     return out
 
 
@@ -227,15 +221,6 @@ def log(a: Tensor) -> Tensor:
     return _make(np.log(a.data), (a,), bw)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def bw(g):
-        a._accum(g / (2.0 * out_data))
-
-    return _make(out_data, (a,), bw)
-
-
 def square(a: Tensor) -> Tensor:
     def bw(g):
         a._accum(g * (2.0 * a.data))
@@ -248,15 +233,6 @@ def absolute(a: Tensor) -> Tensor:
         a._accum(g * np.sign(a.data))
 
     return _make(np.abs(a.data), (a,), bw)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    out_data = np.clip(a.data, lo, hi)
-
-    def bw(g):
-        a._accum(g * ((a.data >= lo) & (a.data <= hi)).astype(np.float32))
-
-    return _make(out_data, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +287,6 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 # ---------------------------------------------------------------------------
-
-
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def bw(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(gg, a.data.shape).astype(np.float32))
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float32), (a,), bw)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -715,7 +681,7 @@ def group_conv1d(x: Tensor, weights: Tensor, bias: Tensor | None = None,
 
 
 # ---------------------------------------------------------------------------
-# normalization and pooling
+# normalization
 # ---------------------------------------------------------------------------
 
 NORM_EPS = 1e-5
@@ -767,11 +733,6 @@ def groupnorm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
     return _norm_affine(x, (t, groups, c // groups * h * w), 2, gamma, beta, (1, c, 1, 1))
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the trailing spatial axes of x[..., H, W]."""
-    return mean(x, axis=(-2, -1))
-
-
 # ---------------------------------------------------------------------------
 # selective-scan recurrence primitive
 # ---------------------------------------------------------------------------
@@ -821,13 +782,13 @@ def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Te
     def bw(g):
         dtv = dt.data[..., None]
         dh = c.data[..., None] * g[:, :, None, :]          # g_l C_l, then all of dL/dh_l:
-        abar = np.exp(dtv[..., None] * at)
-        for l in range(L - 1, 0, -1):
-            dh[l - 1] += abar[l] * dh[l]
-        dh_b = np.matmul(b.data[:, :, None, :], dh)[:, :, 0]           # B_l^T dh_l, [L, R, D]
-        q = np.multiply(abar, dh, out=abar)                 # dL/dabar_l * abar_l ...
+        q = np.exp(dtv[..., None] * at)                     # abar_l, then in place
+        for l in range(L - 1, 0, -1):                       # dh[l] is complete at step l
+            q[l] *= dh[l]                                   # dL/dabar_l * abar_l ...
+            dh[l - 1] += q[l]
         q[0] = 0.0
         q[1:] *= hist[:-1]                                  # ... = dh_l h_{l-1} abar_l
+        dh_b = np.matmul(b.data[:, :, None, :], dh)[:, :, 0]           # B_l^T dh_l, [L, R, D]
         qf = q.reshape(L * r, s * d)
         grads = (dtv * dh_b,
                  (dh_b * x.data).sum(axis=-1) + (qf @ at.reshape(-1)).reshape(L, r),

@@ -489,18 +489,3 @@ def write_orders(path, orders: list[ScanOrder]) -> None:
             f.write(f"{o.kind} {t} {h} {w} {o.direction}\n")
             f.write(" ".join(str(int(i)) for i in o.forward) + "\n")
 
-
-def read_orders(path) -> list[ScanOrder]:
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    i = 0
-    while i < len(lines):
-        parts = lines[i].split()
-        if len(parts) != 5:
-            raise ValueError(f"bad order header: {lines[i]!r}")
-        kind, t, h, w, direction = parts[0], int(parts[1]), int(parts[2]), int(parts[3]), parts[4]
-        fwd = np.array([int(x) for x in lines[i + 1].split()], dtype=np.int64)
-        out.append(ScanOrder((t, h, w), kind, fwd, direction))
-        i += 2
-    return out

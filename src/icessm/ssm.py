@@ -80,15 +80,19 @@ def seq_to_volume(seq: Tensor, dims: tuple[int, int, int]) -> Tensor:
     return nd.moveaxis(vol, tuple(range(3, vol.ndim)), (*range(n), n + 1))
 
 
-def _scan_routes(seq: Tensor, orders: list[ScanOrder], p: dict[str, Tensor]) -> Tensor:
+def scan_routes(seq: Tensor, orders: list[ScanOrder], p: dict[str, Tensor]) -> Tensor:
     """Scan the raster-ordered sequences seq[L, ..., C] along every route in
     one scan call; returns [L, R, ..., C] in raster order, route r at index r.
 
     The R routes of the N sequences are one [L, R*N] gather, and its inverse,
-    around one selective scan. A non-finite scan state is reported with its
-    route and its sequence (the sample, for a batch).
+    around one selective scan. Route fusion happens downstream. A non-finite
+    scan state is reported with its route and its sequence (the sample, for a
+    batch).
     """
     length, *lead, c = seq.shape
+    if not orders or any(o.n != length for o in orders):
+        raise ValueError(f"need scan orders of {length} voxels, got "
+                         f"{[o.dims for o in orders]}")
     visit = np.stack([o.forward for o in orders], axis=1)   # [L, R]: voxel at step l of route r
     flat = nd.reshape(seq, (length, 1, -1, c))
     n = flat.shape[2]
@@ -98,22 +102,6 @@ def _scan_routes(seq: Tensor, orders: list[ScanOrder], p: dict[str, Tensor]) -> 
         raise nd.NumericalError(f"{e} (route {e.column // n}, sample {e.column % n})") from e
     y = nd.gather(y, np.stack([o.inverse() for o in orders], axis=1))
     return nd.reshape(y, (length, len(orders), *lead, c))
-
-
-def hilbert_ssm(v: Tensor, orders: list[ScanOrder],
-                p: dict[str, Tensor]) -> Tensor:
-    """Scan a [..., T, C, H, W] volume along every route in one scan call;
-    returns the [T*H*W, R, ..., C] outputs in raster order, route r at index r.
-
-    Route fusion happens downstream, the outputs are not averaged here.
-    """
-    if not orders:
-        raise ValueError("need at least one scan order")
-    t, _, h, w = v.shape[-4:]
-    for o in orders:
-        if o.dims != (t, h, w):
-            raise ValueError(f"order dims {o.dims} do not match volume {(t, h, w)}")
-    return _scan_routes(volume_to_seq(v), orders, p)
 
 
 def init_mamba_params(rng: np.random.Generator, d: int, state_size: int = 8,
@@ -148,25 +136,19 @@ def init_mamba_params(rng: np.random.Generator, d: int, state_size: int = 8,
 
 
 def mamba_block(x_seq: Tensor, orders: list[ScanOrder],
-                p: dict[str, Tensor]) -> list[Tensor]:
+                p: dict[str, Tensor]) -> Tensor:
     """Process raster-ordered sequences x_seq[L, ..., D], one per leading
-    index (sample); returns one [L, ..., D] per route.
+    index (sample); returns [L, R, ..., D], route r at index r.
 
     The inner width is twice the input width; the same scan, gate and output
     parameters serve every route and sample, and all of them run through them
     together.
     """
-    length = x_seq.shape[0]
-    lead = x_seq.shape[1:-1]
-    dims = orders[0].dims
-    if dims[0] * dims[1] * dims[2] != length:
-        raise ValueError(f"order dims {dims} incompatible with sequence length {length}")
-
+    length, *lead, _ = x_seq.shape
     xn = nd.layernorm(x_seq, p["ln_gamma"], p["ln_beta"])
     inner = nd.silu(nd.conv1d_depthwise(nd.linear(xn, p["w_in"], p["b_in"]),
                                         p["conv_k"], p["conv_b"]))
-    routed = _scan_routes(inner, orders, nd.sub_params(p, "ssm"))      # [L, R, ..., 2D]
+    routed = scan_routes(inner, orders, nd.sub_params(p, "ssm"))       # [L, R, ..., 2D]
     gate = nd.silu(nd.linear(xn, p["w_gate"], p["b_gate"]))
     gated = nd.mul(routed, nd.reshape(gate, (length, 1, *lead, gate.shape[-1])))
-    out = nd.linear(gated, p["w_out"], p["b_out"])
-    return [nd.index(out, np.s_[:, k]) for k in range(len(orders))]
+    return nd.linear(gated, p["w_out"], p["b_out"])

@@ -10,8 +10,6 @@ Both directions are taped autodiff ops and exactly linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nd
@@ -24,21 +22,9 @@ _HAAR = Tensor(0.5 * np.array([[1, 1, 1, 1],
                                [1, -1, -1, 1]]))
 
 
-@dataclass
-class DwtPyramid:
-    """Subbands of one decomposition level: each [..., H/2, W/2].
-
-    lh carries detail along W, hl along H, hh diagonal.
-    """
-
-    ll: Tensor
-    lh: Tensor
-    hl: Tensor
-    hh: Tensor
-
-
-def _analyse(x: Tensor) -> Tensor:
-    """Haar coefficients [..., H/2, W/2, 4] (ll, lh, hl, hh) of x[..., H, W]."""
+def dwt2(x: Tensor) -> Tensor:
+    """Haar coefficients [..., H/2, W/2, 4] of x[..., H, W], bands ll, lh,
+    hl, hh on the last axis; H and W must be even."""
     *lead, h, w = x.shape
     if h % 2 or w % 2 or h < 2 or w < 2:
         raise ValueError(f"spatial dims must be even and >= 2, got ({h}, {w})")
@@ -48,24 +34,12 @@ def _analyse(x: Tensor) -> Tensor:
     return nd.reshape(coeffs, (*lead, h // 2, w // 2, 4))
 
 
-def _synthesise(coeffs: Tensor) -> Tensor:
-    """Inverse of :func:`_analyse`: [..., H/2, W/2, 4] -> [..., H, W]."""
+def idwt2(coeffs: Tensor) -> Tensor:
+    """Inverse of :func:`dwt2`: [..., H/2, W/2, 4] -> [..., H, W]."""
     *lead, h2, w2, _ = coeffs.shape
     blocks = nd.matmul(nd.reshape(coeffs, (-1, 4)), _HAAR)
     blocks = nd.reshape(blocks, (*lead, h2, w2, 2, 2))
     return nd.reshape(nd.moveaxis(blocks, -2, -3), (*lead, 2 * h2, 2 * w2))
-
-
-def dwt2(x: Tensor) -> DwtPyramid:
-    """One-level 2D analysis of x[..., H, W]; H and W must be even."""
-    coeffs = _analyse(x)
-    return DwtPyramid(*(nd.index(coeffs, np.s_[..., k]) for k in range(4)))
-
-
-def idwt2(p: DwtPyramid) -> Tensor:
-    """Synthesis back to [..., H, W]; exact inverse of :func:`dwt2`."""
-    bands = [nd.reshape(b, (*b.shape, 1)) for b in (p.ll, p.lh, p.hl, p.hh)]
-    return _synthesise(nd.concat(bands, axis=-1))
 
 
 def freq_branch(x: Tensor, gains: Tensor) -> Tensor:
@@ -83,7 +57,7 @@ def freq_branch(x: Tensor, gains: Tensor) -> Tensor:
     padded = x if (h % 2 == 0 and w % 2 == 0) else nd.pad2d(
         x, (0, h % 2, 0, w % 2), mode="replicate")
     scale = nd.reshape(nd.concat([np.ones((c, 1)), gains], axis=1), (1, c, 1, 1, 4))
-    out = _synthesise(nd.mul(_analyse(padded), scale))
+    out = idwt2(nd.mul(dwt2(padded), scale))
     if out.shape[-2:] != (h, w):
         out = nd.index(out, np.s_[..., :h, :w])
     return out

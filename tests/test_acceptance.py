@@ -89,12 +89,13 @@ def test_criterion_04_wavelet_reconstruction_and_energy():
     worst_energy = 0.0
     for _ in range(5):
         x = rng.normal(size=(64, 64)).astype(np.float32)
-        p = wavelet.dwt2(Tensor(x))
-        back = wavelet.idwt2(p)
+        coeffs = wavelet.dwt2(Tensor(x))
+        back = wavelet.idwt2(coeffs)
         worst_rt = max(worst_rt, float(np.abs(back.data - x).max()))
         lhs = float((x.astype(np.float64) ** 2).sum())
-        rhs = sum(float((b.data.astype(np.float64) ** 2).sum())
-                  for b in (p.ll, p.lh, p.hl, p.hh))
+        # band k (ll, lh, hl, hh) is coeffs[..., k]
+        rhs = sum(float((coeffs.data[..., k].astype(np.float64) ** 2).sum())
+                  for k in range(4))
         worst_energy = max(worst_energy, abs(lhs - rhs) / lhs)
     x = rng.normal(size=(2, 3, 64, 64)).astype(np.float32)
     ident = wavelet.freq_branch(Tensor(x), Tensor(np.ones((3, 3))))
@@ -136,10 +137,10 @@ def _op_probes():
         ("div", lambda x: nd.mean(nd.div(x, other)), t(2, 3)),
         ("exp", lambda x: nd.mean(nd.exp(x)), t(4)),
         ("log", lambda x: nd.mean(nd.log(x)), t(4, lo=0.5, hi=2.0)),
-        ("sqrt", lambda x: nd.mean(nd.sqrt(x)), t(4, lo=0.5, hi=2.0)),
+        ("neg", lambda x: nd.mean(nd.square(nd.neg(x))), t(4, lo=0.5, hi=2.0)),
         ("square", lambda x: nd.mean(nd.square(x)), t(4)),
         ("absolute", lambda x: nd.mean(nd.absolute(x)), t(4, lo=0.5, hi=1.5)),
-        ("clamp_interior", lambda x: nd.mean(nd.clamp(x, 0.0, 1.0)),
+        ("index", lambda x: nd.mean(nd.square(nd.index(x, np.s_[1:3]))),
          t(4, lo=0.2, hi=0.8)),
         ("linear", lambda x: nd.mean(nd.square(nd.linear(x, w_lin, b_lin))), t(2, 4)),
         ("conv2d", lambda x: nd.mean(nd.square(
@@ -164,8 +165,8 @@ def _op_probes():
         ("softplus", lambda x: nd.mean(nd.square(nd.softplus(x))), t(5)),
         ("leaky_relu", lambda x: nd.mean(nd.square(
             nd.leaky_relu(x, 0.01))), t(5, lo=0.3, hi=1.0)),
-        ("global_avg_pool", lambda x: nd.mean(nd.square(
-            nd.global_avg_pool(x))), t(2, 2, 3, 3)),
+        ("mean_hw", lambda x: nd.mean(nd.square(
+            nd.mean(x, axis=(-2, -1)))), t(2, 2, 3, 3)),
         ("gather", lambda x: nd.mean(nd.mul(nd.gather(x, perm), coeff_gather)),
          t(6, 2)),
         ("concat", lambda x: nd.mean(nd.square(nd.concat([x, other2]))), t(2, 3)),
@@ -202,11 +203,10 @@ def test_criterion_05_gradient_checks():
     coeff = rng.normal(size=(2, d, 2, 2)).astype(np.float32)
 
     def fssm_block(z):
-        seq = ssm.volume_to_seq(z)
-        routed = [ssm.seq_to_volume(r, (2, 2, 2))
-                  for r in ssm.mamba_block(seq, orders, mamba)]
+        routed = ssm.seq_to_volume(ssm.mamba_block(ssm.volume_to_seq(z), orders, mamba),
+                                   (2, 2, 2))
         xf = wavelet.freq_branch(z, gains)
-        fused = hsa.hsa_fuse(routed[0], routed[1], xf, fuse)
+        fused = hsa.hsa_fuse(nd.index(routed, np.s_[0]), nd.index(routed, np.s_[-1]), xf, fuse)
         out = nd.add(z, nd.leaky_relu(nd.depthwise_conv2d(fused, dw_k), 0.01))
         return nd.mean(nd.mul(out, Tensor(coeff)))
 

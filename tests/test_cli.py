@@ -17,17 +17,18 @@ class TestScan:
         out = tmp_path / "order.txt"
         assert run("scan", "--kind", "raster", "--dims", "1,2,2",
                    "--out", str(out)) == 0
-        [order] = sfc.read_orders(out)
-        assert order.forward.tolist() == [0, 1, 2, 3]
-        assert order.kind == "raster" and order.dims == (1, 2, 2)
+        assert out.read_text() == "raster 1 2 2 forward\n0 1 2 3\n"
 
     def test_two_routes_written(self, tmp_path):
         out = tmp_path / "order.txt"
         assert run("scan", "--kind", "hilbert-t", "--dims", "2,4,4",
                    "--routes", "2", "--out", str(out)) == 0
-        orders = sfc.read_orders(out)
-        assert len(orders) == 2
-        assert orders[1].direction == "backward"
+        lines = out.read_text().splitlines()
+        assert lines[0::2] == ["hilbert_temporal_first 2 4 4 forward",
+                               "hilbert_temporal_first 2 4 4 backward"]
+        fwd, bwd = ([int(i) for i in line.split()] for line in lines[1::2])
+        assert fwd == sfc.make_order("hilbert_temporal_first", (2, 4, 4)).forward.tolist()
+        assert bwd == fwd[::-1]
 
     def test_repeat_run_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -245,8 +246,8 @@ class TestPipeline:
         assert peak < 2 * len(ckpt) + 2 ** 20  # the file and its tensors, nothing sized by the config
 
     @pytest.mark.parametrize("key, value, code", [
-        ("wavelet_basis", "haar", 0), ("leaky_slope", 0.01, 0),
-        ("wavelet_basis", "db2", 3), ("leaky_slope", 0.2, 3)])
+        ("wavelet_basis", "haar", 0), ("leaky_slope", 0.01, 0), ("channels", 1, 0),
+        ("wavelet_basis", "db2", 3), ("leaky_slope", 0.2, 3), ("channels", 2, 3)])
     def test_retired_config_keys(self, trained, tmp_path, key, value, code):
         # config.json files of earlier versions carry these keys; only the
         # value that is now built in still loads

@@ -349,11 +349,13 @@ class TestTraining:
             model.train([make_sample(35)], [make_sample(36)], tiny_config(), **kw)
 
     def test_nonfinite_gradient_with_finite_loss_raises(self, monkeypatch):
-        # sqrt(0 * raw) adds 0 to the loss but sends inf * 0 = NaN back into
-        # every gradient; AdamW must refuse it before its first update
+        # 0 * (1 / (0 * raw + 1e-30)) adds 0 to the loss, but the reciprocal's
+        # gradient -1 / 1e-60 underflows to -1 / 0, and 0 / 0 = NaN flows back
+        # into every gradient; AdamW must refuse it before its first update
         plain = model.sample_loss
         monkeypatch.setattr(model, "sample_loss", lambda raw, target, config: nd.add(
-            plain(raw, target, config), nd.mean(nd.sqrt(nd.mul(raw, 0.0)))))
+            plain(raw, target, config),
+            nd.mean(nd.mul(nd.div(1.0, nd.add(nd.mul(raw, 0.0), 1e-30)), 0.0))))
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
                 nd.NumericalError, match=r"non-finite gradient of enc\.enc1_k at step 0"):
             model.train([make_sample(50)], [make_sample(51)], tiny_config(), seed=0,
@@ -417,7 +419,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("kw", [
         dict(), dict(head="gaussian", out_len=3), dict(fusion="cagate", n_routes=4, out_len=7),
-        dict(fusion="sum", n_fssm=1), dict(hidden=10, state_size=3, channels=2, in_len=5)])
+        dict(fusion="sum", n_fssm=1), dict(hidden=10, state_size=3, in_len=5)])
     def test_layout_matches_init_params(self, kw):
         cfg = model.ModelConfig(**kw)
         made = [(k, t.shape) for k, t in model.init_params(rng(0), cfg).items()]

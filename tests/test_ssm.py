@@ -96,7 +96,7 @@ class TestHilbertSsm:
         r = rng(7)
         p = ssm.init_ssm_params(r, d=3)
         v = r.normal(size=(2, 3, 4, 4)).astype(np.float32)
-        out = ssm.hilbert_ssm(Tensor(v), [sfc.raster((2, 4, 4))], p)
+        out = ssm.scan_routes(ssm.volume_to_seq(Tensor(v)), [sfc.raster((2, 4, 4))], p)
         flat = np.moveaxis(v, 1, -1).reshape(32, 3)
         plain = ssm.selective_scan(Tensor(flat), p).data
         assert out.shape == (32, 1, 3)
@@ -105,7 +105,7 @@ class TestHilbertSsm:
     def test_two_routes_zero_input(self):
         p = ssm.init_ssm_params(rng(8), d=2)
         orders = sfc.routes(sfc.gilbert3d((2, 2, 2)), 2)
-        out = ssm.hilbert_ssm(Tensor(np.zeros((2, 2, 2, 2))), orders, p)
+        out = ssm.scan_routes(Tensor(np.zeros((8, 2))), orders, p)
         assert out.shape == (8, 2, 2)
         np.testing.assert_array_equal(out.data, 0.0)
 
@@ -116,7 +116,7 @@ class TestHilbertSsm:
         p = ssm.init_ssm_params(r, d=2)
         v = r.normal(size=(2, 2, 3, 4)).astype(np.float32)
         order = sfc.gilbert3d((2, 3, 4))
-        out = ssm.hilbert_ssm(Tensor(v), [order], p)
+        out = ssm.scan_routes(ssm.volume_to_seq(Tensor(v)), [order], p)
         flat = np.moveaxis(v, 1, -1).reshape(24, 2)
         manual = ssm.selective_scan(Tensor(flat[order.forward]), p).data
         # voxel i's scanned value sits at sequence position inverse()[i]
@@ -128,15 +128,16 @@ class TestHilbertSsm:
         p = ssm.init_ssm_params(r, d=3)
         v = r.normal(size=(2, 3, 4, 4)).astype(np.float32)
         orders = sfc.routes(sfc.gilbert3d((2, 4, 4)), 4)
-        out = ssm.hilbert_ssm(Tensor(v), orders, p)
+        seq = ssm.volume_to_seq(Tensor(v))
+        out = ssm.scan_routes(seq, orders, p)
         for k, o in enumerate(orders):
-            single = ssm.hilbert_ssm(Tensor(v), [o], p)
+            single = ssm.scan_routes(seq, [o], p)
             np.testing.assert_allclose(out.data[:, k], single.data[:, 0], atol=1e-6)
 
     def test_dim_mismatch(self):
         p = ssm.init_ssm_params(rng(10), d=1)
         with pytest.raises(ValueError):
-            ssm.hilbert_ssm(Tensor(np.zeros((2, 1, 3, 3))), [sfc.raster((2, 3, 4))], p)
+            ssm.scan_routes(Tensor(np.zeros((18, 1))), [sfc.raster((2, 3, 4))], p)
 
 
 class TestMambaBlock:
@@ -144,9 +145,9 @@ class TestMambaBlock:
         r = rng(11)
         p = ssm.init_mamba_params(r, d=4)
         orders = sfc.routes(sfc.gilbert3d((2, 2, 2)), 2)
-        outs = ssm.mamba_block(Tensor(np.zeros((8, 4))), orders, p)
-        for o in outs:
-            np.testing.assert_allclose(o.data, 0.0, atol=1e-7)
+        out = ssm.mamba_block(Tensor(np.zeros((8, 4))), orders, p)
+        assert out.shape == (8, 2, 4)
+        np.testing.assert_allclose(out.data, 0.0, atol=1e-7)
 
     def test_forced_unit_gate_reduces_to_linear_out(self):
         r = rng(12)
@@ -156,13 +157,12 @@ class TestMambaBlock:
         p["b_gate"].data[:] = 1.2784645
         orders = [sfc.raster((2, 2, 2))]
         x = r.normal(size=(8, 3)).astype(np.float32)
-        [out] = ssm.mamba_block(Tensor(x), orders, p)
+        out = ssm.mamba_block(Tensor(x), orders, p)
         xn = nd.layernorm(Tensor(x), p["ln_gamma"], p["ln_beta"])
         inner = nd.silu(nd.conv1d_depthwise(nd.linear(xn, p["w_in"], p["b_in"]),
                                             p["conv_k"], p["conv_b"]))
-        scanned = ssm.hilbert_ssm(ssm.seq_to_volume(inner, (2, 2, 2)), orders,
-                                  nd.sub_params(p, "ssm"))
-        expect = nd.linear(nd.reshape(scanned, (8, 6)), p["w_out"], p["b_out"])
+        scanned = ssm.scan_routes(inner, orders, nd.sub_params(p, "ssm"))
+        expect = nd.linear(scanned, p["w_out"], p["b_out"])
         np.testing.assert_allclose(out.data, expect.data, atol=1e-5)
 
     def test_block_gradients_match_finite_differences(self):
@@ -173,8 +173,7 @@ class TestMambaBlock:
         t = r.normal(size=(8, 2)).astype(np.float32)
 
         def f(x_):
-            outs = ssm.mamba_block(x_, orders, p)
-            return nd.mean(nd.mul(nd.add(outs[0], outs[1]), Tensor(t)))
+            return nd.mean(nd.mul(ssm.mamba_block(x_, orders, p), Tensor(t[:, None])))
 
         assert nd.grad_check(f, x, tolerance=1e-3).passed
 
@@ -184,8 +183,7 @@ class TestMambaBlock:
         orders = [sfc.gilbert3d((1, 2, 2))]
         x = Tensor(r.normal(size=(4, 2)))
         with nd.Tape() as tape:
-            outs = ssm.mamba_block(x, orders, p)
-            tape.backward(nd.mean(nd.square(outs[0])))
+            tape.backward(nd.mean(nd.square(ssm.mamba_block(x, orders, p))))
         for name, tensor in p.items():
             assert tensor.grad is not None, name
             assert np.isfinite(tensor.grad).all(), name

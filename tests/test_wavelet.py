@@ -9,21 +9,24 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+BANDS = ("ll", "lh", "hl", "hh")     # band k of dwt2 is coeffs[..., k]
+
+
 class TestDwt2:
     def test_constant_image(self):
         c = 0.6
-        p = wavelet.dwt2(Tensor(np.full((4, 4), c)))
-        np.testing.assert_allclose(p.ll.data, 2 * c, atol=1e-6)
-        for band in (p.lh, p.hl, p.hh):
-            np.testing.assert_allclose(band.data, 0.0, atol=1e-6)
+        coeffs = wavelet.dwt2(Tensor(np.full((4, 4), c))).data
+        assert coeffs.shape == (2, 2, 4)
+        np.testing.assert_allclose(coeffs[..., 0], 2 * c, atol=1e-6)
+        np.testing.assert_allclose(coeffs[..., 1:], 0.0, atol=1e-6)
 
     def test_2x2_haar_matrix_oracle(self):
         a, b, c, d = 1.0, 2.0, -3.0, 5.0
-        p = wavelet.dwt2(Tensor(np.array([[a, b], [c, d]])))
-        assert p.ll.data[0, 0] == pytest.approx((a + b + c + d) / 2, abs=1e-6)
-        assert p.lh.data[0, 0] == pytest.approx((a - b + c - d) / 2, abs=1e-6)
-        assert p.hl.data[0, 0] == pytest.approx((a + b - c - d) / 2, abs=1e-6)
-        assert p.hh.data[0, 0] == pytest.approx((a - b - c + d) / 2, abs=1e-6)
+        ll, lh, hl, hh = wavelet.dwt2(Tensor(np.array([[a, b], [c, d]]))).data[0, 0]
+        assert ll == pytest.approx((a + b + c + d) / 2, abs=1e-6)
+        assert lh == pytest.approx((a - b + c - d) / 2, abs=1e-6)
+        assert hl == pytest.approx((a + b - c - d) / 2, abs=1e-6)
+        assert hh == pytest.approx((a - b - c + d) / 2, abs=1e-6)
 
     @pytest.mark.parametrize("shape", [(8, 8), (2, 3, 12, 16), (64, 64)])
     def test_round_trip(self, shape):
@@ -33,9 +36,9 @@ class TestDwt2:
 
     def test_haar_energy_conservation(self):
         x = rng(2).normal(size=(64, 64)).astype(np.float32)
-        p = wavelet.dwt2(Tensor(x))
+        coeffs = wavelet.dwt2(Tensor(x)).data
         lhs = float((x ** 2).sum())
-        rhs = sum(float((band.data ** 2).sum()) for band in (p.ll, p.lh, p.hl, p.hh))
+        rhs = sum(float((coeffs[..., k] ** 2).sum()) for k in range(4))
         assert abs(lhs - rhs) / lhs < 1e-4
 
     def test_odd_dims_rejected(self):
@@ -65,12 +68,11 @@ class TestFreqBranch:
         gains = np.ones((2, 3), dtype=np.float32)
         gains[:, column] = (2.0, -0.5)
         out = wavelet.freq_branch(Tensor(x), Tensor(gains))
-        p_in = wavelet.dwt2(Tensor(x))
-        p_out = wavelet.dwt2(out)
-        for name in ("ll", "lh", "hl", "hh"):
+        c_in = wavelet.dwt2(Tensor(x)).data
+        c_out = wavelet.dwt2(out).data
+        for k, name in enumerate(BANDS):
             scale = np.array([2.0, -0.5]).reshape(1, 2, 1, 1) if name == band else 1.0
-            np.testing.assert_allclose(getattr(p_out, name).data,
-                                       scale * getattr(p_in, name).data, atol=1e-5)
+            np.testing.assert_allclose(c_out[..., k], scale * c_in[..., k], atol=1e-5)
 
     def test_linear_in_input(self):
         r = rng(6)
