@@ -249,7 +249,7 @@ def _predict(xb: np.ndarray, params: dict[str, Tensor],
 
 def forward(x: Tensor | np.ndarray, params: dict[str, Tensor],
             config: ModelConfig) -> Forecast:
-    """Inference on one window x[L_in, C, H, W], run as a batch of one: clamp
+    """Inference on one window x[L_in, 1, H, W], run as a batch of one: clamp
     the mean into [0, 1] and expose sigma when gaussian."""
     x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
     mean, sigma = _predict(x[None], params, config)
