@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import resource
 import sys
@@ -44,10 +45,19 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     return t, h, w
 
 
-def _write_manifest(out_dir: Path, command: str, a: argparse.Namespace) -> None:
-    """Record the run: arguments, versions, wall time since ``main`` set
-    ``a.started`` and the process's peak resident set."""
+def _digests(*paths) -> dict[str, str]:
+    """path -> sha256 of each file; taken right after the command reads them,
+    before any output could overwrite one."""
+    return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+
+
+def _write_manifest(out_dir: Path, command: str, a: argparse.Namespace,
+                    inputs: dict[str, str] | None = None) -> None:
+    """Record the run: arguments, versions, the digests of the files the
+    command read (``_digests``), wall time since ``main`` set ``a.started``
+    and the process's peak resident set."""
     manifest = {
+        "inputs": inputs or {},
         "command": command,
         "args": {k: v for k, v in vars(a).items()
                  if v is not None and not callable(v) and k not in ("command", "started")},
@@ -117,11 +127,12 @@ def cmd_synth(a) -> int:
 
 def cmd_preprocess(a) -> int:
     grid = data.read_grid(a.input)
+    inputs = _digests(a.input)
     out_grid = data.preprocess(grid, land_threshold=a.land_threshold, idw=a.idw)
     out = Path(a.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data.write_grid(out_grid, out)
-    _write_manifest(out.parent, "preprocess", a)
+    _write_manifest(out.parent, "preprocess", a, inputs)
     print(f"preprocessed {a.input} -> {out} ({out_grid.shape[0]} days)")
     return 0
 
@@ -136,6 +147,7 @@ def _load_windows(a):
 def cmd_train(a) -> int:
     config = _config_from_args(a)
     grid, wins = _load_windows(a)
+    inputs = _digests(a.data)
     n_val = max(1, int(len(wins) * a.val_fraction))
     if len(wins) < 2:
         raise ValueError(f"need at least 2 windows, got {len(wins)}")
@@ -157,18 +169,21 @@ def cmd_train(a) -> int:
         f.write("\n")
     with open(out_dir / "history.csv", "w", encoding="utf-8") as f:
         f.write(model.history_csv(result.history))
-    _write_manifest(out_dir, "train", a)
+    _write_manifest(out_dir, "train", a, inputs)
     print(f"best val MAE {result.best_val_mae:.4f}% at epoch {result.best_epoch}; "
           f"checkpoint in {out_dir}")
     return 0
 
 
+def _model_files(model_dir: str) -> tuple[Path, Path]:
+    """The config and checkpoint a training run writes to ``model_dir``."""
+    return Path(model_dir) / "config.json", Path(model_dir) / "model.ckpt"
+
+
 def _load_model(model_dir: str) -> tuple[model.ModelParams, model.ModelConfig]:
-    mdir = Path(model_dir)
-    cfg_path = mdir / "config.json"
-    ckpt_path = mdir / "model.ckpt"
+    cfg_path, ckpt_path = _model_files(model_dir)
     if not cfg_path.exists() or not ckpt_path.exists():
-        raise FileNotFoundError(f"missing checkpoint or config in {mdir}")
+        raise FileNotFoundError(f"missing checkpoint or config in {model_dir}")
     try:
         raw = json.loads(cfg_path.read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
@@ -196,6 +211,7 @@ def _forecast_grid(pred: np.ndarray, start_date: int, land_mask) -> data.Grid3:
 def cmd_predict(a) -> int:
     params, config = _load_model(a.model)
     grid = data.read_grid(a.data)
+    inputs = _digests(*_model_files(a.model), a.data)
     t = grid.shape[0]
     if t < config.in_len:
         raise ValueError(f"series too short for in_len {config.in_len}")
@@ -212,7 +228,7 @@ def cmd_predict(a) -> int:
     if fc.sigma is not None:
         data.write_grid(_forecast_grid(fc.sigma, start, grid.land_mask),
                         out_dir / "sigma.sic")
-    _write_manifest(out_dir, "predict", a)
+    _write_manifest(out_dir, "predict", a, inputs)
     print(f"wrote forecast ({fc.mean.shape[0]} days from day {start}) to {out_dir}")
     return 0
 
@@ -220,6 +236,7 @@ def cmd_predict(a) -> int:
 def cmd_recurse(a) -> int:
     params, config = _load_model(a.model)
     grid = data.read_grid(a.data)
+    inputs = _digests(*_model_files(a.model), a.data)
     t = grid.shape[0]
     anchor = a.anchor if a.anchor is not None else t - config.in_len
     window = grid.frames[anchor:anchor + config.in_len, None, :, :]
@@ -231,7 +248,7 @@ def cmd_recurse(a) -> int:
     start = int(grid.dates[anchor]) + config.in_len
     data.write_grid(_forecast_grid(pred, start, grid.land_mask),
                     out_dir / "forecast.sic")
-    _write_manifest(out_dir, "recurse", a)
+    _write_manifest(out_dir, "recurse", a, inputs)
     print(f"wrote {pred.shape[0]}-day recursive forecast to {out_dir}")
     return 0
 
@@ -239,6 +256,7 @@ def cmd_recurse(a) -> int:
 def cmd_eval(a) -> int:
     fc = data.read_grid(a.forecast)
     truth = data.read_grid(a.truth)
+    inputs = _digests(a.forecast, a.truth)
     common = np.intersect1d(fc.dates, truth.dates)
     if common.size == 0:
         raise ValueError("forecast and truth share no dates")
@@ -254,7 +272,7 @@ def cmd_eval(a) -> int:
     for k, day in enumerate(common):
         bias = metrics.bias_map(fc.frames[fi[k]], truth.frames[ti[k]])
         metrics.write_bias_ppm(bias, out_dir / f"bias-day{int(day):05d}.ppm")
-    _write_manifest(out_dir, "eval", a)
+    _write_manifest(out_dir, "eval", a, inputs)
     nse = "n/a" if report.nse is None else f"{report.nse:.4f}"
     print(f"rmse {report.rmse:.4f}% mae {report.mae:.4f}% nse {nse} "
           f"iou {report.iou:.4f} ({common.size} days) -> {out_dir}")

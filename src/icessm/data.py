@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAGIC = b"SICG1\x00"
+IDW_CHUNK = 1 << 18  # neighbor values st_idw_fill gathers per pass
 
 
 class FormatError(ValueError):
@@ -95,24 +97,41 @@ def st_idw_fill(g: Grid3, spatial_radius: int = 3, temporal_radius: int = 2,
     The weight of a valid neighbor at offset (dt, dh, dw) is
     exp(-d^2 / (2 * bandwidth^2)) with d^2 = dh^2 + dw^2 + (time_scale*dt)^2;
     one day equals ``time_scale`` pixels. Valid pixels are left untouched.
+    The grid is padded with NaN once, and the missing pixels' neighborhoods
+    are gathered from it about IDW_CHUNK values at a time; a missing pixel
+    with no valid neighbor raises, the first in C order.
     """
-    t, h, w = g.shape
+    for name, r in (("spatial_radius", spatial_radius), ("temporal_radius", temporal_radius)):
+        if r < 0:
+            raise ValueError(f"{name} must be >= 0, got {r}")
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
+    if not math.isfinite(time_scale):
+        raise ValueError(f"time_scale must be finite, got {time_scale}")
     src = g.frames
     out = src.copy()
     missing = np.argwhere(np.isnan(src))
-    for ti, hi, wi in missing:
-        t0, t1 = max(0, ti - temporal_radius), min(t, ti + temporal_radius + 1)
-        h0, h1 = max(0, hi - spatial_radius), min(h, hi + spatial_radius + 1)
-        w0, w1 = max(0, wi - spatial_radius), min(w, wi + spatial_radius + 1)
-        window = src[t0:t1, h0:h1, w0:w1]
-        dt, dh, dw = np.ogrid[t0 - ti:t1 - ti, h0 - hi:h1 - hi, w0 - wi:w1 - wi]
-        d2 = (dh ** 2 + dw ** 2 + (time_scale * dt) ** 2).astype(np.float64)
+    # an offset past the grid's extent only ever reaches padding
+    radii = [min(r, max(n - 1, 0)) for r, n in
+             zip((temporal_radius, spatial_radius, spatial_radius), g.shape)]
+    dt, dh, dw = np.ogrid[tuple(slice(-r, r + 1) for r in radii)]
+    d2 = (dh ** 2 + dw ** 2 + (time_scale * dt) ** 2).astype(np.float64)
+    kernel = np.exp(-d2 / (2.0 * bandwidth ** 2)).reshape(-1)
+    padded = np.pad(src, [(r, r) for r in radii], constant_values=np.nan)
+    hoods = sliding_window_view(padded, d2.shape)  # hoods[t, h, w]: pixel's neighborhood
+    step = max(1, IDW_CHUNK // kernel.size)
+    for c0 in range(0, len(missing), step):
+        ti, hi, wi = missing[c0:c0 + step].T
+        window = hoods[ti, hi, wi].reshape(len(ti), -1)
         valid = ~np.isnan(window)
-        if not valid.any():
-            raise ValueError(f"missing pixel (t={ti}, h={hi}, w={wi}) has no "
+        found = valid.any(axis=1)
+        if not found.all():
+            bt, bh, bw = missing[c0 + int(np.argmin(found))]
+            raise ValueError(f"missing pixel (t={bt}, h={bh}, w={bw}) has no "
                              f"valid neighbor within the radius")
-        wgt = np.exp(-d2 / (2.0 * bandwidth ** 2)) * valid
-        out[ti, hi, wi] = float((wgt * np.nan_to_num(window)).sum() / wgt.sum())
+        wgt = kernel * valid
+        num = (wgt * np.nan_to_num(window, copy=False)).sum(axis=1)
+        out[ti, hi, wi] = num / wgt.sum(axis=1)
     return Grid3(out, g.dates.copy(), g.land_mask.copy())
 
 
@@ -143,21 +162,21 @@ class SampleWindow:
 
 
 def windows(g: Grid3, in_len: int, out_len: int, stride: int = 1) -> list[SampleWindow]:
-    """All stride-spaced windows; count = (T - in_len - out_len)//stride + 1."""
+    """All stride-spaced windows; count = (T - in_len - out_len)//stride + 1.
+
+    Each window's input and target are read-only views of ``g.frames``.
+    """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     t = g.shape[0]
     span = in_len + out_len
     if t < span:
         raise ValueError(f"series length {t} shorter than window span {span}")
-    out = []
-    for a in range(0, t - span + 1, stride):
-        out.append(SampleWindow(
-            input=g.frames[a:a + in_len, None, :, :].copy(),
-            target=g.frames[a + in_len:a + span, None, :, :].copy(),
-            anchor_date=int(g.dates[a]),
-        ))
-    return out
+    frames = g.frames[:, None, :, :]
+    frames.flags.writeable = False
+    return [SampleWindow(input=frames[a:a + in_len], target=frames[a + in_len:a + span],
+                         anchor_date=int(g.dates[a]))
+            for a in range(0, t - span + 1, stride)]
 
 
 def synth_generate(seed: int, t: int, h: int, w: int, n_blobs: int = 3,
@@ -213,8 +232,7 @@ def write_grid(g: Grid3, path) -> None:
         f.write(np.array([t, h, w], dtype="<u4").tobytes())
         f.write(g.dates.astype("<i8").tobytes())
         f.write(np.packbits(g.land_mask.reshape(-1)).tobytes())
-        for ti in range(t):
-            f.write(np.packbits(missing[ti].reshape(-1)).tobytes())
+        f.write(np.packbits(missing.reshape(t, h * w), axis=1).tobytes())
         f.write(np.nan_to_num(g.frames, nan=0.0).astype("<f4").tobytes())
 
 

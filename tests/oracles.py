@@ -90,6 +90,30 @@ def naive_depthwise_conv2d(x, k, b=None, pad_mode="replicate"):
     return out.astype(np.float32)
 
 
+def naive_st_idw_fill(frames, spatial_radius=3, temporal_radius=2,
+                      bandwidth=2.0, time_scale=1.0):
+    """Per-pixel ST-IDW: for each missing pixel in C order, the Gaussian
+    weighted mean of the valid pixels in its clipped neighbourhood window."""
+    t, h, w = frames.shape
+    src = frames
+    out = src.copy()
+    missing = np.argwhere(np.isnan(src))
+    for ti, hi, wi in missing:
+        t0, t1 = max(0, ti - temporal_radius), min(t, ti + temporal_radius + 1)
+        h0, h1 = max(0, hi - spatial_radius), min(h, hi + spatial_radius + 1)
+        w0, w1 = max(0, wi - spatial_radius), min(w, wi + spatial_radius + 1)
+        window = src[t0:t1, h0:h1, w0:w1]
+        dt, dh, dw = np.ogrid[t0 - ti:t1 - ti, h0 - hi:h1 - hi, w0 - wi:w1 - wi]
+        d2 = (dh ** 2 + dw ** 2 + (time_scale * dt) ** 2).astype(np.float64)
+        valid = ~np.isnan(window)
+        if not valid.any():
+            raise ValueError(f"missing pixel (t={ti}, h={hi}, w={wi}) has no "
+                             f"valid neighbor within the radius")
+        wgt = np.exp(-d2 / (2.0 * bandwidth ** 2)) * valid
+        out[ti, hi, wi] = float((wgt * np.nan_to_num(window)).sum() / wgt.sum())
+    return out
+
+
 def brute_force_errors(yhat, y, mask):
     """Scalar-loop rmse/mae/nse (percent) over masked pixels."""
     diffs = []

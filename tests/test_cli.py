@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -10,6 +11,10 @@ from icessm.cli import main
 
 def run(*argv):
     return main(list(argv))
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestScan:
@@ -66,6 +71,20 @@ class TestSynthPreprocess:
         after = data.read_grid(out)
         np.testing.assert_array_equal(after.frames, before.frames)
 
+    def test_preprocess_manifest_records_input_digest(self, tmp_path):
+        src = tmp_path / "g.sic"
+        run("synth", "--seed", "1", "--dims", "12,8,8", "--out", str(src))
+        digest = sha256(src)
+        # written in place: the digest is of the bytes read, not of the output
+        assert run("preprocess", "--input", str(src), "--out", str(src)) == 0
+        manifest = json.loads((tmp_path / "manifest-preprocess.json").read_text())
+        assert manifest["inputs"] == {str(src): digest}
+
+    def test_synth_manifest_records_no_inputs(self, tmp_path):
+        run("synth", "--seed", "1", "--dims", "12,8,8", "--out", str(tmp_path / "g.sic"))
+        manifest = json.loads((tmp_path / "manifest-synth.json").read_text())
+        assert manifest["inputs"] == {}
+
     def test_preprocess_fills_date_gap(self, tmp_path):
         g = data.synth_generate(2, 10, 8, 8)
         gap = data.Grid3(g.frames[[0, 1, 2, 4, 5]], g.dates[[0, 1, 2, 4, 5]],
@@ -117,7 +136,7 @@ def trained(tmp_path_factory):
 
 class TestPipeline:
     def test_train_outputs(self, trained):
-        _, _, model_dir = trained
+        _, grid_path, model_dir = trained
         assert (model_dir / "model.ckpt").exists()
         assert (model_dir / "history.csv").exists()
         config = json.loads((model_dir / "config.json").read_text())
@@ -128,6 +147,7 @@ class TestPipeline:
         assert 0 < manifest["elapsed_s"] < 600
         assert 0 < manifest["peak_rss_mb"] < 4096
         assert "started" not in manifest["args"]
+        assert manifest["inputs"] == {str(grid_path): sha256(grid_path)}
 
     @pytest.mark.parametrize("flag, value", [
         ("--batch-size", "0"), ("--batch-size", "-1"), ("--epochs", "0"),
@@ -148,6 +168,9 @@ class TestPipeline:
         fc = data.read_grid(out / "forecast.sic")
         assert fc.shape == (4, 8, 8)
         assert np.nanmin(fc.frames) >= 0.0 and np.nanmax(fc.frames) <= 1.0
+        manifest = json.loads((out / "manifest-predict.json").read_text())
+        assert manifest["inputs"] == {str(p): sha256(p) for p in (
+            model_dir / "config.json", model_dir / "model.ckpt", grid_path)}
 
     def test_recurse_doubles_length(self, trained):
         root, grid_path, model_dir = trained

@@ -1,10 +1,13 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from icessm import data
 from icessm.data import Grid3
+from oracles import naive_st_idw_fill
 
 
 def grid_of(frames, dates=None, land=None):
@@ -107,6 +110,71 @@ class TestStIdw:
         with pytest.raises(ValueError, match="no\\s+valid neighbor"):
             data.st_idw_fill(grid_of(frames), spatial_radius=1, temporal_radius=0)
 
+    @pytest.mark.parametrize("t", [6, 1])
+    @pytest.mark.parametrize("time_scale", [0.5, 1.0])
+    @pytest.mark.parametrize("bandwidth", [1.5, 2.0])
+    @pytest.mark.parametrize("spatial_radius, temporal_radius", [(1, 0), (2, 1), (3, 2)])
+    def test_matches_per_pixel_oracle(self, t, time_scale, bandwidth,
+                                      spatial_radius, temporal_radius):
+        r = np.random.default_rng(7)
+        frames = r.uniform(size=(t, 9, 10)).astype(np.float32)
+        frames[r.random(frames.shape) < 0.2] = np.nan
+        # a hole on every face and at two corners of the volume
+        frames[0, 4, 5] = frames[-1, 5, 4] = np.nan
+        frames[t // 2, 0, 3] = frames[t // 2, -1, 6] = np.nan
+        frames[t // 2, 2, 0] = frames[t // 2, 7, -1] = np.nan
+        frames[0, 0, 0] = frames[-1, -1, -1] = np.nan
+        kw = dict(spatial_radius=spatial_radius, temporal_radius=temporal_radius,
+                  bandwidth=bandwidth, time_scale=time_scale)
+        expect = naive_st_idw_fill(frames, **kw)
+        out = data.st_idw_fill(grid_of(frames), **kw).frames
+        np.testing.assert_array_max_ulp(out, expect, maxulp=1)
+
+    def test_first_isolated_pixel_named_past_first_chunk(self):
+        # every other pixel missing, so each has a valid neighbor at radius 1,
+        # except the centers of two 3x3 holes, the first past the first pass
+        per_pass = data.IDW_CHUNK // 9
+        w = 64
+        h = 2 * per_pass // w + 8
+        frames = np.full((1, h, w), 0.5, dtype=np.float32)
+        frames[0, (np.arange(h)[:, None] + np.arange(w)) % 2 == 0] = np.nan
+        first, later = (h - 6, 20), (h - 3, 40)
+        for hi, wi in (later, first):
+            frames[0, hi - 1:hi + 2, wi - 1:wi + 2] = np.nan
+        assert np.isnan(frames[0, :first[0]]).sum() > per_pass
+        message = f"missing pixel \\(t=0, h={first[0]}, w={first[1]}\\) has no"
+        kw = dict(spatial_radius=1, temporal_radius=0)
+        with pytest.raises(ValueError, match=message):
+            naive_st_idw_fill(frames, **kw)
+        with pytest.raises(ValueError, match=message):
+            data.st_idw_fill(grid_of(frames), **kw)
+
+    def test_memory_bounded_by_chunk_not_hole_count(self):
+        r = np.random.default_rng(0)
+        frames = r.uniform(size=(40, 64, 64)).astype(np.float32)
+        frames[r.random(frames.shape) < 0.3] = np.nan
+        g = grid_of(frames)
+        gathered_at_once = int(np.isnan(frames).sum()) * 5 * 7 * 7 * 8
+        bound = 8 * frames.nbytes + 32 * data.IDW_CHUNK
+        assert bound < gathered_at_once / 4
+        tracemalloc.start()
+        try:
+            data.st_idw_fill(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize("name, value", [
+        ("spatial_radius", -1), ("temporal_radius", -1), ("bandwidth", 0.0),
+        ("bandwidth", -2.0), ("bandwidth", math.nan), ("bandwidth", math.inf),
+        ("time_scale", math.inf), ("time_scale", math.nan)])
+    def test_bad_argument_named(self, name, value):
+        frames = np.full((3, 4, 4), 0.5, dtype=np.float32)
+        frames[1, 1, 1] = np.nan
+        with pytest.raises(ValueError, match=name):
+            data.st_idw_fill(grid_of(frames), **{name: value})
+
 
 class TestPreprocess:
     def test_invariants(self):
@@ -160,6 +228,15 @@ class TestWindows:
     def test_too_short_series(self):
         with pytest.raises(ValueError):
             data.windows(grid_of(np.zeros((20, 4, 4))), 14, 14)
+
+    def test_windows_are_read_only_views(self):
+        g = grid_of(np.zeros((30, 4, 4)))
+        for sw in data.windows(g, 14, 14):
+            for arr in (sw.input, sw.target):
+                assert np.shares_memory(arr, g.frames)
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0, 0, 0] = 1.0
+        assert g.frames.flags.writeable
 
 
 class TestSynth:
@@ -220,6 +297,12 @@ class TestContainer:
         back = data.read_grid(path)
         np.testing.assert_array_equal(back.frames, 0.0)
 
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 3)])
+    def test_empty_grid_round_trips(self, tmp_path, shape):
+        path = tmp_path / "e.sic"
+        data.write_grid(grid_of(np.zeros(shape)), path)
+        assert data.read_grid(path).shape == shape
+
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.sic"
         data.write_grid(grid_of(np.zeros((2, 4, 4))), path)
@@ -235,6 +318,19 @@ class TestContainer:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(data.FormatError, match="truncated"):
             data.read_grid(path)
+
+    def test_written_bytes_pinned(self, tmp_path):
+        # 5x7 frames: each missing bitmap ends in a partly used byte
+        frames = np.arange(3 * 5 * 7, dtype=np.float32).reshape(3, 5, 7) / 128
+        frames[0, 0, 0] = frames[1, 2, 3] = frames[2, 4, 6] = frames[2, 4, 5] = np.nan
+        land = np.zeros((5, 7), dtype=bool)
+        land[0, :3] = land[4, 6] = True
+        path = tmp_path / "p.sic"
+        data.write_grid(Grid3(frames, np.array([3, 4, 9]), land), path)
+        blob = path.read_bytes()
+        assert len(blob) == 482
+        assert hashlib.sha256(blob).hexdigest() == \
+            "524cdf29ce53edab5356b55420d28aab48cff42dc1d6eeeeaab6d387755e13e8"
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "t.sic"
