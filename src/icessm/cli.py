@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, data, metrics, model, sfc
 from .data import FormatError
-from .nd import NumericalError, Tensor
+from .nd import LEAKY_SLOPE, NumericalError, Tensor
 
 KIND_NAMES = {
     "raster": "raster",
@@ -32,7 +32,7 @@ KIND_NAMES = {
 
 # config.json keys that earlier versions wrote, each with the one value that
 # is now built in; a directory written then still loads if it holds that value
-RETIRED_KEYS = {"wavelet_basis": "haar", "leaky_slope": 0.01, "channels": 1}
+RETIRED_KEYS = {"wavelet_basis": "haar", "leaky_slope": LEAKY_SLOPE, "channels": 1}
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
@@ -128,6 +128,8 @@ def cmd_synth(a) -> int:
 def cmd_preprocess(a) -> int:
     grid = data.read_grid(a.input)
     inputs = _digests(a.input)
+    if grid.shape[0] == 0:
+        raise FormatError(f"{a.input} holds an empty series (0 frames)")
     out_grid = data.preprocess(grid, land_threshold=a.land_threshold, idw=a.idw)
     out = Path(a.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -137,17 +139,21 @@ def cmd_preprocess(a) -> int:
     return 0
 
 
-def _load_windows(a):
-    grid = data.read_grid(a.data)
+def _load_series(path) -> data.Grid3:
+    """The model-input grid at ``path``: one frame per day, none missing."""
+    grid = data.read_grid(path)
     if np.isnan(grid.frames).any():
-        raise FormatError(f"{a.data} contains missing values; run preprocess first")
-    return grid, data.windows(grid, a.in_len, a.out_len, stride=a.stride)
+        raise FormatError(f"{path} contains missing values; run preprocess first")
+    if (np.diff(grid.dates) != 1).any():
+        raise FormatError(f"{path} has gaps in its dates; run preprocess first")
+    return grid
 
 
 def cmd_train(a) -> int:
     config = _config_from_args(a)
-    grid, wins = _load_windows(a)
+    grid = _load_series(a.data)
     inputs = _digests(a.data)
+    wins = data.windows(grid, a.in_len, a.out_len, stride=a.stride)
     n_val = max(1, int(len(wins) * a.val_fraction))
     if len(wins) < 2:
         raise ValueError(f"need at least 2 windows, got {len(wins)}")
@@ -208,21 +214,29 @@ def _forecast_grid(pred: np.ndarray, start_date: int, land_mask) -> data.Grid3:
     return data.Grid3(frames, dates, land_mask)
 
 
+def _input_window(grid: data.Grid3, in_len: int, anchor: int | None):
+    """The in_len frames [in_len, 1, H, W] from index ``anchor`` (default: the
+    last in_len), and the date of the first day after them."""
+    t = grid.shape[0]
+    if t < in_len:
+        raise ValueError(f"series too short for in_len {in_len}")
+    if anchor is None:
+        anchor = t - in_len
+    elif anchor < 0:
+        raise ValueError(f"--anchor must be >= 0, got {anchor}")
+    if anchor + in_len > t:
+        raise ValueError(f"anchor {anchor} leaves fewer than {in_len} frames")
+    return grid.frames[anchor:anchor + in_len, None, :, :], int(grid.dates[anchor]) + in_len
+
+
 def cmd_predict(a) -> int:
     params, config = _load_model(a.model)
-    grid = data.read_grid(a.data)
+    grid = _load_series(a.data)
     inputs = _digests(*_model_files(a.model), a.data)
-    t = grid.shape[0]
-    if t < config.in_len:
-        raise ValueError(f"series too short for in_len {config.in_len}")
-    anchor = a.anchor if a.anchor is not None else t - config.in_len
-    window = grid.frames[anchor:anchor + config.in_len, None, :, :]
-    if window.shape[0] < config.in_len:
-        raise ValueError(f"anchor {anchor} leaves fewer than {config.in_len} frames")
+    window, start = _input_window(grid, config.in_len, a.anchor)
     fc = model.forward(Tensor(window), params, config)
     out_dir = Path(a.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    start = int(grid.dates[anchor]) + config.in_len
     data.write_grid(_forecast_grid(fc.mean, start, grid.land_mask),
                     out_dir / "forecast.sic")
     if fc.sigma is not None:
@@ -235,17 +249,12 @@ def cmd_predict(a) -> int:
 
 def cmd_recurse(a) -> int:
     params, config = _load_model(a.model)
-    grid = data.read_grid(a.data)
+    grid = _load_series(a.data)
     inputs = _digests(*_model_files(a.model), a.data)
-    t = grid.shape[0]
-    anchor = a.anchor if a.anchor is not None else t - config.in_len
-    window = grid.frames[anchor:anchor + config.in_len, None, :, :]
-    if window.shape[0] < config.in_len:
-        raise ValueError(f"anchor {anchor} leaves fewer than {config.in_len} frames")
+    window, start = _input_window(grid, config.in_len, a.anchor)
     pred = model.recursive_forecast(window, params, config, steps=a.steps)
     out_dir = Path(a.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    start = int(grid.dates[anchor]) + config.in_len
     data.write_grid(_forecast_grid(pred, start, grid.land_mask),
                     out_dir / "forecast.sic")
     _write_manifest(out_dir, "recurse", a, inputs)

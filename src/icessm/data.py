@@ -17,7 +17,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 MAGIC = b"SICG1\x00"
-IDW_CHUNK = 1 << 18  # neighbor values st_idw_fill gathers per pass
+# st_idw_fill: neighborhood radii (pixels, days), Gaussian bandwidth (pixels),
+# pixels per day, and the neighbor values it gathers per pass
+IDW_SPATIAL_RADIUS, IDW_TEMPORAL_RADIUS = 3, 2
+IDW_BANDWIDTH, IDW_TIME_SCALE = 2.0, 1.0
+IDW_CHUNK = 1 << 18
 
 
 class FormatError(ValueError):
@@ -48,31 +52,21 @@ class Grid3:
 
 
 def fill_missing_dates(g: Grid3) -> Grid3:
-    """Expand to a contiguous daily range, filling each absent date with the
-    elementwise mean of the nearest preceding and succeeding present frames.
+    """Expand a series of at least one frame to a contiguous daily range,
+    filling each absent date with the elementwise mean of the nearest
+    preceding and succeeding present frames.
 
     Every absent day in a multi-day gap receives the same flat fill.
     """
-    first, last = int(g.dates[0]), int(g.dates[-1])
-    full = np.arange(first, last + 1, dtype=np.int64)
+    full = np.arange(g.dates[0], g.dates[-1] + 1, dtype=np.int64)
     if full.shape == g.dates.shape:
         return Grid3(g.frames.copy(), g.dates.copy(), g.land_mask.copy())
-
-    present = {int(d): i for i, d in enumerate(g.dates)}
-    t, h, w = g.shape
-    frames = np.empty((full.size, h, w), dtype=np.float32)
-    prev_idx = -1
-    for k, day in enumerate(full):
-        if int(day) in present:
-            prev_idx = present[int(day)]
-            frames[k] = g.frames[prev_idx]
-        else:
-            if prev_idx < 0:
-                raise ValueError(f"day {day} has no preceding valid frame")
-            nxt = next((present[d] for d in range(int(day) + 1, last + 1) if d in present), None)
-            if nxt is None:
-                raise ValueError(f"day {day} has no succeeding valid frame")
-            frames[k] = 0.5 * (g.frames[prev_idx] + g.frames[nxt])
+    # the range starts and ends at present dates, so both neighbors exist
+    nxt = np.searchsorted(g.dates, full)           # first present date on or after each day
+    prev = nxt - (g.dates[nxt] != full)            # last present date on or before it
+    frames = g.frames[prev]
+    gap = prev != nxt
+    frames[gap] = 0.5 * (g.frames[prev[gap]] + g.frames[nxt[gap]])
     return Grid3(frames, full, g.land_mask.copy())
 
 
@@ -89,34 +83,28 @@ def zero_land(g: Grid3, mask: np.ndarray) -> Grid3:
     return Grid3(frames, g.dates.copy(), g.land_mask | mask)
 
 
-def st_idw_fill(g: Grid3, spatial_radius: int = 3, temporal_radius: int = 2,
-                bandwidth: float = 2.0, time_scale: float = 1.0) -> Grid3:
+def st_idw_fill(g: Grid3) -> Grid3:
     """Fill remaining missing pixels by Gaussian-kernel inverse-distance
-    weighting over a spatiotemporal neighborhood.
+    weighting over the neighborhood of IDW_TEMPORAL_RADIUS days and
+    IDW_SPATIAL_RADIUS pixels around each.
 
     The weight of a valid neighbor at offset (dt, dh, dw) is
-    exp(-d^2 / (2 * bandwidth^2)) with d^2 = dh^2 + dw^2 + (time_scale*dt)^2;
-    one day equals ``time_scale`` pixels. Valid pixels are left untouched.
-    The grid is padded with NaN once, and the missing pixels' neighborhoods
-    are gathered from it about IDW_CHUNK values at a time; a missing pixel
-    with no valid neighbor raises, the first in C order.
+    exp(-d^2 / (2 * IDW_BANDWIDTH^2)) with
+    d^2 = dh^2 + dw^2 + (IDW_TIME_SCALE*dt)^2; one day equals IDW_TIME_SCALE
+    pixels. Valid pixels are left untouched. The grid is padded with NaN
+    once, and the missing pixels' neighborhoods are gathered from it about
+    IDW_CHUNK values at a time; a missing pixel with no valid neighbor
+    raises, the first in C order.
     """
-    for name, r in (("spatial_radius", spatial_radius), ("temporal_radius", temporal_radius)):
-        if r < 0:
-            raise ValueError(f"{name} must be >= 0, got {r}")
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
-        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
-    if not math.isfinite(time_scale):
-        raise ValueError(f"time_scale must be finite, got {time_scale}")
     src = g.frames
     out = src.copy()
     missing = np.argwhere(np.isnan(src))
     # an offset past the grid's extent only ever reaches padding
     radii = [min(r, max(n - 1, 0)) for r, n in
-             zip((temporal_radius, spatial_radius, spatial_radius), g.shape)]
+             zip((IDW_TEMPORAL_RADIUS, IDW_SPATIAL_RADIUS, IDW_SPATIAL_RADIUS), g.shape)]
     dt, dh, dw = np.ogrid[tuple(slice(-r, r + 1) for r in radii)]
-    d2 = (dh ** 2 + dw ** 2 + (time_scale * dt) ** 2).astype(np.float64)
-    kernel = np.exp(-d2 / (2.0 * bandwidth ** 2)).reshape(-1)
+    d2 = (dh ** 2 + dw ** 2 + (IDW_TIME_SCALE * dt) ** 2).astype(np.float64)
+    kernel = np.exp(-d2 / (2.0 * IDW_BANDWIDTH ** 2)).reshape(-1)
     padded = np.pad(src, [(r, r) for r in radii], constant_values=np.nan)
     hoods = sliding_window_view(padded, d2.shape)  # hoods[t, h, w]: pixel's neighborhood
     step = max(1, IDW_CHUNK // kernel.size)
@@ -135,8 +123,7 @@ def st_idw_fill(g: Grid3, spatial_radius: int = 3, temporal_radius: int = 2,
     return Grid3(out, g.dates.copy(), g.land_mask.copy())
 
 
-def preprocess(g: Grid3, land_threshold: float = 0.95,
-               idw: bool = False, **idw_kwargs) -> Grid3:
+def preprocess(g: Grid3, land_threshold: float = 0.95, idw: bool = False) -> Grid3:
     """fill_missing_dates -> detect_land -> zero land -> optional ST-IDW.
 
     The result has no missing values; raises if holes remain and ``idw`` is
@@ -145,7 +132,7 @@ def preprocess(g: Grid3, land_threshold: float = 0.95,
     g = fill_missing_dates(g)
     g = zero_land(g, detect_land(g, land_threshold))
     if idw:
-        g = st_idw_fill(g, **idw_kwargs)
+        g = st_idw_fill(g)
     if np.isnan(g.frames).any():
         raise ValueError("missing pixels remain after preprocessing; "
                          "enable idw interpolation")

@@ -2,7 +2,7 @@
 
 All error metrics are computed over ocean pixels only (land is excluded via
 the mask) and reported as percentages. Extent uses the standard 15%
-concentration threshold.
+concentration threshold, EXTENT_THRESHOLD.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+EXTENT_THRESHOLD = 0.15
 
 
 def _masked(yhat, y, mask):
@@ -58,20 +60,16 @@ def _nse_or_none(yhat, y, mask) -> float | None:
         return None
 
 
-def sie(frame, threshold: float = 0.15, cell_area: float = 1.0) -> float:
-    """Total area of cells whose concentration is at least ``threshold``."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+def sie(frame, cell_area: float = 1.0) -> float:
+    """Total area of cells whose concentration is at least EXTENT_THRESHOLD."""
     frame = np.asarray(frame, dtype=np.float64)
-    return float((frame >= threshold).sum() * cell_area)
+    return float((frame >= EXTENT_THRESHOLD).sum() * cell_area)
 
 
-def iou(yhat, y, threshold: float = 0.15) -> float:
+def iou(yhat, y) -> float:
     """Intersection over union of the extent masks; 1 when both are empty."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    a = np.asarray(yhat, dtype=np.float64) >= threshold
-    b = np.asarray(y, dtype=np.float64) >= threshold
+    a = np.asarray(yhat, dtype=np.float64) >= EXTENT_THRESHOLD
+    b = np.asarray(y, dtype=np.float64) >= EXTENT_THRESHOLD
     union = int(np.logical_or(a, b).sum())
     if union == 0:
         return 1.0
@@ -87,14 +85,13 @@ def bias_map(yhat, y) -> np.ndarray:
     return yhat - y
 
 
-def write_bias_ppm(bias: np.ndarray, path, scale: float | None = None) -> None:
+def write_bias_ppm(bias: np.ndarray, path) -> None:
     """Render a signed error image to binary PPM: positive errors in the red
-    channel, negative in the blue."""
+    channel, negative in the blue, both scaled by the largest |error|."""
     bias = np.asarray(bias, dtype=np.float32)
     if bias.ndim != 2:
         raise ValueError(f"bias map must be 2D, got {bias.shape}")
-    if scale is None:
-        scale = float(np.abs(bias).max()) or 1.0
+    scale = float(np.abs(bias).max()) or 1.0
     h, w = bias.shape
     img = np.zeros((h, w, 3), dtype=np.uint8)
     img[:, :, 0] = np.clip(np.maximum(bias, 0.0) / scale * 255.0, 0, 255).astype(np.uint8)
@@ -128,8 +125,7 @@ class MetricsReport:
         }
 
 
-def evaluate(yhat, y, ocean_mask=None, threshold: float = 0.15,
-             cell_area: float = 1.0) -> MetricsReport:
+def evaluate(yhat, y, ocean_mask=None) -> MetricsReport:
     """Score a [L, 1, H, W] (or [L, H, W]) forecast against ground truth."""
     yhat = np.asarray(yhat, dtype=np.float32)
     y = np.asarray(y, dtype=np.float32)
@@ -141,15 +137,15 @@ def evaluate(yhat, y, ocean_mask=None, threshold: float = 0.15,
             "lead": lead + 1,
             "rmse": rmse(yhat[lead], y[lead], ocean_mask),
             "mae": mae(yhat[lead], y[lead], ocean_mask),
-            "iou": iou(yhat[lead], y[lead], threshold),
+            "iou": iou(yhat[lead], y[lead]),
             "nse": _nse_or_none(yhat[lead], y[lead], ocean_mask),
         })
     return MetricsReport(
         rmse=rmse(yhat, y, ocean_mask),
         mae=mae(yhat, y, ocean_mask),
         nse=_nse_or_none(yhat, y, ocean_mask),
-        iou=iou(yhat, y, threshold),
-        sie=sie(yhat[-1], threshold, cell_area),
-        sie_true=sie(y[-1], threshold, cell_area),
+        iou=iou(yhat, y),
+        sie=sie(yhat[-1]),
+        sie_true=sie(y[-1]),
         per_lead_day=per_day,
     )

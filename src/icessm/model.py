@@ -26,7 +26,6 @@ from .nd import NumericalError, Tensor
 
 FUSIONS = ("hsa", "sum", "cagate")
 HEADS = ("deterministic", "gaussian")
-LEAKY_SLOPE = 0.01
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ def _fssm_block(z: Tensor, blk: dict[str, Tensor], orders: list[sfc.ScanOrder],
         fused = hsa.sum_fuse(x1, x2, xf)
     else:
         fused = hsa.ca_gate_fuse(x1, x2, xf, nd.sub_params(blk, "cagate"))
-    mixed = nd.leaky_relu(nd.depthwise_conv2d(fused, blk["dw_k"], blk["dw_b"]), LEAKY_SLOPE)
+    mixed = nd.leaky_relu(nd.depthwise_conv2d(fused, blk["dw_k"], blk["dw_b"]))
     return nd.add(z, mixed)
 
 
@@ -198,9 +197,9 @@ def forward_features(x: Tensor, params: dict[str, Tensor],
 
     z = nd.conv2d(nd.reshape(x, (b * l_in, c, h, w)), enc["enc1_k"], enc["enc1_b"],
                   stride=2, padding=1)
-    z = nd.leaky_relu(nd.layernorm(z, enc["enc1_g"], enc["enc1_be"], axis=1), LEAKY_SLOPE)
+    z = nd.leaky_relu(nd.layernorm(z, enc["enc1_g"], enc["enc1_be"], axis=1))
     z = nd.conv2d(z, enc["enc2_k"], enc["enc2_b"], stride=2, padding=1)
-    z = nd.leaky_relu(nd.layernorm(z, enc["enc2_g"], enc["enc2_be"], axis=1), LEAKY_SLOPE)
+    z = nd.leaky_relu(nd.layernorm(z, enc["enc2_g"], enc["enc2_be"], axis=1))
 
     dims = (l_in, h // 4, w // 4)
     orders = list(_cached_routes(config.scan_kind, dims, config.n_routes))
@@ -214,12 +213,12 @@ def forward_features(x: Tensor, params: dict[str, Tensor],
 
     y = nd.conv_transpose2d(nd.reshape(z, (b * l_in, *z.shape[2:])), dec["dec1_k"],
                             dec["dec1_b"], stride=2, padding=1)
-    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec1_g"], dec["dec1_be"]), LEAKY_SLOPE)
+    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec1_g"], dec["dec1_be"]))
     y = nd.conv_transpose2d(y, dec["dec2_k"], dec["dec2_b"], stride=2, padding=1)
-    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec2_g"], dec["dec2_be"]), LEAKY_SLOPE)
+    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec2_g"], dec["dec2_be"]))
 
-    y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref1_k"], dec["ref1_b"]), LEAKY_SLOPE)
-    y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref2_k"], dec["ref2_b"]), LEAKY_SLOPE)
+    y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref1_k"], dec["ref1_b"]))
+    y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref2_k"], dec["ref2_b"]))
     y = nd.conv2d(y, dec["head_k"], dec["head_b"])
     y = nd.reshape(y, (b, l_in, *y.shape[1:]))
 
@@ -277,8 +276,7 @@ def _spatial_diffs(x: Tensor) -> tuple[Tensor, Tensor]:
     c = x.shape[-3]
     kh = _DIFF_H if c == 1 else Tensor(np.repeat(_DIFF_H.data, c, axis=0))
     kw = _DIFF_W if c == 1 else Tensor(np.repeat(_DIFF_W.data, c, axis=0))
-    return (nd.depthwise_conv2d(x, kh, pad_mode="replicate"),
-            nd.depthwise_conv2d(x, kw, pad_mode="replicate"))
+    return nd.depthwise_conv2d(x, kh), nd.depthwise_conv2d(x, kw)
 
 
 def loss_grad(yhat: Tensor, y: Tensor) -> Tensor:
@@ -330,17 +328,17 @@ def sample_loss(raw: Tensor, target: Tensor, config: ModelConfig) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-class AdamW:
-    """Decoupled-weight-decay Adam over a named parameter dict."""
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+WEIGHT_DECAY = 0.01
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+
+class AdamW:
+    """Decoupled-weight-decay Adam over a named parameter dict, with betas
+    ADAM_B1 and ADAM_B2, ADAM_EPS and WEIGHT_DECAY."""
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -352,21 +350,19 @@ class AdamW:
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise NumericalError(f"non-finite gradient of {k} at step {self.t}")
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        bc1 = 1.0 - ADAM_B1 ** self.t
+        bc2 = 1.0 - ADAM_B2 ** self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
             m = self._m[k]
             v = self._v[k]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
+            m *= ADAM_B1
+            m += (1.0 - ADAM_B1) * g
+            v *= ADAM_B2
+            v += (1.0 - ADAM_B2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + WEIGHT_DECAY * p.data
             p.data -= np.float32(self.lr) * update
 
     def zero_grad(self) -> None:
@@ -403,7 +399,7 @@ def validation_mae(val_set: list[SampleWindow], params: dict[str, Tensor],
 def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
           config: ModelConfig, seed: int = 0, max_epochs: int = 50,
           patience: int = 10, batch_size: int = 4, lr: float = 1e-3,
-          weight_decay: float = 0.01, max_steps: int | None = None,
+          max_steps: int | None = None,
           log=None) -> TrainResult:
     """AdamW training with early stopping on validation MAE.
 
@@ -422,7 +418,7 @@ def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
     rng = np.random.default_rng(seed)
     params = init_params(rng, config)
-    opt = AdamW(params, lr=lr, weight_decay=weight_decay)
+    opt = AdamW(params, lr=lr)
 
     result = TrainResult(params=params)
     best_state: dict[str, np.ndarray] | None = None
@@ -525,10 +521,10 @@ def param_layout(config: ModelConfig):
                 (f"{prefix}_be", (n,))]
 
     mamba = [("ln_gamma", (d,)), ("ln_beta", (d,)), ("w_in", (d, d2)), ("b_in", (d2,)),
-             ("conv_k", (d2, 3)), ("conv_b", (d2,)), ("w_gate", (d, d2)), ("b_gate", (d2,)),
-             ("w_out", (d2, d)), ("b_out", (d,)), ("ssm.a_log", (d2, s)), ("ssm.d_skip", (d2,)),
-             ("ssm.w_delta", (d2, 1)), ("ssm.b_delta", (1,)), ("ssm.w_b", (d2, s)),
-             ("ssm.w_c", (d2, s))]
+             ("conv_k", (d2, ssm.CONV_KERNEL)), ("conv_b", (d2,)), ("w_gate", (d, d2)),
+             ("b_gate", (d2,)), ("w_out", (d2, d)), ("b_out", (d,)), ("ssm.a_log", (d2, s)),
+             ("ssm.d_skip", (d2,)), ("ssm.w_delta", (d2, 1)), ("ssm.b_delta", (1,)),
+             ("ssm.w_b", (d2, s)), ("ssm.w_c", (d2, s))]
     fusion = {"hsa": [("hsa.weights", (d, 3, 3)), ("hsa.bias", (3 * d,))],
               "cagate": [(f"cagate.{w}{i}", shape) for i in range(3)
                          for w, shape in (("w", (d, d)), ("b", (d,)))],

@@ -275,13 +275,17 @@ def softplus(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+LEAKY_SLOPE = 0.01
+
+
+def leaky_relu(a: Tensor) -> Tensor:
+    """x for x > 0, else LEAKY_SLOPE * x."""
     x = a.data
 
     def bw(g):
-        a._accum(g * np.where(x > 0, 1.0, slope).astype(np.float32))
+        a._accum(g * np.where(x > 0, 1.0, LEAKY_SLOPE).astype(np.float32))
 
-    return _make(np.where(x > 0, x, slope * x).astype(np.float32), (a,), bw)
+    return _make(np.where(x > 0, x, LEAKY_SLOPE * x).astype(np.float32), (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +293,7 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a: Tensor, axis=None) -> Tensor:
     if axis is None:
         count = a.data.size
     else:
@@ -297,12 +301,10 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         count = int(np.prod([a.data.shape[ax] for ax in axes]))
 
     def bw(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         a._accum((np.broadcast_to(gg, a.data.shape) / count).astype(np.float32))
 
-    return _make(a.data.mean(axis=axis, keepdims=keepdims, dtype=np.float32), (a,), bw)
+    return _make(a.data.mean(axis=axis, dtype=np.float32), (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -396,10 +398,9 @@ def matmul(a: Tensor, w: Tensor) -> Tensor:
     return _make(a.data @ w.data, (a, w), bw)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map over the last axis."""
-    out = matmul(x, w)
-    return add(out, b) if b is not None else out
+    return add(matmul(x, w), b)
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +437,15 @@ def _np_pad2d_adjoint(g: np.ndarray, pads: tuple[int, int, int, int],
     return np.ascontiguousarray(core)
 
 
-def pad2d(x: Tensor, pads: tuple[int, int, int, int], mode: str = "zero") -> Tensor:
-    """Pad the trailing two axes by (top, bottom, left, right)."""
+def pad2d(x: Tensor, pads: tuple[int, int, int, int]) -> Tensor:
+    """Replicate-pad the trailing two axes by (top, bottom, left, right)."""
     if min(pads) < 0:
         raise ValueError(f"pads must be non-negative, got {pads}")
 
     def bw(g):
-        x._accum(_np_pad2d_adjoint(g, pads, mode))
+        x._accum(_np_pad2d_adjoint(g, pads, "replicate"))
 
-    return _make(_np_pad2d(x.data, pads, mode), (x,), bw)
+    return _make(_np_pad2d(x.data, pads, "replicate"), (x,), bw)
 
 
 def _check_conv_geometry(hp, wp, kh, kw, stride):
@@ -490,41 +491,37 @@ def _conv_kernel_grad(g: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
     return np.tensordot(g.reshape(t, co, -1), cols, axes=([0, 2], [0, 2])).reshape(shape)
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0, pad_mode: str = "zero") -> Tensor:
-    """Cross-correlation of x[T, Cin, H, W] with kernels[Cout, Cin, kh, kw]."""
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
+           stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation of x[T, Cin, H, W] with kernels[Cout, Cin, kh, kw],
+    zero-padded, plus bias[Cout]."""
     _, ci, kh, kw = kernels.data.shape
     if x.data.shape[1] != ci:
         raise ValueError(f"conv2d channels: input {x.data.shape[1]} != kernel {ci}")
     pads = (padding,) * 4
-    xp = _np_pad2d(x.data, pads, pad_mode)
+    xp = _np_pad2d(x.data, pads, "zero")
     _check_conv_geometry(xp.shape[2], xp.shape[3], kh, kw, stride)
     out_data, cols = _conv_cols(xp, kernels.data, stride)
-    if bias is not None:
-        out_data = out_data + bias.data[None, :, None, None]
+    out_data = out_data + bias.data[None, :, None, None]
 
     def bw(g):
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
         if kernels.requires_grad:
             kernels._accum(_conv_kernel_grad(g, cols, kernels.data.shape))
         if x.requires_grad:
             dxp = _conv_cols_adjoint(g, kernels.data, xp.shape, stride)
-            x._accum(_np_pad2d_adjoint(dxp, pads, pad_mode))
+            x._accum(_np_pad2d_adjoint(dxp, pads, "zero"))
 
-    inputs = (x, kernels) if bias is None else (x, kernels, bias)
-    return _make(out_data, inputs, bw)
+    return _make(out_data, (x, kernels, bias), bw)
 
 
-def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor | None = None,
-                     stride: int = 1, padding: int = 0,
-                     output_hw: tuple[int, int] | None = None) -> Tensor:
-    """Adjoint of conv2d with the same geometry (zero padding).
+def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor,
+                     stride: int = 1, padding: int = 0) -> Tensor:
+    """Adjoint of conv2d with the same geometry (zero padding), plus bias[Cin].
 
     Maps y[T, Cout, H', W'] to [T, Cin, H, W] with
-    H = (H' - 1) * stride + kh - 2 * padding by default. When a strided conv
-    did not consume its full padded extent the output size is ambiguous;
-    ``output_hw`` pins it to the original input size in that case.
+    H = (H' - 1) * stride + kh - 2 * padding.
     """
     co, ci, kh, kw = kernels.data.shape
     if y.data.shape[1] != co:
@@ -532,24 +529,18 @@ def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor | None = None,
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
     t, _, ho, wo = y.data.shape
-    if output_hw is None:
-        h = (ho - 1) * stride + kh - 2 * padding
-        w = (wo - 1) * stride + kw - 2 * padding
-    else:
-        h, w = output_hw
-        if (h + 2 * padding - kh) // stride + 1 != ho or (w + 2 * padding - kw) // stride + 1 != wo:
-            raise ValueError(f"output_hw {output_hw} inconsistent with input {(ho, wo)}")
+    h = (ho - 1) * stride + kh - 2 * padding
+    w = (wo - 1) * stride + kw - 2 * padding
     hp, wp = h + 2 * padding, w + 2 * padding
     if h < 1 or w < 1:
         raise ValueError("padding too large for conv_transpose2d output")
 
     xp = _conv_cols_adjoint(y.data, kernels.data, (t, ci, hp, wp), stride)
-    out_data = np.ascontiguousarray(xp[:, :, padding:hp - padding, padding:wp - padding])
-    if bias is not None:
-        out_data = out_data + bias.data[None, :, None, None]
+    out_data = (xp[:, :, padding:hp - padding, padding:wp - padding]
+                + bias.data[None, :, None, None])
 
     def bw(g):
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
         gp = _np_pad2d(g, (padding,) * 4, "zero")
         dy, cols = _conv_cols(gp, kernels.data, stride, ho, wo)
@@ -558,14 +549,12 @@ def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor | None = None,
         if y.requires_grad:
             y._accum(dy)
 
-    inputs = (y, kernels) if bias is None else (y, kernels, bias)
-    return _make(out_data, inputs, bw)
+    return _make(out_data, (y, kernels, bias), bw)
 
 
-def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
-                     pad_mode: str = "replicate") -> Tensor:
+def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
     """Per-channel (kh, kw) convolution of x[..., C, H, W], stride 1, 'same'
-    output size.
+    output size, replicate-padded.
 
     The padded frames are flattened to rows of Wp pixels. Output pixel (r, q)
     sits at flat position r*Wp + q and tap (i, j) reads position + i*Wp + j,
@@ -577,7 +566,7 @@ def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     if ci != c:
         raise ValueError(f"depthwise channels: input {ci} != kernel {c}")
     pads = (kh // 2, kh // 2, kw // 2, kw // 2)
-    xp = _np_pad2d(x.data.reshape(-1, c, h, w), pads, pad_mode)
+    xp = _np_pad2d(x.data.reshape(-1, c, h, w), pads, "replicate")
     n, _, hp, wp = xp.shape
     xf = xp.reshape(n, c, hp * wp)
     span = (h - 1) * wp + w                 # flat positions of the first to the last output pixel
@@ -606,16 +595,16 @@ def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
             dxf = np.zeros_like(xf)
             for off, k in taps:
                 dxf[..., off:off + span] += k * gf
-            dxp = _np_pad2d_adjoint(dxf.reshape(n, c, hp, wp), pads, pad_mode)
+            dxp = _np_pad2d_adjoint(dxf.reshape(n, c, hp, wp), pads, "replicate")
             x._accum(dxp.reshape(x.data.shape))
 
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
     return _make(out_data, inputs, bw)
 
 
-def conv1d_depthwise(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv1d_depthwise(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Causal per-channel 1D convolution along axis 0 of x[L, ..., D] with
-    kernels[D, k]; every other axis holds independent sequences.
+    kernels[D, k], plus bias[D]; every other axis holds independent sequences.
 
     Output position l sees inputs l-k+1 .. l (front zero padding).
     """
@@ -627,12 +616,11 @@ def conv1d_depthwise(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> 
     out_data = np.zeros_like(x.data)
     for j in range(k):
         out_data += kernels.data[:, j] * xp[j:j + length]
-    if bias is not None:
-        out_data = out_data + bias.data
+    out_data = out_data + bias.data
     rows = tuple(range(x.data.ndim - 1))
 
     def bw(g):
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accum(g.sum(axis=rows))
         if kernels.requires_grad:
             dk = np.empty_like(kernels.data)
@@ -645,39 +633,36 @@ def conv1d_depthwise(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> 
                 dxp[j:j + length] += kernels.data[:, j] * g
             x._accum(dxp[k - 1:])
 
-    inputs = (x, kernels) if bias is None else (x, kernels, bias)
-    return _make(out_data, inputs, bw)
+    return _make(out_data, (x, kernels, bias), bw)
 
 
-def group_conv1d(x: Tensor, weights: Tensor, bias: Tensor | None = None,
-                 group_size: int = 3) -> Tensor:
-    """Mix the channel vectors x[..., G*group_size] within consecutive groups.
+def group_conv1d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    """Mix the channel vectors x[..., 3*G] within consecutive triples, plus
+    bias[3*G].
 
-    weights[G, group_size, group_size] maps each group through its own small
-    matrix. Mixing never crosses group borders; leading axes are independent.
+    weights[G, 3, 3] maps each triple through its own small matrix. Mixing
+    never crosses triple borders; leading axes are independent.
     """
-    if x.data.ndim < 1 or x.data.shape[-1] % group_size:
-        raise ValueError(f"channel count {x.data.shape} not divisible by group size {group_size}")
-    g_count = x.data.shape[-1] // group_size
-    if weights.data.shape != (g_count, group_size, group_size):
-        raise ValueError(f"weights shape {weights.data.shape} != {(g_count, group_size, group_size)}")
-    xg = x.data.reshape(*x.data.shape[:-1], g_count, group_size)
+    if x.data.ndim < 1 or x.data.shape[-1] % 3:
+        raise ValueError(f"channel count {x.data.shape} not divisible into triples")
+    g_count = x.data.shape[-1] // 3
+    if weights.data.shape != (g_count, 3, 3):
+        raise ValueError(f"weights shape {weights.data.shape} != {(g_count, 3, 3)}")
+    xg = x.data.reshape(*x.data.shape[:-1], g_count, 3)
     out_data = np.einsum("gij,...gj->...gi", weights.data, xg).reshape(x.data.shape)
-    if bias is not None:
-        out_data = out_data + bias.data
+    out_data = out_data + bias.data
 
     def bw(g):
         gg = g.reshape(xg.shape)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accum(_unbroadcast(g, bias.data.shape))
         if weights.requires_grad:
-            weights._accum(np.einsum("ngi,ngj->gij", gg.reshape(-1, g_count, group_size),
-                                     xg.reshape(-1, g_count, group_size)))
+            weights._accum(np.einsum("ngi,ngj->gij", gg.reshape(-1, g_count, 3),
+                                     xg.reshape(-1, g_count, 3)))
         if x.requires_grad:
             x._accum(np.einsum("gij,...gi->...gj", weights.data, gg).reshape(x.data.shape))
 
-    inputs = (x, weights) if bias is None else (x, weights, bias)
-    return _make(out_data.astype(np.float32), inputs, bw)
+    return _make(out_data.astype(np.float32), (x, weights, bias), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from . import nd
 from .nd import Tensor
 from .sfc import ScanOrder
 
+CONV_KERNEL = 3  # taps of the causal conv in front of the scan
+
 
 def init_ssm_params(rng: np.random.Generator, d: int,
                     state_size: int = 8) -> dict[str, Tensor]:
@@ -104,11 +106,11 @@ def scan_routes(seq: Tensor, orders: list[ScanOrder], p: dict[str, Tensor]) -> T
     return nd.reshape(y, (length, len(orders), *lead, c))
 
 
-def init_mamba_params(rng: np.random.Generator, d: int, state_size: int = 8,
-                      conv_kernel: int = 3) -> dict[str, Tensor]:
+def init_mamba_params(rng: np.random.Generator, d: int,
+                      state_size: int = 8) -> dict[str, Tensor]:
     """Gated sequence block (LN -> expand -> causal conv -> scan -> gate -> out):
     ``ln_gamma``/``ln_beta`` [D], ``w_in``/``w_gate`` [D, 2D] with biases
-    [2D], ``conv_k`` [2D, k], ``conv_b`` [2D], ``w_out`` [2D, D], ``b_out``
+    [2D], ``conv_k`` [2D, CONV_KERNEL], ``conv_b`` [2D], ``w_out`` [2D, D], ``b_out``
     [D], and the scan over 2D channels under ``ssm.*``."""
     d2 = 2 * d
 
@@ -121,8 +123,8 @@ def init_mamba_params(rng: np.random.Generator, d: int, state_size: int = 8,
 
     # rng draws go w_in, conv_k, w_gate, scan, w_out; the names keep checkpoint order
     w_in = lin(d, d2)
-    conv_k = nd.param(rng.standard_normal((d2, conv_kernel)).astype(np.float32)
-                      / math.sqrt(conv_kernel))
+    conv_k = nd.param(rng.standard_normal((d2, CONV_KERNEL)).astype(np.float32)
+                      / math.sqrt(CONV_KERNEL))
     w_gate = lin(d, d2)
     scan = init_ssm_params(rng, d2, state_size)
     return {

@@ -54,8 +54,7 @@ def freq_branch(x: Tensor, gains: Tensor) -> Tensor:
     if gains.shape != (c, 3):
         raise ValueError(f"gains shape {gains.shape} != ({c}, 3)")
     h, w = x.shape[-2], x.shape[-1]
-    padded = x if (h % 2 == 0 and w % 2 == 0) else nd.pad2d(
-        x, (0, h % 2, 0, w % 2), mode="replicate")
+    padded = x if (h % 2 == 0 and w % 2 == 0) else nd.pad2d(x, (0, h % 2, 0, w % 2))
     scale = nd.reshape(nd.concat([np.ones((c, 1)), gains], axis=1), (1, c, 1, 1, 4))
     out = idwt2(nd.mul(dwt2(padded), scale))
     if out.shape[-2:] != (h, w):

@@ -90,6 +90,25 @@ def naive_depthwise_conv2d(x, k, b=None, pad_mode="replicate"):
     return out.astype(np.float32)
 
 
+def naive_fill_missing_dates(frames, dates):
+    """Per-day gap fill: walk the daily range, copy each present frame and
+    fill each absent day with the mean of the last present frame and the
+    next one found by a forward scan. Returns (frames, dates)."""
+    first, last = int(dates[0]), int(dates[-1])
+    full = np.arange(first, last + 1, dtype=np.int64)
+    present = {int(d): i for i, d in enumerate(dates)}
+    out = np.empty((full.size, *frames.shape[1:]), dtype=np.float32)
+    prev_idx = -1
+    for k, day in enumerate(full):
+        if int(day) in present:
+            prev_idx = present[int(day)]
+            out[k] = frames[prev_idx]
+        else:
+            nxt = next(present[d] for d in range(int(day) + 1, last + 1) if d in present)
+            out[k] = 0.5 * (frames[prev_idx] + frames[nxt])
+    return out, full
+
+
 def naive_st_idw_fill(frames, spatial_radius=3, temporal_radius=2,
                       bandwidth=2.0, time_scale=1.0):
     """Per-pixel ST-IDW: for each missing pixel in C order, the Gaussian

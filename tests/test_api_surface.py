@@ -1,6 +1,9 @@
 """Every public top-level function and class of ``icessm`` has a caller in
 the program: the package itself, the benchmark (``perfbench/``) or the tools
-(``tools/``). A name that only tests reach is library surface nothing runs."""
+(``tools/``). A name that only tests reach is library surface nothing runs.
+Likewise every defaulted parameter of a public function or method is passed
+by some program call: an option that only tests set is a code path nothing
+runs."""
 
 import ast
 from pathlib import Path
@@ -9,6 +12,26 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "icessm"
 # the gradient reference every taped op is checked against
 EXCEPTIONS = {"nd.grad_check"}
+# defaulted parameters no program call passes, each with the reason it stays
+OPTION_EXCEPTIONS = {
+    "nd.grad_check.tolerance": "the gradient reference; tests set the bound per check",
+    "nd.grad_check.step": "the gradient reference; tests set the difference step",
+    "cli.main.argv": "the entry point the tests drive; the program passes sys.argv",
+    "data.synth_generate.season_period": "criterion 9's fixture sets the seasonal cycle",
+    "ssm.selective_scan.direction": "criterion 3 checks the backward scan",
+    "hsa.hsa_fuse.return_weights": "criterion 6 checks the fusion weights",
+    "metrics.sie.cell_area": "criterion 11 checks the extent at a cell area of 2.5",
+}
+
+
+def sources() -> list[Path]:
+    return [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+            *(ROOT / "tools").glob("*.py")]
+
+
+def package_trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def public_defs(tree: ast.Module) -> list[str]:
@@ -35,11 +58,91 @@ def references(path: Path, modules: set[str]) -> set[tuple[str, str]]:
 
 
 def test_every_public_name_has_a_program_caller():
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(PACKAGE.glob("*.py"))}
-    sources = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
-               *(ROOT / "tools").glob("*.py")]
-    refs = set().union(*(references(p, set(trees)) for p in sources))
+    trees = package_trees()
+    refs = set().union(*(references(p, set(trees)) for p in sources()))
     unused = [f"{mod}.{name}" for mod, tree in trees.items() for name in public_defs(tree)
               if (mod, name) not in refs and f"{mod}.{name}" not in EXCEPTIONS]
     assert not unused, f"public names that only tests reach: {unused}"
+
+
+def signatures(trees: dict[str, ast.Module]) -> dict[str, ast.arguments]:
+    """``mod.func`` and ``mod.Class.method`` (``__init__`` included) -> the
+    arguments of every public function and method of the package."""
+    sigs = {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                sigs[f"{mod}.{node.name}"] = node.args
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                sigs.update((f"{mod}.{node.name}.{fn.name}", fn.args) for fn in node.body
+                            if isinstance(fn, ast.FunctionDef)
+                            and (fn.name == "__init__" or not fn.name.startswith("_")))
+    return sigs
+
+
+def defaulted(args: ast.arguments) -> list[tuple[int | None, str]]:
+    """(position, name) of each parameter with a default; keyword-only ones
+    have no position."""
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    return ([(i, pos[i].arg) for i in range(first, len(pos))]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def calls(path: Path, modules: set[str], sigs: dict[str, ast.arguments]):
+    """(signature key, call) for every call in ``path`` that may reach a
+    public function or method: ``mod.func(...)``, a bare or imported name,
+    ``mod.Class(...)`` (its ``__init__``) or ``obj.method(...)`` (every public
+    method of that name)."""
+    own = path.stem if path.parent == PACKAGE else None
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {a.asname or a.name: f"{node.module.rsplit('.', 1)[-1]}.{a.name}"
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module
+                for a in node.names}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id in modules:
+            keys = [f"{f.value.id}.{f.attr}"]
+        elif isinstance(f, ast.Name):
+            keys = [imported.get(f.id, f"{own}.{f.id}")]
+        elif isinstance(f, ast.Attribute):
+            keys = [k for k in sigs if k.count(".") == 2 and k.endswith(f".{f.attr}")]
+        else:
+            keys = []
+        for key in keys:
+            if key in sigs:
+                yield key, node
+            elif f"{key}.__init__" in sigs:
+                yield f"{key}.__init__", node
+
+
+def passed_parameters(call: ast.Call, key: str, args: ast.arguments) -> set[str]:
+    """The defaulted parameters of ``key`` that ``call`` passes: by keyword,
+    by position (the positional arguments before any ``*``) or through
+    ``**``."""
+    offset = key.count(".") - 1  # a method's caller does not pass self
+    if any(k.arg is None for k in call.keywords):
+        return {name for _, name in defaulted(args)}
+    n_pos = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                 len(call.args))
+    keywords = {k.arg for k in call.keywords}
+    return {name for i, name in defaulted(args)
+            if name in keywords or (i is not None and 0 <= i - offset < n_pos)}
+
+
+def test_every_defaulted_parameter_has_a_program_caller():
+    trees = package_trees()
+    sigs = signatures(trees)
+    passed = set()
+    for path in sources():
+        for key, call in calls(path, set(trees), sigs):
+            passed.update(f"{key}.{name}" for name in passed_parameters(call, key, sigs[key]))
+    options = [f"{key}.{name}" for key, args in sigs.items() for _, name in defaulted(args)]
+    unset = [o for o in options if o not in passed and o not in OPTION_EXCEPTIONS]
+    assert not unset, f"{len(options)} defaulted parameters; no program call sets {unset}"
+    stale = sorted(set(OPTION_EXCEPTIONS) - set(options) | set(OPTION_EXCEPTIONS) & passed)
+    assert not stale, f"exceptions that are gone or now set by the program: {stale}"

@@ -98,6 +98,13 @@ class TestSynthPreprocess:
         np.testing.assert_allclose(
             filled.frames[3], 0.5 * (gap.frames[2] + gap.frames[3]), atol=1e-6)
 
+    def test_empty_series_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "empty.sic"
+        data.write_grid(data.Grid3(np.zeros((0, 4, 4)), np.zeros(0), np.zeros((4, 4), bool)),
+                        src)
+        assert run("preprocess", "--input", str(src), "--out", str(tmp_path / "x.sic")) == 3
+        assert "empty series" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("preprocess", "--input", str(tmp_path / "nope.sic"),
                    "--out", str(tmp_path / "x.sic")) == 3
@@ -202,6 +209,38 @@ class TestPipeline:
         report = json.loads((out / "report.json").read_text())
         assert len(report["per_lead_day"]) == 4
         assert report["overall"]["rmse"] >= 0.0
+
+    @pytest.mark.parametrize("command", ["train", "predict", "recurse"])
+    @pytest.mark.parametrize("damage", ["missing-value", "date-gap"])
+    def test_unprocessed_grid_is_data_error(self, trained, tmp_path, capsys, command, damage):
+        # every model input is one frame per day with no missing value; the
+        # gap falls inside the last input window
+        _, grid_path, model_dir = trained
+        grid = data.read_grid(grid_path)
+        if damage == "missing-value":
+            grid.frames[-3, 2, 2] = np.nan
+        else:
+            keep = np.arange(grid.shape[0]) != grid.shape[0] - 3
+            grid = data.Grid3(grid.frames[keep], grid.dates[keep], grid.land_mask)
+        bad = tmp_path / "bad.sic"
+        data.write_grid(grid, bad)
+        out = tmp_path / "out"
+        if command == "train":
+            args = ["--in-len", "4", "--out-len", "4", "--hidden", "8", "--fssm", "1",
+                    "--epochs", "1"]
+        else:
+            args = ["--model", str(model_dir)]
+        assert run(command, "--data", str(bad), "--out", str(out), *args) == 3
+        assert "run preprocess first" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "recurse"])
+    def test_negative_anchor_is_usage_error(self, trained, tmp_path, command):
+        _, grid_path, model_dir = trained
+        out = tmp_path / "out"
+        assert run(command, "--model", str(model_dir), "--data", str(grid_path),
+                   "--anchor", "-10", "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_missing_checkpoint_data_error(self, trained, tmp_path):
         root, grid_path, _ = trained

@@ -7,7 +7,11 @@ import pytest
 
 from icessm import data
 from icessm.data import Grid3
-from oracles import naive_st_idw_fill
+from oracles import naive_fill_missing_dates, naive_st_idw_fill
+
+# the oracle's arguments for the constants st_idw_fill runs with
+IDW = dict(spatial_radius=data.IDW_SPATIAL_RADIUS, temporal_radius=data.IDW_TEMPORAL_RADIUS,
+           bandwidth=data.IDW_BANDWIDTH, time_scale=data.IDW_TIME_SCALE)
 
 
 def grid_of(frames, dates=None, land=None):
@@ -43,6 +47,21 @@ class TestFillMissingDates:
         np.testing.assert_allclose(out.frames[1], 0.3)
         np.testing.assert_allclose(out.frames[2], 0.3)
 
+    @pytest.mark.parametrize("dates", [[5], [0, 1], [0, 2], [0, 4, 5, 9], [3, 4, 7, 8, 12, 13]],
+                             ids=["single-frame", "no-gap", "one-day", "multi-day", "mixed"])
+    def test_matches_per_day_oracle(self, dates):
+        r = np.random.default_rng(len(dates))
+        frames = r.uniform(size=(len(dates), 3, 4)).astype(np.float32)
+        frames[r.random(frames.shape) < 0.2] = np.nan
+        g = Grid3(frames, np.array(dates), r.random((3, 4)) < 0.3)
+        out = data.fill_missing_dates(g)
+        expect_frames, expect_dates = naive_fill_missing_dates(frames, np.array(dates))
+        np.testing.assert_array_equal(out.dates, expect_dates)
+        assert out.frames.dtype == np.float32
+        np.testing.assert_array_equal(out.frames.view(np.uint32),
+                                      expect_frames.view(np.uint32))
+        np.testing.assert_array_equal(out.land_mask, g.land_mask)
+
 
 class TestDetectLand:
     def test_always_missing_is_land(self):
@@ -72,13 +91,13 @@ class TestStIdw:
     def test_single_neighbor(self):
         frames = np.full((1, 1, 3), np.nan, dtype=np.float32)
         frames[0, 0, 1] = 0.8
-        out = data.st_idw_fill(grid_of(frames), spatial_radius=1, temporal_radius=0)
+        out = data.st_idw_fill(grid_of(frames))
         assert out.frames[0, 0, 0] == pytest.approx(0.8)
         assert out.frames[0, 0, 2] == pytest.approx(0.8)
 
     def test_symmetric_neighbors_average(self):
         frames = np.array([[[0.2, np.nan, 0.6]]], dtype=np.float32)
-        out = data.st_idw_fill(grid_of(frames), spatial_radius=1, temporal_radius=0)
+        out = data.st_idw_fill(grid_of(frames))
         assert out.frames[0, 0, 1] == pytest.approx(0.4)
 
     def test_hand_case_weight_oracle(self):
@@ -88,9 +107,8 @@ class TestStIdw:
         frames[0, 1, 0] = 0.5   # d^2 = 1
         frames[0, 0, 0] = 0.9   # d^2 = 2
         frames[0, 2, 2] = 0.1   # d^2 = 2
-        bw = 1.5
-        out = data.st_idw_fill(grid_of(frames), spatial_radius=1,
-                               temporal_radius=0, bandwidth=bw)
+        bw = data.IDW_BANDWIDTH
+        out = data.st_idw_fill(grid_of(frames))
         w1 = math.exp(-1.0 / (2 * bw * bw))
         w2 = math.exp(-2.0 / (2 * bw * bw))
         expect = (w1 * (0.3 + 0.5) + w2 * (0.9 + 0.1)) / (2 * w1 + 2 * w2)
@@ -105,17 +123,14 @@ class TestStIdw:
         np.testing.assert_array_equal(out.frames[keep], frames[keep])
 
     def test_isolated_pixel_errors(self):
+        # (0, 0) is 4 pixels from the one valid pixel, past the spatial radius
         frames = np.full((1, 5, 5), np.nan, dtype=np.float32)
         frames[0, 4, 4] = 0.5
         with pytest.raises(ValueError, match="no\\s+valid neighbor"):
-            data.st_idw_fill(grid_of(frames), spatial_radius=1, temporal_radius=0)
+            data.st_idw_fill(grid_of(frames))
 
     @pytest.mark.parametrize("t", [6, 1])
-    @pytest.mark.parametrize("time_scale", [0.5, 1.0])
-    @pytest.mark.parametrize("bandwidth", [1.5, 2.0])
-    @pytest.mark.parametrize("spatial_radius, temporal_radius", [(1, 0), (2, 1), (3, 2)])
-    def test_matches_per_pixel_oracle(self, t, time_scale, bandwidth,
-                                      spatial_radius, temporal_radius):
+    def test_matches_per_pixel_oracle(self, t):
         r = np.random.default_rng(7)
         frames = r.uniform(size=(t, 9, 10)).astype(np.float32)
         frames[r.random(frames.shape) < 0.2] = np.nan
@@ -124,30 +139,29 @@ class TestStIdw:
         frames[t // 2, 0, 3] = frames[t // 2, -1, 6] = np.nan
         frames[t // 2, 2, 0] = frames[t // 2, 7, -1] = np.nan
         frames[0, 0, 0] = frames[-1, -1, -1] = np.nan
-        kw = dict(spatial_radius=spatial_radius, temporal_radius=temporal_radius,
-                  bandwidth=bandwidth, time_scale=time_scale)
-        expect = naive_st_idw_fill(frames, **kw)
-        out = data.st_idw_fill(grid_of(frames), **kw).frames
+        expect = naive_st_idw_fill(frames, **IDW)
+        out = data.st_idw_fill(grid_of(frames)).frames
         np.testing.assert_array_max_ulp(out, expect, maxulp=1)
 
     def test_first_isolated_pixel_named_past_first_chunk(self):
-        # every other pixel missing, so each has a valid neighbor at radius 1,
-        # except the centers of two 3x3 holes, the first past the first pass
-        per_pass = data.IDW_CHUNK // 9
+        # every other pixel missing, so each has a valid neighbor at distance
+        # 1, except the centers of two holes as wide as the neighborhood, the
+        # first past the first pass (one frame: no temporal neighbors)
+        r = data.IDW_SPATIAL_RADIUS
+        per_pass = data.IDW_CHUNK // (2 * r + 1) ** 2
         w = 64
-        h = 2 * per_pass // w + 8
+        h = 2 * per_pass // w + 6 * r + 4
         frames = np.full((1, h, w), 0.5, dtype=np.float32)
         frames[0, (np.arange(h)[:, None] + np.arange(w)) % 2 == 0] = np.nan
-        first, later = (h - 6, 20), (h - 3, 40)
+        first, later = (h - 4 * r - 2, 20), (h - r - 1, 40)
         for hi, wi in (later, first):
-            frames[0, hi - 1:hi + 2, wi - 1:wi + 2] = np.nan
+            frames[0, hi - r:hi + r + 1, wi - r:wi + r + 1] = np.nan
         assert np.isnan(frames[0, :first[0]]).sum() > per_pass
         message = f"missing pixel \\(t=0, h={first[0]}, w={first[1]}\\) has no"
-        kw = dict(spatial_radius=1, temporal_radius=0)
         with pytest.raises(ValueError, match=message):
-            naive_st_idw_fill(frames, **kw)
+            naive_st_idw_fill(frames, **IDW)
         with pytest.raises(ValueError, match=message):
-            data.st_idw_fill(grid_of(frames), **kw)
+            data.st_idw_fill(grid_of(frames))
 
     def test_memory_bounded_by_chunk_not_hole_count(self):
         r = np.random.default_rng(0)
@@ -164,16 +178,6 @@ class TestStIdw:
         finally:
             tracemalloc.stop()
         assert peak < bound
-
-    @pytest.mark.parametrize("name, value", [
-        ("spatial_radius", -1), ("temporal_radius", -1), ("bandwidth", 0.0),
-        ("bandwidth", -2.0), ("bandwidth", math.nan), ("bandwidth", math.inf),
-        ("time_scale", math.inf), ("time_scale", math.nan)])
-    def test_bad_argument_named(self, name, value):
-        frames = np.full((3, 4, 4), 0.5, dtype=np.float32)
-        frames[1, 1, 1] = np.nan
-        with pytest.raises(ValueError, match=name):
-            data.st_idw_fill(grid_of(frames), **{name: value})
 
 
 class TestPreprocess:

@@ -307,7 +307,7 @@ class TestTraining:
         cfg = tiny_config()
         train_set = [make_sample(31)]
         res = model.train(train_set, train_set, cfg, seed=0, max_epochs=3,
-                          batch_size=1, lr=0.0, weight_decay=0.0)
+                          batch_size=1, lr=0.0)
         fresh = model.init_params(np.random.default_rng(0), cfg)
         for (k, p), (_, q) in zip(res.params.items(), fresh.items()):
             assert (p.data == q.data).all(), k
