@@ -130,7 +130,10 @@ class TestStIdw:
             data.st_idw_fill(grid_of(frames))
 
     @pytest.mark.parametrize("t", [6, 1])
-    def test_matches_per_pixel_oracle(self, t):
+    @pytest.mark.parametrize("spatial_radius, temporal_radius, bandwidth, time_scale",
+                             [tuple(IDW.values())])
+    def test_matches_per_pixel_oracle(self, t, spatial_radius, temporal_radius,
+                                      bandwidth, time_scale):
         r = np.random.default_rng(7)
         frames = r.uniform(size=(t, 9, 10)).astype(np.float32)
         frames[r.random(frames.shape) < 0.2] = np.nan
@@ -139,7 +142,9 @@ class TestStIdw:
         frames[t // 2, 0, 3] = frames[t // 2, -1, 6] = np.nan
         frames[t // 2, 2, 0] = frames[t // 2, 7, -1] = np.nan
         frames[0, 0, 0] = frames[-1, -1, -1] = np.nan
-        expect = naive_st_idw_fill(frames, **IDW)
+        expect = naive_st_idw_fill(frames, spatial_radius=spatial_radius,
+                                   temporal_radius=temporal_radius,
+                                   bandwidth=bandwidth, time_scale=time_scale)
         out = data.st_idw_fill(grid_of(frames)).frames
         np.testing.assert_array_max_ulp(out, expect, maxulp=1)
 

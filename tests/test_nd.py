@@ -69,6 +69,12 @@ class TestConv2d:
             rhs = float((x.data * cty.data).sum())
             assert abs(lhs - rhs) < 1e-4 * max(1.0, abs(lhs))
 
+    def test_averaging_kernel_preserves_constant(self):
+        x = Tensor(np.full((1, 1, 5, 5), 0.7))
+        k = Tensor(np.full((1, 1, 3, 3), 1.0 / 9.0))
+        out = nd.conv2d(nd.pad2d(x, (1, 1, 1, 1)), k, Tensor(np.zeros(1)))
+        np.testing.assert_allclose(out.data, 0.7, atol=1e-6)
+
     def test_depthwise_constant_replicate(self):
         x = Tensor(np.full((2, 3, 4, 4), 1.5))
         k = Tensor(np.full((3, 3, 3), 1.0 / 9.0))
@@ -111,24 +117,31 @@ class TestConv2d:
 
         assert nd.grad_check(f, [x, k], tolerance=1e-3).passed
 
-    # the model's geometries: 3x3 stride-2 encoder convs, the 1x1 head
-    @pytest.mark.parametrize("ksize,stride,padding,hw", [
-        (3, 2, 1, (8, 8)),
-        (3, 2, 1, (7, 9)),
-        (1, 1, 0, (5, 6)),
+    # the model's geometries: 3x3 stride-2 encoder convs, the 1x1 head;
+    # conv2d zero-pads, so the replicate case pads with pad2d first
+    @pytest.mark.parametrize("ksize,stride,padding,pad_mode,hw", [
+        (3, 2, 1, "zero", (8, 8)),
+        (3, 2, 1, "zero", (7, 9)),
+        (3, 2, 1, "replicate", (8, 8)),
+        (1, 1, 0, "zero", (5, 6)),
     ])
-    def test_conv2d_matches_naive(self, ksize, stride, padding, hw):
+    def test_conv2d_matches_naive(self, ksize, stride, padding, pad_mode, hw):
         r = rng(30)
         x = r.normal(size=(3, 4) + hw).astype(np.float32)
         k = r.normal(size=(5, 4, ksize, ksize)).astype(np.float32)
         b = r.normal(size=5).astype(np.float32)
-        out = nd.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding)
-        expect = naive_conv2d(x, k, b, stride, padding)
+        expect = naive_conv2d(x, k, b, stride, padding, pad_mode)
+        xt = Tensor(x)
+        if pad_mode == "replicate":
+            xt, padding = nd.pad2d(xt, (padding,) * 4), 0
+        out = nd.conv2d(xt, Tensor(k), Tensor(b), stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, expect, atol=1e-5)
 
-    # the decoder's geometry: 4x4, stride 2, padding 1
-    @pytest.mark.parametrize("in_hw", [(4, 4), (3, 4), (3, 3)])
-    def test_conv_transpose2d_matches_naive(self, in_hw):
+    # the decoder's geometry: 4x4, stride 2, padding 1; odd inputs also pin
+    # the output size (in - 1) * 2 - 2 + 4
+    @pytest.mark.parametrize("in_hw,output_hw", [((4, 4), None), ((3, 4), (6, 8)),
+                                                 ((3, 3), (6, 6))])
+    def test_conv_transpose2d_matches_naive(self, in_hw, output_hw):
         r = rng(31)
         y = r.normal(size=(3, 5) + in_hw).astype(np.float32)
         k = r.normal(size=(5, 4, 4, 4)).astype(np.float32)
@@ -136,25 +149,32 @@ class TestConv2d:
         out = nd.conv_transpose2d(Tensor(y), Tensor(k), Tensor(b), stride=2, padding=1)
         expect = naive_conv_transpose2d(y, k, b, 2, 1)
         assert out.data.shape == expect.shape
+        if output_hw is not None:
+            assert out.data.shape[-2:] == output_hw
         np.testing.assert_allclose(out.data, expect, atol=1e-5)
 
-    def test_depthwise_matches_naive(self):
+    # depthwise_conv2d pads by replicating the edge
+    @pytest.mark.parametrize("pad_mode", ["replicate"])
+    def test_depthwise_matches_naive(self, pad_mode):
         r = rng(32)
         x = r.normal(size=(3, 4, 6, 5)).astype(np.float32)
         k = r.normal(size=(4, 3, 3)).astype(np.float32)
         b = r.normal(size=4).astype(np.float32)
         out = nd.depthwise_conv2d(Tensor(x), Tensor(k), Tensor(b))
-        np.testing.assert_allclose(out.data, naive_depthwise_conv2d(x, k, b), atol=1e-5)
+        np.testing.assert_allclose(out.data, naive_depthwise_conv2d(x, k, b, pad_mode),
+                                   atol=1e-5)
 
     @pytest.mark.parametrize("shape", [(2, 1, 5, 7), (1, 3, 7, 3), (3, 1, 1, 1)],
                              ids=["one-channel-odd", "odd", "one-pixel"])
-    def test_depthwise_odd_shapes_match_naive(self, shape):
+    @pytest.mark.parametrize("pad_mode", ["replicate"])
+    def test_depthwise_odd_shapes_match_naive(self, shape, pad_mode):
         r = rng(33)
         x = r.normal(size=shape).astype(np.float32)
         k = r.normal(size=(shape[1], 3, 3)).astype(np.float32)
         b = r.normal(size=shape[1]).astype(np.float32)
         out = nd.depthwise_conv2d(Tensor(x), Tensor(k), Tensor(b))
-        np.testing.assert_allclose(out.data, naive_depthwise_conv2d(x, k, b), atol=1e-5)
+        np.testing.assert_allclose(out.data, naive_depthwise_conv2d(x, k, b, pad_mode),
+                                   atol=1e-5)
 
     def test_depthwise_leading_axes_are_frames(self):
         r = rng(34)
@@ -164,7 +184,8 @@ class TestConv2d:
         flat = nd.depthwise_conv2d(Tensor(x.reshape(6, 4, 5, 6)), Tensor(k))
         np.testing.assert_array_equal(out.data, flat.data.reshape(x.shape))
 
-    @pytest.mark.parametrize("shape", [(2, 1, 5, 3), (1, 2, 3, 5)], ids=["one-channel", "odd"])
+    @pytest.mark.parametrize("shape", [(2, 1, 5, 3), (1, 2, 3, 5)],
+                             ids=["replicate-one-channel", "replicate-odd"])
     def test_depthwise_odd_shape_grads(self, shape):
         r = rng(35)
         x = Tensor(r.normal(size=shape))
@@ -379,7 +400,8 @@ class TestActivations:
         x = Tensor(np.linspace(-30, 30, 41))
         assert (nd.softplus(x).data > 0).all()
 
-    @pytest.mark.parametrize("op", [nd.silu, nd.sigmoid, nd.softplus, nd.leaky_relu])
+    @pytest.mark.parametrize("op", [nd.silu, nd.sigmoid, nd.softplus,
+                                    lambda t: nd.leaky_relu(t)])
     def test_activation_grads(self, op):
         x = Tensor(rng(14).normal(size=8))
 
@@ -424,12 +446,13 @@ class TestPoolAndShape:
         back = nd.index(nd.pad2d(x, (0, 1, 0, 1)), np.s_[..., :3, :5])
         np.testing.assert_array_equal(back.data, x.data)
 
-    def test_pad2d_grads(self):
+    @pytest.mark.parametrize("pads", [(1, 1, 2, 1)], ids=["replicate"])
+    def test_pad2d_grads(self, pads):
         x = Tensor(rng(41).normal(size=(1, 1, 3, 3)))
         t = rng(42).normal(size=(1, 1, 5, 6)).astype(np.float32)
 
         def f(x_):
-            return nd.mean(nd.mul(nd.pad2d(x_, (1, 1, 2, 1)), Tensor(t)))
+            return nd.mean(nd.mul(nd.pad2d(x_, pads), Tensor(t)))
 
         assert nd.grad_check(f, x, tolerance=1e-3).passed
 
