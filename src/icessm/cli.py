@@ -139,11 +139,17 @@ def cmd_preprocess(a) -> int:
     return 0
 
 
-def _load_series(path) -> data.Grid3:
-    """The model-input grid at ``path``: one frame per day, none missing."""
+def _load_complete(path) -> data.Grid3:
+    """The grid at ``path``, refused if any of its values is missing."""
     grid = data.read_grid(path)
     if np.isnan(grid.frames).any():
         raise FormatError(f"{path} contains missing values; run preprocess first")
+    return grid
+
+
+def _load_series(path) -> data.Grid3:
+    """The model-input grid at ``path``: one frame per day, none missing."""
+    grid = _load_complete(path)
     if (np.diff(grid.dates) != 1).any():
         raise FormatError(f"{path} has gaps in its dates; run preprocess first")
     return grid
@@ -263,8 +269,10 @@ def cmd_recurse(a) -> int:
 
 
 def cmd_eval(a) -> int:
-    fc = data.read_grid(a.forecast)
-    truth = data.read_grid(a.truth)
+    fc, truth = _load_complete(a.forecast), _load_complete(a.truth)
+    if fc.shape[1:] != truth.shape[1:]:
+        raise FormatError(f"forecast grid {fc.shape[1:]} and truth grid {truth.shape[1:]} "
+                          "differ in size")
     inputs = _digests(a.forecast, a.truth)
     common = np.intersect1d(fc.dates, truth.dates)
     if common.size == 0:
@@ -273,11 +281,11 @@ def cmd_eval(a) -> int:
     ti = np.searchsorted(truth.dates, common)
     ocean = ~truth.land_mask
     report = metrics.evaluate(fc.frames[fi], truth.frames[ti], ocean)
+    # strict JSON: a non-finite score fails here, before any file is written
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
     out_dir = Path(a.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
     for k, day in enumerate(common):
         bias = metrics.bias_map(fc.frames[fi[k]], truth.frames[ti[k]])
         metrics.write_bias_ppm(bias, out_dir / f"bias-day{int(day):05d}.ppm")

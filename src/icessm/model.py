@@ -170,7 +170,7 @@ def _fssm_block(z: Tensor, blk: dict[str, Tensor], orders: list[sfc.ScanOrder],
         fused = hsa.sum_fuse(x1, x2, xf)
     else:
         fused = hsa.ca_gate_fuse(x1, x2, xf, nd.sub_params(blk, "cagate"))
-    mixed = nd.leaky_relu(nd.depthwise_conv2d(fused, blk["dw_k"], blk["dw_b"]))
+    mixed = nd.depthwise_conv2d(fused, blk["dw_k"], blk["dw_b"])
     return nd.add(z, mixed)
 
 
@@ -197,9 +197,9 @@ def forward_features(x: Tensor, params: dict[str, Tensor],
 
     z = nd.conv2d(nd.reshape(x, (b * l_in, c, h, w)), enc["enc1_k"], enc["enc1_b"],
                   stride=2, padding=1)
-    z = nd.leaky_relu(nd.layernorm(z, enc["enc1_g"], enc["enc1_be"], axis=1))
+    z = nd.layernorm(z, enc["enc1_g"], enc["enc1_be"], axis=1, leaky=True)
     z = nd.conv2d(z, enc["enc2_k"], enc["enc2_b"], stride=2, padding=1)
-    z = nd.leaky_relu(nd.layernorm(z, enc["enc2_g"], enc["enc2_be"], axis=1))
+    z = nd.layernorm(z, enc["enc2_g"], enc["enc2_be"], axis=1, leaky=True)
 
     dims = (l_in, h // 4, w // 4)
     orders = list(_cached_routes(config.scan_kind, dims, config.n_routes))
@@ -213,12 +213,12 @@ def forward_features(x: Tensor, params: dict[str, Tensor],
 
     y = nd.conv_transpose2d(nd.reshape(z, (b * l_in, *z.shape[2:])), dec["dec1_k"],
                             dec["dec1_b"], stride=2, padding=1)
-    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec1_g"], dec["dec1_be"]))
+    y = nd.groupnorm(y, config.gn_groups, dec["dec1_g"], dec["dec1_be"])
     y = nd.conv_transpose2d(y, dec["dec2_k"], dec["dec2_b"], stride=2, padding=1)
-    y = nd.leaky_relu(nd.groupnorm(y, config.gn_groups, dec["dec2_g"], dec["dec2_be"]))
+    y = nd.groupnorm(y, config.gn_groups, dec["dec2_g"], dec["dec2_be"])
 
-    y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref1_k"], dec["ref1_b"]))
-    y = nd.leaky_relu(nd.depthwise_conv2d(y, dec["ref2_k"], dec["ref2_b"]))
+    y = nd.depthwise_conv2d(y, dec["ref1_k"], dec["ref1_b"])
+    y = nd.depthwise_conv2d(y, dec["ref2_k"], dec["ref2_b"])
     y = nd.conv2d(y, dec["head_k"], dec["head_b"])
     y = nd.reshape(y, (b, l_in, *y.shape[1:]))
 
@@ -267,26 +267,18 @@ def loss_rec(yhat: Tensor, y: Tensor) -> Tensor:
     return nd.mean(nd.absolute(nd.sub(yhat, y)))
 
 
-_DIFF_H = Tensor(np.array([[[0, 0, 0], [0, -1, 0], [0, 1, 0]]], dtype=np.float32))
-_DIFF_W = Tensor(np.array([[[0, 0, 0], [0, -1, 1], [0, 0, 0]]], dtype=np.float32))
-
-
-def _spatial_diffs(x: Tensor) -> tuple[Tensor, Tensor]:
-    # forward differences with replicate boundary (last row/column diff is 0)
-    c = x.shape[-3]
-    kh = _DIFF_H if c == 1 else Tensor(np.repeat(_DIFF_H.data, c, axis=0))
-    kw = _DIFF_W if c == 1 else Tensor(np.repeat(_DIFF_W.data, c, axis=0))
-    return nd.depthwise_conv2d(x, kh), nd.depthwise_conv2d(x, kw)
-
-
 def loss_grad(yhat: Tensor, y: Tensor) -> Tensor:
-    """Mean absolute difference of forward spatial gradients (H and W)."""
+    """Mean absolute difference of forward spatial gradients (H and W), taken
+    of the residual by slicing. Each mean runs over every pixel: the last
+    row's H difference and the last column's W difference are zero."""
     if yhat.shape != y.shape:
         raise ValueError(f"shape mismatch {yhat.shape} vs {y.shape}")
-    dh_p, dw_p = _spatial_diffs(yhat)
-    dh_t, dw_t = _spatial_diffs(y)
-    return nd.mul(nd.add(nd.mean(nd.absolute(nd.sub(dh_p, dh_t))),
-                         nd.mean(nd.absolute(nd.sub(dw_p, dw_t)))), 0.5)
+    h, w = y.shape[-2:]
+    d = nd.sub(yhat, y)
+    dp = nd.pad2d(d, (0, 1, 0, 1))               # replicated last row and column
+    dh = nd.sub(nd.index(dp, np.s_[..., 1:, :w]), d)
+    dw = nd.sub(nd.index(dp, np.s_[..., :h, 1:]), d)
+    return nd.mul(nd.mean(nd.add(nd.absolute(dh), nd.absolute(dw))), 0.5)
 
 
 def loss_total(yhat: Tensor, y: Tensor, lam: float) -> Tensor:

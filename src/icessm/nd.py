@@ -241,9 +241,9 @@ def absolute(a: Tensor) -> Tensor:
 
 
 def _np_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic function: exp is only taken of -|x|."""
+    """Overflow-free, branch-free logistic function: exp is only taken of -|x|."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -275,17 +275,18 @@ def softplus(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
+# The leaky ReLU that ends depthwise_conv2d, groupnorm and layernorm(leaky=True),
+# branch-free; its slope at output y is 1 where y > 0 (where the input is), else LEAKY_SLOPE.
 LEAKY_SLOPE = 0.01
 
 
-def leaky_relu(a: Tensor) -> Tensor:
-    """x for x > 0, else LEAKY_SLOPE * x."""
-    x = a.data
+def _np_leaky(y: np.ndarray) -> np.ndarray:
+    """In place: max(y, LEAKY_SLOPE*y) is y for y > 0, else LEAKY_SLOPE*y."""
+    return np.maximum(y, LEAKY_SLOPE * y, out=y)
 
-    def bw(g):
-        a._accum(g * np.where(x > 0, 1.0, LEAKY_SLOPE).astype(np.float32))
 
-    return _make(np.where(x > 0, x, LEAKY_SLOPE * x).astype(np.float32), (a,), bw)
+def _np_leaky_slope(y: np.ndarray) -> np.ndarray:
+    return np.maximum(y > 0, LEAKY_SLOPE, dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -409,32 +410,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _np_pad2d(x: np.ndarray, pads: tuple[int, int, int, int], mode: str) -> np.ndarray:
-    """Pad the trailing two axes by (top, bottom, left, right)."""
+    """Pad the trailing two axes by (top, bottom, left, right) with zeros or
+    copies of the edge pixels ("replicate"), into a new C-contiguous array."""
     if not any(pads):
         return x
-    top, bottom, left, right = pads
-    spec = [(0, 0)] * (x.ndim - 2) + [(top, bottom), (left, right)]
-    return np.pad(x, spec, mode="edge" if mode == "replicate" else "constant")
-
-
-def _np_pad2d_adjoint(g: np.ndarray, pads: tuple[int, int, int, int],
-                      mode: str) -> np.ndarray:
-    """Adjoint of _np_pad2d: fold padded borders back onto the interior."""
-    if not any(pads):
-        return g
-    top, bottom, left, right = pads
+    (top, bottom, left, right), (h, w) = pads, x.shape[-2:]
+    xp = (np.empty if mode == "replicate" else np.zeros)(
+        x.shape[:-2] + (top + h + bottom, left + w + right), dtype=np.float32)
+    xp[..., top:top + h, left:left + w] = x
     if mode == "replicate":
-        g = g.copy()
-        if top:
-            g[..., top, :] += g[..., :top, :].sum(axis=-2)
-        if bottom:
-            g[..., -bottom - 1, :] += g[..., -bottom:, :].sum(axis=-2)
-        if left:
-            g[..., :, left] += g[..., :, :left].sum(axis=-1)
-        if right:
-            g[..., :, -right - 1] += g[..., :, -right:].sum(axis=-1)
-    core = g[..., top:g.shape[-2] - bottom, left:g.shape[-1] - right]
-    return np.ascontiguousarray(core)
+        xp[..., :top, left:left + w] = x[..., :1, :]
+        xp[..., top + h:, left:left + w] = x[..., -1:, :]
+        xp[..., :left] = xp[..., left:left + 1]
+        xp[..., left + w:] = xp[..., left + w - 1:left + w]
+    return xp
+
+
+def _fold_replicated(g: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
+    """Adjoint of replicate padding, in place; returns the interior view."""
+    (top, bottom, left, right), (h, w) = pads, g.shape[-2:]
+    g[..., top, :] += g[..., :top, :].sum(axis=-2)
+    g[..., h - bottom - 1, :] += g[..., h - bottom:, :].sum(axis=-2)
+    g[..., left] += g[..., :left].sum(axis=-1)
+    g[..., w - right - 1] += g[..., w - right:].sum(axis=-1)
+    return g[..., top:h - bottom, left:w - right]
 
 
 def pad2d(x: Tensor, pads: tuple[int, int, int, int]) -> Tensor:
@@ -443,16 +442,9 @@ def pad2d(x: Tensor, pads: tuple[int, int, int, int]) -> Tensor:
         raise ValueError(f"pads must be non-negative, got {pads}")
 
     def bw(g):
-        x._accum(_np_pad2d_adjoint(g, pads, "replicate"))
+        x._accum(_fold_replicated(g.copy(), pads))
 
     return _make(_np_pad2d(x.data, pads, "replicate"), (x,), bw)
-
-
-def _check_conv_geometry(hp, wp, kh, kw, stride):
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    if kh > hp or kw > wp:
-        raise ValueError(f"kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
 
 
 def _conv_cols(xp: np.ndarray, kernels: np.ndarray, s: int,
@@ -464,9 +456,8 @@ def _conv_cols(xp: np.ndarray, kernels: np.ndarray, s: int,
     if ho is None:
         ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
     cols = np.empty((t, ci, kh, kw, ho, wo), dtype=np.float32)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + s * ho:s, j:j + s * wo:s]
+    for i, j in np.ndindex(kh, kw):
+        cols[:, :, i, j] = xp[:, :, i:i + s * ho:s, j:j + s * wo:s]
     cols = cols.reshape(t, ci * kh * kw, ho * wo)
     return np.matmul(kernels.reshape(co, -1), cols).reshape(t, co, ho, wo), cols
 
@@ -479,9 +470,8 @@ def _conv_cols_adjoint(g: np.ndarray, kernels: np.ndarray, shape, s: int) -> np.
     dcols = np.matmul(kernels.reshape(co, -1).T, g.reshape(t, co, ho * wo))
     dcols = dcols.reshape(t, ci, kh, kw, ho, wo)
     dxp = np.zeros(shape, dtype=np.float32)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
+    for i, j in np.ndindex(kh, kw):
+        dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
     return dxp
 
 
@@ -498,9 +488,10 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
     _, ci, kh, kw = kernels.data.shape
     if x.data.shape[1] != ci:
         raise ValueError(f"conv2d channels: input {x.data.shape[1]} != kernel {ci}")
-    pads = (padding,) * 4
-    xp = _np_pad2d(x.data, pads, "zero")
-    _check_conv_geometry(xp.shape[2], xp.shape[3], kh, kw, stride)
+    xp = _np_pad2d(x.data, (padding,) * 4, "zero")
+    if stride < 1 or kh > xp.shape[2] or kw > xp.shape[3]:
+        raise ValueError(f"conv2d: stride {stride} < 1 or kernel ({kh},{kw}) larger "
+                         f"than padded input {xp.shape[2:]}")
     out_data, cols = _conv_cols(xp, kernels.data, stride)
     out_data = out_data + bias.data[None, :, None, None]
 
@@ -511,7 +502,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
             kernels._accum(_conv_kernel_grad(g, cols, kernels.data.shape))
         if x.requires_grad:
             dxp = _conv_cols_adjoint(g, kernels.data, xp.shape, stride)
-            x._accum(_np_pad2d_adjoint(dxp, pads, "zero"))
+            x._accum(dxp[..., padding:xp.shape[2] - padding, padding:xp.shape[3] - padding])
 
     return _make(out_data, (x, kernels, bias), bw)
 
@@ -552,54 +543,60 @@ def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor,
     return _make(out_data, (y, kernels, bias), bw)
 
 
-def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Per-channel (kh, kw) convolution of x[..., C, H, W], stride 1, 'same'
-    output size, replicate-padded.
+def _np_taps(src: np.ndarray, kernels: np.ndarray, offsets: list[int], span: int,
+             out: np.ndarray) -> np.ndarray:
+    """out[:, :span] = sum over taps t, in order, of kernels[:, t] times
+    src[:, offsets[t]:][:, :span], on channel-major rows, a few rows at a time."""
+    group = max(1, (1 << 19) // (4 * span))       # 512 KiB row blocks stay in L2
+    prod = np.empty((min(group, len(src)), span), dtype=np.float32)
+    for lo in range(0, len(src), group):
+        acc, rows, k = out[lo:lo + group, :span], src[lo:lo + group], kernels[lo:lo + group]
+        np.multiply(rows[:, offsets[0]:offsets[0] + span], k[:, :1], out=acc)
+        for t, o in enumerate(offsets[1:], 1):
+            acc += np.multiply(rows[:, o:o + span], k[:, t:t + 1], out=prod[:len(acc)])
+    return out
 
-    The padded frames are flattened to rows of Wp pixels. Output pixel (r, q)
-    sits at flat position r*Wp + q and tap (i, j) reads position + i*Wp + j,
-    so every tap is one contiguous slice. The output rows carry Wp - W padding
-    columns, which are cropped once at the end.
-    """
+
+def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """Per-channel (kh, kw) convolution of x[..., C, H, W], stride 1, 'same'
+    output size, replicate-padded, plus bias[C], then the leaky ReLU.
+
+    The padded frames of one channel form one row of N*Hp*Wp pixels. Output pixel
+    (n, r, q) sits at (n*Hp + r)*Wp + q and tap (i, j) reads + i*Wp + j: one slice."""
     c, kh, kw = kernels.data.shape
-    *lead, ci, h, w = x.data.shape
+    *_, ci, h, w = x.data.shape
     if ci != c:
         raise ValueError(f"depthwise channels: input {ci} != kernel {c}")
     pads = (kh // 2, kh // 2, kw // 2, kw // 2)
-    xp = _np_pad2d(x.data.reshape(-1, c, h, w), pads, "replicate")
-    n, _, hp, wp = xp.shape
-    xf = xp.reshape(n, c, hp * wp)
-    span = (h - 1) * wp + w                 # flat positions of the first to the last output pixel
-    taps = [(i * wp + j, kernels.data[:, i, j, None]) for i in range(kh) for j in range(kw)]
-    rows = np.zeros((n, c, h * wp), dtype=np.float32)
-    acc = rows[..., :span]
-    for off, k in taps:
-        acc += k * xf[..., off:off + span]
-    out_data = rows.reshape(n, c, h, wp)[..., :w]
-    if bias is not None:
-        out_data = out_data + bias.data[:, None, None]
-    out_data = np.ascontiguousarray(out_data).reshape(x.data.shape)
+    xp = _np_pad2d(x.data.reshape(-1, c, h, w).transpose(1, 0, 2, 3), pads, "replicate")
+    _, n, hp, wp = xp.shape
+    size = n * hp * wp
+    xf = xp.reshape(c, size)
+    offs = [i * wp + j for i, j in np.ndindex(kh, kw)]
+    reach = offs[-1]                        # flat distance from tap (0, 0) to the last tap
+    span = size - reach                     # flat positions up to the last output pixel
+    kf = kernels.data.reshape(c, -1)        # tap t reads at offset offs[t]
+    rows = _np_taps(xf, kf, offs, span, np.empty_like(xf))
+    out_data = np.add(rows.reshape(xp.shape)[..., :h, :w].transpose(1, 0, 2, 3),
+                      bias.data[:, None, None], out=np.empty((n, c, h, w), dtype=np.float32))
+    out_data = _np_leaky(out_data).reshape(x.data.shape)
 
     def bw(g):
-        g = g.reshape(n, c, h, w)
-        if bias is not None and bias.requires_grad:
+        g = (g * _np_leaky_slope(out_data)).reshape(n, c, h, w)
+        if bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
-        gr = np.zeros((n, c, h, wp), dtype=np.float32)
-        gr[..., :w] = g
-        gf = gr.reshape(n, c, h * wp)[..., :span]       # zero in the padding columns
+        # g of pixel p at p + reach: the flipped kernel's taps read it as the taps read x
+        gp = np.zeros((c, size + reach), dtype=np.float32)
+        gp[:, :size].reshape(xp.shape)[..., kh - 1:, kw - 1:][..., :h, :w] = np.moveaxis(g, 1, 0)
         if kernels.requires_grad:
-            dk = np.array([np.einsum("ncp,ncp->c", gf, xf[..., off:off + span])
-                           for off, _ in taps], dtype=np.float32)
-            kernels._accum(dk.T.reshape(c, kh, kw))
+            dk = [np.einsum("cp,cp->c", gp[:, reach:size], xf[:, o:o + span]) for o in offs]
+            kernels._accum(np.stack(dk, axis=1).reshape(c, kh, kw))
         if x.requires_grad:
-            dxf = np.zeros_like(xf)
-            for off, k in taps:
-                dxf[..., off:off + span] += k * gf
-            dxp = _np_pad2d_adjoint(dxf.reshape(n, c, hp, wp), pads, "replicate")
-            x._accum(dxp.reshape(x.data.shape))
+            dxf = _np_taps(gp, kf[:, ::-1], offs, size, np.empty_like(xf))
+            dx = _fold_replicated(dxf.reshape(xp.shape), pads).transpose(1, 0, 2, 3)
+            x._accum(np.ascontiguousarray(dx).reshape(x.data.shape))
 
-    inputs = (x, kernels) if bias is None else (x, kernels, bias)
-    return _make(out_data, inputs, bw)
+    return _make(out_data, (x, kernels, bias), bw)
 
 
 def conv1d_depthwise(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -673,18 +670,22 @@ NORM_EPS = 1e-5
 
 
 def _norm_affine(x: Tensor, stats_shape, axis: int, gamma: Tensor, beta: Tensor,
-                 view) -> Tensor:
-    """Normalise x to zero mean / unit variance over ``axis`` of its
-    ``stats_shape`` view, then scale by gamma and shift by beta, both
-    reshaped to ``view``. One taped primitive with a hand-written backward."""
+                 view, leaky: bool) -> Tensor:
+    """Normalise x over ``axis`` of its ``stats_shape`` view, scale by gamma and shift
+    by beta (both reshaped to ``view``), then, if ``leaky``, the leaky ReLU. One taped op."""
     xs = x.data.reshape(stats_shape)
     xc = xs - xs.mean(axis=axis, keepdims=True, dtype=np.float32)
     std = np.sqrt((xc * xc).mean(axis=axis, keepdims=True, dtype=np.float32) + NORM_EPS)
     xhat = (xc / std).reshape(x.data.shape)
     gv = gamma.data.reshape(view)
     shared = tuple(i for i, size in enumerate(view) if size == 1)   # axes gamma broadcasts over
+    out_data = xhat * gv + beta.data.reshape(view)
+    if leaky:
+        _np_leaky(out_data)
 
     def bw(g):
+        if leaky:
+            g = g * _np_leaky_slope(out_data)
         if gamma.requires_grad:
             gamma._accum((g * xhat).sum(axis=shared).reshape(gamma.data.shape))
         if beta.requires_grad:
@@ -696,26 +697,25 @@ def _norm_affine(x: Tensor, stats_shape, axis: int, gamma: Tensor, beta: Tensor,
                   - xh * (gx * xh).mean(axis=axis, keepdims=True)) / std
             x._accum(dx.reshape(x.data.shape))
 
-    return _make(xhat * gv + beta.data.reshape(view), (x, gamma, beta), bw)
+    return _make(out_data, (x, gamma, beta), bw)
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
-    """Normalize to zero mean / unit variance over ``axis``, then affine.
-
-    gamma and beta hold one value per entry of that axis.
-    """
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
+              leaky: bool = False) -> Tensor:
+    """Normalize to zero mean / unit variance over ``axis``, then affine (gamma
+    and beta hold one value per entry of that axis), then, if ``leaky``, the leaky ReLU."""
     axis %= x.data.ndim
     view = tuple(size if i == axis else 1 for i, size in enumerate(x.data.shape))
-    return _norm_affine(x, x.data.shape, axis, gamma, beta, view)
+    return _norm_affine(x, x.data.shape, axis, gamma, beta, view, leaky)
 
 
 def groupnorm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """Group normalization over x[T, C, H, W]: statistics per (frame, group),
-    then a per-channel affine."""
+    then a per-channel affine, then the leaky ReLU."""
     t, c, h, w = x.data.shape
     if c % groups:
         raise ValueError(f"channels {c} not divisible by {groups} groups")
-    return _norm_affine(x, (t, groups, c // groups * h * w), 2, gamma, beta, (1, c, 1, 1))
+    return _norm_affine(x, (t, groups, c // groups * h * w), 2, gamma, beta, (1, c, 1, 1), True)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,53 @@ def naive_depthwise_conv2d(x, k, b=None, pad_mode="replicate"):
     return out.astype(np.float32)
 
 
+def naive_leaky_relu(x, slope=0.01):
+    """Leaky ReLU by a scalar loop: v for v > 0, else slope * v."""
+    out = [float(v) if v > 0 else slope * float(v) for v in np.asarray(x).ravel()]
+    return np.array(out).reshape(np.shape(x)).astype(np.float32)
+
+
+def naive_norm(x, gamma, beta, groups=None, axis=1):
+    """Layer norm over ``axis`` (groups None) or group norm of x[T, C, H, W],
+    in float64 with scalar statistics, then the per-channel affine."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    if groups is None:
+        xs = np.moveaxis(x, axis, -1)
+        outs = np.moveaxis(out, axis, -1)
+        for idx in np.ndindex(xs.shape[:-1]):
+            vals = [float(v) for v in xs[idx]]
+            m = sum(vals) / len(vals)
+            sd = math.sqrt(sum((v - m) ** 2 for v in vals) / len(vals) + 1e-5)
+            outs[idx] = [(v - m) / sd * float(g) + float(b) for v, g, b in zip(vals, gamma, beta)]
+        return out.astype(np.float32)
+    t, c = x.shape[:2]
+    size = c // groups
+    for f, grp in np.ndindex(t, groups):
+        chans = range(grp * size, (grp + 1) * size)
+        vals = [float(v) for ch in chans for v in x[f, ch].ravel()]
+        m = sum(vals) / len(vals)
+        sd = math.sqrt(sum((v - m) ** 2 for v in vals) / len(vals) + 1e-5)
+        for ch in chans:
+            out[f, ch] = (x[f, ch] - m) / sd * float(gamma[ch]) + float(beta[ch])
+    return out.astype(np.float32)
+
+
+# The masked-select forms that nd's branch-free activations replaced; the
+# new forms must give the same bits on every float32 input.
+def where_leaky_relu(x, slope=0.01):
+    return np.where(x > 0, x, slope * x).astype(np.float32)
+
+
+def where_leaky_slope(x, slope=0.01):
+    return np.where(x > 0, 1.0, slope).astype(np.float32)
+
+
+def where_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def naive_fill_missing_dates(frames, dates):
     """Per-day gap fill: walk the daily range, copy each present frame and
     fill each absent day with the mean of the last present frame and the

@@ -105,6 +105,36 @@ def test_criterion_04_wavelet_reconstruction_and_energy():
              f"unit-gain identity {ident_err:.2e}")
 
 
+def _fused(op, loss):
+    """A probe of a primitive that ends in the leaky ReLU: loss(op(x)). ``op``
+    stays reachable so the criterion can check how far from the kink it runs."""
+    def fn(x):
+        return loss(op(x))
+
+    fn.op = op
+    return fn
+
+
+def _kink_margin(y: np.ndarray) -> tuple[float, bool]:
+    """The smallest |pre-activation| behind the leaky ReLU output y, and whether
+    the pre-activations fall on both sides of zero."""
+    pre = np.where(y > 0, y, y / nd.LEAKY_SLOPE)
+    return float(np.abs(pre).min()), bool((pre > 0).any() and (pre < 0).any())
+
+
+def _away(x: Tensor, lo: float = 0.5) -> Tensor:
+    """x in [-1, 1] mapped to +-[lo, 1], keeping its sign: away from zero."""
+    return Tensor(np.sign(x.data) * (lo + (1.0 - lo) * np.abs(x.data)))
+
+
+def _two_level(x: Tensor, signs) -> Tensor:
+    """x in [-1, 1] mapped to signs * (1 + 0.1 x) along axis 1: every norm
+    group or slice holds values near +1 and near -1, so its normalised values
+    stay near +-1."""
+    view = (1, -1) + (1,) * (x.ndim - 2)
+    return Tensor(np.reshape(signs, view) * (1.0 + 0.1 * x.data))
+
+
 def _op_probes():
     rng = np.random.default_rng(5)
 
@@ -130,6 +160,15 @@ def _op_probes():
     p_ssm = ssm.init_ssm_params(rng, d=3, state_size=2)
     # x[L=5, R=2, D=2] is probed; dt > 0, A = -exp(.) < 0, B, C [5, 2, 3]
     scan_dt, scan_a, scan_b = t(5, 2, lo=0.1, hi=1.0), t(2, 3, lo=-1.0, hi=-0.1), t(5, 2, 3)
+    # the fused probes keep every pre-activation at least 0.3 from the leaky
+    # ReLU's kink, on both sides, from the draws the earlier probes made:
+    # depthwise is near a delta (centre tap 1, the other 8 at most 0.02) on
+    # inputs of magnitude 0.5-1; the norms see two-level inputs, gains of
+    # magnitude 0.5-1 and shifts of at most 0.05
+    k_dw_delta = Tensor(0.02 * k_dw.data)
+    k_dw_delta.data[:, 1, 1] = 1.0
+    g_gn_away, b_gn_small = _away(g_gn), Tensor(0.05 * b_gn.data)
+    g_ln_away, b_ln_small = _away(g_ln), Tensor(0.05 * b_ln.data)
 
     return [
         ("add", lambda x: nd.mean(nd.add(x, other)), t(2, 3)),
@@ -151,21 +190,25 @@ def _op_probes():
         ("conv_transpose2d", lambda x: nd.mean(nd.square(
             nd.conv_transpose2d(x, k_conv, Tensor(np.zeros(2)), stride=2, padding=1))),
          t(1, 3, 3, 3)),
-        ("depthwise_conv2d", lambda x: nd.mean(nd.square(
-            nd.depthwise_conv2d(x, k_dw))), t(1, 2, 4, 4)),
+        ("depthwise_conv2d", _fused(
+            lambda x: nd.depthwise_conv2d(x, k_dw_delta, Tensor(np.zeros(2))),
+            lambda y: nd.mean(nd.square(y))), _away(t(1, 2, 4, 4))),
         ("conv1d_depthwise", lambda x: nd.mean(nd.square(
             nd.conv1d_depthwise(x, k_c1, Tensor(np.zeros(3))))), t(5, 3)),
         ("group_conv1d", lambda x: nd.mean(nd.square(
             nd.group_conv1d(x, w_gc, b_gc))), t(6)),
         ("layernorm", lambda x: nd.mean(nd.mul(
             nd.layernorm(x, g_ln, b_ln), coeff_ln)), t(2, 5)),
-        ("groupnorm", lambda x: nd.mean(nd.mul(
-            nd.groupnorm(x, 2, g_gn, b_gn), coeff_gn)), t(1, 4, 2, 2)),
+        ("groupnorm", _fused(
+            lambda x: nd.groupnorm(x, 2, g_gn_away, b_gn_small),
+            lambda y: nd.mean(nd.mul(y, coeff_gn))), _two_level(t(1, 4, 2, 2), [1, -1, 1, -1])),
         ("silu", lambda x: nd.mean(nd.square(nd.silu(x))), t(5)),
         ("sigmoid", lambda x: nd.mean(nd.square(nd.sigmoid(x))), t(5)),
         ("softplus", lambda x: nd.mean(nd.square(nd.softplus(x))), t(5)),
-        ("leaky_relu", lambda x: nd.mean(nd.square(
-            nd.leaky_relu(x))), t(5, lo=0.3, hi=1.0)),
+        ("layernorm_leaky", _fused(
+            lambda x: nd.layernorm(x, g_ln_away, b_ln_small, axis=1, leaky=True),
+            lambda y: nd.mean(nd.square(y))),
+         _two_level(Tensor(t(5, lo=0.3, hi=1.0).data.reshape(1, 5, 1, 1)), [1, -1, 1, -1, 1])),
         ("mean_hw", lambda x: nd.mean(nd.square(
             nd.mean(x, axis=(-2, -1)))), t(2, 2, 3, 3)),
         ("gather", lambda x: nd.mean(nd.mul(nd.gather(x, perm), coeff_gather)),
@@ -186,7 +229,14 @@ def _op_probes():
 def test_criterion_05_gradient_checks():
     failures = []
     worst = ("", 0.0)
+    margin = math.inf
     for name, fn, x in _op_probes():
+        if hasattr(fn, "op"):
+            low, both_sides = _kink_margin(fn.op(x).data)
+            margin = min(margin, low)
+            if low < 0.3 or not both_sides:
+                failures.append((name, f"pre-activation margin {low:.2f}, both sides "
+                                       f"{both_sides}"))
         report = nd.grad_check(fn, x, tolerance=1e-3)
         if report.max_rel_err > worst[1]:
             worst = (name, report.max_rel_err)
@@ -200,6 +250,7 @@ def test_criterion_05_gradient_checks():
     gains = Tensor(np.ones((d, 3), dtype=np.float32))
     fuse = hsa.init_hsa_params(rng, d)
     dw_k = Tensor(rng.normal(size=(d, 3, 3)).astype(np.float32) / 3)
+    dw_b = Tensor(np.zeros(d, dtype=np.float32))
     orders = sfc.routes(sfc.gilbert3d((2, 2, 2)), 2)
     coeff = rng.normal(size=(2, d, 2, 2)).astype(np.float32)
 
@@ -208,14 +259,15 @@ def test_criterion_05_gradient_checks():
                                    (2, 2, 2))
         xf = wavelet.freq_branch(z, gains)
         fused = hsa.hsa_fuse(nd.index(routed, np.s_[0]), nd.index(routed, np.s_[-1]), xf, fuse)
-        out = nd.add(z, nd.leaky_relu(nd.depthwise_conv2d(fused, dw_k)))
+        out = nd.add(z, nd.depthwise_conv2d(fused, dw_k, dw_b))
         return nd.mean(nd.mul(out, Tensor(coeff)))
 
     z = Tensor(rng.normal(size=(2, d, 2, 2)).astype(np.float32))
     block_report = nd.grad_check(fssm_block, z, tolerance=1e-2)
     ok = not failures and block_report.passed
     announce(5, ok,
-             f"{len(_op_probes())} ops at 1e-3 (worst {worst[0]} {worst[1]:.1e}), "
+             f"{len(_op_probes())} ops at 1e-3 (worst {worst[0]} {worst[1]:.1e}, "
+             f"fused pre-activations >= {margin:.2f} from the kink), "
              f"fssm block {block_report.max_rel_err:.1e} at 1e-2"
              + (f"; failures {failures}" if failures else ""))
 

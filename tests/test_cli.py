@@ -322,6 +322,32 @@ class TestPipeline:
         assert run("predict", "--model", str(old), "--data", str(grid_path),
                    "--out", str(tmp_path / "o")) == code
 
+    def test_eval_truth_with_missing_values_is_data_error(self, tmp_path, capsys):
+        # a NaN in the truth would be scored as a number and written as NaN,
+        # which is not JSON; it is refused like any unprocessed model input
+        clean = np.full((3, 4, 4), 0.5, dtype=np.float32)
+        gappy = clean.copy()
+        gappy[1, 2, 3] = np.nan
+        land = np.zeros((4, 4), dtype=bool)
+        fc, truth = tmp_path / "fc.sic", tmp_path / "truth.sic"
+        data.write_grid(data.Grid3(clean, np.arange(3), land), fc)
+        data.write_grid(data.Grid3(gappy, np.arange(3), land), truth)
+        out = tmp_path / "eval"
+        assert run("eval", "--forecast", str(fc), "--truth", str(truth),
+                   "--out", str(out)) == 3
+        assert "contains missing values; run preprocess first" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_eval_size_mismatch_is_data_error(self, tmp_path):
+        fc, truth = tmp_path / "fc.sic", tmp_path / "truth.sic"
+        for path, size in ((fc, 4), (truth, 6)):
+            data.write_grid(data.Grid3(np.full((3, size, size), 0.5), np.arange(3),
+                                       np.zeros((size, size), dtype=bool)), path)
+        out = tmp_path / "eval"
+        assert run("eval", "--forecast", str(fc), "--truth", str(truth),
+                   "--out", str(out)) == 3
+        assert not (out / "report.json").exists()
+
     def test_eval_constant_truth_reports_null_nse(self, tmp_path):
         grid = tmp_path / "const.sic"
         data.write_grid(data.Grid3(np.full((3, 4, 4), 0.5), np.arange(3),

@@ -348,6 +348,19 @@ class TestTraining:
         with pytest.raises(ValueError):
             model.train([make_sample(35)], [make_sample(36)], tiny_config(), **kw)
 
+    def test_tape_records_per_step_are_pinned(self, monkeypatch):
+        # one step at the default config records 259 backward rules: 267 before
+        # the leaky ReLU was fused into its 9 producers (-9) and loss_grad took
+        # its differences by slicing (+1); a later unfused op changes the count
+        records = []
+        plain = nd.Tape.record
+        monkeypatch.setattr(nd.Tape, "record",
+                            lambda tape, rule: records.append(rule) or plain(tape, rule))
+        windows = data.windows(data.synth_generate(0, 40, 16, 16), 14, 14)
+        model.train(windows[:4], windows[-1:], model.ModelConfig(), seed=0,
+                    max_epochs=1, max_steps=1)
+        assert len(records) == 259
+
     def test_nonfinite_gradient_with_finite_loss_raises(self, monkeypatch):
         # 0 * (1 / (0 * raw + 1e-30)) adds 0 to the loss, but the reciprocal's
         # gradient -1 / 1e-60 underflows to -1 / 0, and 0 / 0 = NaN flows back

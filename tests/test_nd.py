@@ -8,7 +8,9 @@ import pytest
 from icessm import nd
 from icessm.nd import Tape, Tensor
 
-from oracles import naive_conv2d, naive_conv_transpose2d, naive_depthwise_conv2d
+from oracles import (naive_conv2d, naive_conv_transpose2d, naive_depthwise_conv2d,
+                     naive_leaky_relu, naive_norm, where_leaky_relu, where_leaky_slope,
+                     where_sigmoid)
 
 
 def rng(seed=0):
@@ -78,7 +80,7 @@ class TestConv2d:
     def test_depthwise_constant_replicate(self):
         x = Tensor(np.full((2, 3, 4, 4), 1.5))
         k = Tensor(np.full((3, 3, 3), 1.0 / 9.0))
-        out = nd.depthwise_conv2d(x, k)
+        out = nd.depthwise_conv2d(x, k, Tensor(np.zeros(3)))
         np.testing.assert_allclose(out.data, 1.5, atol=1e-6)
 
     @pytest.mark.parametrize("frames", [1, 3])
@@ -111,9 +113,10 @@ class TestConv2d:
         r = rng(7)
         x = Tensor(r.normal(size=(frames, 2, 4, 4)))
         k = Tensor(r.normal(size=(2, 3, 3)) * 0.5)
+        b = Tensor(np.zeros(2))
 
         def f(x_, k_):
-            return nd.mean(nd.square(nd.depthwise_conv2d(x_, k_)))
+            return nd.mean(nd.square(nd.depthwise_conv2d(x_, k_, b)))
 
         assert nd.grad_check(f, [x, k], tolerance=1e-3).passed
 
@@ -153,7 +156,7 @@ class TestConv2d:
             assert out.data.shape[-2:] == output_hw
         np.testing.assert_allclose(out.data, expect, atol=1e-5)
 
-    # depthwise_conv2d pads by replicating the edge
+    # depthwise_conv2d pads by replicating the edge and ends in the leaky ReLU
     @pytest.mark.parametrize("pad_mode", ["replicate"])
     def test_depthwise_matches_naive(self, pad_mode):
         r = rng(32)
@@ -161,8 +164,9 @@ class TestConv2d:
         k = r.normal(size=(4, 3, 3)).astype(np.float32)
         b = r.normal(size=4).astype(np.float32)
         out = nd.depthwise_conv2d(Tensor(x), Tensor(k), Tensor(b))
-        np.testing.assert_allclose(out.data, naive_depthwise_conv2d(x, k, b, pad_mode),
-                                   atol=1e-5)
+        pre = naive_depthwise_conv2d(x, k, b, pad_mode)
+        assert (pre > 0.1).any() and (pre < -0.1).any()      # both sides of the kink
+        np.testing.assert_allclose(out.data, naive_leaky_relu(pre), atol=1e-5)
 
     @pytest.mark.parametrize("shape", [(2, 1, 5, 7), (1, 3, 7, 3), (3, 1, 1, 1)],
                              ids=["one-channel-odd", "odd", "one-pixel"])
@@ -173,15 +177,16 @@ class TestConv2d:
         k = r.normal(size=(shape[1], 3, 3)).astype(np.float32)
         b = r.normal(size=shape[1]).astype(np.float32)
         out = nd.depthwise_conv2d(Tensor(x), Tensor(k), Tensor(b))
-        np.testing.assert_allclose(out.data, naive_depthwise_conv2d(x, k, b, pad_mode),
-                                   atol=1e-5)
+        np.testing.assert_allclose(
+            out.data, naive_leaky_relu(naive_depthwise_conv2d(x, k, b, pad_mode)), atol=1e-5)
 
     def test_depthwise_leading_axes_are_frames(self):
         r = rng(34)
         x = r.normal(size=(2, 3, 4, 5, 6)).astype(np.float32)
         k = r.normal(size=(4, 3, 3)).astype(np.float32)
-        out = nd.depthwise_conv2d(Tensor(x), Tensor(k))
-        flat = nd.depthwise_conv2d(Tensor(x.reshape(6, 4, 5, 6)), Tensor(k))
+        b = Tensor(np.zeros(4))
+        out = nd.depthwise_conv2d(Tensor(x), Tensor(k), b)
+        flat = nd.depthwise_conv2d(Tensor(x.reshape(6, 4, 5, 6)), Tensor(k), b)
         np.testing.assert_array_equal(out.data, flat.data.reshape(x.shape))
 
     @pytest.mark.parametrize("shape", [(2, 1, 5, 3), (1, 2, 3, 5)],
@@ -276,7 +281,8 @@ class TestNorms:
         r = rng(11)
         x = Tensor(r.normal(size=(2, 8, 4, 4)) * 2 + 0.5)
         out = nd.groupnorm(x, 4, Tensor(np.ones(8)), Tensor(np.zeros(8)))
-        grouped = out.data.reshape(2, 4, 2 * 4 * 4)
+        pre = np.where(out.data > 0, out.data, out.data / nd.LEAKY_SLOPE)   # undo the leaky ReLU
+        grouped = pre.reshape(2, 4, 2 * 4 * 4)
         np.testing.assert_allclose(grouped.mean(axis=2), 0.0, atol=1e-5)
         np.testing.assert_allclose(grouped.var(axis=2), 1.0, atol=1e-3)
 
@@ -317,9 +323,39 @@ class TestNorms:
 
         assert nd.grad_check(f, [x, g, b], tolerance=2e-3).passed
 
-    @pytest.mark.parametrize("norm", ["layernorm-last", "layernorm-channel", "groupnorm"])
+    @pytest.mark.parametrize("norm", ["groupnorm", "layernorm-channel-leaky"])
+    def test_leaky_norms_match_naive(self, norm):
+        # scalar statistics, then a scalar leaky ReLU, with outputs on both sides of 0
+        r = rng(20)
+        x = (r.normal(size=(2, 4, 3, 5)) * 2 + 0.5).astype(np.float32)
+        g = r.normal(size=4).astype(np.float32)
+        b = r.normal(size=4).astype(np.float32)
+        if norm == "groupnorm":
+            out = nd.groupnorm(Tensor(x), 2, Tensor(g), Tensor(b))
+            pre = naive_norm(x, g, b, groups=2)
+        else:
+            out = nd.layernorm(Tensor(x), Tensor(g), Tensor(b), axis=1, leaky=True)
+            pre = naive_norm(x, g, b, axis=1)
+        assert (pre > 0.1).any() and (pre < -0.1).any()
+        np.testing.assert_allclose(out.data, naive_leaky_relu(pre), atol=1e-5)
+
+    def test_layernorm_leaky_grads(self):
+        r = rng(21)
+        x = Tensor(r.normal(size=(2, 3, 2, 2)))
+        g = Tensor(r.normal(size=3))
+        b = Tensor(r.normal(size=3))
+        t = rng(22).normal(size=(2, 3, 2, 2)).astype(np.float32)
+
+        def f(x_, g_, b_):
+            return nd.mean(nd.mul(nd.layernorm(x_, g_, b_, axis=1, leaky=True), Tensor(t)))
+
+        assert nd.grad_check(f, [x, g, b], tolerance=2e-3).passed
+
+    @pytest.mark.parametrize("norm", ["layernorm-last", "layernorm-channel", "groupnorm",
+                                      "layernorm-channel-leaky"])
     def test_fused_norms_match_composite(self, norm):
-        # the primitives against the same formula built from taped elementary ops
+        # the primitives against the same formula built from taped elementary ops,
+        # and the masked-select leaky ReLU where the primitive ends in it
         r = rng(18)
         x = Tensor(r.normal(size=(3, 4, 5, 6)) * 2 + 0.5, requires_grad=True)
         c = 6 if norm == "layernorm-last" else 4
@@ -333,18 +369,20 @@ class TestNorms:
             def composite():
                 xg = nd.reshape(x, (3, 2, -1))
                 xhat = nd.reshape(composite_normalize(xg, 2), x.shape)
-                return nd.add(nd.mul(xhat, nd.reshape(g, (1, c, 1, 1))),
-                              nd.reshape(b, (1, c, 1, 1)))
+                return taped_leaky_relu(nd.add(nd.mul(xhat, nd.reshape(g, (1, c, 1, 1))),
+                                               nd.reshape(b, (1, c, 1, 1))))
         else:
             axis = -1 if norm == "layernorm-last" else 1
             view = (c,) if axis == -1 else (1, c, 1, 1)
+            leaky = norm.endswith("-leaky")
 
             def fused():
-                return nd.layernorm(x, g, b, axis=axis)
+                return nd.layernorm(x, g, b, axis=axis, leaky=leaky)
 
             def composite():
-                return nd.add(nd.mul(composite_normalize(x, axis), nd.reshape(g, view)),
-                              nd.reshape(b, view))
+                out = nd.add(nd.mul(composite_normalize(x, axis), nd.reshape(g, view)),
+                             nd.reshape(b, view))
+                return taped_leaky_relu(out) if leaky else out
         grads = []
         for build in (fused, composite):
             for p in (x, g, b):
@@ -357,6 +395,12 @@ class TestNorms:
         np.testing.assert_array_equal(y1, y2)     # same float32 operations in the same order
         for a, e in zip(g1, g2):
             np.testing.assert_allclose(a, e, rtol=1e-4, atol=1e-6)
+
+
+def taped_leaky_relu(a):
+    """The masked-select leaky ReLU as one taped op, for the composites above."""
+    return nd._make(where_leaky_relu(a.data), (a,),
+                    lambda g: a._accum(g * where_leaky_slope(a.data)))
 
 
 def taped_sqrt(a):
@@ -381,7 +425,24 @@ class TestActivations:
         assert nd.softplus(Tensor(0.0)).item() == pytest.approx(math.log(2), abs=1e-6)
 
     def test_leaky_relu_negative(self):
-        assert nd.leaky_relu(Tensor(-1.0)).item() == pytest.approx(-0.01)
+        assert nd._np_leaky(np.array([-1.0], dtype=np.float32))[0] == pytest.approx(-0.01)
+
+    def test_branch_free_forms_equal_masked_selects(self):
+        # nd's sigmoid, leaky ReLU and leaky slope give the bits of the
+        # np.where forms they replaced, on every kind of float32 input
+        tiny = np.finfo(np.float32).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 1e-40, -1e-40, 0.5, -0.5, 1.0, -1.0,
+                      20.0, -20.0, 88.0, -88.0, 104.0, -104.0, 3e38, -3e38,
+                      np.inf, -np.inf, np.nan, -np.nan], dtype=np.float32)
+        x = np.concatenate([x, rng(23).normal(size=64).astype(np.float32) * 10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = [(nd._np_sigmoid(x), where_sigmoid(x)),
+                     (nd._np_leaky(x.copy()), where_leaky_relu(x)),
+                     (nd._np_leaky_slope(nd._np_leaky(x.copy())), where_leaky_slope(x))]
+        for got, expect in pairs:
+            assert got.dtype == expect.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), expect.view(np.uint32))
 
     def test_sigmoid_bitwise_equals_two_branch_formula(self):
         tiny = np.finfo(np.float32).smallest_subnormal
@@ -400,8 +461,10 @@ class TestActivations:
         x = Tensor(np.linspace(-30, 30, 41))
         assert (nd.softplus(x).data > 0).all()
 
+    # the leaky ReLU is only reached through the primitives that end in it
     @pytest.mark.parametrize("op", [nd.silu, nd.sigmoid, nd.softplus,
-                                    lambda t: nd.leaky_relu(t)])
+                                    lambda t: nd.layernorm(t, Tensor(np.ones(8)),
+                                                           Tensor(np.zeros(8)), leaky=True)])
     def test_activation_grads(self, op):
         x = Tensor(rng(14).normal(size=8))
 
