@@ -271,8 +271,7 @@ def cmd_recurse(a) -> int:
 def cmd_eval(a) -> int:
     fc, truth = _load_complete(a.forecast), _load_complete(a.truth)
     if fc.shape[1:] != truth.shape[1:]:
-        raise FormatError(f"forecast grid {fc.shape[1:]} and truth grid {truth.shape[1:]} "
-                          "differ in size")
+        raise FormatError(f"forecast grid {fc.shape[1:]} differs from truth {truth.shape[1:]}")
     inputs = _digests(a.forecast, a.truth)
     common = np.intersect1d(fc.dates, truth.dates)
     if common.size == 0:
