@@ -562,7 +562,7 @@ def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     output size, replicate-padded, plus bias[C], then the leaky ReLU.
 
     The padded frames of one channel form one row of N*Hp*Wp pixels. Output pixel
-    (n, r, q) sits at (n*Hp + r)*Wp + q and tap (i, j) reads + i*Wp + j: one slice."""
+    (n, r, q) sits at (n*Hp + r)*Wp + q, tap (i, j) reads i*Wp + j further on."""
     c, kh, kw = kernels.data.shape
     *_, ci, h, w = x.data.shape
     if ci != c:
