@@ -39,10 +39,7 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"--dims wants T,H,W, got {text!r}")
-    t, h, w = (int(p) for p in parts)
-    if min(t, h, w) < 1:
-        raise ValueError(f"dims must be positive, got {text!r}")
-    return t, h, w
+    return sfc.check_dims(int(p) for p in parts)
 
 
 def _digests(*paths) -> dict[str, str]:
@@ -85,19 +82,19 @@ def _config_from_args(a) -> model.ModelConfig:
 
 def cmd_scan(a) -> int:
     dims = _parse_dims(a.dims)
-    order = sfc.make_order(KIND_NAMES[a.kind], dims)
-    routes = sfc.routes(order, a.routes)
+    kind = KIND_NAMES[a.kind]
+    table = sfc.routes(kind, dims, a.routes)
     out = Path(a.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    sfc.write_orders(out, routes)
+    sfc.write_orders(out, kind, dims, table)
     _write_manifest(out.parent, "scan", a)
-    print(f"wrote {len(routes)} order(s) to {out}")
+    print(f"wrote {table.shape[1]} order(s) to {out}")
     return 0
 
 
 def cmd_bench_locality(a) -> int:
     dims = _parse_dims(a.dims)
-    rows = [(kind, sfc.locality_score(sfc.make_order(kind, dims)))
+    rows = [(kind, sfc.locality_score(sfc.make_order(kind, dims), dims))
             for kind in KIND_NAMES.values()]
     out = Path(a.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -145,24 +145,24 @@ def init_params(rng: np.random.Generator, config: ModelConfig) -> ModelParams:
 
 
 @lru_cache(maxsize=32)
-def _cached_routes(kind: str, dims: tuple[int, int, int], n_routes: int):
-    return tuple(sfc.routes(sfc.make_order(kind, dims), n_routes))
+def _route_table(kind: str, dims: tuple[int, int, int], n_routes: int) -> np.ndarray:
+    return sfc.routes(kind, dims, n_routes)
 
 
-def _fssm_block(z: Tensor, blk: dict[str, Tensor], orders: list[sfc.ScanOrder],
+def _fssm_block(z: Tensor, blk: dict[str, Tensor], table: np.ndarray,
                 config: ModelConfig) -> Tensor:
     """One scan/frequency block on z[B, T, D, h, w]: z plus the fused,
     depthwise-mixed route and wavelet features. Its temporaries are freed on
     return, before the next block or the decoder allocates."""
-    routed = ssm.mamba_block(ssm.volume_to_seq(z), orders, nd.sub_params(blk, "mamba"))
-    vol = ssm.seq_to_volume(routed, orders[0].dims)               # [R, B, T, D, h, w]
-    if len(orders) == 4:
+    routed = ssm.mamba_block(ssm.volume_to_seq(z), table, nd.sub_params(blk, "mamba"))
+    vol = ssm.seq_to_volume(routed, (z.shape[1], *z.shape[3:]))   # [R, B, T, D, h, w]
+    if table.shape[1] == 4:
         # route 2*rotation + direction: average the two rotations per direction
         vol = nd.mean(nd.reshape(vol, (2, 2, *vol.shape[1:])), axis=0)
     x1 = nd.index(vol, np.s_[0])
     # one route feeds both fuser inputs as one tensor; two copies of it would
     # sum its gradient in another order, and training would not repeat bit for bit
-    x2 = x1 if len(orders) == 1 else nd.index(vol, np.s_[-1])
+    x2 = x1 if table.shape[1] == 1 else nd.index(vol, np.s_[-1])
     xf = wavelet.freq_branch(z, blk["gains"])
     if config.fusion == "hsa":
         fused = hsa.hsa_fuse(x1, x2, xf, nd.sub_params(blk, "hsa"))
@@ -201,13 +201,12 @@ def forward_features(x: Tensor, params: dict[str, Tensor],
     z = nd.conv2d(z, enc["enc2_k"], enc["enc2_b"], stride=2, padding=1)
     z = nd.layernorm(z, enc["enc2_g"], enc["enc2_be"], axis=1, leaky=True)
 
-    dims = (l_in, h // 4, w // 4)
-    orders = list(_cached_routes(config.scan_kind, dims, config.n_routes))
+    table = _route_table(config.scan_kind, (l_in, h // 4, w // 4), config.n_routes)
     z = nd.reshape(z, (b, l_in, *z.shape[1:]))                  # [B, L_in, D, H/4, W/4]
 
     for i in range(config.n_fssm):
         try:
-            z = _fssm_block(z, nd.sub_params(params, f"fssm{i}"), orders, config)
+            z = _fssm_block(z, nd.sub_params(params, f"fssm{i}"), table, config)
         except NumericalError as e:
             raise NumericalError(f"fssm{i}: {e}") from e
 

@@ -4,6 +4,9 @@ A scan order is a bijection between the N = T*H*W voxels of a cuboid and the
 positions of a 1D sequence. The Hilbert-style orders keep voxels that are
 adjacent in space or time close together in the sequence; raster, Z-order and
 Peano orders are provided as baselines with progressively weaker locality.
+Every generator returns the linear voxel indices in visit order as a
+read-only int64 array, and ``routes`` stacks an order's routes into one
+read-only [N, R] table.
 
 Linear index convention throughout: ``t*H*W + h*W + w``.
 """
@@ -11,7 +14,7 @@ Linear index convention throughout: ``t*H*W + h*W + w``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,50 +27,32 @@ _HILBERT_PRIORITY = {
 }
 
 
-@dataclass(frozen=True)
-class ScanOrder:
-    """A bijective traversal of a (T, H, W) cuboid.
-
-    ``forward`` lists linear voxel indices in visit order. ``direction`` is
-    'backward' when the order is the reversal of a generated one.
-    """
-
-    dims: tuple[int, int, int]
-    kind: str
-    forward: np.ndarray = field(repr=False)
-    direction: str = "forward"
-
-    def __post_init__(self):
-        t, h, w = self.dims
-        if min(t, h, w) < 1:
-            raise ValueError(f"all dims must be >= 1, got {self.dims}")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown scan kind {self.kind!r}")
-        fwd = np.ascontiguousarray(np.asarray(self.forward, dtype=np.int64))
-        fwd.setflags(write=False)
-        object.__setattr__(self, "forward", fwd)
-
-    @property
-    def n(self) -> int:
-        t, h, w = self.dims
-        return t * h * w
-
-    def reversed(self) -> "ScanOrder":
-        direction = "backward" if self.direction == "forward" else "forward"
-        return ScanOrder(self.dims, self.kind, self.forward[::-1], direction)
-
-    def inverse(self) -> np.ndarray:
-        """Position of each linear index in the sequence (rank array)."""
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.forward] = np.arange(self.n, dtype=np.int64)
-        return inv
+# Most cells one order may enumerate: T*H*W, Peano's enclosing power-of-three
+# cube or Z-order's enclosing power-of-two box. No enumeration, route table or
+# locality score peaks above about 105 bytes a cell, so work within the budget
+# stays under about 440 MB; dims beyond it are refused before any allocation.
+MAX_CELLS = 1 << 22
 
 
-def _check_dims(dims) -> tuple[int, int, int]:
+def _check_cells(dims, cells: int) -> None:
+    if cells > MAX_CELLS:
+        raise ValueError(f"dims {dims} would enumerate {cells} cells, "
+                         f"over the budget of {MAX_CELLS}")
+
+
+def check_dims(dims) -> tuple[int, int, int]:
+    """(T, H, W) as ints; a ValueError unless each is >= 1 and T*H*W is
+    within ``MAX_CELLS``."""
     t, h, w = (int(d) for d in dims)
     if min(t, h, w) < 1:
-        raise ValueError(f"all dims must be >= 1, got {dims}")
+        raise ValueError(f"all dims must be >= 1, got {(t, h, w)}")
+    _check_cells((t, h, w), t * h * w)
     return t, h, w
+
+
+def _frozen(lin: np.ndarray) -> np.ndarray:
+    lin.setflags(write=False)
+    return lin
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +272,7 @@ def _gilbert_cells(du: int, dv: int, dw: int):
     yield from _top2(_add(last, (1, 0, 0)), b, c)
 
 
-def gilbert3d(dims, axis_priority=(0, 1, 2)) -> ScanOrder:
+def gilbert3d(dims, axis_priority=(0, 1, 2)) -> np.ndarray:
     """Generalized Hilbert order over ``dims`` = (T, H, W).
 
     ``axis_priority`` permutes which axis the recursion treats as its major
@@ -295,7 +280,7 @@ def gilbert3d(dims, axis_priority=(0, 1, 2)) -> ScanOrder:
     spatial plane first. Consecutive cells always differ by exactly 1 in one
     axis, for arbitrary (non power-of-two) dims.
     """
-    t, h, w = _check_dims(dims)
+    t, h, w = check_dims(dims)
     if sorted(axis_priority) != [0, 1, 2]:
         raise ValueError(f"axis_priority must permute (0,1,2), got {axis_priority}")
     p0, p1, p2 = axis_priority
@@ -305,27 +290,27 @@ def gilbert3d(dims, axis_priority=(0, 1, 2)) -> ScanOrder:
     s = (strides[p0], strides[p1], strides[p2])
     for i, cell in enumerate(_gilbert_cells(d[p0], d[p1], d[p2])):
         lin[i] = cell[0] * s[0] + cell[1] * s[1] + cell[2] * s[2]
-    kind = "hilbert_temporal_first" if p0 == 0 else "hilbert_spatial_first"
-    return ScanOrder((t, h, w), kind, lin)
+    return _frozen(lin)
 
 
-def raster(dims) -> ScanOrder:
+def raster(dims) -> np.ndarray:
     """Identity order: (t, h, w) lexicographic."""
-    t, h, w = _check_dims(dims)
-    return ScanOrder((t, h, w), "raster", np.arange(t * h * w, dtype=np.int64))
+    t, h, w = check_dims(dims)
+    return _frozen(np.arange(t * h * w, dtype=np.int64))
 
 
-def zorder(dims) -> ScanOrder:
+def zorder(dims) -> np.ndarray:
     """Morton order with per-axis bit budgets ceil(log2(dim)).
 
     Codes decoding outside the cuboid are skipped, so the result stays a
     bijection for non power-of-two dims. Bits are assigned LSB-first cycling
     w, h, t (fastest axis gets the least significant bit, matching raster).
     """
-    t, h, w = _check_dims(dims)
+    t, h, w = check_dims(dims)
     d = (t, h, w)
     bits = [max(1, math.ceil(math.log2(x))) if x > 1 else 0 for x in d]
     total = sum(bits)
+    _check_cells(d, 1 << total)
 
     codes = np.arange(1 << total, dtype=np.int64)
     coords = [np.zeros_like(codes) for _ in range(3)]
@@ -341,11 +326,10 @@ def zorder(dims) -> ScanOrder:
         level[ax] += 1
         pos += 1
     keep = (coords[0] < t) & (coords[1] < h) & (coords[2] < w)
-    lin = (coords[0] * h * w + coords[1] * w + coords[2])[keep]
-    return ScanOrder((t, h, w), "zorder", lin)
+    return _frozen((coords[0] * h * w + coords[1] * w + coords[2])[keep])
 
 
-def peano(dims) -> ScanOrder:
+def peano(dims) -> np.ndarray:
     """Peano order on the smallest enclosing power-of-3 cube, compacted.
 
     The serpentine base-3 curve: digit at position p (MSB first, axes cycling
@@ -353,41 +337,32 @@ def peano(dims) -> ScanOrder:
     other axes is odd. Compaction drops out-of-range cells, which keeps
     bijectivity but may break step adjacency (acceptable for a baseline).
     """
-    t, h, w = _check_dims(dims)
-    m = max(t, h, w)
+    t, h, w = check_dims(dims)
     n = 0
     side = 1
-    while side < m:
+    while side < max(t, h, w):
         side *= 3
         n += 1
+    _check_cells((t, h, w), side ** 3)
 
     ndig = 3 * n
-    N = side ** 3
-    # digits[:, p] = base-3 digit at position p (MSB first) of each index
-    idx = np.arange(N, dtype=np.int64)
-    digits = np.empty((N, ndig), dtype=np.int64) if ndig else np.empty((N, 0), dtype=np.int64)
-    rem = idx.copy()
-    for p in range(ndig - 1, -1, -1):
-        digits[:, p] = rem % 3
-        rem //= 3
-
-    coords = [np.zeros(N, dtype=np.int64) for _ in range(3)]
-    total = np.zeros(N, dtype=np.int64)
-    peraxis = [np.zeros(N, dtype=np.int64) for _ in range(3)]
+    idx = np.arange(side ** 3, dtype=np.int64)
+    coords = [np.zeros_like(idx) for _ in range(3)]
+    total = np.zeros_like(idx)
+    peraxis = [np.zeros_like(idx) for _ in range(3)]
     for p in range(ndig):
         ax = p % 3
-        a = digits[:, p]
+        a = idx // 3 ** (ndig - 1 - p) % 3       # base-3 digit p, MSB first
         s = total - peraxis[ax]
         dd = np.where(s % 2 == 1, 2 - a, a)
         coords[ax] += dd * 3 ** (n - 1 - p // 3)
         total += a
         peraxis[ax] += a
     keep = (coords[0] < t) & (coords[1] < h) & (coords[2] < w)
-    lin = (coords[0] * h * w + coords[1] * w + coords[2])[keep]
-    return ScanOrder((t, h, w), "peano", lin)
+    return _frozen((coords[0] * h * w + coords[1] * w + coords[2])[keep])
 
 
-def make_order(kind: str, dims) -> ScanOrder:
+def make_order(kind: str, dims) -> np.ndarray:
     """Build a scan order by kind name."""
     if kind == "raster":
         return raster(dims)
@@ -405,34 +380,30 @@ def make_order(kind: str, dims) -> ScanOrder:
 # ---------------------------------------------------------------------------
 
 
-def _rotated(order: ScanOrder) -> ScanOrder:
+def _rotated(kind: str, dims) -> np.ndarray:
     """Regenerate the order on the 90-degree rotated spatial grid and map the
     visited cells back to original coordinates."""
-    t, h, w = order.dims
-    rot = make_order(order.kind, (t, w, h))
+    t, h, w = dims
+    lin = make_order(kind, (t, w, h))
     # rotated cell (t, a, b) corresponds to original (h, w) = (b, W-1-a)
-    lin = rot.forward
     rt = lin // (w * h)
     ra = (lin % (w * h)) // h
     rb = lin % h
-    orig = rt * h * w + rb * w + (w - 1 - ra)
-    return ScanOrder((t, h, w), order.kind, orig)
+    return rt * h * w + rb * w + (w - 1 - ra)
 
 
-def routes(order: ScanOrder, n_routes: int) -> list[ScanOrder]:
-    """Expand one generated order into 1, 2 or 4 scan routes.
+def routes(kind: str, dims, n_routes: int) -> np.ndarray:
+    """The 1, 2 or 4 scan routes of ``kind`` over ``dims`` as one read-only
+    [N, R] table; column r lists the voxels route r visits, in order.
 
-    Route 2 is the exact reversal; routes 3-4 are the forward/backward scans
-    of the order regenerated on a 90-degree-rotated spatial grid.
+    Column 2k+1 is the exact reversal of column 2k; columns 2-3 are the order
+    regenerated on a 90-degree-rotated spatial grid.
     """
-    if n_routes == 1:
-        return [order]
-    if n_routes == 2:
-        return [order, order.reversed()]
-    if n_routes == 4:
-        rot = _rotated(order)
-        return [order, order.reversed(), rot, rot.reversed()]
-    raise ValueError(f"n_routes must be 1, 2 or 4, got {n_routes}")
+    if n_routes not in (1, 2, 4):
+        raise ValueError(f"n_routes must be 1, 2 or 4, got {n_routes}")
+    orders = [make_order(kind, dims)] + ([_rotated(kind, dims)] if n_routes == 4 else [])
+    table = np.stack([c for o in orders for c in (o, o[::-1])][:n_routes], axis=1)
+    return _frozen(table)
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +429,11 @@ class LocalityStats:
     axis_mean_gaps: tuple[float, float, float]  # geometric, along (t, h, w)
 
 
-def locality_score(order: ScanOrder) -> LocalityStats:
-    t, h, w = order.dims
-    rank = order.inverse().reshape(t, h, w)
+def locality_score(order: np.ndarray, dims) -> LocalityStats:
+    """Gap statistics of the visit ``order`` over the ``dims`` cuboid."""
+    rank = np.argsort(order).reshape(dims)
     per_axis = [np.abs(np.diff(rank, axis=ax)).ravel() for ax in range(3)]
-    gaps = np.concatenate(per_axis) if order.n > 1 else np.array([], dtype=np.int64)
+    gaps = np.concatenate(per_axis) if order.size > 1 else np.array([], dtype=np.int64)
     if gaps.size == 0:
         return LocalityStats(0.0, 0.0, 0.0, 0, (0.0, 0.0, 0.0))
     axis_means = tuple(
@@ -482,10 +453,11 @@ def locality_score(order: ScanOrder) -> LocalityStats:
 # ---------------------------------------------------------------------------
 
 
-def write_orders(path, orders: list[ScanOrder]) -> None:
+def write_orders(path, kind: str, dims, table: np.ndarray) -> None:
+    """One header and one visit line per column of the route ``table``; odd
+    columns are the reversals, so their direction is 'backward'."""
+    t, h, w = dims
     with open(path, "w", encoding="utf-8") as f:
-        for o in orders:
-            t, h, w = o.dims
-            f.write(f"{o.kind} {t} {h} {w} {o.direction}\n")
-            f.write(" ".join(str(int(i)) for i in o.forward) + "\n")
-
+        for r in range(table.shape[1]):
+            f.write(f"{kind} {t} {h} {w} {('forward', 'backward')[r % 2]}\n")
+            f.write(" ".join(str(int(i)) for i in table[:, r]) + "\n")

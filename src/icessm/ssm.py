@@ -17,7 +17,6 @@ import numpy as np
 
 from . import nd
 from .nd import Tensor
-from .sfc import ScanOrder
 
 CONV_KERNEL = 3  # taps of the causal conv in front of the scan
 
@@ -82,28 +81,28 @@ def seq_to_volume(seq: Tensor, dims: tuple[int, int, int]) -> Tensor:
     return nd.moveaxis(vol, tuple(range(3, vol.ndim)), (*range(n), n + 1))
 
 
-def scan_routes(seq: Tensor, orders: list[ScanOrder], p: dict[str, Tensor]) -> Tensor:
-    """Scan the raster-ordered sequences seq[L, ..., C] along every route in
-    one scan call; returns [L, R, ..., C] in raster order, route r at index r.
+def scan_routes(seq: Tensor, table: np.ndarray, p: dict[str, Tensor]) -> Tensor:
+    """Scan the raster-ordered sequences seq[L, ..., C] along every route of
+    the [L, R] route table (``sfc.routes``) in one scan call; returns
+    [L, R, ..., C] in raster order, route r at index r.
 
-    The R routes of the N sequences are one [L, R*N] gather, and its inverse,
-    around one selective scan. Route fusion happens downstream. A non-finite
-    scan state is reported with its route and its sequence (the sample, for a
-    batch).
+    The R routes of the N sequences are one [L, R*N] gather by the table, and
+    one gather by its rank back to raster order, around one selective scan.
+    Route fusion happens downstream. A non-finite scan state is reported with
+    its route and its sequence (the sample, for a batch).
     """
     length, *lead, c = seq.shape
-    if not orders or any(o.n != length for o in orders):
-        raise ValueError(f"need scan orders of {length} voxels, got "
-                         f"{[o.dims for o in orders]}")
-    visit = np.stack([o.forward for o in orders], axis=1)   # [L, R]: voxel at step l of route r
+    if table.ndim != 2 or len(table) != length:
+        raise ValueError(f"need a route table of {length} voxels, got shape {table.shape}")
+    rank = np.empty_like(table)                              # [L, R]: step of voxel l on route r
+    np.put_along_axis(rank, table, np.arange(length)[:, None], axis=0)
     flat = nd.reshape(seq, (length, 1, -1, c))
     n = flat.shape[2]
     try:
-        y = selective_scan(nd.gather(flat, visit), p)       # [L, R, N, C]
+        y = selective_scan(nd.gather(flat, table), p)       # [L, R, N, C]
     except nd.ScanStateError as e:
         raise nd.NumericalError(f"{e} (route {e.column // n}, sample {e.column % n})") from e
-    y = nd.gather(y, np.stack([o.inverse() for o in orders], axis=1))
-    return nd.reshape(y, (length, len(orders), *lead, c))
+    return nd.reshape(nd.gather(y, rank), (length, table.shape[1], *lead, c))
 
 
 def init_mamba_params(rng: np.random.Generator, d: int,
@@ -137,10 +136,10 @@ def init_mamba_params(rng: np.random.Generator, d: int,
     }
 
 
-def mamba_block(x_seq: Tensor, orders: list[ScanOrder],
-                p: dict[str, Tensor]) -> Tensor:
+def mamba_block(x_seq: Tensor, table: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     """Process raster-ordered sequences x_seq[L, ..., D], one per leading
-    index (sample); returns [L, R, ..., D], route r at index r.
+    index (sample), along the routes of the [L, R] route ``table``; returns
+    [L, R, ..., D], route r at index r.
 
     The inner width is twice the input width; the same scan, gate and output
     parameters serve every route and sample, and all of them run through them
@@ -150,7 +149,7 @@ def mamba_block(x_seq: Tensor, orders: list[ScanOrder],
     xn = nd.layernorm(x_seq, p["ln_gamma"], p["ln_beta"])
     inner = nd.silu(nd.conv1d_depthwise(nd.linear(xn, p["w_in"], p["b_in"]),
                                         p["conv_k"], p["conv_b"]))
-    routed = scan_routes(inner, orders, nd.sub_params(p, "ssm"))       # [L, R, ..., 2D]
+    routed = scan_routes(inner, table, nd.sub_params(p, "ssm"))       # [L, R, ..., 2D]
     gate = nd.silu(nd.linear(xn, p["w_gate"], p["b_gate"]))
     gated = nd.mul(routed, nd.reshape(gate, (length, 1, *lead, gate.shape[-1])))
     return nd.linear(gated, p["w_out"], p["b_out"])

@@ -23,9 +23,8 @@ def announce(num: int, ok: bool, detail: str = ""):
     assert ok, f"criterion {num:02d} failed: {detail}"
 
 
-def manhattan_steps(order):
-    t, h, w = order.dims
-    lin = order.forward
+def manhattan_steps(lin, dims):
+    t, h, w = dims
     tt, hh, ww = lin // (h * w), (lin % (h * w)) // w, lin % w
     return np.abs(np.diff(tt)) + np.abs(np.diff(hh)) + np.abs(np.diff(ww))
 
@@ -38,10 +37,10 @@ def test_criterion_01_scan_bijectivity_and_adjacency():
         dims = tuple(int(d) for d in rng.integers(1, 17, size=3))
         for kind in sfc.KINDS:
             order = sfc.make_order(kind, dims)
-            assert np.array_equal(np.sort(order.forward),
-                                  np.arange(order.n)), (kind, dims)
-            if kind in hilbert_kinds and order.n > 1:
-                steps = manhattan_steps(order)
+            assert np.array_equal(np.sort(order),
+                                  np.arange(np.prod(dims))), (kind, dims)
+            if kind in hilbert_kinds and order.size > 1:
+                steps = manhattan_steps(order, dims)
                 assert (steps == 1).all(), (kind, dims)
     elapsed = time.monotonic() - t0
     announce(1, elapsed < 10.0,
@@ -49,7 +48,7 @@ def test_criterion_01_scan_bijectivity_and_adjacency():
 
 
 def test_criterion_02_locality_ordering():
-    means = {kind: sfc.locality_score(sfc.make_order(kind, (8, 8, 8))).mean_gap
+    means = {kind: sfc.locality_score(sfc.make_order(kind, (8, 8, 8)), (8, 8, 8)).mean_gap
              for kind in sfc.KINDS}
     ordered = (means["hilbert_temporal_first"] <= means["peano"]
                <= means["zorder"] <= means["raster"])
@@ -251,11 +250,11 @@ def test_criterion_05_gradient_checks():
     fuse = hsa.init_hsa_params(rng, d)
     dw_k = Tensor(rng.normal(size=(d, 3, 3)).astype(np.float32) / 3)
     dw_b = Tensor(np.zeros(d, dtype=np.float32))
-    orders = sfc.routes(sfc.gilbert3d((2, 2, 2)), 2)
+    table = sfc.routes("hilbert_temporal_first", (2, 2, 2), 2)
     coeff = rng.normal(size=(2, d, 2, 2)).astype(np.float32)
 
     def fssm_block(z):
-        routed = ssm.seq_to_volume(ssm.mamba_block(ssm.volume_to_seq(z), orders, mamba),
+        routed = ssm.seq_to_volume(ssm.mamba_block(ssm.volume_to_seq(z), table, mamba),
                                    (2, 2, 2))
         xf = wavelet.freq_branch(z, gains)
         fused = hsa.hsa_fuse(nd.index(routed, np.s_[0]), nd.index(routed, np.s_[-1]), xf, fuse)

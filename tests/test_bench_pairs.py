@@ -1,4 +1,5 @@
-"""The summary of tools/bench_pairs.py on a fixed list of runs."""
+"""The summary of tools/bench_pairs.py on a fixed list of runs, and the
+assignment of pairs to exported copies."""
 
 import importlib.util
 from pathlib import Path
@@ -52,3 +53,8 @@ def test_operations_and_workloads_are_separate():
     pre = summary["preprocess"]
     assert pre["throughput"]["parent_wins"] == 1 and pre["latency_ms_p50"]["parent_wins"] == 1
     assert pre["throughput"]["change"] == {"median": 90.0, "q1": 90.0, "q3": 90.0}
+
+
+def test_pairs_take_turns_over_the_copies():
+    assert bench_pairs.COPIES == 2
+    assert [bench_pairs.tree_copy(pair) for pair in range(10)] == [0, 1] * 5

@@ -32,7 +32,7 @@ class TestScan:
         assert lines[0::2] == ["hilbert_temporal_first 2 4 4 forward",
                                "hilbert_temporal_first 2 4 4 backward"]
         fwd, bwd = ([int(i) for i in line.split()] for line in lines[1::2])
-        assert fwd == sfc.make_order("hilbert_temporal_first", (2, 4, 4)).forward.tolist()
+        assert fwd == sfc.make_order("hilbert_temporal_first", (2, 4, 4)).tolist()
         assert bwd == fwd[::-1]
 
     def test_repeat_run_byte_identical(self, tmp_path):
@@ -53,6 +53,33 @@ class TestBenchLocality:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 6  # header + 5 kinds
         assert lines[0].startswith("kind,mean_gap")
+
+
+class TestOversizedDims:
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--kind", "peano", "--dims", "1000,1,1"),
+        ("scan", "--kind", "peano", "--dims", "82,1,1"),        # 243**3 cube
+        ("scan", "--kind", "zorder", "--dims", "1,1025,2049"),  # 2**23 box
+        ("scan", "--kind", "hilbert-t", "--dims", "3000,3000,3000"),
+        ("bench-locality", "--dims", "300,300,300"),
+        ("synth", "--dims", "100000,1000,1000"),
+    ], ids=["peano", "peano-cube", "zorder-box", "hilbert", "bench-locality", "synth"])
+    def test_refused_before_allocating(self, tmp_path, argv):
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run(*argv, "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 4 << 20   # one int64 array at the cell budget is 32 MiB
+        assert not out.exists()
+
+    def test_budget_edge_accepted(self, tmp_path):
+        out = tmp_path / "order.txt"
+        assert run("scan", "--kind", "peano", "--dims", "81,1,1", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()[1].split()) == 81
 
 
 class TestSynthPreprocess:

@@ -2,21 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icessm import nd, sfc, ssm
+from icessm import model, nd, sfc, ssm
 from icessm.nd import Tensor
 
 
-def manhattan_steps(order):
-    t, h, w = order.dims
-    lin = order.forward
+def manhattan_steps(lin, dims):
+    t, h, w = dims
     tt = lin // (h * w)
     hh = (lin % (h * w)) // w
     ww = lin % w
     return np.abs(np.diff(tt)) + np.abs(np.diff(hh)) + np.abs(np.diff(ww))
 
 
-def assert_bijective(order):
-    assert sorted(order.forward.tolist()) == list(range(order.n))
+def assert_bijective(order, dims):
+    assert sorted(order.tolist()) == list(range(int(np.prod(dims))))
 
 
 dims_st = st.tuples(st.integers(1, 16), st.integers(1, 16), st.integers(1, 16))
@@ -24,27 +23,27 @@ dims_st = st.tuples(st.integers(1, 16), st.integers(1, 16), st.integers(1, 16))
 
 class TestGilbert:
     def test_line_degenerates_to_raster(self):
-        assert sfc.gilbert3d((1, 1, 4)).forward.tolist() == [0, 1, 2, 3]
+        assert sfc.gilbert3d((1, 1, 4)).tolist() == [0, 1, 2, 3]
 
     def test_2x2x2_unit_steps(self):
         order = sfc.gilbert3d((2, 2, 2))
-        assert_bijective(order)
-        assert (manhattan_steps(order) == 1).all()
+        assert_bijective(order, (2, 2, 2))
+        assert (manhattan_steps(order, (2, 2, 2)) == 1).all()
 
     def test_3x5x2_bijective_adjacent(self):
         order = sfc.gilbert3d((3, 5, 2))
-        assert order.n == 30
-        assert_bijective(order)
-        assert (manhattan_steps(order) == 1).all()
+        assert order.size == 30
+        assert_bijective(order, (3, 5, 2))
+        assert (manhattan_steps(order, (3, 5, 2)) == 1).all()
 
     @settings(max_examples=120, deadline=None)
     @given(dims=dims_st, spatial_first=st.booleans())
     def test_random_dims_bijective_adjacent(self, dims, spatial_first):
         prio = (1, 2, 0) if spatial_first else (0, 1, 2)
         order = sfc.gilbert3d(dims, prio)
-        assert_bijective(order)
-        if order.n > 1:
-            assert (manhattan_steps(order) == 1).all()
+        assert_bijective(order, dims)
+        if order.size > 1:
+            assert (manhattan_steps(order, dims) == 1).all()
 
     def test_rejects_zero_dim(self):
         with pytest.raises(ValueError):
@@ -53,20 +52,19 @@ class TestGilbert:
     def test_variants_differ(self):
         a = sfc.gilbert3d((4, 8, 8), (0, 1, 2))
         b = sfc.gilbert3d((4, 8, 8), (1, 2, 0))
-        assert a.kind == "hilbert_temporal_first"
-        assert b.kind == "hilbert_spatial_first"
-        assert not np.array_equal(a.forward, b.forward)
+        assert np.array_equal(a, sfc.make_order("hilbert_temporal_first", (4, 8, 8)))
+        assert np.array_equal(b, sfc.make_order("hilbert_spatial_first", (4, 8, 8)))
+        assert not np.array_equal(a, b)
 
 
 class TestRaster:
     def test_identity(self):
-        assert sfc.raster((1, 2, 2)).forward.tolist() == [0, 1, 2, 3]
-        assert sfc.raster((2, 1, 2)).forward.tolist() == [0, 1, 2, 3]
+        assert sfc.raster((1, 2, 2)).tolist() == [0, 1, 2, 3]
+        assert sfc.raster((2, 1, 2)).tolist() == [0, 1, 2, 3]
 
     def test_temporal_stride(self):
         # matching pixels in the two frames of a (2,2,2) cuboid sit H*W apart
-        order = sfc.raster((2, 2, 2))
-        rank = order.inverse()
+        rank = np.argsort(sfc.raster((2, 2, 2)))
         gaps = [abs(rank[i + 4] - rank[i]) for i in range(4)]
         assert np.mean(gaps) == 4.0
 
@@ -76,7 +74,7 @@ class TestZorder:
         # 2-bit interleave: w takes bit 0, h takes bit 1
         expect = [(0, 0), (0, 1), (1, 0), (1, 1)]
         lin = [h * 2 + w for (h, w) in expect]
-        assert sfc.zorder((1, 2, 2)).forward.tolist() == lin
+        assert sfc.zorder((1, 2, 2)).tolist() == lin
 
     def test_2x2x2_morton_oracle(self):
         # independent 3-bit interleave: code = t<<2 | h<<1 | w
@@ -84,71 +82,95 @@ class TestZorder:
             ((t << 2) | (h << 1) | w, t * 4 + h * 2 + w)
             for t in range(2) for h in range(2) for w in range(2)
         )
-        assert sfc.zorder((2, 2, 2)).forward.tolist() == [lin for _, lin in cells]
+        assert sfc.zorder((2, 2, 2)).tolist() == [lin for _, lin in cells]
 
     def test_1x3x3_skip_compaction(self):
         order = sfc.zorder((1, 3, 3))
-        assert order.n == 9
-        assert_bijective(order)
+        assert order.size == 9
+        assert_bijective(order, (1, 3, 3))
 
     @settings(max_examples=60, deadline=None)
     @given(dims=dims_st)
     def test_random_dims_bijective(self, dims):
-        assert_bijective(sfc.zorder(dims))
+        assert_bijective(sfc.zorder(dims), dims)
 
 
 class TestPeano:
     def test_1x1x3_line(self):
-        assert sfc.peano((1, 1, 3)).forward.tolist() == [0, 1, 2]
+        assert sfc.peano((1, 1, 3)).tolist() == [0, 1, 2]
 
     def test_1x3x3_boustrophedon_oracle(self):
         # hand-derived serpentine over a 3x3 plane:
         # (0,0)(0,1)(0,2)(1,2)(1,1)(1,0)(2,0)(2,1)(2,2)
-        assert sfc.peano((1, 3, 3)).forward.tolist() == [0, 1, 2, 5, 4, 3, 6, 7, 8]
+        assert sfc.peano((1, 3, 3)).tolist() == [0, 1, 2, 5, 4, 3, 6, 7, 8]
 
     def test_2x2x2_bijective(self):
-        assert_bijective(sfc.peano((2, 2, 2)))
+        assert_bijective(sfc.peano((2, 2, 2)), (2, 2, 2))
 
     def test_full_cube_adjacency(self):
         # on an uncompacted power-of-3 cube the curve is a unit-step path
         for dims in [(3, 3, 3), (9, 9, 9)]:
             order = sfc.peano(dims)
-            assert_bijective(order)
-            assert (manhattan_steps(order) == 1).all()
+            assert_bijective(order, dims)
+            assert (manhattan_steps(order, dims) == 1).all()
 
     @settings(max_examples=60, deadline=None)
     @given(dims=dims_st)
     def test_random_dims_bijective(self, dims):
-        assert_bijective(sfc.peano(dims))
+        assert_bijective(sfc.peano(dims), dims)
 
 
 class TestRoutes:
     def test_single(self):
-        order = sfc.gilbert3d((2, 2, 2))
-        assert sfc.routes(order, 1) == [order]
+        table = sfc.routes("hilbert_temporal_first", (2, 2, 2), 1)
+        assert table.shape == (8, 1)
+        assert np.array_equal(table[:, 0], sfc.gilbert3d((2, 2, 2)))
 
     def test_reversal(self):
-        order = sfc.gilbert3d((2, 3, 4))
-        fwd, bwd = sfc.routes(order, 2)
-        assert np.array_equal(bwd.forward, fwd.forward[::-1])
-        assert bwd.direction == "backward"
-        assert np.array_equal(bwd.reversed().forward, fwd.forward)
+        table = sfc.routes("hilbert_temporal_first", (2, 3, 4), 2)
+        fwd, bwd = table.T
+        assert np.array_equal(fwd, sfc.gilbert3d((2, 3, 4)))
+        assert np.array_equal(bwd, fwd[::-1])
+        assert np.array_equal(bwd[::-1], fwd)
 
     def test_four_distinct_bijections(self):
-        rs = sfc.routes(sfc.gilbert3d((2, 2, 2)), 4)
-        assert len(rs) == 4
-        for r in rs:
-            assert_bijective(r)
-        seqs = [tuple(r.forward.tolist()) for r in rs]
+        table = sfc.routes("hilbert_temporal_first", (2, 2, 2), 4)
+        assert table.shape == (8, 4)
+        for r in table.T:
+            assert_bijective(r, (2, 2, 2))
+        seqs = [tuple(r.tolist()) for r in table.T]
         assert len(set(seqs)) == 4
 
     def test_rotated_route_keeps_adjacency(self):
-        for r in sfc.routes(sfc.gilbert3d((3, 4, 6)), 4):
-            assert (manhattan_steps(r) == 1).all()
+        for r in sfc.routes("hilbert_temporal_first", (3, 4, 6), 4).T:
+            assert (manhattan_steps(r, (3, 4, 6)) == 1).all()
 
     def test_unsupported_count(self):
         with pytest.raises(ValueError):
-            sfc.routes(sfc.raster((2, 2, 2)), 3)
+            sfc.routes("raster", (2, 2, 2), 3)
+
+    def test_read_only_table_reused_by_the_model(self, monkeypatch):
+        for kind in sfc.KINDS:
+            for n_routes in (1, 2, 4):
+                table = sfc.routes(kind, (3, 4, 5), n_routes)
+                assert table.shape == (60, n_routes) and table.dtype == np.int64
+                assert not table.flags.writeable
+                for k in range(0, n_routes - 1, 2):
+                    assert np.array_equal(table[:, k + 1], table[::-1, k])
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+        seen = []
+        block = ssm.mamba_block
+        monkeypatch.setattr(ssm, "mamba_block",
+                            lambda x, table, p: seen.append(table) or block(x, table, p))
+        cfg = model.ModelConfig(in_len=4, out_len=4, hidden=8, n_fssm=2, n_routes=4)
+        params = model.init_params(np.random.default_rng(0), cfg)
+        x = np.zeros((4, 1, 12, 12), dtype=np.float32)
+        model.forward(x, params, cfg)
+        model.forward(x, params, cfg)
+        assert len(seen) == 4 and all(t is seen[0] for t in seen)
+        assert seen[0].shape == (36, 4) and not seen[0].flags.writeable
 
 
 class TestApply:
@@ -157,7 +179,7 @@ class TestApply:
 
     @staticmethod
     def scan(order, v):
-        return nd.gather(ssm.volume_to_seq(Tensor(v)), order.forward)
+        return nd.gather(ssm.volume_to_seq(Tensor(v)), order)
 
     def test_raster_apply_is_flatten(self):
         rng = np.random.default_rng(0)
@@ -172,35 +194,35 @@ class TestApply:
         rng = np.random.default_rng(7)
         v = rng.normal(size=(dims[0], 2, dims[1], dims[2])).astype(np.float32)
         order = sfc.make_order(kind, dims)
-        back = nd.gather(self.scan(order, v), order.inverse())
+        back = nd.gather(self.scan(order, v), np.argsort(order))
         assert np.array_equal(ssm.seq_to_volume(back, dims).data, v)
 
     def test_sequence_matches_forward_list(self):
         order = sfc.gilbert3d((2, 2, 2))
         v = np.arange(8, dtype=np.float32).reshape(2, 1, 2, 2)
         seq = self.scan(order, v)
-        assert np.array_equal(seq.data[:, 0].astype(np.int64), order.forward)
+        assert np.array_equal(seq.data[:, 0].astype(np.int64), order)
 
 
 class TestLocality:
     def test_raster_222_temporal_gap(self):
-        stats = sfc.locality_score(sfc.raster((2, 2, 2)))
+        stats = sfc.locality_score(sfc.raster((2, 2, 2)), (2, 2, 2))
         assert stats.axis_mean_gaps[0] == pytest.approx(4.0)
 
     def test_hilbert_beats_raster_on_8cube(self):
-        g = sfc.locality_score(sfc.gilbert3d((8, 8, 8)))
-        r = sfc.locality_score(sfc.raster((8, 8, 8)))
+        g = sfc.locality_score(sfc.gilbert3d((8, 8, 8)), (8, 8, 8))
+        r = sfc.locality_score(sfc.raster((8, 8, 8)), (8, 8, 8))
         assert g.mean_gap < r.mean_gap
 
     def test_zorder_between_gilbert_and_raster(self):
-        g = sfc.locality_score(sfc.gilbert3d((8, 8, 8))).mean_gap
-        z = sfc.locality_score(sfc.zorder((8, 8, 8))).mean_gap
-        r = sfc.locality_score(sfc.raster((8, 8, 8))).mean_gap
+        g = sfc.locality_score(sfc.gilbert3d((8, 8, 8)), (8, 8, 8)).mean_gap
+        z = sfc.locality_score(sfc.zorder((8, 8, 8)), (8, 8, 8)).mean_gap
+        r = sfc.locality_score(sfc.raster((8, 8, 8)), (8, 8, 8)).mean_gap
         assert g < z < r
 
     def test_full_ordering_8cube(self):
         means = {
-            kind: sfc.locality_score(sfc.make_order(kind, (8, 8, 8))).mean_gap
+            kind: sfc.locality_score(sfc.make_order(kind, (8, 8, 8)), (8, 8, 8)).mean_gap
             for kind in ("hilbert_temporal_first", "peano", "zorder", "raster")
         }
         assert (means["hilbert_temporal_first"] <= means["peano"]
@@ -213,15 +235,16 @@ class TestDeterminismAndIo:
         for kind in sfc.KINDS:
             a = sfc.make_order(kind, (5, 6, 7))
             b = sfc.make_order(kind, (5, 6, 7))
-            assert np.array_equal(a.forward, b.forward)
+            assert np.array_equal(a, b)
 
     def test_golden_file_round_trip(self, tmp_path):
-        orders = sfc.routes(sfc.gilbert3d((3, 4, 5)), 2)
+        table = sfc.routes("hilbert_temporal_first", (3, 4, 5), 2)
         path = tmp_path / "orders.txt"
-        sfc.write_orders(path, orders)
+        sfc.write_orders(path, "hilbert_temporal_first", (3, 4, 5), table)
         lines = path.read_text().splitlines()
         assert len(lines) == 4
-        for o, header, visits in zip(orders, lines[0::2], lines[1::2]):
+        for r, (header, visits) in enumerate(zip(lines[0::2], lines[1::2])):
             kind, t, h, w, direction = header.split()
-            assert (kind, (int(t), int(h), int(w)), direction) == (o.kind, o.dims, o.direction)
-            assert np.array_equal([int(i) for i in visits.split()], o.forward)
+            assert (kind, (int(t), int(h), int(w))) == ("hilbert_temporal_first", (3, 4, 5))
+            assert direction == ("backward" if r % 2 else "forward")
+            assert np.array_equal([int(i) for i in visits.split()], table[:, r])

@@ -96,7 +96,7 @@ class TestHilbertSsm:
         r = rng(7)
         p = ssm.init_ssm_params(r, d=3)
         v = r.normal(size=(2, 3, 4, 4)).astype(np.float32)
-        out = ssm.scan_routes(ssm.volume_to_seq(Tensor(v)), [sfc.raster((2, 4, 4))], p)
+        out = ssm.scan_routes(ssm.volume_to_seq(Tensor(v)), sfc.raster((2, 4, 4))[:, None], p)
         flat = np.moveaxis(v, 1, -1).reshape(32, 3)
         plain = ssm.selective_scan(Tensor(flat), p).data
         assert out.shape == (32, 1, 3)
@@ -104,8 +104,8 @@ class TestHilbertSsm:
 
     def test_two_routes_zero_input(self):
         p = ssm.init_ssm_params(rng(8), d=2)
-        orders = sfc.routes(sfc.gilbert3d((2, 2, 2)), 2)
-        out = ssm.scan_routes(Tensor(np.zeros((8, 2))), orders, p)
+        table = sfc.routes("hilbert_temporal_first", (2, 2, 2), 2)
+        out = ssm.scan_routes(Tensor(np.zeros((8, 2))), table, p)
         assert out.shape == (8, 2, 2)
         np.testing.assert_array_equal(out.data, 0.0)
 
@@ -116,36 +116,36 @@ class TestHilbertSsm:
         p = ssm.init_ssm_params(r, d=2)
         v = r.normal(size=(2, 2, 3, 4)).astype(np.float32)
         order = sfc.gilbert3d((2, 3, 4))
-        out = ssm.scan_routes(ssm.volume_to_seq(Tensor(v)), [order], p)
+        out = ssm.scan_routes(ssm.volume_to_seq(Tensor(v)), order[:, None], p)
         flat = np.moveaxis(v, 1, -1).reshape(24, 2)
-        manual = ssm.selective_scan(Tensor(flat[order.forward]), p).data
-        # voxel i's scanned value sits at sequence position inverse()[i]
-        restored = manual[order.inverse()]
+        manual = ssm.selective_scan(Tensor(flat[order]), p).data
+        # voxel i's scanned value sits at its rank, the inverse permutation's entry i
+        restored = manual[np.argsort(order)]
         np.testing.assert_allclose(out.data[:, 0], restored, atol=1e-6)
 
     def test_four_routes_equal_separate_routes(self):
         r = rng(17)
         p = ssm.init_ssm_params(r, d=3)
         v = r.normal(size=(2, 3, 4, 4)).astype(np.float32)
-        orders = sfc.routes(sfc.gilbert3d((2, 4, 4)), 4)
+        table = sfc.routes("hilbert_temporal_first", (2, 4, 4), 4)
         seq = ssm.volume_to_seq(Tensor(v))
-        out = ssm.scan_routes(seq, orders, p)
-        for k, o in enumerate(orders):
-            single = ssm.scan_routes(seq, [o], p)
+        out = ssm.scan_routes(seq, table, p)
+        for k in range(4):
+            single = ssm.scan_routes(seq, table[:, k:k + 1], p)
             np.testing.assert_allclose(out.data[:, k], single.data[:, 0], atol=1e-6)
 
     def test_dim_mismatch(self):
         p = ssm.init_ssm_params(rng(10), d=1)
         with pytest.raises(ValueError):
-            ssm.scan_routes(Tensor(np.zeros((18, 1))), [sfc.raster((2, 3, 4))], p)
+            ssm.scan_routes(Tensor(np.zeros((18, 1))), sfc.raster((2, 3, 4))[:, None], p)
 
 
 class TestMambaBlock:
     def test_zero_input_zero_biases_zero_output(self):
         r = rng(11)
         p = ssm.init_mamba_params(r, d=4)
-        orders = sfc.routes(sfc.gilbert3d((2, 2, 2)), 2)
-        out = ssm.mamba_block(Tensor(np.zeros((8, 4))), orders, p)
+        table = sfc.routes("hilbert_temporal_first", (2, 2, 2), 2)
+        out = ssm.mamba_block(Tensor(np.zeros((8, 4))), table, p)
         assert out.shape == (8, 2, 4)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-7)
 
@@ -155,35 +155,35 @@ class TestMambaBlock:
         # force the gate path to exactly 1: silu(b) == 1 at b ~= 1.27846454
         p["w_gate"].data[:] = 0.0
         p["b_gate"].data[:] = 1.2784645
-        orders = [sfc.raster((2, 2, 2))]
+        table = sfc.raster((2, 2, 2))[:, None]
         x = r.normal(size=(8, 3)).astype(np.float32)
-        out = ssm.mamba_block(Tensor(x), orders, p)
+        out = ssm.mamba_block(Tensor(x), table, p)
         xn = nd.layernorm(Tensor(x), p["ln_gamma"], p["ln_beta"])
         inner = nd.silu(nd.conv1d_depthwise(nd.linear(xn, p["w_in"], p["b_in"]),
                                             p["conv_k"], p["conv_b"]))
-        scanned = ssm.scan_routes(inner, orders, nd.sub_params(p, "ssm"))
+        scanned = ssm.scan_routes(inner, table, nd.sub_params(p, "ssm"))
         expect = nd.linear(scanned, p["w_out"], p["b_out"])
         np.testing.assert_allclose(out.data, expect.data, atol=1e-5)
 
     def test_block_gradients_match_finite_differences(self):
         r = rng(13)
         p = ssm.init_mamba_params(r, d=2, state_size=3)
-        orders = sfc.routes(sfc.gilbert3d((2, 2, 2)), 2)
+        table = sfc.routes("hilbert_temporal_first", (2, 2, 2), 2)
         x = Tensor(r.normal(size=(8, 2)))
         t = r.normal(size=(8, 2)).astype(np.float32)
 
         def f(x_):
-            return nd.mean(nd.mul(ssm.mamba_block(x_, orders, p), Tensor(t[:, None])))
+            return nd.mean(nd.mul(ssm.mamba_block(x_, table, p), Tensor(t[:, None])))
 
         assert nd.grad_check(f, x, tolerance=1e-3).passed
 
     def test_param_gradients_flow(self):
         r = rng(14)
         p = ssm.init_mamba_params(r, d=2, state_size=2)
-        orders = [sfc.gilbert3d((1, 2, 2))]
+        table = sfc.gilbert3d((1, 2, 2))[:, None]
         x = Tensor(r.normal(size=(4, 2)))
         with nd.Tape() as tape:
-            tape.backward(nd.mean(nd.square(ssm.mamba_block(x, orders, p))))
+            tape.backward(nd.mean(nd.square(ssm.mamba_block(x, table, p))))
         for name, tensor in p.items():
             assert tensor.grad is not None, name
             assert np.isfinite(tensor.grad).all(), name

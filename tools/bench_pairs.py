@@ -2,16 +2,18 @@
 
     python3 tools/bench_pairs.py PARENT_REF CHANGE_REF --pairs 10 --out BENCH_<pr>.json
 
-Each ref's committed files are exported (``git archive``) into a fresh
-directory of its own, so both sides run exactly what is committed and the
-repository's own checkout and ``.git`` are left alone. For each pair and each
-workload in ``BENCHMARK.json``, ``perfbench/run.py --trace 0`` runs once on
-each side at the benchmark's own run length; which side goes first alternates
-from pair to pair, so a slow drift of the machine favours neither. Then each
-side gets one ``--trace 1`` run per workload, at seed ``TRACE_SEED``, for the
-per-layer rows.
+Each ref's committed files are exported (``git archive``) into ``COPIES``
+fresh directories of its own, so both sides run exactly what is committed and
+the repository's own checkout and ``.git`` are left alone. For each pair and
+each workload in ``BENCHMARK.json``, ``perfbench/run.py --trace 0`` runs once
+on each side at the benchmark's own run length; which side goes first
+alternates from pair to pair, so a slow drift of the machine favours neither,
+and so does which copy both sides run (``tree_copy``), so neither does the
+layout of one directory: byte-identical trees in two directories have read
+4-19% apart on forecast-s64. Then each side gets one ``--trace 1`` run per
+workload, on copy 0 at seed ``TRACE_SEED``, for the per-layer rows.
 
-The output holds every run, and per workload and end-to-end metric each
+The output holds every run with the copy it ran, and per workload and end-to-end metric each
 side's median and quartiles and the number of pairs the change won (better in
 the direction ``BENCHMARK.json`` gives; a tie counts for neither side). It is
 rewritten after every pair, so an interrupted run leaves what it measured.
@@ -32,6 +34,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACE_SEED = 1  # seed of the traced runs, fixed so per-layer rows compare across changes
+COPIES = 2      # exports of each side; the pairs take turns over them
+
+
+def tree_copy(pair: int) -> int:
+    """The export of each side that pair ``pair`` runs."""
+    return pair % COPIES
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -114,9 +122,11 @@ def main(argv=None) -> int:
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {side: Path(tmp) / side for side in SIDES}
-        shas = {side: export(ref, trees[side])
-                for side, ref in zip(SIDES, (args.parent, args.change))}
+        trees = {(side, c): Path(tmp) / f"{side}-{c}" for side in SIDES for c in range(COPIES)}
+        shas = {}
+        for side, ref in zip(SIDES, (args.parent, args.change)):
+            for c in range(COPIES):
+                shas[side] = export(ref, trees[side, c])
         doc = {"refs": {side: {"ref": ref, "commit": shas[side]}
                         for side, ref in zip(SIDES, (args.parent, args.change))},
                "seed": args.seed, "trace_seed": TRACE_SEED, "seconds": seconds,
@@ -127,23 +137,24 @@ def main(argv=None) -> int:
 
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            copy = tree_copy(pair)
             for workload in workloads:
                 for side in order:
-                    run = perfbench(trees[side], workload, args.seed, seconds, 0)
+                    run = perfbench(trees[side, copy], workload, args.seed, seconds, 0)
                     doc.setdefault("environment", run.pop("env"))
                     doc["runs"].append({"pair": pair, "side": side, "workload": workload,
-                                        "trace": 0, **run})
-                    print(f"pair {pair} {workload} {side}: " + ", ".join(
+                                        "trace": 0, "copy": copy, **run})
+                    print(f"pair {pair} copy {copy} {workload} {side}: " + ", ".join(
                         f"{m}={run['metrics'][m]:.4g}" for m in better), flush=True)
             doc["summary"] = summarize([r for r in doc["runs"] if r["trace"] == 0], better)
             save()
         for workload in workloads:
             rows = {}
             for side in SIDES:
-                run = perfbench(trees[side], workload, TRACE_SEED, seconds, 1)
+                run = perfbench(trees[side, 0], workload, TRACE_SEED, seconds, 1)
                 run.pop("env")
                 doc["runs"].append({"pair": None, "side": side, "workload": workload,
-                                    "trace": 1, **run})
+                                    "trace": 1, "copy": 0, **run})
                 for name, value in run["metrics"].items():
                     rows.setdefault(name, {})[side] = value
             doc["per_layer"][workload] = rows
