@@ -13,9 +13,10 @@ layout of one directory: byte-identical trees in two directories have read
 4-19% apart on forecast-s64. Then each side gets one ``--trace 1`` run per
 workload, on copy 0 at seed ``TRACE_SEED``, for the per-layer rows.
 
-The output holds every run with the copy it ran, and per workload and end-to-end metric each
-side's median and quartiles and the number of pairs the change won (better in
-the direction ``BENCHMARK.json`` gives; a tie counts for neither side). It is
+The output holds every run with the copy it ran, and per workload and
+end-to-end metric each side's median and quartiles and the number of pairs
+the change won (better in the direction ``BENCHMARK.json`` gives; a tie
+counts for neither side). It is
 rewritten after every pair, so an interrupted run leaves what it measured.
 """
 
