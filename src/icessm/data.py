@@ -175,6 +175,10 @@ def synth_generate(seed: int, t: int, h: int, w: int, n_blobs: int = 3,
     """
     if min(t, h, w) < 8:
         raise ValueError("dims must be >= 8")
+    if n_blobs < 0:
+        raise ValueError(f"n_blobs must be >= 0, got {n_blobs}")
+    if not (math.isfinite(drift) and drift >= 0):
+        raise ValueError(f"drift must be finite and >= 0, got {drift}")
     rng = np.random.default_rng(seed)
     frames = np.zeros((t, h, w), dtype=np.float32)
 

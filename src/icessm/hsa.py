@@ -9,10 +9,6 @@ fusers are kept as ablation baselines.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from . import nd
 from .nd import Tensor
 
@@ -37,15 +33,12 @@ def unshuffle(v: Tensor) -> Tensor:
     return nd.reshape(nd.moveaxis(nd.reshape(v, (*lead, n // 3, 3)), -2, -1), (*lead, n))
 
 
-def init_hsa_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
-    """Group-conv mixing over shuffled channel triples: ``weights`` [D, 3, 3]
-    and ``bias`` [3*D]."""
+def hsa_layout(d: int) -> list:
+    """(name, shape, init) of the group-conv mixing over shuffled channel
+    triples: ``weights`` [D, 3, 3] and ``bias`` [3*D]."""
     # small weights keep the pre-sigmoid logits near 0, so fusion starts close
     # to an even (x1+x2+xf)/2 blend
-    return {
-        "weights": nd.param(rng.standard_normal((d, 3, 3)).astype(np.float32) / math.sqrt(3)),
-        "bias": nd.param(np.zeros(3 * d, dtype=np.float32)),
-    }
+    return [("weights", (d, 3, 3), nd.normal_init(3)), ("bias", (3 * d,), 0.0)]
 
 
 def _pool_channels(x: Tensor) -> Tensor:
@@ -82,16 +75,12 @@ def sum_fuse(x1: Tensor, x2: Tensor, xf: Tensor) -> Tensor:
     return nd.add(nd.add(x1, x2), xf)
 
 
-def init_ca_gate_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
-    """Per-input channel-attention gates for the CAGate ablation: ``w0``..``w2``
-    [D, D] and ``b0``..``b2`` [D]."""
-    weights = [nd.param(rng.standard_normal((d, d)).astype(np.float32) / math.sqrt(d))
-               for _ in range(3)]
-    params = {}
-    for i, w in enumerate(weights):
-        params[f"w{i}"] = w
-        params[f"b{i}"] = nd.param(np.zeros(d, dtype=np.float32))
-    return params
+def ca_gate_layout(d: int) -> list:
+    """(name, shape, init) of the per-input channel-attention gates of the
+    CAGate ablation: ``w0``, ``b0``, ``w1``, ``b1``, ``w2``, ``b2``, each
+    weight [D, D] and each bias [D]."""
+    return [entry for i in range(3)
+            for entry in ((f"w{i}", (d, d), nd.normal_init(d)), (f"b{i}", (d,), 0.0))]
 
 
 def ca_gate_fuse(x1: Tensor, x2: Tensor, xf: Tensor, p: dict[str, Tensor]) -> Tensor:

@@ -14,6 +14,7 @@ from the paper, which does not say how latent frames map to lead days.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -46,12 +47,14 @@ class ModelConfig:
             raise ValueError("n_fssm must be >= 1")
         if self.n_routes not in (1, 2, 4):
             raise ValueError("n_routes must be 1, 2 or 4")
-        if self.lambda_grad < 0:
-            raise ValueError("lambda_grad must be >= 0")
+        if not (math.isfinite(self.lambda_grad) and self.lambda_grad >= 0):
+            raise ValueError(f"lambda_grad must be finite and >= 0, got {self.lambda_grad}")
         if self.in_len < 1 or self.out_len < 1:
             raise ValueError("window lengths must be >= 1")
-        if self.hidden % 2:
-            raise ValueError("hidden width must be even")
+        if self.hidden < 2 or self.hidden % 2:
+            raise ValueError(f"hidden must be even and >= 2, got {self.hidden}")
+        if self.state_size < 1:
+            raise ValueError(f"state_size must be >= 1, got {self.state_size}")
         if self.scan_kind not in sfc.KINDS:
             raise ValueError(f"unknown scan kind {self.scan_kind!r}")
         if self.head not in HEADS:
@@ -77,71 +80,58 @@ class Forecast:
 
 
 class ModelParams(dict):
-    """Checkpoint name -> Tensor for every learnable tensor, in checkpoint order.
-
-    Names are ``enc.*``, then ``fssm{i}.*`` per block (``mamba.*``,
-    ``mamba.ssm.*``, ``gains``, ``hsa.*`` or ``cagate.*``, ``dw_k``, ``dw_b``),
-    then ``dec.*`` and, when ``out_len != in_len``, ``time.w`` and ``time.b``.
-    """
+    """Checkpoint name -> Tensor for every learnable tensor, in the checkpoint
+    order of ``param_layout``."""
 
     def named_tensors(self) -> dict[str, Tensor]:
         """The dict itself; kept for callers that ask for the named view."""
         return self
 
 
-def init_params(rng: np.random.Generator, config: ModelConfig) -> ModelParams:
-    d = config.hidden
-    dh = d // 2
+def param_layout(config: ModelConfig, draw: bool = False):
+    """Yield (name, shape, init) of every tensor of ``config``, lazily and
+    allocating nothing sized by it: ``enc.*``, then ``fssm{i}.*`` per block
+    (``mamba.*``, ``mamba.ssm.*``, ``gains``, ``hsa.*`` or ``cagate.*``,
+    ``dw_k``, ``dw_b``), then ``dec.*`` and, when ``out_len != in_len``,
+    ``time.w`` and ``time.b``.
 
-    def conv_k(co, ci, k):
-        return nd.param(rng.standard_normal((co, ci, k, k)).astype(np.float32)
-                        / math.sqrt(ci * k * k))
+    That is the checkpoint order. With ``draw`` the entries come in the order
+    the RNG draws them, which differs twice: every block before ``enc.*``, and
+    in each block ``mamba.ssm.*`` before ``mamba.w_out``. Changing the draw
+    order changes every trained model; changing the checkpoint order changes
+    every checkpoint file written.
+    """
+    d, dh, hc = config.hidden, config.hidden // 2, config.head_channels
 
-    def dw_k(c, k=3):
-        return nd.param(rng.standard_normal((c, k, k)).astype(np.float32) / k)
+    def conv(name, kernel, n):  # kernel, then bias and norm gain/shift over n channels
+        return [(f"{name}_k", kernel, nd.normal_init(math.prod(kernel[1:]))),
+                (f"{name}_b", (n,), 0.0), (f"{name}_g", (n,), 1.0), (f"{name}_be", (n,), 0.0)]
 
-    def zeros(*shape):
-        return nd.param(np.zeros(shape, dtype=np.float32))
-
-    def ones(*shape):
-        return nd.param(np.ones(shape, dtype=np.float32))
-
-    # the blocks draw from rng first, but their names sit after enc.*
-    blocks = {}
-    for i in range(config.n_fssm):
-        blk = nd.nest_params("mamba", ssm.init_mamba_params(rng, d, config.state_size))
-        blk["gains"] = ones(d, 3)                      # detail-band gains
-        if config.fusion == "hsa":
-            blk.update(nd.nest_params("hsa", hsa.init_hsa_params(rng, d)))
-        elif config.fusion == "cagate":
-            blk.update(nd.nest_params("cagate", hsa.init_ca_gate_params(rng, d)))
-        blk["dw_k"] = dw_k(d)
-        blk["dw_b"] = zeros(d)
-        blocks.update(nd.nest_params(f"fssm{i}", blk))
-
-    params = ModelParams(nd.nest_params("enc", {
-        "enc1_k": conv_k(dh, 1, 3), "enc1_b": zeros(dh),
-        "enc1_g": ones(dh), "enc1_be": zeros(dh),
-        "enc2_k": conv_k(d, dh, 3), "enc2_b": zeros(d),
-        "enc2_g": ones(d), "enc2_be": zeros(d),
-    }))
-    params.update(blocks)
-    params.update(nd.nest_params("dec", {
-        "dec1_k": conv_k(d, dh, 4), "dec1_b": zeros(dh),
-        "dec1_g": ones(dh), "dec1_be": zeros(dh),
-        "dec2_k": conv_k(dh, dh, 4), "dec2_b": zeros(dh),
-        "dec2_g": ones(dh), "dec2_be": zeros(dh),
-        "ref1_k": dw_k(dh), "ref1_b": zeros(dh),
-        "ref2_k": dw_k(dh), "ref2_b": zeros(dh),
-        "head_k": conv_k(config.head_channels, dh, 1),
-        "head_b": zeros(config.head_channels),
-    }))
+    mamba = ssm.mamba_layout(d, config.state_size)             # in draw order
+    if not draw:
+        mamba.sort(key=lambda entry: entry[0].startswith("ssm."))  # stable: ssm.* go last
+    fusion = {"hsa": nd.prefixed("hsa", hsa.hsa_layout(d)),
+              "cagate": nd.prefixed("cagate", hsa.ca_gate_layout(d)), "sum": []}[config.fusion]
+    # one block's entries, built once and shared by every block
+    block = [*nd.prefixed("mamba", mamba), ("gains", (d, 3), 1.0),  # detail-band gains
+             *fusion, ("dw_k", (d, 3, 3), nd.normal_init(9)), ("dw_b", (d,), 0.0)]
+    enc = nd.prefixed("enc", conv("enc1", (dh, 1, 3, 3), dh) + conv("enc2", (d, dh, 3, 3), d))
+    blocks = (entry for i in range(config.n_fssm) for entry in nd.prefixed(f"fssm{i}", block))
+    yield from itertools.chain(blocks, enc) if draw else itertools.chain(enc, blocks)
+    yield from nd.prefixed("dec", [
+        *conv("dec1", (d, dh, 4, 4), dh), *conv("dec2", (dh, dh, 4, 4), dh),
+        ("ref1_k", (dh, 3, 3), nd.normal_init(9)), ("ref1_b", (dh,), 0.0),
+        ("ref2_k", (dh, 3, 3), nd.normal_init(9)), ("ref2_b", (dh,), 0.0),
+        ("head_k", (hc, dh, 1, 1), nd.normal_init(dh)), ("head_b", (hc,), 0.0)])
     if config.out_len != config.in_len:
-        params["time.w"] = nd.param(
-            rng.standard_normal((config.in_len, config.out_len)).astype(np.float32)
-            / math.sqrt(config.in_len))
-        params["time.b"] = zeros(config.out_len)
-    return params
+        yield from (("time.w", (config.in_len, config.out_len), nd.normal_init(config.in_len)),
+                    ("time.b", (config.out_len,), 0.0))
+
+
+def init_params(rng: np.random.Generator, config: ModelConfig) -> ModelParams:
+    """The parameters of ``config`` drawn from ``rng``, in checkpoint order."""
+    drawn = nd.make_params(rng, param_layout(config, draw=True))
+    return ModelParams((name, drawn[name]) for name, _, _ in param_layout(config))
 
 
 @lru_cache(maxsize=32)
@@ -501,48 +491,13 @@ def save_checkpoint(path, params: dict[str, Tensor]) -> None:
     nd.save_params(path, params)
 
 
-def param_layout(config: ModelConfig):
-    """Yield (name, shape) of every tensor ``init_params`` makes for
-    ``config``, in checkpoint order, without allocating any of them."""
-    d, dh, d2, s, hc = (config.hidden, config.hidden // 2, 2 * config.hidden,
-                        config.state_size, config.head_channels)
-
-    def conv(prefix, kernel, n):  # kernel, then bias and norm gain/shift over n channels
-        return [(f"{prefix}_k", kernel), (f"{prefix}_b", (n,)), (f"{prefix}_g", (n,)),
-                (f"{prefix}_be", (n,))]
-
-    mamba = [("ln_gamma", (d,)), ("ln_beta", (d,)), ("w_in", (d, d2)), ("b_in", (d2,)),
-             ("conv_k", (d2, ssm.CONV_KERNEL)), ("conv_b", (d2,)), ("w_gate", (d, d2)),
-             ("b_gate", (d2,)), ("w_out", (d2, d)), ("b_out", (d,)), ("ssm.a_log", (d2, s)),
-             ("ssm.d_skip", (d2,)), ("ssm.w_delta", (d2, 1)), ("ssm.b_delta", (1,)),
-             ("ssm.w_b", (d2, s)), ("ssm.w_c", (d2, s))]
-    fusion = {"hsa": [("hsa.weights", (d, 3, 3)), ("hsa.bias", (3 * d,))],
-              "cagate": [(f"cagate.{w}{i}", shape) for i in range(3)
-                         for w, shape in (("w", (d, d)), ("b", (d,)))],
-              "sum": []}[config.fusion]
-    block = ([(f"mamba.{k}", v) for k, v in mamba] + [("gains", (d, 3))] + fusion
-             + [("dw_k", (d, 3, 3)), ("dw_b", (d,))])
-
-    yield from ((f"enc.{k}", v) for k, v in
-                conv("enc1", (dh, 1, 3, 3), dh) + conv("enc2", (d, dh, 3, 3), d))
-    for i in range(config.n_fssm):
-        yield from ((f"fssm{i}.{k}", v) for k, v in block)
-    yield from ((f"dec.{k}", v) for k, v in
-                conv("dec1", (d, dh, 4, 4), dh) + conv("dec2", (dh, dh, 4, 4), dh))
-    for k in ("ref1", "ref2"):
-        yield from ((f"dec.{k}_k", (dh, 3, 3)), (f"dec.{k}_b", (dh,)))
-    yield from (("dec.head_k", (hc, dh, 1, 1)), ("dec.head_b", (hc,)))
-    if config.out_len != config.in_len:
-        yield from (("time.w", (config.in_len, config.out_len)), ("time.b", (config.out_len,)))
-
-
 def load_checkpoint(path, config: ModelConfig) -> ModelParams:
     """Load a checkpoint written for ``config``. Its names and shapes are
     checked against ``param_layout(config)`` first, so a config that does not
     match (however large) allocates nothing."""
     stored = nd.load_params(path)
     params = ModelParams()
-    for name, shape in param_layout(config):
+    for name, shape, _ in param_layout(config):
         if name not in stored:
             raise ValueError(f"checkpoint does not match config (missing {name})")
         if stored[name].data.shape != shape:

@@ -845,13 +845,27 @@ def grad_check(f, xs, tolerance: float = 1e-3, step: float = 1e-3) -> GradCheckR
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: named float32 tensors
+# named parameters: layouts and the checkpoint container
 # ---------------------------------------------------------------------------
 
 
-def nest_params(prefix: str, params: dict[str, Tensor]) -> dict[str, Tensor]:
-    """Put every name of ``params`` under ``prefix.``, keeping the order."""
-    return {f"{prefix}.{name}": t for name, t in params.items()}
+def normal_init(fan_in: int):
+    """An init of standard normal draws divided by sqrt(fan_in)."""
+    return lambda rng, shape: rng.standard_normal(shape).astype(np.float32) / math.sqrt(fan_in)
+
+
+def make_params(rng: np.random.Generator, layout) -> dict[str, Tensor]:
+    """One parameter per (name, shape, init) entry of ``layout``, made in its
+    order. An init is a constant to fill the shape with, or a function of
+    (rng, shape) that returns the float32 values."""
+    return {name: param(init(rng, shape) if callable(init)
+                        else np.full(shape, init, dtype=np.float32))
+            for name, shape, init in layout}
+
+
+def prefixed(prefix: str, layout):
+    """The entries of ``layout`` with every name put under ``prefix.``."""
+    return ((f"{prefix}.{name}", shape, init) for name, shape, init in layout)
 
 
 def sub_params(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:

@@ -21,22 +21,24 @@ from .nd import Tensor
 CONV_KERNEL = 3  # taps of the causal conv in front of the scan
 
 
-def init_ssm_params(rng: np.random.Generator, d: int,
-                    state_size: int = 8) -> dict[str, Tensor]:
-    """Parameters of one selective scan over D channels: ``a_log`` [D, S]
-    (A = -exp(a_log)), ``d_skip`` [D], ``w_delta`` [D, 1], ``b_delta`` [1],
-    ``w_b`` [D, S] and ``w_c`` [D, S]."""
+def ssm_layout(d: int, state_size: int) -> list:
+    """(name, shape, init) of one selective scan over D channels: ``a_log``
+    [D, S] (A = -exp(a_log)), ``d_skip`` [D], ``w_delta`` [D, 1], ``b_delta``
+    [1], ``w_b`` [D, S] and ``w_c`` [D, S]."""
+    # the weights multiply by 1/sqrt(d): dividing by sqrt(d) rounds differently
+    # unless d is a power of 4, and would change every initial scan weight
     scale = 1.0 / math.sqrt(d)
-    a_log = np.tile(np.log(np.arange(1, state_size + 1, dtype=np.float32)), (d, 1))
-    return {
-        "a_log": nd.param(a_log),
-        "d_skip": nd.param(np.ones(d, dtype=np.float32)),
-        "w_delta": nd.param(rng.standard_normal((d, 1)).astype(np.float32) * scale),
-        # softplus(b_delta) == 0.1 at init
-        "b_delta": nd.param(np.full(1, math.log(math.expm1(0.1)), dtype=np.float32)),
-        "w_b": nd.param(rng.standard_normal((d, state_size)).astype(np.float32) * scale),
-        "w_c": nd.param(rng.standard_normal((d, state_size)).astype(np.float32) * scale),
-    }
+
+    def weight(rng, shape):
+        return rng.standard_normal(shape).astype(np.float32) * scale
+
+    def a_log(rng, shape):  # made when drawn, so a layout holds nothing sized by S
+        return np.tile(np.log(np.arange(1, shape[1] + 1, dtype=np.float32)), (shape[0], 1))
+
+    return [("a_log", (d, state_size), a_log), ("d_skip", (d,), 1.0),
+            ("w_delta", (d, 1), weight),
+            ("b_delta", (1,), math.log(math.expm1(0.1))),  # softplus(b_delta) == 0.1 at init
+            ("w_b", (d, state_size), weight), ("w_c", (d, state_size), weight)]
 
 
 def selective_scan(x: Tensor, p: dict[str, Tensor],
@@ -105,35 +107,20 @@ def scan_routes(seq: Tensor, table: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     return nd.reshape(nd.gather(y, rank), (length, table.shape[1], *lead, c))
 
 
-def init_mamba_params(rng: np.random.Generator, d: int,
-                      state_size: int = 8) -> dict[str, Tensor]:
-    """Gated sequence block (LN -> expand -> causal conv -> scan -> gate -> out):
-    ``ln_gamma``/``ln_beta`` [D], ``w_in``/``w_gate`` [D, 2D] with biases
-    [2D], ``conv_k`` [2D, CONV_KERNEL], ``conv_b`` [2D], ``w_out`` [2D, D], ``b_out``
-    [D], and the scan over 2D channels under ``ssm.*``."""
+def mamba_layout(d: int, state_size: int) -> list:
+    """(name, shape, init) of the gated sequence block (LN -> expand ->
+    causal conv -> scan -> gate -> out), in draw order: ``ln_gamma``/``ln_beta``
+    [D], ``w_in``/``w_gate`` [D, 2D] with biases [2D], ``conv_k`` [2D,
+    CONV_KERNEL], ``conv_b`` [2D], the scan over 2D channels under ``ssm.*``,
+    then ``w_out`` [2D, D] and ``b_out`` [D]. The checkpoint lists ``ssm.*``
+    last (``model.param_layout``)."""
     d2 = 2 * d
-
-    def lin(din, dout):
-        return nd.param(rng.standard_normal((din, dout)).astype(np.float32)
-                        / math.sqrt(din))
-
-    def zeros(n):
-        return nd.param(np.zeros(n, dtype=np.float32))
-
-    # rng draws go w_in, conv_k, w_gate, scan, w_out; the names keep checkpoint order
-    w_in = lin(d, d2)
-    conv_k = nd.param(rng.standard_normal((d2, CONV_KERNEL)).astype(np.float32)
-                      / math.sqrt(CONV_KERNEL))
-    w_gate = lin(d, d2)
-    scan = init_ssm_params(rng, d2, state_size)
-    return {
-        "ln_gamma": nd.param(np.ones(d, dtype=np.float32)), "ln_beta": zeros(d),
-        "w_in": w_in, "b_in": zeros(d2),
-        "conv_k": conv_k, "conv_b": zeros(d2),
-        "w_gate": w_gate, "b_gate": zeros(d2),
-        "w_out": lin(d2, d), "b_out": zeros(d),
-        **nd.nest_params("ssm", scan),
-    }
+    return [("ln_gamma", (d,), 1.0), ("ln_beta", (d,), 0.0),
+            ("w_in", (d, d2), nd.normal_init(d)), ("b_in", (d2,), 0.0),
+            ("conv_k", (d2, CONV_KERNEL), nd.normal_init(CONV_KERNEL)), ("conv_b", (d2,), 0.0),
+            ("w_gate", (d, d2), nd.normal_init(d)), ("b_gate", (d2,), 0.0),
+            *nd.prefixed("ssm", ssm_layout(d2, state_size)),
+            ("w_out", (d2, d), nd.normal_init(d2)), ("b_out", (d,), 0.0)]
 
 
 def mamba_block(x_seq: Tensor, table: np.ndarray, p: dict[str, Tensor]) -> Tensor:

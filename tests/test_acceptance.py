@@ -67,13 +67,13 @@ def test_criterion_03_ssm_matches_naive_recurrence():
         length = int(rng.integers(1, 65))
         d = int(rng.integers(1, 9))
         s = int(rng.integers(1, 9))
-        p = ssm.init_ssm_params(rng, d=d, state_size=s)
+        p = nd.make_params(rng, ssm.ssm_layout(d, s))
         x = rng.normal(size=(length, d)).astype(np.float32)
         got = ssm.selective_scan(Tensor(x), p).data
         want = naive_selective_scan(x, p)
         worst = max(worst, float(np.abs(got - want).max()))
     # reversal identity must be exact
-    p = ssm.init_ssm_params(rng, d=4)
+    p = nd.make_params(rng, ssm.ssm_layout(4, 8))
     x = rng.normal(size=(24, 4)).astype(np.float32)
     rev_ok = np.array_equal(
         ssm.selective_scan(Tensor(x[::-1].copy()), p, "forward").data,
@@ -156,7 +156,7 @@ def _op_probes():
     other2 = t(2, 3)
     c_ssm = t(5, 2, 3)
     perm = np.random.default_rng(6).permutation(6)
-    p_ssm = ssm.init_ssm_params(rng, d=3, state_size=2)
+    p_ssm = nd.make_params(rng, ssm.ssm_layout(3, 2))
     # x[L=5, R=2, D=2] is probed; dt > 0, A = -exp(.) < 0, B, C [5, 2, 3]
     scan_dt, scan_a, scan_b = t(5, 2, lo=0.1, hi=1.0), t(2, 3, lo=-1.0, hi=-0.1), t(5, 2, 3)
     # the fused probes keep every pre-activation at least 0.3 from the leaky
@@ -245,9 +245,9 @@ def test_criterion_05_gradient_checks():
     # full FSSM block: routes + frequency branch + fusion + depthwise + residual
     rng = np.random.default_rng(7)
     d = 2
-    mamba = ssm.init_mamba_params(rng, d=d, state_size=2)
+    mamba = nd.make_params(rng, ssm.mamba_layout(d, 2))
     gains = Tensor(np.ones((d, 3), dtype=np.float32))
-    fuse = hsa.init_hsa_params(rng, d)
+    fuse = nd.make_params(rng, hsa.hsa_layout(d))
     dw_k = Tensor(rng.normal(size=(d, 3, 3)).astype(np.float32) / 3)
     dw_b = Tensor(np.zeros(d, dtype=np.float32))
     table = sfc.routes("hilbert_temporal_first", (2, 2, 2), 2)
@@ -284,7 +284,7 @@ def test_criterion_06_hsa_contract():
     avg_err = float(np.abs(fused.data
                            - (xs[0].data + xs[1].data + xs[2].data) / 2).max())
 
-    live = hsa.init_hsa_params(rng, d)
+    live = nd.make_params(rng, hsa.hsa_layout(d))
     _, weights = hsa.hsa_fuse(*xs, live, return_weights=True)
     in_unit = all(((a.data > 0) & (a.data < 1)).all() for a in weights)
     announce(6, ident and avg_err < 1e-6 and in_unit,

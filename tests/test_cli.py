@@ -83,6 +83,15 @@ class TestOversizedDims:
 
 
 class TestSynthPreprocess:
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--drift", "inf", "drift"), ("--drift", "nan", "drift"), ("--drift", "-0.5", "drift"),
+        ("--blobs", "-1", "n_blobs")])
+    def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "g.sic"
+        assert run("synth", "--dims", "12,8,8", flag, value, "--out", str(out)) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synth_deterministic(self, tmp_path):
         a, b = tmp_path / "a.sic", tmp_path / "b.sic"
         run("synth", "--seed", "7", "--dims", "20,8,8", "--out", str(a))
@@ -185,7 +194,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("flag, value", [
         ("--batch-size", "0"), ("--batch-size", "-1"), ("--epochs", "0"),
-        ("--lr", "nan"), ("--lr", "-0.001"), ("--stride", "0")])
+        ("--lr", "nan"), ("--lr", "-0.001"), ("--stride", "0"), ("--hidden", "0"),
+        ("--state-size", "0"), ("--lambda", "nan"), ("--lambda", "inf")])
     def test_bad_training_flag_is_usage_error(self, trained, tmp_path, flag, value):
         _, grid_path, _ = trained
         out = tmp_path / "bad"
@@ -284,8 +294,9 @@ class TestPipeline:
         assert code == 4
 
     @pytest.mark.parametrize("text", ['{"in_len": 4, "colour": "red"}', '{"in_len": 4,',
-                                      '[4]'],
-                             ids=["unknown-key", "invalid-json", "not-an-object"])
+                                      '[4]', '{"hidden": 0}', '{"lambda_grad": NaN}'],
+                             ids=["unknown-key", "invalid-json", "not-an-object",
+                                  "hidden-zero", "lambda-nan"])
     def test_bad_config_is_data_error(self, trained, tmp_path, text):
         # a config.json that does not describe a ModelConfig is a data error
         _, grid_path, model_dir = trained
@@ -314,16 +325,20 @@ class TestPipeline:
         assert run("predict", "--model", str(bad), "--data", str(grid_path),
                    "--out", str(tmp_path / "o")) == 3
 
-    def test_huge_config_is_data_error(self, trained, tmp_path):
-        # hidden 10^6 asks for TiB-sized weights: the checkpoint's names and
-        # shapes must be compared with the config's layout before any of them
+    @pytest.mark.parametrize("key, value", [
+        ("hidden", 1_000_000), ("state_size", 10 ** 9), ("n_fssm", 10 ** 9)],
+        ids=["hidden", "state_size", "n_fssm"])
+    def test_huge_config_is_data_error(self, trained, tmp_path, key, value):
+        # each asks for TiB-sized weights or billions of tensors: the
+        # checkpoint's names and shapes must be compared with the config's
+        # layout, one entry at a time, before any of them is made
         _, grid_path, model_dir = trained
         ckpt = (model_dir / "model.ckpt").read_bytes()
         config = json.loads((model_dir / "config.json").read_text())
         bad = tmp_path / "model"
         bad.mkdir()
         (bad / "model.ckpt").write_bytes(ckpt)
-        (bad / "config.json").write_text(json.dumps({**config, "hidden": 1_000_000}))
+        (bad / "config.json").write_text(json.dumps({**config, key: value}))
         tracemalloc.start()
         try:
             code = run("predict", "--model", str(bad), "--data", str(grid_path),

@@ -45,7 +45,7 @@ class TestHsaFuse:
     def test_weights_in_unit_interval(self):
         r = rng(3)
         d = 5
-        p = hsa.init_hsa_params(r, d)
+        p = nd.make_params(r, hsa.hsa_layout(d))
         xs = [Tensor(r.normal(size=(3, d, 4, 4)) * 5) for _ in range(3)]
         _, (a1, a2, af) = hsa.hsa_fuse(*xs, p, return_weights=True)
         for a in (a1, a2, af):
@@ -56,7 +56,7 @@ class TestHsaFuse:
         # for constant inputs the closed form per channel is exact
         r = rng(4)
         d = 3
-        p = hsa.init_hsa_params(r, d)
+        p = nd.make_params(r, hsa.hsa_layout(d))
         c1 = r.normal(size=d).astype(np.float32)
         c2 = r.normal(size=d).astype(np.float32)
         cf = r.normal(size=d).astype(np.float32)
@@ -78,12 +78,12 @@ class TestHsaFuse:
         a = Tensor(np.zeros((2, 3, 4, 4)))
         b = Tensor(np.zeros((2, 3, 4, 5)))
         with pytest.raises(ValueError):
-            hsa.hsa_fuse(a, b, a, hsa.init_hsa_params(rng(5), 3))
+            hsa.hsa_fuse(a, b, a, nd.make_params(rng(5), hsa.hsa_layout(3)))
 
     def test_gradients_match_finite_differences(self):
         r = rng(6)
         d = 2
-        p = hsa.init_hsa_params(r, d)
+        p = nd.make_params(r, hsa.hsa_layout(d))
         xs = [Tensor(r.normal(size=(1, d, 2, 2))) for _ in range(3)]
         t = r.normal(size=(1, d, 2, 2)).astype(np.float32)
 
@@ -95,7 +95,7 @@ class TestHsaFuse:
     def test_param_gradients_match_finite_differences(self):
         r = rng(7)
         d = 2
-        p = hsa.init_hsa_params(r, d)
+        p = nd.make_params(r, hsa.hsa_layout(d))
         xs = [Tensor(r.normal(size=(1, d, 2, 2))) for _ in range(3)]
         t = r.normal(size=(1, d, 2, 2)).astype(np.float32)
 
@@ -119,7 +119,7 @@ class TestBaselineFusers:
     def test_ca_gate_with_unit_gates_equals_sum(self):
         r = rng(9)
         d = 3
-        p = hsa.init_ca_gate_params(r, d)
+        p = nd.make_params(r, hsa.ca_gate_layout(d))
         for i in range(3):
             p[f"w{i}"].data[:] = 0.0
             p[f"b{i}"].data[:] = 40.0  # sigmoid(40) == 1 in float32

@@ -436,7 +436,20 @@ class TestCheckpoint:
     def test_layout_matches_init_params(self, kw):
         cfg = model.ModelConfig(**kw)
         made = [(k, t.shape) for k, t in model.init_params(rng(0), cfg).items()]
-        assert list(model.param_layout(cfg)) == made
+        assert [(k, shape) for k, shape, _ in model.param_layout(cfg)] == made
+
+    @pytest.mark.parametrize("kw, digest", [
+        (dict(), "39cb3d6e08fc0997594194619da61c6fd5f4ae3839b08929b71e69dff3e01aeb"),
+        (dict(fusion="cagate", n_routes=4, out_len=7),
+         "3b69af49eb19585e6edcb9c9096ea56ea9f6fb7a89ad18be0f3f8989eb7a1d05"),
+    ], ids=["default", "cagate-4routes-out7"])
+    def test_initial_values_are_pinned(self, kw, digest):
+        # the bytes of every initial tensor in key order; a reordered draw or a
+        # changed init moves every trained model
+        h = hashlib.sha256()
+        for t in model.init_params(rng(0), model.ModelConfig(**kw)).values():
+            h.update(t.data.tobytes())
+        assert h.hexdigest() == digest
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         cfg = tiny_config()

@@ -16,7 +16,7 @@ def rng(seed=0):
 class TestSelectiveScan:
     def test_single_step_no_history(self):
         r = rng(1)
-        p = ssm.init_ssm_params(r, d=3, state_size=4)
+        p = nd.make_params(r, ssm.ssm_layout(3, 4))
         x = r.normal(size=(1, 3)).astype(np.float32)
         y = ssm.selective_scan(Tensor(x), p)
         # h_0 = 0, so y_1 = <C_1, dt*B_1*x_1> + d_skip*x_1 per channel
@@ -30,7 +30,7 @@ class TestSelectiveScan:
         np.testing.assert_allclose(y.data[0], expect, atol=1e-5)
 
     def test_zero_input_zero_output(self):
-        p = ssm.init_ssm_params(rng(2), d=4)
+        p = nd.make_params(rng(2), ssm.ssm_layout(4, 8))
         y = ssm.selective_scan(Tensor(np.zeros((6, 4))), p)
         np.testing.assert_array_equal(y.data, 0.0)
 
@@ -40,7 +40,7 @@ class TestSelectiveScan:
             length = int(r.integers(1, 65))
             d = int(r.integers(1, 9))
             s = int(r.integers(1, 9))
-            p = ssm.init_ssm_params(r, d=d, state_size=s)
+            p = nd.make_params(r, ssm.ssm_layout(d, s))
             x = r.normal(size=(length, d)).astype(np.float32)
             got = ssm.selective_scan(Tensor(x), p).data
             want = naive_selective_scan(x, p)
@@ -48,7 +48,7 @@ class TestSelectiveScan:
 
     def test_reversal_identity_exact(self):
         r = rng(4)
-        p = ssm.init_ssm_params(r, d=3)
+        p = nd.make_params(r, ssm.ssm_layout(3, 8))
         x = r.normal(size=(10, 3)).astype(np.float32)
         lhs = ssm.selective_scan(Tensor(x[::-1].copy()), p, "forward").data
         rhs = ssm.selective_scan(Tensor(x), p, "backward").data[::-1]
@@ -56,7 +56,7 @@ class TestSelectiveScan:
 
     def test_stability_long_bounded_input(self):
         r = rng(5)
-        p = ssm.init_ssm_params(r, d=2, state_size=4)
+        p = nd.make_params(r, ssm.ssm_layout(2, 4))
         x = r.uniform(-1, 1, size=(10_000, 2)).astype(np.float32)
         y = ssm.selective_scan(Tensor(x), p)
         assert np.isfinite(y.data).all()
@@ -64,7 +64,7 @@ class TestSelectiveScan:
     @pytest.mark.parametrize("routes", [2, 4])
     def test_route_batch_equals_separate_scans(self, routes):
         r = rng(15)
-        p = ssm.init_ssm_params(r, d=5, state_size=4)
+        p = nd.make_params(r, ssm.ssm_layout(5, 4))
         x = r.normal(size=(30, routes, 5)).astype(np.float32)
         for direction in ("forward", "backward"):
             batched = ssm.selective_scan(Tensor(x), p, direction).data
@@ -74,7 +74,7 @@ class TestSelectiveScan:
 
     def test_param_gradients_match_finite_differences(self):
         r = rng(16)
-        p = ssm.init_ssm_params(r, d=3, state_size=2)
+        p = nd.make_params(r, ssm.ssm_layout(3, 2))
         x = Tensor(r.normal(size=(6, 2, 3)))
         t = r.normal(size=(6, 2, 3)).astype(np.float32)
         names = ["a_log", "d_skip", "w_delta", "b_delta", "w_b", "w_c"]
@@ -86,7 +86,7 @@ class TestSelectiveScan:
         assert nd.grad_check(f, [p[n] for n in names], tolerance=1e-3).passed
 
     def test_bad_direction(self):
-        p = ssm.init_ssm_params(rng(6), d=2)
+        p = nd.make_params(rng(6), ssm.ssm_layout(2, 8))
         with pytest.raises(ValueError):
             ssm.selective_scan(Tensor(np.zeros((3, 2))), p, "sideways")
 
@@ -94,7 +94,7 @@ class TestSelectiveScan:
 class TestHilbertSsm:
     def test_raster_route_equals_plain_scan(self):
         r = rng(7)
-        p = ssm.init_ssm_params(r, d=3)
+        p = nd.make_params(r, ssm.ssm_layout(3, 8))
         v = r.normal(size=(2, 3, 4, 4)).astype(np.float32)
         out = ssm.scan_routes(ssm.volume_to_seq(Tensor(v)), sfc.raster((2, 4, 4))[:, None], p)
         flat = np.moveaxis(v, 1, -1).reshape(32, 3)
@@ -103,7 +103,7 @@ class TestHilbertSsm:
         np.testing.assert_allclose(out.data[:, 0], plain, atol=1e-6)
 
     def test_two_routes_zero_input(self):
-        p = ssm.init_ssm_params(rng(8), d=2)
+        p = nd.make_params(rng(8), ssm.ssm_layout(2, 8))
         table = sfc.routes("hilbert_temporal_first", (2, 2, 2), 2)
         out = ssm.scan_routes(Tensor(np.zeros((8, 2))), table, p)
         assert out.shape == (8, 2, 2)
@@ -113,7 +113,7 @@ class TestHilbertSsm:
         # scanning the volume with order F == scanning the F-permuted sequence
         # directly, then unpermuting
         r = rng(9)
-        p = ssm.init_ssm_params(r, d=2)
+        p = nd.make_params(r, ssm.ssm_layout(2, 8))
         v = r.normal(size=(2, 2, 3, 4)).astype(np.float32)
         order = sfc.gilbert3d((2, 3, 4))
         out = ssm.scan_routes(ssm.volume_to_seq(Tensor(v)), order[:, None], p)
@@ -125,7 +125,7 @@ class TestHilbertSsm:
 
     def test_four_routes_equal_separate_routes(self):
         r = rng(17)
-        p = ssm.init_ssm_params(r, d=3)
+        p = nd.make_params(r, ssm.ssm_layout(3, 8))
         v = r.normal(size=(2, 3, 4, 4)).astype(np.float32)
         table = sfc.routes("hilbert_temporal_first", (2, 4, 4), 4)
         seq = ssm.volume_to_seq(Tensor(v))
@@ -135,7 +135,7 @@ class TestHilbertSsm:
             np.testing.assert_allclose(out.data[:, k], single.data[:, 0], atol=1e-6)
 
     def test_dim_mismatch(self):
-        p = ssm.init_ssm_params(rng(10), d=1)
+        p = nd.make_params(rng(10), ssm.ssm_layout(1, 8))
         with pytest.raises(ValueError):
             ssm.scan_routes(Tensor(np.zeros((18, 1))), sfc.raster((2, 3, 4))[:, None], p)
 
@@ -143,7 +143,7 @@ class TestHilbertSsm:
 class TestMambaBlock:
     def test_zero_input_zero_biases_zero_output(self):
         r = rng(11)
-        p = ssm.init_mamba_params(r, d=4)
+        p = nd.make_params(r, ssm.mamba_layout(4, 8))
         table = sfc.routes("hilbert_temporal_first", (2, 2, 2), 2)
         out = ssm.mamba_block(Tensor(np.zeros((8, 4))), table, p)
         assert out.shape == (8, 2, 4)
@@ -151,7 +151,7 @@ class TestMambaBlock:
 
     def test_forced_unit_gate_reduces_to_linear_out(self):
         r = rng(12)
-        p = ssm.init_mamba_params(r, d=3)
+        p = nd.make_params(r, ssm.mamba_layout(3, 8))
         # force the gate path to exactly 1: silu(b) == 1 at b ~= 1.27846454
         p["w_gate"].data[:] = 0.0
         p["b_gate"].data[:] = 1.2784645
@@ -167,7 +167,7 @@ class TestMambaBlock:
 
     def test_block_gradients_match_finite_differences(self):
         r = rng(13)
-        p = ssm.init_mamba_params(r, d=2, state_size=3)
+        p = nd.make_params(r, ssm.mamba_layout(2, 3))
         table = sfc.routes("hilbert_temporal_first", (2, 2, 2), 2)
         x = Tensor(r.normal(size=(8, 2)))
         t = r.normal(size=(8, 2)).astype(np.float32)
@@ -179,7 +179,7 @@ class TestMambaBlock:
 
     def test_param_gradients_flow(self):
         r = rng(14)
-        p = ssm.init_mamba_params(r, d=2, state_size=2)
+        p = nd.make_params(r, ssm.mamba_layout(2, 2))
         table = sfc.gilbert3d((1, 2, 2))[:, None]
         x = Tensor(r.normal(size=(4, 2)))
         with nd.Tape() as tape:
