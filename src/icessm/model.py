@@ -128,8 +128,21 @@ def param_layout(config: ModelConfig, draw: bool = False):
                     ("time.b", (config.out_len,), 0.0))
 
 
+# Most float32 parameter elements a config may ask for: 256 MiB of values,
+# which training holds four times over (values, gradients and AdamW's two
+# moments). Larger configs are refused before anything is drawn.
+MAX_PARAMS = 1 << 26
+
+
 def init_params(rng: np.random.Generator, config: ModelConfig) -> ModelParams:
-    """The parameters of ``config`` drawn from ``rng``, in checkpoint order."""
+    """The parameters of ``config`` drawn from ``rng``, in checkpoint order.
+    A ValueError, before any draw, when they number over ``MAX_PARAMS``."""
+    count = 0
+    for _, shape, _ in param_layout(config):
+        count += math.prod(shape)
+        if count > MAX_PARAMS:  # early: n_fssm alone can ask for any number of blocks
+            raise ValueError(f"config asks for at least {count} parameters, "
+                             f"over the budget of {MAX_PARAMS}")
     drawn = nd.make_params(rng, param_layout(config, draw=True))
     return ModelParams((name, drawn[name]) for name, _, _ in param_layout(config))
 

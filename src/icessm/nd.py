@@ -3,7 +3,8 @@
 Every operation computes its forward value eagerly with numpy and, when a
 tape is active and an input requires gradients, records a backward rule on
 the tape. ``Tape.backward`` replays the rules in exact reverse execution
-order, accumulating gradients additively across fan-out.
+order, accumulating gradients additively across fan-out, and drops each rule,
+with the arrays it holds and its output's gradient, once it has run.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class Tape:
 
     def __init__(self):
         self._records: list = []
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         global _TAPE
@@ -58,12 +60,18 @@ class Tape:
         self._records.append(backward)
 
     def backward(self, loss: "Tensor") -> None:
-        """Seed d(loss)/d(loss) = 1 and replay recorded rules in reverse."""
+        """Seed d(loss)/d(loss) = 1 and replay recorded rules in reverse, once:
+        each rule is dropped before it runs, so what it holds is freed as soon
+        as it has run. Leaves keep their gradients; op outputs keep none."""
         if loss.data.size != 1:
             raise ValueError("backward requires a scalar loss")
+        if self._replayed:
+            raise RuntimeError("a tape replays once")
+        self._replayed = True
         loss._accum(np.ones_like(loss.data))
-        for rule in reversed(self._records):
-            rule()
+        records = self._records
+        while records:
+            records.pop()()
 
 
 class Tensor:
@@ -136,8 +144,9 @@ def _make(out_data, inputs, backward) -> Tensor:
 
         def run():
             # outputs that never received a gradient are off the loss path
-            if out.grad is not None:
-                backward(out.grad)
+            g, out.grad = out.grad, None
+            if g is not None:
+                backward(g)
 
         _TAPE.record(run)
     return out
@@ -327,13 +336,20 @@ def moveaxis(a: Tensor, src, dst) -> Tensor:
 def gather(a: Tensor, perm: np.ndarray) -> Tensor:
     """Reorder axis 0 by a permutation ``perm[N]``, or by ``perm[N, R]``:
     column r, a permutation, reorders ``a[:, r]`` (all of them reorder
-    ``a[:, 0]`` when a is [N, 1, ...]). Backward scatters through the inverses."""
+    ``a[:, 0]`` when a is [N, 1, ...]). Backward scatters through the inverses,
+    which one O(N) scatter finds and checks: a column hits every row once."""
     perm = np.asarray(perm, dtype=np.int64)
-    if perm.ndim not in (1, 2) or perm.shape[0] != a.data.shape[0] \
-            or not (np.sort(perm, axis=0).T == np.arange(len(perm))).all():
-        raise ValueError("perm must be a bijective permutation of axis 0")
+    n = a.data.shape[0]
+    message = "perm must be a bijective permutation of axis 0"
+    if perm.ndim not in (1, 2) or perm.shape[0] != n or not ((perm >= 0) & (perm < n)).all():
+        raise ValueError(message)
     cols = (np.arange(perm.shape[1]),) if perm.ndim == 2 else ()
-    inv = (np.argsort(perm, axis=0),) + cols
+    rows = np.arange(n)
+    inv = np.full(perm.shape, -1)
+    inv[(perm,) + cols] = rows[:, None] if cols else rows
+    if (inv < 0).any():                     # a repeated entry leaves a row unhit
+        raise ValueError(message)
+    inv = (inv,) + cols
     src = np.broadcast_to(a.data, perm.shape + a.data.shape[perm.ndim:])
 
     def bw(g):
@@ -726,6 +742,20 @@ def groupnorm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
 SCAN_CHUNK = 64
 
 
+def _scan_chunk(h: np.ndarray, abar: np.ndarray, dtc: np.ndarray, bc: np.ndarray,
+                xc: np.ndarray) -> np.ndarray:
+    """The states [c, R, S, D] of one chunk of c steps, from the state h [R, S, D]
+    entering it and its decays abar [c, R, S, D]; dtc [c, R, 1], bc [c, R, S]
+    and xc [c, R, D] are its rows."""
+    hs = np.empty_like(abar)
+    np.multiply((dtc * bc)[..., None], xc[:, :, None, :], out=hs)
+    decayed = np.empty_like(h)
+    for ab, hk in zip(abar, hs):  # h_l = bx_l + abar_l * h_{l-1}, in place
+        hk += np.multiply(ab, h, out=decayed)
+        h = hk
+    return hs
+
+
 def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Tensor:
     """Selective scan of R sequences at once, time-major, per route r:
 
@@ -733,10 +763,15 @@ def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Te
 
     x is [L, R, D], dt [L, R], a (A) [D, S], b and c [L, R, S]; the state
     h_l is [S, D] per route and y is [L, R, D]. Discretisation runs inside,
-    SCAN_CHUNK steps at a time, and is never taped; the [L, R, S, D] state
-    history is kept only when a tape records the call. Raises ScanStateError
-    naming the first step whose state goes non-finite, and its first
-    non-finite sequence.
+    SCAN_CHUNK steps at a time, and is never taped. The forward keeps only the
+    state entering each chunk, [ceil(L / SCAN_CHUNK), R, S, D]; the backward
+    walks the chunks in reverse and recomputes each chunk's decays and states
+    from its entry state by the forward's own operations, so they are the
+    forward's bits. Its one whole [L, R, S, D] transient is ``q``, which the
+    decays fill: A's gradient sums it over all L*R rows in one product, and a
+    chunked sum would round otherwise.
+    Raises ScanStateError naming the first step whose state goes non-finite,
+    and its first non-finite sequence.
     """
     L, r, d = x.data.shape
     s = a.data.shape[1]
@@ -745,19 +780,17 @@ def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Te
         raise ValueError("ssm_recurrence shape mismatch")
     inputs = (x, dt, a, b, c)
     at = np.ascontiguousarray(a.data.T)                                 # [S, D]
-    hist = np.empty((L, r, s, d), dtype=np.float32) if _tracking(inputs) else None
+    dtv = dt.data[..., None]
+    starts = range(0, L, SCAN_CHUNK)
+    entry = np.empty((len(starts), r, s, d), dtype=np.float32)          # h_{l0 - 1}
     y = np.empty((L, r, d), dtype=np.float32)
     h = np.zeros((r, s, d), dtype=np.float32)
-    for l0 in range(0, L, SCAN_CHUNK):
+    for k, l0 in enumerate(starts):
         chunk = np.s_[l0:l0 + SCAN_CHUNK]
-        dtc = dt.data[chunk][..., None]
-        abar = np.exp(dtc[..., None] * at)
-        hs = np.empty_like(abar) if hist is None else hist[chunk]
-        np.multiply((dtc * b.data[chunk])[..., None], x.data[chunk][:, :, None, :], out=hs)
-        for ab, hk in zip(abar, hs):  # h_l = bx_l + abar_l * h_{l-1}, in place
-            ab *= h
-            hk += ab
-            h = hk
+        entry[k] = h
+        abar = np.exp(dtv[chunk][..., None] * at)                       # [c, R, S, D]
+        hs = _scan_chunk(h, abar, dtv[chunk], b.data[chunk], x.data[chunk])
+        h = hs[-1]
         if not np.isfinite(h).all():  # a non-finite entry stays non-finite
             bad = ~np.isfinite(hs).reshape(len(hs), r, -1).all(axis=2)      # [steps, R]
             step = int(np.argmax(bad.any(axis=1)))
@@ -765,21 +798,34 @@ def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Te
         y[chunk] = np.matmul(c.data[chunk][:, :, None, :], hs)[:, :, 0]
 
     def bw(g):
-        dtv = dt.data[..., None]
-        dh = c.data[..., None] * g[:, :, None, :]          # g_l C_l, then all of dL/dh_l:
-        q = np.exp(dtv[..., None] * at)                     # abar_l, then in place
-        for l in range(L - 1, 0, -1):                       # dh[l] is complete at step l
-            q[l] *= dh[l]                                   # dL/dabar_l * abar_l ...
-            dh[l - 1] += q[l]
-        q[0] = 0.0
-        q[1:] *= hist[:-1]                                  # ... = dh_l h_{l-1} abar_l
-        dh_b = np.matmul(b.data[:, :, None, :], dh)[:, :, 0]           # B_l^T dh_l, [L, R, D]
+        q = np.empty((L, r, s, d), dtype=np.float32)  # abar_l, then dL/dabar_l abar_l h_{l-1}
+        dh_b = np.empty((L, r, d), dtype=np.float32)                    # B_l^T dh_l
+        dh_x = np.empty((L, r, s), dtype=np.float32)                    # dh_l x_l
+        dc = np.empty((L, r, s), dtype=np.float32)
+        for k in reversed(range(len(starts))):
+            l0, l1 = starts[k], min(starts[k] + SCAN_CHUNK, L)
+            chunk = np.s_[l0:l1]
+            np.exp(dtv[chunk][..., None] * at, out=q[chunk])
+            hs = _scan_chunk(entry[k], q[chunk], dtv[chunk], b.data[chunk], x.data[chunk])
+            dh = c.data[chunk][..., None] * g[chunk][:, :, None, :]  # g_l C_l, then all of dL/dh_l:
+            if l1 < L:                                      # the next chunk's first step
+                dh[-1] += q[l1]
+                q[l1] *= entry[k + 1]
+            for l in range(l1 - 1, l0, -1):                 # dh[l] is complete at step l
+                q[l] *= dh[l - l0]
+                dh[l - l0 - 1] += q[l]
+            q[l0] *= dh[0]
+            q[l0 + 1:l1] *= hs[:-1]
+            dh_b[chunk] = np.matmul(b.data[chunk][:, :, None, :], dh)[:, :, 0]
+            dh_x[chunk] = np.matmul(dh, x.data[chunk][..., None])[..., 0]
+            dc[chunk] = np.matmul(hs, g[chunk][..., None])[..., 0]
+        q[0] = 0.0                                                  # h_{-1} = 0
         qf = q.reshape(L * r, s * d)
         grads = (dtv * dh_b,
                  (dh_b * x.data).sum(axis=-1) + (qf @ at.reshape(-1)).reshape(L, r),
                  (dt.data.reshape(-1) @ qf).reshape(s, d).T,
-                 dtv * np.matmul(dh, x.data[..., None])[..., 0],
-                 np.matmul(hist, g[..., None])[..., 0])
+                 dtv * dh_x,
+                 dc)
         for t, grad in zip(inputs, grads):
             if t.requires_grad:
                 t._accum(grad)

@@ -31,6 +31,45 @@ def naive_selective_scan(x, p):
     return y.astype(np.float32)
 
 
+def full_history_ssm_recurrence(x, dt, a, b, c, g):
+    """nd.ssm_recurrence's output y and the gradients of x, dt, a, b and c
+    under an upstream gradient g [L, R, D], from the whole [L, R, S, D] state
+    history: the form the chunk-checkpointed primitive replaced, kept to pin
+    its forward and backward bit for bit."""
+    L, r, d = x.shape
+    s = a.shape[1]
+    at = np.ascontiguousarray(a.T)
+    hist = np.empty((L, r, s, d), dtype=np.float32)
+    y = np.empty((L, r, d), dtype=np.float32)
+    h = np.zeros((r, s, d), dtype=np.float32)
+    for l0 in range(0, L, 64):
+        chunk = np.s_[l0:l0 + 64]
+        dtc = dt[chunk][..., None]
+        abar = np.exp(dtc[..., None] * at)
+        hs = hist[chunk]
+        np.multiply((dtc * b[chunk])[..., None], x[chunk][:, :, None, :], out=hs)
+        for ab, hk in zip(abar, hs):
+            ab *= h
+            hk += ab
+            h = hk
+        y[chunk] = np.matmul(c[chunk][:, :, None, :], hs)[:, :, 0]
+    dtv = dt[..., None]
+    dh = c[..., None] * g[:, :, None, :]
+    q = np.exp(dtv[..., None] * at)
+    for l in range(L - 1, 0, -1):
+        q[l] *= dh[l]
+        dh[l - 1] += q[l]
+    q[0] = 0.0
+    q[1:] *= hist[:-1]
+    dh_b = np.matmul(b[:, :, None, :], dh)[:, :, 0]
+    qf = q.reshape(L * r, s * d)
+    return y, (dtv * dh_b,
+               (dh_b * x).sum(axis=-1) + (qf @ at.reshape(-1)).reshape(L, r),
+               (dt.reshape(-1) @ qf).reshape(s, d).T,
+               dtv * np.matmul(dh, x[..., None])[..., 0],
+               np.matmul(hist, g[..., None])[..., 0])
+
+
 def naive_conv2d(x, k, b=None, stride=1, padding=0, pad_mode="zero"):
     """Cross-correlation by scalar loops; padded taps read zero or the nearest
     edge pixel ("replicate")."""

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from icessm import data, sfc
+from icessm import data, model, sfc
 from icessm.cli import main
 
 
@@ -202,6 +202,25 @@ class TestPipeline:
         code = run("train", "--data", str(grid_path), "--out", str(out), "--in-len", "4",
                    "--out-len", "4", "--hidden", "8", "--fssm", "1", "--epochs", "1", flag, value)
         assert code == 2
+        assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--hidden", "100000"), ("--state-size", "1000000000"), ("--fssm", "1000000000")])
+    def test_oversized_model_refused_before_allocating(self, trained, tmp_path, capsys,
+                                                       flag, value):
+        _, grid_path, _ = trained
+        out = tmp_path / "big"
+        tracemalloc.start()
+        try:
+            code = run("train", "--data", str(grid_path), "--out", str(out), "--in-len", "4",
+                       "--out-len", "4", "--hidden", "8", "--fssm", "1", "--epochs", "1",
+                       flag, value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"over the budget of {model.MAX_PARAMS}" in capsys.readouterr().err
+        assert peak < 4 << 20
         assert not (out / "model.ckpt").exists()
 
     def test_predict_shape(self, trained):

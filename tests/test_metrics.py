@@ -149,3 +149,41 @@ class TestEvaluate:
         y = rng(13).uniform(size=(2, 1, 4, 4)).astype(np.float32)
         rep = metrics.evaluate(y, y)
         assert rep.rmse == 0.0 and rep.iou == 1.0 and rep.nse == 100.0
+
+    def test_entries_match_the_metric_functions(self):
+        r = rng(14)
+        y = r.uniform(size=(4, 1, 6, 7)).astype(np.float32)
+        yhat = r.uniform(size=(4, 1, 6, 7)).astype(np.float32)
+        yhat[0, 0, :2] = metrics.EXTENT_THRESHOLD      # cells on the extent threshold
+        y[2] = 0.5                                      # lead 3: zero variance
+        yhat[3] = y[3] = 0.0                            # lead 4: no extent, no variance
+        mask = r.uniform(size=(6, 7)) > 0.3
+        rep = metrics.evaluate(yhat, y, mask)
+        yh, yt = yhat[:, 0], y[:, 0]
+        for lead, row in enumerate(rep.per_lead_day):
+            a, b = yh[lead], yt[lead]
+            assert row["lead"] == lead + 1
+            for name in ("rmse", "mae"):
+                assert row[name] == pytest.approx(getattr(metrics, name)(a, b, mask), rel=1e-12)
+            assert row["iou"] == pytest.approx(metrics.iou(a, b), rel=1e-12)
+            if lead >= 2:
+                assert row["nse"] is None
+            else:
+                assert row["nse"] == pytest.approx(metrics.nse(a, b, mask), rel=1e-12)
+        assert rep.per_lead_day[3]["iou"] == 1.0
+        for name in ("rmse", "mae", "nse"):
+            assert getattr(rep, name) == pytest.approx(getattr(metrics, name)(yh, yt, mask),
+                                                       rel=1e-12)
+        assert rep.iou == pytest.approx(metrics.iou(yh, yt), rel=1e-12)
+        assert (rep.sie, rep.sie_true) == (metrics.sie(yh[-1]), metrics.sie(yt[-1]))
+
+    def test_zero_variance_overall_nse_is_none(self):
+        y = np.full((2, 1, 3, 3), 0.4, dtype=np.float32)
+        rep = metrics.evaluate(y + 0.1, y, np.ones((3, 3), dtype=bool))
+        assert rep.nse is None
+        assert all(row["nse"] is None for row in rep.per_lead_day)
+
+    def test_mask_over_more_than_one_frame_rejected(self):
+        y = np.zeros((2, 1, 3, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="mask"):
+            metrics.evaluate(y, y, np.ones((2, 3, 3), dtype=bool))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +362,33 @@ class TestTraining:
                     max_epochs=1, max_steps=1)
         assert len(records) == 259
 
+    def test_step_leaves_an_empty_tape_and_no_op_gradients(self, monkeypatch):
+        tapes, outputs = [], []
+        enter, make = nd.Tape.__enter__, nd._make
+        monkeypatch.setattr(nd.Tape, "__enter__", lambda tape: tapes.append(tape) or enter(tape))
+        monkeypatch.setattr(nd, "_make", lambda *args: outputs.append(make(*args)) or outputs[-1])
+        res = model.train([make_sample(37)], [make_sample(38)], tiny_config(), seed=0,
+                          max_epochs=1, batch_size=1)
+        assert len(tapes) == 1 and tapes[0]._records == []
+        taped = [t for t in outputs if t.requires_grad]
+        assert taped and all(t.grad is None for t in taped)
+        assert all(p.grad is not None for p in res.params.values())
+
+    def test_step_memory_is_pinned(self):
+        # traced peak of one default-config step with its validation pass:
+        # about 88 MiB while every rule, op gradient and scan state history
+        # lived until the tape was dropped, about 39 MiB once replay frees
+        # them and the scan keeps only its chunk-entry states
+        windows = data.windows(data.synth_generate(0, 40, 16, 16), 14, 14)
+        tracemalloc.start()
+        try:
+            model.train(windows[:4], windows[-1:], model.ModelConfig(), seed=0,
+                        max_epochs=1, max_steps=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 << 20
+
     def test_nonfinite_gradient_with_finite_loss_raises(self, monkeypatch):
         # 0 * (1 / (0 * raw + 1e-30)) adds 0 to the loss, but the reciprocal's
         # gradient -1 / 1e-60 underflows to -1 / 0, and 0 / 0 = NaN flows back
@@ -450,6 +478,19 @@ class TestCheckpoint:
         for t in model.init_params(rng(0), model.ModelConfig(**kw)).values():
             h.update(t.data.tobytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("kw", [dict(), dict(hidden=16, n_fssm=2)],
+                             ids=["default", "criterion-9"])
+    def test_size_budget_edge(self, monkeypatch, kw):
+        cfg = model.ModelConfig(**kw)
+        count = sum(math.prod(shape) for _, shape, _ in model.param_layout(cfg))
+        assert count <= model.MAX_PARAMS
+        monkeypatch.setattr(model, "MAX_PARAMS", count)
+        assert len(model.init_params(rng(0), cfg)) == len(list(model.param_layout(cfg)))
+        monkeypatch.setattr(model, "MAX_PARAMS", count - 1)
+        with pytest.raises(ValueError, match=f"at least {count} parameters, over the "
+                                             f"budget of {count - 1}"):
+            model.init_params(rng(0), cfg)
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         cfg = tiny_config()

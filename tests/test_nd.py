@@ -8,9 +8,9 @@ import pytest
 from icessm import nd
 from icessm.nd import Tape, Tensor
 
-from oracles import (naive_conv2d, naive_conv_transpose2d, naive_depthwise_conv2d,
-                     naive_leaky_relu, naive_norm, where_leaky_relu, where_leaky_slope,
-                     where_sigmoid)
+from oracles import (full_history_ssm_recurrence, naive_conv2d, naive_conv_transpose2d,
+                     naive_depthwise_conv2d, naive_leaky_relu, naive_norm, where_leaky_relu,
+                     where_leaky_slope, where_sigmoid)
 
 
 def rng(seed=0):
@@ -488,6 +488,15 @@ class TestPoolAndShape:
         with pytest.raises(ValueError):
             nd.gather(Tensor(np.zeros((3, 1))), np.array([0, 0, 2]))
 
+    @pytest.mark.parametrize("perm", [[0, -1, 2], [0, 3, 2], [[0, 2], [1, -3], [2, 1]],
+                                      [[0, 2], [1, 3], [2, 1]], [[0, 1], [1, 1], [2, 0]]],
+                             ids=["negative", "past-end", "negative-column", "past-end-column",
+                                  "repeat-in-column"])
+    def test_gather_rejects_bad_entries(self, perm):
+        # a scatter into the inverse would wrap a negative entry or raise IndexError
+        with pytest.raises(ValueError, match="bijective permutation"):
+            nd.gather(Tensor(np.zeros((3, 1))), np.array(perm))
+
     def test_gather_grad_is_scatter(self):
         x = Tensor(rng(17).normal(size=(5, 2)))
         perm = np.array([4, 2, 0, 1, 3])
@@ -564,6 +573,31 @@ class TestTape:
         out = nd.mean(nd.square(x))
         assert not out.requires_grad
 
+    def test_tape_replays_once(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            out = nd.mean(nd.square(x))
+            tape.backward(out)
+            with pytest.raises(RuntimeError, match="replays once"):
+                tape.backward(out)
+        np.testing.assert_allclose(x.grad, 2 / 3, rtol=1e-6)  # seeded and replayed once
+
+    def test_replay_frees_rules_and_op_gradients(self):
+        # leaves keep their gradients; every op output, on the loss path
+        # (y, z, out) or off it (w), holds none, and no rule is left
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        c = Tensor(np.full(4, 2.0))
+        with Tape() as tape:
+            y = nd.mul(x, c)
+            z = nd.add(y, y)
+            w = nd.exp(x)
+            out = nd.mean(z)
+            tape.backward(out)
+        assert tape._records == []
+        assert all(t.grad is None for t in (y, z, w, out))
+        np.testing.assert_array_equal(x.grad, 1.0)
+        assert c.grad is None
+
     def test_nested_tape_rejected(self):
         with Tape():
             with pytest.raises(RuntimeError):
@@ -638,6 +672,21 @@ class TestSsmRecurrencePrimitive:
                 pytest.raises(nd.NumericalError, match=f"step {k0 + 2}$") as err:
             nd.ssm_recurrence(*args)
         assert err.value.column == 1
+
+    @pytest.mark.parametrize("L, R", [(224, 8), (3584, 2), (100, 3), (64, 1), (65, 2), (1, 1)])
+    def test_chunk_checkpoints_equal_full_history_bitwise(self, L, R):
+        # the train-s16 and forecast-s64 scans, ragged and one-chunk lengths, one step
+        vals = scan_inputs(rng(L + R), L, R, 64, 8)
+        t = rng(L * R).normal(size=(L, R, 64)).astype(np.float32)
+        inputs = [Tensor(v, requires_grad=True) for v in vals]
+        with Tape() as tape:
+            y = nd.ssm_recurrence(*inputs)
+            tape.backward(nd.mean(nd.mul(y, Tensor(t))))
+        g = (np.ones((L, R, 64), dtype=np.float32) / (L * R * 64)).astype(np.float32) * t
+        want_y, want_grads = full_history_ssm_recurrence(*vals, g)
+        assert y.data.tobytes() == want_y.tobytes()
+        for got, want in zip(inputs, want_grads):
+            assert got.grad.tobytes() == want.astype(np.float32).tobytes()
 
     def test_forward_only_keeps_no_state_history(self):
         L, R, D, S = 3584, 2, 64, 8
