@@ -52,6 +52,14 @@ def nse(yhat, y, mask=None) -> float:
     return float((1.0 - np.sum((a - b) ** 2) / denom) * 100.0)
 
 
+def _nse_or_none(yhat, y, mask) -> float | None:
+    """NSE, or None where the target has zero variance over the mask."""
+    try:
+        return nse(yhat, y, mask)
+    except ValueError:
+        return None
+
+
 def sie(frame, cell_area: float = 1.0) -> float:
     """Total area of cells whose concentration is at least EXTENT_THRESHOLD."""
     frame = np.asarray(frame, dtype=np.float64)
@@ -117,55 +125,25 @@ class MetricsReport:
         }
 
 
-def _scores(a, b, axis) -> tuple:
-    """rmse and mae in percent of the masked pixels a against b, and the error
-    and variance sums of their NSE, each reduced along ``axis``."""
-    err = a - b
-    sq = err ** 2
-    return (np.sqrt(np.mean(sq, axis=axis)) * 100.0, np.mean(np.abs(err), axis=axis) * 100.0,
-            np.sum(sq, axis=axis), np.sum((b - b.mean(axis=axis, keepdims=True)) ** 2, axis=axis))
-
-
-def _nse(sse, denom) -> float | None:
-    """NSE in percent from its sums; None where the target has zero variance."""
-    return None if denom == 0.0 else float((1.0 - sse / denom) * 100.0)
-
-
-def _iou(yhat, y, axis) -> np.ndarray:
-    """iou of the extents along ``axis``."""
-    a, b = yhat >= EXTENT_THRESHOLD, y >= EXTENT_THRESHOLD
-    union = np.logical_or(a, b).sum(axis=axis)
-    inter = np.logical_and(a, b).sum(axis=axis)
-    return np.where(union == 0, 1.0, inter / np.maximum(union, 1))
-
-
 def evaluate(yhat, y, ocean_mask=None) -> MetricsReport:
     """Score a [L, 1, H, W] (or [L, H, W]) forecast against ground truth,
-    the ocean mask covering one frame. The masked pixels are taken once, as
-    [L, P] float64, and every score reduces them per lead and overall; each
-    equals its function above (rmse, mae, nse, iou, sie) on the same pixels."""
+    the ocean mask covering one frame. The per-lead scores take the masked
+    pixels once, as [L, P] rows."""
     yhat = np.asarray(yhat, dtype=np.float32)
     y = np.asarray(y, dtype=np.float32)
     if yhat.ndim == 4:
         yhat, y = yhat[:, 0], y[:, 0]
     if ocean_mask is not None and np.ndim(ocean_mask) >= yhat.ndim:
         raise ValueError(f"mask shape {np.shape(ocean_mask)} is not one frame of {yhat.shape}")
-    leads = len(yhat)
-    a, b = (v.reshape(leads, -1) for v in _masked(yhat, y, ocean_mask))
-    # float32(0.15) rounds up and the float32 below it lies under 0.15, so a
-    # float32 compare selects the cells iou's float64 compare does
-    ext_hat, ext = yhat.reshape(leads, -1), y.reshape(leads, -1)
-    iou_l = _iou(ext_hat, ext, 1)
-    rmse_l, mae_l, sse_l, var_l = _scores(a, b, 1)
-    rmse_v, mae_v, sse_v, var_v = _scores(a, b, None)
-    per_day = [{"lead": lead + 1, "rmse": float(rmse_l[lead]), "mae": float(mae_l[lead]),
-                "iou": float(iou_l[lead]), "nse": _nse(sse_l[lead], var_l[lead])}
-               for lead in range(leads)]
+    a, b = (v.reshape(len(yhat), -1) for v in _masked(yhat, y, ocean_mask))
+    per_day = [{"lead": lead + 1, "rmse": rmse(a[lead], b[lead]), "mae": mae(a[lead], b[lead]),
+                "iou": iou(yhat[lead], y[lead]), "nse": _nse_or_none(a[lead], b[lead], None)}
+               for lead in range(len(yhat))]
     return MetricsReport(
-        rmse=float(rmse_v),
-        mae=float(mae_v),
-        nse=_nse(sse_v, var_v),
-        iou=float(_iou(ext_hat, ext, None)),
+        rmse=rmse(yhat, y, ocean_mask),
+        mae=mae(yhat, y, ocean_mask),
+        nse=_nse_or_none(yhat, y, ocean_mask),
+        iou=iou(yhat, y),
         sie=sie(yhat[-1]),
         sie_true=sie(y[-1]),
         per_lead_day=per_day,

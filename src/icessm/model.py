@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -137,12 +137,13 @@ MAX_PARAMS = 1 << 26
 def init_params(rng: np.random.Generator, config: ModelConfig) -> ModelParams:
     """The parameters of ``config`` drawn from ``rng``, in checkpoint order.
     A ValueError, before any draw, when they number over ``MAX_PARAMS``."""
-    count = 0
-    for _, shape, _ in param_layout(config):
-        count += math.prod(shape)
-        if count > MAX_PARAMS:  # early: n_fssm alone can ask for any number of blocks
-            raise ValueError(f"config asks for at least {count} parameters, "
-                             f"over the budget of {MAX_PARAMS}")
+    # every block has one size, so one- and two-block layouts give the count
+    # without walking all n_fssm blocks, which may be any number
+    one, two = (sum(math.prod(shape) for _, shape, _ in param_layout(replace(config, n_fssm=n)))
+                for n in (1, 2))
+    count = one + (config.n_fssm - 1) * (two - one)
+    if count > MAX_PARAMS:
+        raise ValueError(f"config asks for {count} parameters, over the budget of {MAX_PARAMS}")
     drawn = nd.make_params(rng, param_layout(config, draw=True))
     return ModelParams((name, drawn[name]) for name, _, _ in param_layout(config))
 

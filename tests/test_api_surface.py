@@ -21,10 +21,6 @@ OPTION_EXCEPTIONS = {
     "ssm.selective_scan.direction": "criterion 3 checks the backward scan",
     "hsa.hsa_fuse.return_weights": "criterion 6 checks the fusion weights",
     "metrics.sie.cell_area": "criterion 11 checks the extent at a cell area of 2.5",
-    # evaluate reduces one masked copy per lead; these stay its reference
-    "metrics.rmse.mask": "criterion 11 and evaluate's test check masked scores against it",
-    "metrics.mae.mask": "criterion 11 and evaluate's test check masked scores against it",
-    "metrics.nse.mask": "criterion 11 and evaluate's test check masked scores against it",
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -204,20 +205,24 @@ class TestPipeline:
         assert code == 2
         assert not (out / "model.ckpt").exists()
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--hidden", "100000"), ("--state-size", "1000000000"), ("--fssm", "1000000000")])
-    def test_oversized_model_refused_before_allocating(self, trained, tmp_path, capsys,
-                                                       flag, value):
+    @pytest.mark.parametrize("size", [
+        ("--hidden", "100000"), ("--state-size", "1000000000"), ("--fssm", "1000000000"),
+        # the smallest block: the most blocks before the budget is reached
+        ("--hidden", "2", "--state-size", "1", "--fusion", "sum", "--fssm", "1000000000")],
+        ids=["hidden", "state-size", "fssm", "fssm-smallest-block"])
+    def test_oversized_model_refused_before_allocating(self, trained, tmp_path, capsys, size):
         _, grid_path, _ = trained
         out = tmp_path / "big"
         tracemalloc.start()
+        start = time.perf_counter()
         try:
             code = run("train", "--data", str(grid_path), "--out", str(out), "--in-len", "4",
                        "--out-len", "4", "--hidden", "8", "--fssm", "1", "--epochs", "1",
-                       flag, value)
+                       *size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert time.perf_counter() - start < 2.0
         assert code == 2
         assert f"over the budget of {model.MAX_PARAMS}" in capsys.readouterr().err
         assert peak < 4 << 20

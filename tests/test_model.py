@@ -488,7 +488,7 @@ class TestCheckpoint:
         monkeypatch.setattr(model, "MAX_PARAMS", count)
         assert len(model.init_params(rng(0), cfg)) == len(list(model.param_layout(cfg)))
         monkeypatch.setattr(model, "MAX_PARAMS", count - 1)
-        with pytest.raises(ValueError, match=f"at least {count} parameters, over the "
+        with pytest.raises(ValueError, match=f"asks for {count} parameters, over the "
                                              f"budget of {count - 1}"):
             model.init_params(rng(0), cfg)
 
