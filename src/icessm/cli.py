@@ -161,8 +161,6 @@ def cmd_train(a) -> int:
     if len(wins) < 2:
         raise ValueError(f"need at least 2 windows, got {len(wins)}")
     train_set, val_set = wins[:-n_val], wins[-n_val:]
-    out_dir = Path(a.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def log(row):
         print(f"epoch {row['epoch']}: train_loss {row['train_loss']:.5f} "
@@ -171,6 +169,8 @@ def cmd_train(a) -> int:
     result = model.train(train_set, val_set, config, seed=a.seed,
                          max_epochs=a.epochs, patience=a.patience,
                          batch_size=a.batch_size, lr=a.lr, log=log)
+    out_dir = Path(a.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     model.save_checkpoint(out_dir / "model.ckpt", result.params)
     with open(out_dir / "config.json", "w", encoding="utf-8") as f:
         json.dump({**dataclasses.asdict(config), "seed": a.seed}, f,

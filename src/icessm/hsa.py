@@ -51,22 +51,24 @@ def _channel_scale(a: Tensor, x: Tensor) -> Tensor:
     return nd.mul(nd.reshape(a, (*a.shape[:-1], 1, a.shape[-1], 1, 1)), x)
 
 
-def hsa_fuse(x1: Tensor, x2: Tensor, xf: Tensor, p: dict[str, Tensor],
-             return_weights: bool = False):
-    """Fuse three [..., T, D, H, W] features. Every leading index (a sample)
-    is pooled and weighted on its own; weights broadcast over T, H and W."""
+def hsa_weights(x1: Tensor, x2: Tensor, xf: Tensor, p: dict[str, Tensor]) -> list[Tensor]:
+    """The per-channel weights [a1, a2, af], each [..., D] in (0, 1), that
+    :func:`hsa_fuse` gives three [..., T, D, H, W] features; every leading
+    index (a sample) is pooled on its own."""
     if x1.shape != x2.shape or x1.shape != xf.shape:
         raise ValueError(f"input shapes differ: {x1.shape}, {x2.shape}, {xf.shape}")
     if x1.shape[-3] == 0:
         raise ValueError("zero channels")
-
     pooled = nd.concat([_pool_channels(x1), _pool_channels(x2), _pool_channels(xf)], axis=-1)
     mixed = nd.sigmoid(nd.group_conv1d(shuffle(pooled), p["weights"], p["bias"]))
-    a1, a2, af = nd.chunk(unshuffle(mixed), 3, axis=-1)
-    y = nd.add(nd.add(_channel_scale(a1, x1), _channel_scale(a2, x2)), _channel_scale(af, xf))
-    if return_weights:
-        return y, (a1, a2, af)
-    return y
+    return nd.chunk(unshuffle(mixed), 3, axis=-1)
+
+
+def hsa_fuse(x1: Tensor, x2: Tensor, xf: Tensor, p: dict[str, Tensor]) -> Tensor:
+    """Fuse three [..., T, D, H, W] features by the :func:`hsa_weights` of
+    each leading index; the weights broadcast over T, H and W."""
+    a1, a2, af = hsa_weights(x1, x2, xf, p)
+    return nd.add(nd.add(_channel_scale(a1, x1), _channel_scale(a2, x2)), _channel_scale(af, xf))
 
 
 def sum_fuse(x1: Tensor, x2: Tensor, xf: Tensor) -> Tensor:

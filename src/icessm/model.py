@@ -14,7 +14,6 @@ from the paper, which does not say how latent frames map to lead days.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -80,26 +79,24 @@ class Forecast:
 
 
 class ModelParams(dict):
-    """Checkpoint name -> Tensor for every learnable tensor, in the checkpoint
-    order of ``param_layout``."""
+    """Checkpoint name -> Tensor for every learnable tensor, in the order
+    ``param_layout`` yields them, which is the order they are drawn and the
+    order the checkpoint is written in."""
 
     def named_tensors(self) -> dict[str, Tensor]:
         """The dict itself; kept for callers that ask for the named view."""
         return self
 
 
-def param_layout(config: ModelConfig, draw: bool = False):
+def param_layout(config: ModelConfig):
     """Yield (name, shape, init) of every tensor of ``config``, lazily and
-    allocating nothing sized by it: ``enc.*``, then ``fssm{i}.*`` per block
-    (``mamba.*``, ``mamba.ssm.*``, ``gains``, ``hsa.*`` or ``cagate.*``,
-    ``dw_k``, ``dw_b``), then ``dec.*`` and, when ``out_len != in_len``,
-    ``time.w`` and ``time.b``.
+    allocating nothing sized by it, in the order the RNG draws them:
+    ``fssm{i}.*`` per block (``mamba.*`` as ``ssm.mamba_layout`` lists it,
+    ``gains``, ``hsa.*`` or ``cagate.*``, ``dw_k``, ``dw_b``), then ``enc.*``,
+    ``dec.*`` and, when ``out_len != in_len``, ``time.w`` and ``time.b``.
 
-    That is the checkpoint order. With ``draw`` the entries come in the order
-    the RNG draws them, which differs twice: every block before ``enc.*``, and
-    in each block ``mamba.ssm.*`` before ``mamba.w_out``. Changing the draw
-    order changes every trained model; changing the checkpoint order changes
-    every checkpoint file written.
+    Checkpoints are written in this order and read by name, so a file in
+    another order loads; changing the order changes every trained model.
     """
     d, dh, hc = config.hidden, config.hidden // 2, config.head_channels
 
@@ -107,17 +104,15 @@ def param_layout(config: ModelConfig, draw: bool = False):
         return [(f"{name}_k", kernel, nd.normal_init(math.prod(kernel[1:]))),
                 (f"{name}_b", (n,), 0.0), (f"{name}_g", (n,), 1.0), (f"{name}_be", (n,), 0.0)]
 
-    mamba = ssm.mamba_layout(d, config.state_size)             # in draw order
-    if not draw:
-        mamba.sort(key=lambda entry: entry[0].startswith("ssm."))  # stable: ssm.* go last
     fusion = {"hsa": nd.prefixed("hsa", hsa.hsa_layout(d)),
               "cagate": nd.prefixed("cagate", hsa.ca_gate_layout(d)), "sum": []}[config.fusion]
     # one block's entries, built once and shared by every block
-    block = [*nd.prefixed("mamba", mamba), ("gains", (d, 3), 1.0),  # detail-band gains
+    block = [*nd.prefixed("mamba", ssm.mamba_layout(d, config.state_size)),
+             ("gains", (d, 3), 1.0),  # detail-band gains
              *fusion, ("dw_k", (d, 3, 3), nd.normal_init(9)), ("dw_b", (d,), 0.0)]
-    enc = nd.prefixed("enc", conv("enc1", (dh, 1, 3, 3), dh) + conv("enc2", (d, dh, 3, 3), d))
-    blocks = (entry for i in range(config.n_fssm) for entry in nd.prefixed(f"fssm{i}", block))
-    yield from itertools.chain(blocks, enc) if draw else itertools.chain(enc, blocks)
+    for i in range(config.n_fssm):
+        yield from nd.prefixed(f"fssm{i}", block)
+    yield from nd.prefixed("enc", conv("enc1", (dh, 1, 3, 3), dh) + conv("enc2", (d, dh, 3, 3), d))
     yield from nd.prefixed("dec", [
         *conv("dec1", (d, dh, 4, 4), dh), *conv("dec2", (dh, dh, 4, 4), dh),
         ("ref1_k", (dh, 3, 3), nd.normal_init(9)), ("ref1_b", (dh,), 0.0),
@@ -135,8 +130,9 @@ MAX_PARAMS = 1 << 26
 
 
 def init_params(rng: np.random.Generator, config: ModelConfig) -> ModelParams:
-    """The parameters of ``config`` drawn from ``rng``, in checkpoint order.
-    A ValueError, before any draw, when they number over ``MAX_PARAMS``."""
+    """The parameters of ``config`` drawn from ``rng`` in ``param_layout``
+    order. A ValueError, before any draw, when they number over
+    ``MAX_PARAMS``."""
     # every block has one size, so one- and two-block layouts give the count
     # without walking all n_fssm blocks, which may be any number
     one, two = (sum(math.prod(shape) for _, shape, _ in param_layout(replace(config, n_fssm=n)))
@@ -144,8 +140,7 @@ def init_params(rng: np.random.Generator, config: ModelConfig) -> ModelParams:
     count = one + (config.n_fssm - 1) * (two - one)
     if count > MAX_PARAMS:
         raise ValueError(f"config asks for {count} parameters, over the budget of {MAX_PARAMS}")
-    drawn = nd.make_params(rng, param_layout(config, draw=True))
-    return ModelParams((name, drawn[name]) for name, _, _ in param_layout(config))
+    return ModelParams(nd.make_params(rng, param_layout(config)))
 
 
 @lru_cache(maxsize=32)

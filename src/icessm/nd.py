@@ -334,28 +334,26 @@ def moveaxis(a: Tensor, src, dst) -> Tensor:
 
 
 def gather(a: Tensor, perm: np.ndarray) -> Tensor:
-    """Reorder axis 0 by a permutation ``perm[N]``, or by ``perm[N, R]``:
-    column r, a permutation, reorders ``a[:, r]`` (all of them reorder
-    ``a[:, 0]`` when a is [N, 1, ...]). Backward scatters through the inverses,
-    which one O(N) scatter finds and checks: a column hits every row once."""
+    """Reorder axis 0 by a table ``perm[N, R]``: column r, a permutation,
+    reorders ``a[:, r]`` (all of them reorder ``a[:, 0]`` when a is [N, 1,
+    ...]). Backward scatters through the inverses, which one O(N) scatter
+    finds and checks: a column hits every row once."""
     perm = np.asarray(perm, dtype=np.int64)
     n = a.data.shape[0]
     message = "perm must be a bijective permutation of axis 0"
-    if perm.ndim not in (1, 2) or perm.shape[0] != n or not ((perm >= 0) & (perm < n)).all():
+    if perm.ndim != 2 or perm.shape[0] != n or not ((perm >= 0) & (perm < n)).all():
         raise ValueError(message)
-    cols = (np.arange(perm.shape[1]),) if perm.ndim == 2 else ()
-    rows = np.arange(n)
+    cols = np.arange(perm.shape[1])
     inv = np.full(perm.shape, -1)
-    inv[(perm,) + cols] = rows[:, None] if cols else rows
+    inv[perm, cols] = np.arange(n)[:, None]
     if (inv < 0).any():                     # a repeated entry leaves a row unhit
         raise ValueError(message)
-    inv = (inv,) + cols
-    src = np.broadcast_to(a.data, perm.shape + a.data.shape[perm.ndim:])
+    src = np.broadcast_to(a.data, perm.shape + a.data.shape[2:])
 
     def bw(g):
-        a._accum(_unbroadcast(g[inv], a.data.shape))
+        a._accum(_unbroadcast(g[inv, cols], a.data.shape))
 
-    return _make(src[(perm,) + cols], (a,), bw)
+    return _make(src[perm, cols], (a,), bw)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -41,18 +41,12 @@ def ssm_layout(d: int, state_size: int) -> list:
             ("w_b", (d, state_size), weight), ("w_c", (d, state_size), weight)]
 
 
-def selective_scan(x: Tensor, p: dict[str, Tensor],
-                   direction: str = "forward") -> Tensor:
+def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Scan x[L, D], or all the sequences of x[L, ..., D] at once, along axis
-    0; 'backward' processes the reversed sequences and re-reverses the output."""
+    0. A backward scan is a reversed route (``scan_routes``)."""
     length, d = x.shape[0], x.shape[-1]
     if length < 1:
         raise ValueError("sequence must have at least one step")
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    backward = direction == "backward"
-    if backward:
-        x = nd.index(x, np.s_[::-1])
     rows = nd.reshape(x, (-1, d))                        # [L*R, D], one matmul per projection
     seq = nd.reshape(rows, (length, -1, d))              # [L, R, D]
     r = seq.shape[1]
@@ -61,8 +55,7 @@ def selective_scan(x: Tensor, p: dict[str, Tensor],
     c = nd.reshape(nd.matmul(rows, p["w_c"]), (length, r, -1))
     a = nd.neg(nd.exp(p["a_log"]))                       # [D, S]
     y = nd.ssm_recurrence(seq, nd.reshape(dt, (length, r)), a, b, c)
-    y = nd.reshape(nd.add(y, nd.mul(seq, p["d_skip"])), x.shape)
-    return nd.index(y, np.s_[::-1]) if backward else y
+    return nd.reshape(nd.add(y, nd.mul(seq, p["d_skip"])), x.shape)
 
 
 def volume_to_seq(v: Tensor) -> Tensor:
@@ -112,8 +105,8 @@ def mamba_layout(d: int, state_size: int) -> list:
     causal conv -> scan -> gate -> out), in draw order: ``ln_gamma``/``ln_beta``
     [D], ``w_in``/``w_gate`` [D, 2D] with biases [2D], ``conv_k`` [2D,
     CONV_KERNEL], ``conv_b`` [2D], the scan over 2D channels under ``ssm.*``,
-    then ``w_out`` [2D, D] and ``b_out`` [D]. The checkpoint lists ``ssm.*``
-    last (``model.param_layout``)."""
+    then ``w_out`` [2D, D] and ``b_out`` [D]. The checkpoint lists them in
+    this order too (``model.param_layout``)."""
     d2 = 2 * d
     return [("ln_gamma", (d,), 1.0), ("ln_beta", (d,), 0.0),
             ("w_in", (d, d2), nd.normal_init(d)), ("b_in", (d2,), 0.0),

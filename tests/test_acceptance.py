@@ -72,12 +72,13 @@ def test_criterion_03_ssm_matches_naive_recurrence():
         got = ssm.selective_scan(Tensor(x), p).data
         want = naive_selective_scan(x, p)
         worst = max(worst, float(np.abs(got - want).max()))
-    # reversal identity must be exact
+    # reversal identity must be exact: the reversed route scans the reversed sequence
     p = nd.make_params(rng, ssm.ssm_layout(4, 8))
     x = rng.normal(size=(24, 4)).astype(np.float32)
+    reverse = np.arange(len(x))[::-1, None]
     rev_ok = np.array_equal(
-        ssm.selective_scan(Tensor(x[::-1].copy()), p, "forward").data,
-        ssm.selective_scan(Tensor(x), p, "backward").data[::-1])
+        ssm.selective_scan(Tensor(x[::-1].copy()), p).data,
+        ssm.scan_routes(Tensor(x), reverse, p).data[::-1, 0])
     announce(3, worst < 1e-5 and rev_ok,
              f"100 cases, max abs err {worst:.2e}, reversal exact={rev_ok}")
 
@@ -150,7 +151,7 @@ def _op_probes():
     g_gn, b_gn = t(4), t(4)
     coeff_ln = t(2, 5)
     coeff_gn = t(1, 4, 2, 2)
-    coeff_gather = t(6, 2)
+    coeff_gather = t(6, 1, 2)
     coeff_pad = t(1, 1, 4, 5)
     other = t(3, lo=0.5, hi=2.0)
     other2 = t(2, 3)
@@ -210,8 +211,8 @@ def _op_probes():
          _two_level(Tensor(t(5, lo=0.3, hi=1.0).data.reshape(1, 5, 1, 1)), [1, -1, 1, -1, 1])),
         ("mean_hw", lambda x: nd.mean(nd.square(
             nd.mean(x, axis=(-2, -1)))), t(2, 2, 3, 3)),
-        ("gather", lambda x: nd.mean(nd.mul(nd.gather(x, perm), coeff_gather)),
-         t(6, 2)),
+        ("gather", lambda x: nd.mean(nd.mul(nd.gather(x, perm[:, None]), coeff_gather)),
+         t(6, 1, 2)),
         ("concat", lambda x: nd.mean(nd.square(nd.concat([x, other2]))), t(2, 3)),
         ("chunk", lambda x: nd.mean(nd.square(nd.chunk(x, 2, axis=0)[1])), t(4, 3)),
         ("pad2d", lambda x: nd.mean(nd.mul(
@@ -285,7 +286,7 @@ def test_criterion_06_hsa_contract():
                            - (xs[0].data + xs[1].data + xs[2].data) / 2).max())
 
     live = nd.make_params(rng, hsa.hsa_layout(d))
-    _, weights = hsa.hsa_fuse(*xs, live, return_weights=True)
+    weights = hsa.hsa_weights(*xs, live)
     in_unit = all(((a.data > 0) & (a.data < 1)).all() for a in weights)
     announce(6, ident and avg_err < 1e-6 and in_unit,
              f"shuffle identity={ident}, forced-average err {avg_err:.1e}, "

@@ -18,8 +18,6 @@ OPTION_EXCEPTIONS = {
     "nd.grad_check.step": "the gradient reference; tests set the difference step",
     "cli.main.argv": "the entry point the tests drive; the program passes sys.argv",
     "data.synth_generate.season_period": "criterion 9's fixture sets the seasonal cycle",
-    "ssm.selective_scan.direction": "criterion 3 checks the backward scan",
-    "hsa.hsa_fuse.return_weights": "criterion 6 checks the fusion weights",
     "metrics.sie.cell_area": "criterion 11 checks the extent at a cell area of 2.5",
 }
 
@@ -42,8 +40,9 @@ def public_defs(tree: ast.Module) -> list[str]:
 
 def references(path: Path, modules: set[str]) -> set[tuple[str, str]]:
     """(module, name) pairs that the source at ``path`` refers to: a
-    ``mod.name`` attribute, a ``from .mod import name``, or a bare name
-    inside its own module."""
+    ``mod.name`` attribute, a ``from .mod import name``, or a bare name read
+    inside its own module (a name bound there, such as a dataclass field of
+    the same name, is not a use)."""
     own = path.stem if path.parent == PACKAGE else None
     refs = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -52,7 +51,8 @@ def references(path: Path, modules: set[str]) -> set[tuple[str, str]]:
             refs.add((node.value.id, node.attr))
         elif isinstance(node, ast.ImportFrom) and node.module:
             refs.update((node.module.rsplit(".", 1)[-1], a.name) for a in node.names)
-        elif isinstance(node, ast.Name) and own is not None:
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and own is not None:
             refs.add((own, node.id))
     return refs
 

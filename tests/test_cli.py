@@ -203,7 +203,7 @@ class TestPipeline:
         code = run("train", "--data", str(grid_path), "--out", str(out), "--in-len", "4",
                    "--out-len", "4", "--hidden", "8", "--fssm", "1", "--epochs", "1", flag, value)
         assert code == 2
-        assert not (out / "model.ckpt").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("size", [
         ("--hidden", "100000"), ("--state-size", "1000000000"), ("--fssm", "1000000000"),
@@ -226,7 +226,7 @@ class TestPipeline:
         assert code == 2
         assert f"over the budget of {model.MAX_PARAMS}" in capsys.readouterr().err
         assert peak < 4 << 20
-        assert not (out / "model.ckpt").exists()
+        assert not out.exists()
 
     def test_predict_shape(self, trained):
         root, grid_path, model_dir = trained

@@ -47,7 +47,7 @@ class TestHsaFuse:
         d = 5
         p = nd.make_params(r, hsa.hsa_layout(d))
         xs = [Tensor(r.normal(size=(3, d, 4, 4)) * 5) for _ in range(3)]
-        _, (a1, a2, af) = hsa.hsa_fuse(*xs, p, return_weights=True)
+        a1, a2, af = hsa.hsa_weights(*xs, p)
         for a in (a1, a2, af):
             assert ((a.data > 0) & (a.data < 1)).all()
 
@@ -63,7 +63,8 @@ class TestHsaFuse:
         x1 = Tensor(np.broadcast_to(c1[None, :, None, None], (2, d, 4, 4)).copy())
         x2 = Tensor(np.broadcast_to(c2[None, :, None, None], (2, d, 4, 4)).copy())
         xf = Tensor(np.broadcast_to(cf[None, :, None, None], (2, d, 4, 4)).copy())
-        y, (a1, a2, af) = hsa.hsa_fuse(x1, x2, xf, p, return_weights=True)
+        y = hsa.hsa_fuse(x1, x2, xf, p)
+        a1, a2, af = hsa.hsa_weights(x1, x2, xf, p)
         for ch in range(d):
             triple = np.array([c1[ch], c2[ch], cf[ch]])
             logits = p["weights"].data[ch] @ triple + p["bias"].data[3 * ch: 3 * ch + 3]

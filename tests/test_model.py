@@ -398,7 +398,7 @@ class TestTraining:
             plain(raw, target, config),
             nd.mean(nd.mul(nd.div(1.0, nd.add(nd.mul(raw, 0.0), 1e-30)), 0.0))))
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
-                nd.NumericalError, match=r"non-finite gradient of enc\.enc1_k at step 0"):
+                nd.NumericalError, match=r"non-finite gradient of fssm0\.mamba\.ln_gamma at step 0"):
             model.train([make_sample(50)], [make_sample(51)], tiny_config(), seed=0,
                         max_epochs=1, batch_size=1)
 
@@ -447,13 +447,14 @@ class TestRecursive:
 
 class TestCheckpoint:
     @pytest.mark.parametrize("kw, digest", [
-        (dict(), "e1bc36b0c04c1bcd57b6dc23f61b9617134b8e1d014d718f429d851a6ba19668"),
+        (dict(), "49305b36d063ea8491b66d868a5a5343638b4f80bfe12d0918092891f7ed8229"),
         (dict(fusion="cagate", n_routes=4, out_len=7),
-         "33b8fb3e7946fbb79f565f489bf79c9a067ed2474a9ee09baf14a4ee37195484"),
+         "6a4b998dfbd7d66ce1dad19f160c8c50d742575148fefdb2bd6bbcef9f98de20"),
     ], ids=["default", "cagate-4routes-out7"])
     def test_layout_is_pinned(self, kw, digest):
-        # names, shapes and order of the checkpoint; changing any of them
-        # stops earlier checkpoints from loading
+        # names, shapes and order of the checkpoint; a changed name or shape
+        # stops earlier checkpoints from loading, a changed order changes the
+        # files written (they are read by name)
         params = model.init_params(rng(0), model.ModelConfig(**kw))
         layout = "".join(f"{k}:{tuple(t.shape)};" for k, t in params.items())
         assert hashlib.sha256(layout.encode()).hexdigest() == digest
@@ -467,13 +468,13 @@ class TestCheckpoint:
         assert [(k, shape) for k, shape, _ in model.param_layout(cfg)] == made
 
     @pytest.mark.parametrize("kw, digest", [
-        (dict(), "39cb3d6e08fc0997594194619da61c6fd5f4ae3839b08929b71e69dff3e01aeb"),
+        (dict(), "ace324bfdec4ee74d52322636bc5744ef3eff28bfcfab6ff4e956df0806cd552"),
         (dict(fusion="cagate", n_routes=4, out_len=7),
-         "3b69af49eb19585e6edcb9c9096ea56ea9f6fb7a89ad18be0f3f8989eb7a1d05"),
+         "6d54ac8ee7a12864530ac311dc56fbf2b9f9e1278f10087aa15889c880f7110c"),
     ], ids=["default", "cagate-4routes-out7"])
     def test_initial_values_are_pinned(self, kw, digest):
-        # the bytes of every initial tensor in key order; a reordered draw or a
-        # changed init moves every trained model
+        # the bytes of every initial tensor in key order, which is draw order;
+        # a reordered draw or a changed init moves every trained model
         h = hashlib.sha256()
         for t in model.init_params(rng(0), model.ModelConfig(**kw)).values():
             h.update(t.data.tobytes())
@@ -502,6 +503,35 @@ class TestCheckpoint:
         back = model.load_checkpoint(path, cfg)
         got = model.forward(x, back, cfg).mean
         np.testing.assert_array_equal(got, want)
+
+    def test_enc_first_checkpoint_still_loads(self, tmp_path):
+        # checkpoints were once written with enc.* first and each block's
+        # mamba.ssm.* after its mamba.b_out; they are read by name and load
+        cfg = model.ModelConfig()
+        params = model.init_params(rng(43), cfg)
+
+        def enc_first(name):
+            head, _, rest = name.partition(".")
+            block = int(head[4:]) if head.startswith("fssm") else math.inf
+            part = (1 if rest.startswith("mamba.ssm.") else 0 if rest.startswith("mamba.")
+                    else 2)
+            return head != "enc", block, part
+
+        old = {name: params[name] for name in sorted(params, key=enc_first)}
+        layout = "".join(f"{k}:{tuple(t.shape)};" for k, t in old.items())
+        # the layout digest those checkpoints were pinned to
+        assert hashlib.sha256(layout.encode()).hexdigest() == \
+            "e1bc36b0c04c1bcd57b6dc23f61b9617134b8e1d014d718f429d851a6ba19668"
+        nd.save_params(tmp_path / "old.ckpt", old)
+        model.save_checkpoint(tmp_path / "new.ckpt", params)
+        from_old = model.load_checkpoint(tmp_path / "old.ckpt", cfg)
+        from_new = model.load_checkpoint(tmp_path / "new.ckpt", cfg)
+        assert list(from_old) == list(from_new) == list(params) != list(old)
+        for name, t in from_new.items():
+            np.testing.assert_array_equal(from_old[name].data, t.data)
+        x = rng(44).uniform(size=(14, 1, 8, 8)).astype(np.float32)
+        np.testing.assert_array_equal(model.forward(x, from_old, cfg).mean,
+                                      model.forward(x, from_new, cfg).mean)
 
     def test_config_mismatch_rejected(self, tmp_path):
         cfg = tiny_config()

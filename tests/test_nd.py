@@ -476,34 +476,37 @@ class TestActivations:
 
 class TestPoolAndShape:
     def test_gather_identity_and_inverse(self):
-        x = Tensor(rng(16).normal(size=(6, 3)))
-        ident = nd.gather(x, np.arange(6))
+        x = Tensor(rng(16).normal(size=(6, 1, 3)))
+        ident = nd.gather(x, np.arange(6)[:, None])
         np.testing.assert_array_equal(ident.data, x.data)
         perm = np.array([3, 1, 4, 0, 5, 2])
         inv = np.argsort(perm)
-        round_trip = nd.gather(nd.gather(x, perm), inv)
+        round_trip = nd.gather(nd.gather(x, perm[:, None]), inv[:, None])
         np.testing.assert_array_equal(round_trip.data, x.data)
 
     def test_gather_rejects_non_bijection(self):
         with pytest.raises(ValueError):
-            nd.gather(Tensor(np.zeros((3, 1))), np.array([0, 0, 2]))
+            nd.gather(Tensor(np.zeros((3, 1))), np.array([0, 0, 2])[:, None])
 
-    @pytest.mark.parametrize("perm", [[0, -1, 2], [0, 3, 2], [[0, 2], [1, -3], [2, 1]],
-                                      [[0, 2], [1, 3], [2, 1]], [[0, 1], [1, 1], [2, 0]]],
+    @pytest.mark.parametrize("perm", [[[0], [-1], [2]], [[0], [3], [2]],
+                                      [[0, 2], [1, -3], [2, 1]],
+                                      [[0, 2], [1, 3], [2, 1]], [[0, 1], [1, 1], [2, 0]],
+                                      [0, 1, 2]],
                              ids=["negative", "past-end", "negative-column", "past-end-column",
-                                  "repeat-in-column"])
+                                  "repeat-in-column", "one-dimensional"])
     def test_gather_rejects_bad_entries(self, perm):
-        # a scatter into the inverse would wrap a negative entry or raise IndexError
+        # a scatter into the inverse would wrap a negative entry or raise IndexError;
+        # a permutation is a route table of one column, never a flat vector
         with pytest.raises(ValueError, match="bijective permutation"):
             nd.gather(Tensor(np.zeros((3, 1))), np.array(perm))
 
     def test_gather_grad_is_scatter(self):
-        x = Tensor(rng(17).normal(size=(5, 2)))
+        x = Tensor(rng(17).normal(size=(5, 1, 2)))
         perm = np.array([4, 2, 0, 1, 3])
-        t = rng(18).normal(size=(5, 2)).astype(np.float32)
+        t = rng(18).normal(size=(5, 1, 2)).astype(np.float32)
 
         def f(x_):
-            return nd.mean(nd.mul(nd.gather(x_, perm), Tensor(t)))
+            return nd.mean(nd.mul(nd.gather(x_, perm[:, None]), Tensor(t)))
 
         assert nd.grad_check(f, x, tolerance=1e-3).passed
 

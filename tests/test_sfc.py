@@ -175,17 +175,18 @@ class TestRoutes:
 
 class TestApply:
     """The scan path the model takes: flatten in raster order, gather along the
-    order, gather back through its inverse."""
+    order, gather back through its inverse. One volume is a batch of one,
+    and one order a route table of one column."""
 
     @staticmethod
     def scan(order, v):
-        return nd.gather(ssm.volume_to_seq(Tensor(v)), order)
+        return nd.gather(ssm.volume_to_seq(Tensor(v[None])), order[:, None])
 
     def test_raster_apply_is_flatten(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
         seq = self.scan(sfc.raster((2, 4, 5)), v)
-        assert np.array_equal(seq.data, np.moveaxis(v, 1, -1).reshape(40, 3))
+        assert np.array_equal(seq.data[:, 0], np.moveaxis(v, 1, -1).reshape(40, 3))
 
     @settings(max_examples=40, deadline=None)
     @given(dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
@@ -194,14 +195,14 @@ class TestApply:
         rng = np.random.default_rng(7)
         v = rng.normal(size=(dims[0], 2, dims[1], dims[2])).astype(np.float32)
         order = sfc.make_order(kind, dims)
-        back = nd.gather(self.scan(order, v), np.argsort(order))
-        assert np.array_equal(ssm.seq_to_volume(back, dims).data, v)
+        back = nd.gather(self.scan(order, v), np.argsort(order)[:, None])
+        assert np.array_equal(ssm.seq_to_volume(back, dims).data[0], v)
 
     def test_sequence_matches_forward_list(self):
         order = sfc.gilbert3d((2, 2, 2))
         v = np.arange(8, dtype=np.float32).reshape(2, 1, 2, 2)
         seq = self.scan(order, v)
-        assert np.array_equal(seq.data[:, 0].astype(np.int64), order)
+        assert np.array_equal(seq.data[:, 0, 0].astype(np.int64), order)
 
 
 class TestLocality:

@@ -50,8 +50,8 @@ class TestSelectiveScan:
         r = rng(4)
         p = nd.make_params(r, ssm.ssm_layout(3, 8))
         x = r.normal(size=(10, 3)).astype(np.float32)
-        lhs = ssm.selective_scan(Tensor(x[::-1].copy()), p, "forward").data
-        rhs = ssm.selective_scan(Tensor(x), p, "backward").data[::-1]
+        lhs = ssm.selective_scan(Tensor(x[::-1].copy()), p).data
+        rhs = ssm.scan_routes(Tensor(x), np.arange(10)[::-1, None], p).data[::-1, 0]
         np.testing.assert_array_equal(lhs, rhs)
 
     def test_stability_long_bounded_input(self):
@@ -66,10 +66,11 @@ class TestSelectiveScan:
         r = rng(15)
         p = nd.make_params(r, ssm.ssm_layout(5, 4))
         x = r.normal(size=(30, routes, 5)).astype(np.float32)
-        for direction in ("forward", "backward"):
-            batched = ssm.selective_scan(Tensor(x), p, direction).data
+        forward = np.arange(30)[:, None]
+        for column in (forward, forward[::-1]):
+            batched = ssm.scan_routes(Tensor(x), column, p).data[:, 0]
             for k in range(routes):
-                single = ssm.selective_scan(Tensor(x[:, k]), p, direction).data
+                single = ssm.scan_routes(Tensor(x[:, k]), column, p).data[:, 0]
                 np.testing.assert_allclose(batched[:, k], single, atol=1e-6)
 
     def test_param_gradients_match_finite_differences(self):
@@ -84,11 +85,6 @@ class TestSelectiveScan:
             return nd.mean(nd.mul(scan, Tensor(t)))
 
         assert nd.grad_check(f, [p[n] for n in names], tolerance=1e-3).passed
-
-    def test_bad_direction(self):
-        p = nd.make_params(rng(6), ssm.ssm_layout(2, 8))
-        with pytest.raises(ValueError):
-            ssm.selective_scan(Tensor(np.zeros((3, 2))), p, "sideways")
 
 
 class TestHilbertSsm:
