@@ -152,8 +152,19 @@ def _load_series(path) -> data.Grid3:
     return grid
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Refuse, before any work, an ``out_dir`` that the command could not
+    create once it is done: one that exists and is not a directory, or whose
+    nearest existing ancestor is not one."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
+
+
 def cmd_train(a) -> int:
     config = _config_from_args(a)
+    out_dir = Path(a.out)
+    _check_out_dir(out_dir)
     grid = _load_series(a.data)
     inputs = _digests(a.data)
     wins = data.windows(grid, a.in_len, a.out_len, stride=a.stride)
@@ -169,7 +180,6 @@ def cmd_train(a) -> int:
     result = model.train(train_set, val_set, config, seed=a.seed,
                          max_epochs=a.epochs, patience=a.patience,
                          batch_size=a.batch_size, lr=a.lr, log=log)
-    out_dir = Path(a.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model.save_checkpoint(out_dir / "model.ckpt", result.params)
     with open(out_dir / "config.json", "w", encoding="utf-8") as f:

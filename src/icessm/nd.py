@@ -2,9 +2,13 @@
 
 Every operation computes its forward value eagerly with numpy and, when a
 tape is active and an input requires gradients, records a backward rule on
-the tape. ``Tape.backward`` replays the rules in exact reverse execution
-order, accumulating gradients additively across fan-out, and drops each rule,
-with the arrays it holds and its output's gradient, once it has run.
+the tape through ``_make``. An op's backward maps its output's gradient to
+one gradient per input, in input order; ``_make`` alone hands them over: an
+input that requires a gradient gets its entry summed over the axes it was
+broadcast along and accumulated into ``.grad``, additively across fan-out.
+``Tape.backward`` replays the rules in exact reverse execution order and
+drops each rule, with the arrays it holds and its output's gradient, once it
+has run.
 """
 
 from __future__ import annotations
@@ -137,7 +141,12 @@ def _tracking(inputs) -> bool:
 
 
 def _make(out_data, inputs, backward) -> Tensor:
-    """Wrap an op result; record the backward rule when taping."""
+    """Wrap an op result; record the backward rule when taping.
+
+    ``backward(g)`` returns one gradient per input, in input order: None,
+    or an array of the input's shape or of the shape the forward broadcast
+    it to. The recorded rule delivers each array whose input requires a
+    gradient: summed over the broadcast axes, then accumulated."""
     track = _tracking(inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
@@ -146,7 +155,9 @@ def _make(out_data, inputs, backward) -> Tensor:
             # outputs that never received a gradient are off the loss path
             g, out.grad = out.grad, None
             if g is not None:
-                backward(g)
+                for t, grad in zip(inputs, backward(g), strict=True):
+                    if grad is not None and t.requires_grad:
+                        t._accum(_unbroadcast(grad, t.data.shape))
 
         _TAPE.record(run)
     return out
@@ -159,89 +170,45 @@ def _make(out_data, inputs, backward) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.data.shape))
-
-    return _make(a.data + b.data, (a, b), bw)
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.data.shape))
-
-    return _make(a.data - b.data, (a, b), bw)
+    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, (a, b), bw)
+    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(a.data / b.data, (a, b), bw)
+    return _make(a.data / b.data, (a, b),
+                 lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-
-    def bw(g):
-        a._accum(-g)
-
-    return _make(-a.data, (a,), bw)
+    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
-
-    def bw(g):
-        a._accum(g * out_data)
-
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (a,), lambda g: (g * out_data,))
 
 
 def log(a: Tensor) -> Tensor:
-    def bw(g):
-        a._accum(g / a.data)
-
-    return _make(np.log(a.data), (a,), bw)
+    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def square(a: Tensor) -> Tensor:
-    def bw(g):
-        a._accum(g * (2.0 * a.data))
-
-    return _make(a.data * a.data, (a,), bw)
+    return _make(a.data * a.data, (a,), lambda g: (g * (2.0 * a.data),))
 
 
 def absolute(a: Tensor) -> Tensor:
-    def bw(g):
-        a._accum(g * np.sign(a.data))
-
-    return _make(np.abs(a.data), (a,), bw)
+    return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
 # ---------------------------------------------------------------------------
@@ -257,31 +224,19 @@ def _np_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     s = _np_sigmoid(a.data)
-
-    def bw(g):
-        a._accum(g * s * (1.0 - s))
-
-    return _make(s, (a,), bw)
+    return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def silu(a: Tensor) -> Tensor:
     x = a.data
     s = _np_sigmoid(x)
-
-    def bw(g):
-        a._accum(g * (s + x * s * (1.0 - s)))
-
-    return _make(x * s, (a,), bw)
+    return _make(x * s, (a,), lambda g: (g * (s + x * s * (1.0 - s)),))
 
 
 def softplus(a: Tensor) -> Tensor:
     x = a.data
     out_data = (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))).astype(np.float32)
-
-    def bw(g):
-        a._accum(g * _np_sigmoid(x))
-
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (a,), lambda g: (g * _np_sigmoid(x),))
 
 
 # The leaky ReLU that ends depthwise_conv2d, groupnorm and layernorm(leaky=True),
@@ -312,25 +267,19 @@ def mean(a: Tensor, axis=None) -> Tensor:
 
     def bw(g):
         gg = g if axis is None else np.expand_dims(g, axis)
-        a._accum((np.broadcast_to(gg, a.data.shape) / count).astype(np.float32))
+        return ((np.broadcast_to(gg, a.data.shape) / count).astype(np.float32),)
 
     return _make(a.data.mean(axis=axis, dtype=np.float32), (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
-
-    def bw(g):
-        a._accum(g.reshape(old))
-
-    return _make(a.data.reshape(shape), (a,), bw)
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def moveaxis(a: Tensor, src, dst) -> Tensor:
-    def bw(g):
-        a._accum(np.moveaxis(g, dst, src))
-
-    return _make(np.ascontiguousarray(np.moveaxis(a.data, src, dst)), (a,), bw)
+    return _make(np.ascontiguousarray(np.moveaxis(a.data, src, dst)), (a,),
+                 lambda g: (np.moveaxis(g, dst, src),))
 
 
 def gather(a: Tensor, perm: np.ndarray) -> Tensor:
@@ -349,26 +298,14 @@ def gather(a: Tensor, perm: np.ndarray) -> Tensor:
     if (inv < 0).any():                     # a repeated entry leaves a row unhit
         raise ValueError(message)
     src = np.broadcast_to(a.data, perm.shape + a.data.shape[2:])
-
-    def bw(g):
-        a._accum(_unbroadcast(g[inv, cols], a.data.shape))
-
-    return _make(src[perm, cols], (a,), bw)
+    return _make(src[perm, cols], (a,), lambda g: (g[inv, cols],))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
+                 lambda g: np.split(g, offsets[1:-1], axis=axis))
 
 
 def index(a: Tensor, idx) -> Tensor:
@@ -377,7 +314,7 @@ def index(a: Tensor, idx) -> Tensor:
     def bw(g):
         buf = np.zeros_like(a.data)
         buf[idx] = g
-        a._accum(buf)
+        return (buf,)
 
     return _make(np.ascontiguousarray(a.data[idx]), (a,), bw)
 
@@ -403,12 +340,10 @@ def matmul(a: Tensor, w: Tensor) -> Tensor:
         raise ValueError(f"matmul shapes {a.data.shape} x {w.data.shape}")
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g @ w.data.T)
-        if w.requires_grad:
-            gf = g.reshape(-1, w.data.shape[1])
-            af = a.data.reshape(-1, w.data.shape[0])
-            w._accum(af.T @ gf)
+        dw = None
+        if w.requires_grad:  # the wavelet branch multiplies by the constant Haar matrix
+            dw = a.data.reshape(-1, w.data.shape[0]).T @ g.reshape(-1, w.data.shape[1])
+        return g @ w.data.T, dw
 
     return _make(a.data @ w.data, (a, w), bw)
 
@@ -455,10 +390,8 @@ def pad2d(x: Tensor, pads: tuple[int, int, int, int]) -> Tensor:
     if min(pads) < 0:
         raise ValueError(f"pads must be non-negative, got {pads}")
 
-    def bw(g):
-        x._accum(_fold_replicated(g.copy(), pads))
-
-    return _make(_np_pad2d(x.data, pads, "replicate"), (x,), bw)
+    return _make(_np_pad2d(x.data, pads, "replicate"), (x,),
+                 lambda g: (_fold_replicated(g.copy(), pads),))
 
 
 def _conv_cols(xp: np.ndarray, kernels: np.ndarray, s: int,
@@ -510,13 +443,11 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
     out_data = out_data + bias.data[None, :, None, None]
 
     def bw(g):
-        if bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 2, 3)))
-        if kernels.requires_grad:
-            kernels._accum(_conv_kernel_grad(g, cols, kernels.data.shape))
-        if x.requires_grad:
+        dx = None
+        if x.requires_grad:  # the encoder's first conv reads the constant input frames
             dxp = _conv_cols_adjoint(g, kernels.data, xp.shape, stride)
-            x._accum(dxp[..., padding:xp.shape[2] - padding, padding:xp.shape[3] - padding])
+            dx = dxp[..., padding:xp.shape[2] - padding, padding:xp.shape[3] - padding]
+        return dx, _conv_kernel_grad(g, cols, kernels.data.shape), g.sum(axis=(0, 2, 3))
 
     return _make(out_data, (x, kernels, bias), bw)
 
@@ -545,14 +476,8 @@ def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor,
                 + bias.data[None, :, None, None])
 
     def bw(g):
-        if bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 2, 3)))
-        gp = _np_pad2d(g, (padding,) * 4, "zero")
-        dy, cols = _conv_cols(gp, kernels.data, stride, ho, wo)
-        if kernels.requires_grad:
-            kernels._accum(_conv_kernel_grad(y.data, cols, kernels.data.shape))
-        if y.requires_grad:
-            y._accum(dy)
+        dy, cols = _conv_cols(_np_pad2d(g, (padding,) * 4, "zero"), kernels.data, stride, ho, wo)
+        return dy, _conv_kernel_grad(y.data, cols, kernels.data.shape), g.sum(axis=(0, 2, 3))
 
     return _make(out_data, (y, kernels, bias), bw)
 
@@ -597,18 +522,14 @@ def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     def bw(g):
         g = (g * _np_leaky_slope(out_data)).reshape(n, c, h, w)
-        if bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 2, 3)))
         # g of pixel p at p + reach: the flipped kernel's taps read it as the taps read x
         gp = np.zeros((c, size + reach), dtype=np.float32)
         gp[:, :size].reshape(xp.shape)[..., kh - 1:, kw - 1:][..., :h, :w] = np.moveaxis(g, 1, 0)
-        if kernels.requires_grad:
-            dk = [np.einsum("cp,cp->c", gp[:, reach:size], xf[:, o:o + span]) for o in offs]
-            kernels._accum(np.stack(dk, axis=1).reshape(c, kh, kw))
-        if x.requires_grad:
-            dxf = _np_taps(gp, kf[:, ::-1], offs, size, np.empty_like(xf))
-            dx = _fold_replicated(dxf.reshape(xp.shape), pads).transpose(1, 0, 2, 3)
-            x._accum(np.ascontiguousarray(dx).reshape(x.data.shape))
+        dk = [np.einsum("cp,cp->c", gp[:, reach:size], xf[:, o:o + span]) for o in offs]
+        dxf = _np_taps(gp, kf[:, ::-1], offs, size, np.empty_like(xf))
+        dx = _fold_replicated(dxf.reshape(xp.shape), pads).transpose(1, 0, 2, 3)
+        return (np.ascontiguousarray(dx).reshape(x.data.shape),
+                np.stack(dk, axis=1).reshape(c, kh, kw), g.sum(axis=(0, 2, 3)))
 
     return _make(out_data, (x, kernels, bias), bw)
 
@@ -631,18 +552,12 @@ def conv1d_depthwise(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     rows = tuple(range(x.data.ndim - 1))
 
     def bw(g):
-        if bias.requires_grad:
-            bias._accum(g.sum(axis=rows))
-        if kernels.requires_grad:
-            dk = np.empty_like(kernels.data)
-            for j in range(k):
-                dk[:, j] = (g * xp[j:j + length]).sum(axis=rows)
-            kernels._accum(dk)
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for j in range(k):
-                dxp[j:j + length] += kernels.data[:, j] * g
-            x._accum(dxp[k - 1:])
+        dk = np.empty_like(kernels.data)
+        dxp = np.zeros_like(xp)
+        for j in range(k):
+            dk[:, j] = (g * xp[j:j + length]).sum(axis=rows)
+            dxp[j:j + length] += kernels.data[:, j] * g
+        return dxp[k - 1:], dk, g.sum(axis=rows)
 
     return _make(out_data, (x, kernels, bias), bw)
 
@@ -665,13 +580,9 @@ def group_conv1d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
     def bw(g):
         gg = g.reshape(xg.shape)
-        if bias.requires_grad:
-            bias._accum(_unbroadcast(g, bias.data.shape))
-        if weights.requires_grad:
-            weights._accum(np.einsum("ngi,ngj->gij", gg.reshape(-1, g_count, 3),
-                                     xg.reshape(-1, g_count, 3)))
-        if x.requires_grad:
-            x._accum(np.einsum("gij,...gi->...gj", weights.data, gg).reshape(x.data.shape))
+        return (np.einsum("gij,...gi->...gj", weights.data, gg).reshape(x.data.shape),
+                np.einsum("ngi,ngj->gij", gg.reshape(-1, g_count, 3), xg.reshape(-1, g_count, 3)),
+                g)
 
     return _make(out_data.astype(np.float32), (x, weights, bias), bw)
 
@@ -700,16 +611,13 @@ def _norm_affine(x: Tensor, stats_shape, axis: int, gamma: Tensor, beta: Tensor,
     def bw(g):
         if leaky:
             g = g * _np_leaky_slope(out_data)
-        if gamma.requires_grad:
-            gamma._accum((g * xhat).sum(axis=shared).reshape(gamma.data.shape))
-        if beta.requires_grad:
-            beta._accum(g.sum(axis=shared).reshape(beta.data.shape))
-        if x.requires_grad:
-            gx = (g * gv).reshape(stats_shape)
-            xh = xhat.reshape(stats_shape)
-            dx = (gx - gx.mean(axis=axis, keepdims=True)
-                  - xh * (gx * xh).mean(axis=axis, keepdims=True)) / std
-            x._accum(dx.reshape(x.data.shape))
+        gx = (g * gv).reshape(stats_shape)
+        xh = xhat.reshape(stats_shape)
+        dx = (gx - gx.mean(axis=axis, keepdims=True)
+              - xh * (gx * xh).mean(axis=axis, keepdims=True)) / std
+        return (dx.reshape(x.data.shape),
+                (g * xhat).sum(axis=shared).reshape(gamma.data.shape),
+                g.sum(axis=shared).reshape(beta.data.shape))
 
     return _make(out_data, (x, gamma, beta), bw)
 
@@ -776,7 +684,6 @@ def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Te
     if dt.data.shape != (L, r) or a.data.shape != (d, s) \
             or b.data.shape != (L, r, s) or c.data.shape != (L, r, s):
         raise ValueError("ssm_recurrence shape mismatch")
-    inputs = (x, dt, a, b, c)
     at = np.ascontiguousarray(a.data.T)                                 # [S, D]
     dtv = dt.data[..., None]
     starts = range(0, L, SCAN_CHUNK)
@@ -819,16 +726,13 @@ def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Te
             dc[chunk] = np.matmul(hs, g[chunk][..., None])[..., 0]
         q[0] = 0.0                                                  # h_{-1} = 0
         qf = q.reshape(L * r, s * d)
-        grads = (dtv * dh_b,
-                 (dh_b * x.data).sum(axis=-1) + (qf @ at.reshape(-1)).reshape(L, r),
-                 (dt.data.reshape(-1) @ qf).reshape(s, d).T,
-                 dtv * dh_x,
-                 dc)
-        for t, grad in zip(inputs, grads):
-            if t.requires_grad:
-                t._accum(grad)
+        return (dtv * dh_b,
+                (dh_b * x.data).sum(axis=-1) + (qf @ at.reshape(-1)).reshape(L, r),
+                (dt.data.reshape(-1) @ qf).reshape(s, d).T,
+                dtv * dh_x,
+                dc)
 
-    return _make(y, inputs, bw)
+    return _make(y, (x, dt, a, b, c), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ the program: the package itself, the benchmark (``perfbench/``) or the tools
 (``tools/``). A name that only tests reach is library surface nothing runs.
 Likewise every defaulted parameter of a public function or method is passed
 by some program call: an option that only tests set is a code path nothing
-runs."""
+runs. And one function delivers gradients: an op's backward returns them and
+``nd._make`` accumulates them; only ``Tape.backward``'s seed does so too."""
 
 import ast
 from pathlib import Path
@@ -146,3 +147,32 @@ def test_every_defaulted_parameter_has_a_program_caller():
     assert not unset, f"{len(options)} defaulted parameters; no program call sets {unset}"
     stale = sorted(set(OPTION_EXCEPTIONS) - set(options) | set(OPTION_EXCEPTIONS) & passed)
     assert not stale, f"exceptions that are gone or now set by the program: {stale}"
+
+
+# the one place a gradient is delivered, and the loss's seed
+ACCUM_CALLERS = {"nd._make", "nd.Tape.backward"}
+
+
+def scopes(mod: str, tree: ast.Module):
+    """(name, node) for each top-level statement of the package module
+    ``mod`` and each statement of its classes: ``mod.func``,
+    ``mod.Class.method``, ``mod.Class`` or, for the rest, ``mod``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                method = f".{item.name}" if isinstance(item, ast.FunctionDef) else ""
+                yield f"{mod}.{node.name}{method}", item
+        elif isinstance(node, ast.FunctionDef):
+            yield f"{mod}.{node.name}", node
+        else:
+            yield mod, node
+
+
+def test_only_make_delivers_gradients():
+    # an op's backward returns its input gradients; nd._make alone accumulates them
+    callers = sorted({name for mod, tree in package_trees().items()
+                      for name, node in scopes(mod, tree)
+                      for call in ast.walk(node) if isinstance(call, ast.Call)
+                      and isinstance(call.func, ast.Attribute) and call.func.attr == "_accum"}
+                     - ACCUM_CALLERS)
+    assert not callers, f"functions that accumulate gradients outside nd._make: {callers}"

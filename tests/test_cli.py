@@ -295,6 +295,18 @@ class TestPipeline:
         assert "run preprocess first" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["file", "file/run"])
+    def test_out_under_a_file_is_refused_before_training(self, trained, tmp_path, capsys, out):
+        _, grid_path, _ = trained
+        (tmp_path / "file").write_text("not a directory")
+        code = run("train", "--data", str(grid_path), "--out", str(tmp_path / out),
+                   "--in-len", "4", "--out-len", "4", "--hidden", "8", "--fssm", "1",
+                   "--epochs", "1")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "is not a directory" in captured.err
+        assert "epoch" not in captured.out
+
     @pytest.mark.parametrize("command", ["predict", "recurse"])
     def test_negative_anchor_is_usage_error(self, trained, tmp_path, command):
         _, grid_path, model_dir = trained

@@ -377,7 +377,7 @@ class TestTraining:
     def test_step_memory_is_pinned(self):
         # traced peak of one default-config step with its validation pass:
         # about 88 MiB while every rule, op gradient and scan state history
-        # lived until the tape was dropped, about 39 MiB once replay frees
+        # lived until the tape was dropped, about 38 MiB once replay frees
         # them and the scan keeps only its chunk-entry states
         windows = data.windows(data.synth_generate(0, 40, 16, 16), 14, 14)
         tracemalloc.start()

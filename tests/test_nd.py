@@ -400,13 +400,13 @@ class TestNorms:
 def taped_leaky_relu(a):
     """The masked-select leaky ReLU as one taped op, for the composites above."""
     return nd._make(where_leaky_relu(a.data), (a,),
-                    lambda g: a._accum(g * where_leaky_slope(a.data)))
+                    lambda g: (g * where_leaky_slope(a.data),))
 
 
 def taped_sqrt(a):
     """Elementwise sqrt as one taped op, for the composite below."""
     out = np.sqrt(a.data)
-    return nd._make(out, (a,), lambda g: a._accum(g / (2.0 * out)))
+    return nd._make(out, (a,), lambda g: (g / (2.0 * out),))
 
 
 def composite_normalize(x, axis):
@@ -701,6 +701,60 @@ class TestSsmRecurrencePrimitive:
         finally:
             tracemalloc.stop()
         assert peak < L * R * D * S * 4  # one float32 [L, R, D, S] array, 14.7 MB
+
+
+# each multi-input op: (inputs made from a generator, the op on Tensors);
+# the arithmetic cases broadcast their second input
+MULTI_INPUT_OPS = {
+    "add": (lambda r: (r.normal(size=(3, 4)), r.normal(size=(1, 4))), nd.add),
+    "sub": (lambda r: (r.normal(size=(3, 4)), r.normal(size=4)), nd.sub),
+    "mul": (lambda r: (r.normal(size=(3, 4)), r.normal(size=(3, 1))), nd.mul),
+    "div": (lambda r: (r.normal(size=(3, 4)), r.uniform(1.0, 2.0, size=4)), nd.div),
+    "matmul": (lambda r: (r.normal(size=(2, 3, 4)), r.normal(size=(4, 2))), nd.matmul),
+    "concat": (lambda r: (r.normal(size=(2, 3)), r.normal(size=(2, 2)), r.normal(size=(2, 1))),
+               lambda *ts: nd.concat(ts, axis=1)),
+    "conv2d": (lambda r: (r.normal(size=(2, 2, 5, 5)), 0.5 * r.normal(size=(3, 2, 3, 3)),
+                          r.normal(size=3)),
+               lambda x, k, b: nd.conv2d(x, k, b, stride=2, padding=1)),
+    "conv_transpose2d": (lambda r: (r.normal(size=(2, 3, 3, 3)),
+                                    0.5 * r.normal(size=(3, 2, 4, 4)), r.normal(size=2)),
+                         lambda y, k, b: nd.conv_transpose2d(y, k, b, stride=2, padding=1)),
+    "depthwise_conv2d": (lambda r: (r.normal(size=(2, 2, 4, 4)), 0.5 * r.normal(size=(2, 3, 3)),
+                                    r.normal(size=2)), nd.depthwise_conv2d),
+    "conv1d_depthwise": (lambda r: (r.normal(size=(6, 2, 3)), r.normal(size=(3, 3)),
+                                    r.normal(size=3)), nd.conv1d_depthwise),
+    "group_conv1d": (lambda r: (r.normal(size=(2, 6)), r.normal(size=(2, 3, 3)),
+                                r.normal(size=6)), nd.group_conv1d),
+    "layernorm": (lambda r: (r.normal(size=(3, 4)) * 2 + 0.5, r.normal(size=4), r.normal(size=4)),
+                  nd.layernorm),
+    "groupnorm": (lambda r: (r.normal(size=(2, 4, 3, 3)), r.normal(size=4), r.normal(size=4)),
+                  lambda x, g, b: nd.groupnorm(x, 2, g, b)),
+    "ssm_recurrence": (lambda r: scan_inputs(r, 5, 2, 2, 3), nd.ssm_recurrence),
+}
+
+
+class TestGradientHandOff:
+    @pytest.mark.parametrize("name", list(MULTI_INPUT_OPS))
+    def test_constant_input_gets_no_gradient_and_changes_no_other(self, name):
+        make, op = MULTI_INPUT_OPS[name]
+        values = [np.asarray(v, dtype=np.float32) for v in make(rng(31))]
+        t = Tensor(rng(32).normal(size=op(*map(Tensor, values)).shape))
+
+        def f(*xs):
+            return nd.mean(nd.mul(op(*xs), t))
+
+        xs = [Tensor(v) for v in values]
+        report = nd.grad_check(f, xs)
+        assert report.passed, report
+        full = [x.grad for x in xs]
+        for const in range(len(values)):
+            xs = [Tensor(v, requires_grad=i != const) for i, v in enumerate(values)]
+            with Tape() as tape:
+                tape.backward(f(*xs))
+            assert xs[const].grad is None
+            for i, x in enumerate(xs):
+                if i != const:
+                    np.testing.assert_array_equal(x.grad, full[i])
 
 
 class TestCheckpoint:
