@@ -52,7 +52,8 @@ def _write_manifest(out_dir: Path, command: str, a: argparse.Namespace,
                     inputs: dict[str, str] | None = None) -> None:
     """Record the run: arguments, versions, the digests of the files the
     command read (``_digests``), wall time since ``main`` set ``a.started``
-    and the process's peak resident set."""
+    and the process's peak resident set and minor page faults."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
         "inputs": inputs or {},
         "command": command,
@@ -63,7 +64,8 @@ def _write_manifest(out_dir: Path, command: str, a: argparse.Namespace,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "elapsed_s": round(time.monotonic() - a.started, 3),
         # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+        "minor_faults": usage.ru_minflt,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"manifest-{command}.json", "w", encoding="utf-8") as f:

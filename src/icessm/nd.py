@@ -13,6 +13,7 @@ has run.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import struct
 from dataclasses import dataclass
@@ -33,6 +34,19 @@ class ScanStateError(NumericalError):
         self.step = step
         self.column = column
 
+
+def _keep_freed_pages() -> None:
+    """Hold glibc's mmap and trim thresholds at the ceilings of its own dynamic
+    rule (32 and 64 MiB), so the pages an op or the replay frees are reused by the
+    next op, not returned and faulted in zeroed again. No-op without mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+
+
+_keep_freed_pages()
 
 _TAPE: "Tape | None" = None   # the active tape; at most one at a time
 
@@ -245,8 +259,13 @@ LEAKY_SLOPE = 0.01
 
 
 def _np_leaky(y: np.ndarray) -> np.ndarray:
-    """In place: max(y, LEAKY_SLOPE*y) is y for y > 0, else LEAKY_SLOPE*y."""
-    return np.maximum(y, LEAKY_SLOPE * y, out=y)
+    """In place on a C-contiguous y: max(y, LEAKY_SLOPE*y) is y for y > 0, else
+    LEAKY_SLOPE*y; 256 KiB at a time, so the slope's product is never full size."""
+    flat = y.reshape(-1)
+    for lo in range(0, flat.size, 1 << 16):
+        part = flat[lo:lo + (1 << 16)]
+        np.maximum(part, LEAKY_SLOPE * part, out=part)
+    return y
 
 
 def _np_leaky_slope(y: np.ndarray) -> np.ndarray:
@@ -267,7 +286,7 @@ def mean(a: Tensor, axis=None) -> Tensor:
 
     def bw(g):
         gg = g if axis is None else np.expand_dims(g, axis)
-        return ((np.broadcast_to(gg, a.data.shape) / count).astype(np.float32),)
+        return (np.broadcast_to(gg, a.data.shape) / count,)
 
     return _make(a.data.mean(axis=axis, dtype=np.float32), (a,), bw)
 
@@ -410,15 +429,16 @@ def _conv_cols(xp: np.ndarray, kernels: np.ndarray, s: int,
 
 
 def _conv_cols_adjoint(g: np.ndarray, kernels: np.ndarray, shape, s: int) -> np.ndarray:
-    """Adjoint of _conv_cols in xp (col2im): the kernels' transpose applied to
-    g[T, Co, Ho, Wo], scattered back into zeros of ``shape`` [T, Ci, Hp, Wp]."""
+    """Adjoint of _conv_cols in xp (col2im): each tap's kernel transpose applied to
+    g[T, Co, Ho, Wo] and scattered back into zeros of ``shape`` [T, Ci, Hp, Wp], one
+    tap at a time, so no [T, Ci*kh*kw, Ho*Wo] product is ever whole."""
     co, ci, kh, kw = kernels.shape
     t, _, ho, wo = g.shape
-    dcols = np.matmul(kernels.reshape(co, -1).T, g.reshape(t, co, ho * wo))
-    dcols = dcols.reshape(t, ci, kh, kw, ho, wo)
+    gf = g.reshape(t, co, ho * wo)
+    taps = np.ascontiguousarray(kernels.transpose(2, 3, 1, 0))        # [kh, kw, Ci, Co]
     dxp = np.zeros(shape, dtype=np.float32)
     for i, j in np.ndindex(kh, kw):
-        dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
+        dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += (taps[i, j] @ gf).reshape(t, ci, ho, wo)
     return dxp
 
 
@@ -482,11 +502,16 @@ def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor,
     return _make(out_data, (y, kernels, bias), bw)
 
 
+def _tap_group(span: int) -> int:
+    """Rows per block of _np_taps: 512 KiB row blocks stay in L2."""
+    return max(1, (1 << 19) // (4 * span))
+
+
 def _np_taps(src: np.ndarray, kernels: np.ndarray, offsets: list[int], span: int,
              out: np.ndarray) -> np.ndarray:
     """out[:, :span] = sum over taps t, in order, of kernels[:, t] times
     src[:, offsets[t]:][:, :span], on channel-major rows, a few rows at a time."""
-    group = max(1, (1 << 19) // (4 * span))       # 512 KiB row blocks stay in L2
+    group = _tap_group(span)
     prod = np.empty((min(group, len(src)), span), dtype=np.float32)
     for lo in range(0, len(src), group):
         acc, rows, k = out[lo:lo + group, :span], src[lo:lo + group], kernels[lo:lo + group]
@@ -501,33 +526,42 @@ def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     output size, replicate-padded, plus bias[C], then the leaky ReLU.
 
     The padded frames of one channel form one row of N*Hp*Wp pixels. Output pixel
-    (n, r, q) sits at (n*Hp + r)*Wp + q, tap (i, j) reads i*Wp + j further on."""
+    (n, r, q) sits at (n*Hp + r)*Wp + q, tap (i, j) reads i*Wp + j further on. The
+    tape keeps x, not these rows: the backward pads x again."""
     c, kh, kw = kernels.data.shape
     *_, ci, h, w = x.data.shape
     if ci != c:
         raise ValueError(f"depthwise channels: input {ci} != kernel {c}")
     pads = (kh // 2, kh // 2, kw // 2, kw // 2)
-    xp = _np_pad2d(x.data.reshape(-1, c, h, w).transpose(1, 0, 2, 3), pads, "replicate")
-    _, n, hp, wp = xp.shape
+
+    def padded():
+        return _np_pad2d(x.data.reshape(-1, c, h, w).transpose(1, 0, 2, 3), pads, "replicate")
+
+    xp = padded()
+    shape = _, n, hp, wp = xp.shape
     size = n * hp * wp
     xf = xp.reshape(c, size)
     offs = [i * wp + j for i, j in np.ndindex(kh, kw)]
     reach = offs[-1]                        # flat distance from tap (0, 0) to the last tap
     span = size - reach                     # flat positions up to the last output pixel
     kf = kernels.data.reshape(c, -1)        # tap t reads at offset offs[t]
-    rows = _np_taps(xf, kf, offs, span, np.empty_like(xf))
-    out_data = np.add(rows.reshape(xp.shape)[..., :h, :w].transpose(1, 0, 2, 3),
-                      bias.data[:, None, None], out=np.empty((n, c, h, w), dtype=np.float32))
+    group, out_data = _tap_group(span), np.empty((n, c, h, w), dtype=np.float32)
+    for lo in range(0, c, group):  # one block of rows at a time, cropped into out_data
+        b = np.s_[lo:lo + group]
+        rows = _np_taps(xf[b], kf[b], offs, span, np.empty_like(xf[b]))
+        np.add(rows.reshape(-1, n, hp, wp)[..., :h, :w].transpose(1, 0, 2, 3),
+               bias.data[b, None, None], out=out_data[:, b])
     out_data = _np_leaky(out_data).reshape(x.data.shape)
 
     def bw(g):
         g = (g * _np_leaky_slope(out_data)).reshape(n, c, h, w)
         # g of pixel p at p + reach: the flipped kernel's taps read it as the taps read x
         gp = np.zeros((c, size + reach), dtype=np.float32)
-        gp[:, :size].reshape(xp.shape)[..., kh - 1:, kw - 1:][..., :h, :w] = np.moveaxis(g, 1, 0)
+        gp[:, :size].reshape(shape)[..., kh - 1:, kw - 1:][..., :h, :w] = np.moveaxis(g, 1, 0)
+        xf = padded().reshape(c, size)
         dk = [np.einsum("cp,cp->c", gp[:, reach:size], xf[:, o:o + span]) for o in offs]
-        dxf = _np_taps(gp, kf[:, ::-1], offs, size, np.empty_like(xf))
-        dx = _fold_replicated(dxf.reshape(xp.shape), pads).transpose(1, 0, 2, 3)
+        dxf = _np_taps(gp, kf[:, ::-1], offs, size, xf)       # xf's last read was dk
+        dx = _fold_replicated(dxf.reshape(shape), pads).transpose(1, 0, 2, 3)
         return (np.ascontiguousarray(dx).reshape(x.data.shape),
                 np.stack(dk, axis=1).reshape(c, kh, kw), g.sum(axis=(0, 2, 3)))
 
@@ -601,10 +635,11 @@ def _norm_affine(x: Tensor, stats_shape, axis: int, gamma: Tensor, beta: Tensor,
     xs = x.data.reshape(stats_shape)
     xc = xs - xs.mean(axis=axis, keepdims=True, dtype=np.float32)
     std = np.sqrt((xc * xc).mean(axis=axis, keepdims=True, dtype=np.float32) + NORM_EPS)
-    xhat = (xc / std).reshape(x.data.shape)
+    xhat = np.divide(xc, std, out=xc).reshape(x.data.shape)
     gv = gamma.data.reshape(view)
     shared = tuple(i for i, size in enumerate(view) if size == 1)   # axes gamma broadcasts over
-    out_data = xhat * gv + beta.data.reshape(view)
+    out_data = xhat * gv
+    out_data += beta.data.reshape(view)
     if leaky:
         _np_leaky(out_data)
 

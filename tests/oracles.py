@@ -111,6 +111,21 @@ def naive_conv_transpose2d(y, k, b=None, stride=1, padding=0, output_hw=None):
     return out.astype(np.float32)
 
 
+def single_product_conv_cols_adjoint(g, kernels, shape, s):
+    """The col2im that nd._conv_cols_adjoint replaced: the whole
+    [T, Ci*kh*kw, Ho*Wo] product of the kernels' transpose with g[T, Co, Ho, Wo],
+    then each tap's slice scattered into zeros of ``shape``, in tap order; kept
+    to pin the per-tap form bit for bit."""
+    co, ci, kh, kw = kernels.shape
+    t, _, ho, wo = g.shape
+    dcols = np.matmul(kernels.reshape(co, -1).T, g.reshape(t, co, ho * wo))
+    dcols = dcols.reshape(t, ci, kh, kw, ho, wo)
+    dxp = np.zeros(shape, dtype=np.float32)
+    for i, j in np.ndindex(kh, kw):
+        dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
+    return dxp
+
+
 def naive_depthwise_conv2d(x, k, b=None, pad_mode="replicate"):
     """Per-channel stride-1 'same' convolution by scalar loops."""
     t, c, h, w = x.shape

@@ -190,6 +190,7 @@ class TestPipeline:
         assert manifest["numpy_version"] == np.__version__
         assert 0 < manifest["elapsed_s"] < 600
         assert 0 < manifest["peak_rss_mb"] < 4096
+        assert type(manifest["minor_faults"]) is int and manifest["minor_faults"] >= 0
         assert "started" not in manifest["args"]
         assert manifest["inputs"] == {str(grid_path): sha256(grid_path)}
 

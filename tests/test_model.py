@@ -1,6 +1,11 @@
 import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,34 @@ from icessm.nd import Tensor
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+# minor page faults per default-config training step (batch 4, 14x1x16x16),
+# over two steps after a warm-up step
+FAULT_PROBE = """
+import resource
+import numpy as np
+from icessm import data, model, nd
+
+config = model.ModelConfig()
+windows = data.windows(data.synth_generate(0, 40, 16, 16), 14, 14)[:4]
+params = model.init_params(np.random.default_rng(0), config)
+opt = model.AdamW(params)
+x = nd.Tensor(np.stack([w.input for w in windows]))
+y = nd.Tensor(np.stack([w.target for w in windows]))
+
+def step():
+    opt.zero_grad()
+    with nd.Tape() as tape:
+        tape.backward(model.sample_loss(model.forward_features(x, params, config), y, config))
+    opt.step()
+
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+step()
+step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 2)
+"""
 
 
 def tiny_config(**kw):
@@ -53,6 +86,22 @@ class TestForward:
                             params, cfg)
         assert out.mean.shape == (14, 1, 16, 16)
         assert out.sigma is None
+
+    def test_forward_memory_at_64_is_pinned(self):
+        # traced peak of one default-config forward at 14x1x64x64: 19.1 MiB while
+        # the decoder built its whole col2im product and full-size temporaries,
+        # about 12.6 MiB with one tap, one block of rows and one slope block at a time
+        cfg = model.ModelConfig()
+        params = model.init_params(rng(0), cfg)
+        x = rng(1).uniform(size=(14, 1, 64, 64)).astype(np.float32)
+        model.forward(x, params, cfg)                        # builds the routes
+        tracemalloc.start()
+        try:
+            model.forward(x, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15.5 * (1 << 20)
 
     def test_shape_contract_across_sizes(self):
         cfg = tiny_config()
@@ -378,7 +427,8 @@ class TestTraining:
         # traced peak of one default-config step with its validation pass:
         # about 88 MiB while every rule, op gradient and scan state history
         # lived until the tape was dropped, about 38 MiB once replay frees
-        # them and the scan keeps only its chunk-entry states
+        # them and the scan keeps only its chunk-entry states, about 35 MiB
+        # once the depthwise conv keeps its input, not its padded rows
         windows = data.windows(data.synth_generate(0, 40, 16, 16), 14, 14)
         tracemalloc.start()
         try:
@@ -388,6 +438,19 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert peak <= 48 << 20
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_steps_reuse_freed_pages(self):
+        # a fresh process, so that no earlier 64x64 forward has raised glibc's
+        # dynamic mmap threshold: with nd's fixed thresholds a default step
+        # (batch 4, 14x1x16x16) after a warm-up faults in about 30 pages,
+        # against about 7700 when the replay's frees went back to the kernel
+        src = str(Path(model.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        assert float(out.stdout) < 100
 
     def test_nonfinite_gradient_with_finite_loss_raises(self, monkeypatch):
         # 0 * (1 / (0 * raw + 1e-30)) adds 0 to the loss, but the reciprocal's

@@ -9,8 +9,9 @@ from icessm import nd
 from icessm.nd import Tape, Tensor
 
 from oracles import (full_history_ssm_recurrence, naive_conv2d, naive_conv_transpose2d,
-                     naive_depthwise_conv2d, naive_leaky_relu, naive_norm, where_leaky_relu,
-                     where_leaky_slope, where_sigmoid)
+                     naive_depthwise_conv2d, naive_leaky_relu, naive_norm,
+                     single_product_conv_cols_adjoint, where_leaky_relu, where_leaky_slope,
+                     where_sigmoid)
 
 
 def rng(seed=0):
@@ -155,6 +156,38 @@ class TestConv2d:
         if output_hw is not None:
             assert out.data.shape[-2:] == output_hw
         np.testing.assert_allclose(out.data, expect, atol=1e-5)
+
+    # g [T, Co, Ho, Wo], kernels [Co, Ci, k, k], padded input [Hp, Wp], stride: the
+    # decoder's transposed convs (forecast-s64 and train-s16, dec1 and dec2) and the
+    # input gradient of enc2's stride-2 3x3 conv at train-s16
+    @pytest.mark.parametrize("t, co, ci, k, ho, hp, s", [
+        (14, 32, 16, 4, 16, 34, 2), (14, 16, 16, 4, 32, 66, 2), (56, 32, 16, 4, 4, 10, 2),
+        (56, 16, 16, 4, 8, 18, 2), (56, 32, 16, 3, 4, 10, 2)],
+        ids=["forecast-dec1", "forecast-dec2", "train-dec1", "train-dec2", "train-enc2-dx"])
+    def test_per_tap_adjoint_equals_single_product_bitwise(self, t, co, ci, k, ho, hp, s):
+        r = rng(t + co + ho)
+        g = r.normal(size=(t, co, ho, ho)).astype(np.float32)
+        kernels = r.normal(size=(co, ci, k, k)).astype(np.float32)
+        got = nd._conv_cols_adjoint(g, kernels, (t, ci, hp, hp), s)
+        assert got.tobytes() == single_product_conv_cols_adjoint(
+            g, kernels, (t, ci, hp, hp), s).tobytes()
+
+    def test_depthwise_blocks_of_rows_equal_one_block_bitwise(self, monkeypatch):
+        # a 64x64 decoder's rows span more than one block; one row per block here
+        r = rng(36)
+        x = Tensor(r.normal(size=(2, 5, 7, 6)), requires_grad=True)
+        k = Tensor(r.normal(size=(5, 3, 3)), requires_grad=True)
+        b = Tensor(r.normal(size=5), requires_grad=True)
+        runs = []
+        for group in (lambda span: 5, lambda span: 1):
+            monkeypatch.setattr(nd, "_tap_group", group)
+            for t in (x, k, b):
+                t.zero_grad()
+            with Tape() as tape:
+                y = nd.depthwise_conv2d(x, k, b)
+                tape.backward(nd.mean(nd.square(y)))
+            runs.append([a.tobytes() for a in (y.data, x.grad, k.grad, b.grad)])
+        assert runs[0] == runs[1]
 
     # depthwise_conv2d pads by replicating the edge and ends in the leaky ReLU
     @pytest.mark.parametrize("pad_mode", ["replicate"])
@@ -443,6 +476,11 @@ class TestActivations:
         for got, expect in pairs:
             assert got.dtype == expect.dtype == np.float32
             assert np.array_equal(got.view(np.uint32), expect.view(np.uint32))
+
+    @pytest.mark.parametrize("size", [1, (1 << 16) - 1, 1 << 16, 2 * (1 << 16) + 3])
+    def test_leaky_blocks_equal_one_product(self, size):
+        y = rng(size).normal(size=size).astype(np.float32)
+        assert nd._np_leaky(y.copy()).tobytes() == np.maximum(y, nd.LEAKY_SLOPE * y).tobytes()
 
     def test_sigmoid_bitwise_equals_two_branch_formula(self):
         tiny = np.finfo(np.float32).smallest_subnormal
