@@ -164,6 +164,8 @@ def _check_out_dir(out_dir: Path) -> None:
 
 
 def cmd_train(a) -> int:
+    if not 0 < a.val_fraction < 1:  # also refuses nan
+        raise ValueError(f"--val-fraction must be in (0, 1), got {a.val_fraction}")
     config = _config_from_args(a)
     out_dir = Path(a.out)
     _check_out_dir(out_dir)

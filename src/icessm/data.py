@@ -175,8 +175,8 @@ def synth_generate(seed: int, t: int, h: int, w: int, n_blobs: int = 3,
     """
     if min(t, h, w) < 8:
         raise ValueError("dims must be >= 8")
-    if n_blobs < 0:
-        raise ValueError(f"n_blobs must be >= 0, got {n_blobs}")
+    if not 0 <= n_blobs <= h * w:  # bounds the draws below by the grid size
+        raise ValueError(f"n_blobs must be in [0, {h * w}] (H*W), got {n_blobs}")
     if not (math.isfinite(drift) and drift >= 0):
         raise ValueError(f"drift must be finite and >= 0, got {drift}")
     rng = np.random.default_rng(seed)

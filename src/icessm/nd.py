@@ -461,12 +461,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
                          f"than padded input {xp.shape[2:]}")
     out_data, cols = _conv_cols(xp, kernels.data, stride)
     out_data = out_data + bias.data[None, :, None, None]
+    xp_shape = xp.shape  # the tape keeps the shape, not the padded array
 
     def bw(g):
         dx = None
         if x.requires_grad:  # the encoder's first conv reads the constant input frames
-            dxp = _conv_cols_adjoint(g, kernels.data, xp.shape, stride)
-            dx = dxp[..., padding:xp.shape[2] - padding, padding:xp.shape[3] - padding]
+            dxp = _conv_cols_adjoint(g, kernels.data, xp_shape, stride)
+            dx = dxp[..., padding:xp_shape[2] - padding, padding:xp_shape[3] - padding]
         return dx, _conv_kernel_grad(g, cols, kernels.data.shape), g.sum(axis=(0, 2, 3))
 
     return _make(out_data, (x, kernels, bias), bw)

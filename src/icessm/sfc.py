@@ -13,6 +13,7 @@ Linear index convention throughout: ``t*H*W + h*W + w``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,48 +59,19 @@ def _frozen(lin: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # generalized Hilbert curve
 #
-# Recursive three-region construction: a cuboid entered at corner p is exited
-# at the far end of its major axis; the body is split into two or three
-# sub-cuboids whose entry/exit corners chain with unit steps. A corner-to-far-
-# corner unit-step path only exists when |a| is even or |b|*|c| is odd, so the
-# split sizes are chosen to keep every child on the feasible side; thin slabs
-# degrade to serpentine fills. The top-level call has no exit constraint and
-# peels a final 1-thick slab off when the requested shape itself is
-# parity-infeasible.
+# After J. Cerveny's generalized Hilbert ("gilbert") curve. An axis is one
+# (signed linear stride, extent) pair and a cell is its linear index, so a
+# sub-cuboid is its entry index p plus one axis per dimension, major first.
+# A cuboid entered at p is exited at the far end of its major axis a, at
+# p + (|a|-1)*stride(a); the body is split into two or three sub-cuboids whose
+# entry/exit cells chain with unit steps. A corner-to-far-corner unit-step path
+# only exists when |a| is even or the product of the other extents is odd, so
+# the split sizes are chosen to keep every child on the feasible side; thin
+# slabs degrade to serpentine fills. Each generator yields runs of indices:
+# ranges along one axis, and the 2x2 serpentine and 2x2x2 octant tuples. The
+# top-level call has no exit constraint and peels a final 1-thick slab off
+# the major axis when the requested shape itself is parity-infeasible.
 # ---------------------------------------------------------------------------
-
-
-def _sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _unit(v):
-    return (_sgn(v[0]), _sgn(v[1]), _sgn(v[2]))
-
-
-def _ext(v) -> int:
-    return abs(v[0]) + abs(v[1]) + abs(v[2])
-
-
-def _add(p, *vs):
-    x, y, z = p
-    for v in vs:
-        x += v[0]
-        y += v[1]
-        z += v[2]
-    return (x, y, z)
-
-
-def _mul(v, k: int):
-    return (v[0] * k, v[1] * k, v[2] * k)
-
-
-def _neg(v):
-    return (-v[0], -v[1], -v[2])
-
-
-def _sub(u, v):
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
 def _even_half(n: int) -> int:
@@ -110,55 +82,35 @@ def _even_half(n: int) -> int:
     return k
 
 
-def _fill(p, a):
-    da = _unit(a)
-    for _ in range(_ext(a)):
-        yield p
-        p = _add(p, da)
+def _run(p: int, s: int, n: int) -> range:
+    return range(p, p + n * s, s)
 
 
 def _gen2(p, a, b):
-    # 2D rect from corner p, exit at p + a - unit(a); needs |a| even or |b| odd
-    w, h = _ext(a), _ext(b)
-    da, db = _unit(a), _unit(b)
-
+    # 2D rect entered at p, exit at the far end of a; needs |a| even or |b| odd
+    (sa, w), (sb, h) = a, b
     if h == 1:
-        yield from _fill(p, a)
-        return
-    if w == 1:
-        yield from _fill(p, b)
-        return
-    if w == 2:
+        yield _run(p, *a)
+    elif w == 1:
+        yield _run(p, *b)
+    elif w == 2:
         # U-turn: up the first column, down the second
-        yield from _fill(p, b)
-        yield from _fill(_add(p, da, _mul(db, h - 1)), _neg(b))
-        return
-    if h == 2:
+        yield _run(p, *b)
+        yield _run(p + sa + (h - 1) * sb, -sb, h)
+    elif h == 2:
         # serpentine over column pairs (w even here by feasibility)
-        for i in range(w // 2):
-            base = _add(p, _mul(da, 2 * i))
-            yield base
-            yield _add(base, db)
-            yield _add(base, db, da)
-            yield _add(base, da)
-        return
-
-    w2 = w // 2
-    if 2 * w > 3 * h:
+        for q in range(p, p + (w - 1) * sa, 2 * sa):
+            yield q, q + sb, q + sb + sa, q + sa
+    elif 2 * w > 3 * h:
         # wide: split the major axis only
-        if h % 2 == 0:
-            w2 = _even_half(w)
-        a2 = _mul(da, w2)
-        yield from _gen2(p, a2, b)
-        yield from _gen2(_add(p, a2), _sub(a, a2), b)
-        return
-
-    h2 = _even_half(h)
-    a2 = _mul(da, w2)
-    b2 = _mul(db, h2)
-    yield from _gen2(p, b2, a2)
-    yield from _gen2(_add(p, b2), a, _sub(b, b2))
-    yield from _gen2(_add(p, _sub(a, da), _sub(b2, db)), _neg(b2), _neg(_sub(a, a2)))
+        w2 = _even_half(w) if h % 2 == 0 else w // 2
+        yield from _gen2(p, (sa, w2), b)
+        yield from _gen2(p + w2 * sa, (sa, w - w2), b)
+    else:
+        w2, h2 = w // 2, _even_half(h)
+        yield from _gen2(p, (sb, h2), (sa, w2))
+        yield from _gen2(p + h2 * sb, a, (sb, h - h2))
+        yield from _gen2(p + (w - 1) * sa + (h2 - 1) * sb, (-sb, h2), (-sa, w - w2))
 
 
 _OCTANT_PATH = ((0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1),
@@ -166,110 +118,46 @@ _OCTANT_PATH = ((0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1),
 
 
 def _gen3(p, a, b, c):
-    # cuboid from corner p, exit at p + a - unit(a); needs |a| even or |b||c| odd
-    w, h, d = _ext(a), _ext(b), _ext(c)
-    da, db, dc = _unit(a), _unit(b), _unit(c)
-
-    if h == 1 and d == 1:
-        yield from _fill(p, a)
-        return
-    if w == 1 and d == 1:
-        yield from _fill(p, b)
-        return
-    if w == 1 and h == 1:
-        yield from _fill(p, c)
-        return
+    # cuboid entered at p, exit at the far end of a; needs |a| even or |b||c| odd
+    (sa, w), (sb, h), (sc, d) = a, b, c
     if h == 1:
         yield from _gen2(p, a, c)
-        return
-    if d == 1:
+    elif d == 1:
         yield from _gen2(p, a, b)
-        return
-
-    if w == 2 and h == 2 and d == 2:
-        for (i, j, k) in _OCTANT_PATH:
-            yield _add(p, _mul(da, i), _mul(db, j), _mul(dc, k))
-        return
-
-    if (2 * w > 3 * h) and (2 * w > 3 * d):
+    elif w == h == d == 2:
+        yield tuple(p + i * sa + j * sb + k * sc for i, j, k in _OCTANT_PATH)
+    elif 2 * w > 3 * h and 2 * w > 3 * d:
         # wide: split the major axis only; even first part keeps both halves feasible
         w2 = _even_half(w)
-        a2 = _mul(da, w2)
-        yield from _gen3(p, a2, b, c)
-        yield from _gen3(_add(p, a2), _sub(a, a2), b, c)
-        return
-
-    w2 = w // 2
-    a2 = _mul(da, w2)
-    # split the larger of b/c; an even-size first part needs extent >= 3
-    split_b = h >= d
-    if h == 2:
-        split_b = False
-    if d == 2:
-        split_b = True
-
-    if split_b:
-        b2 = _mul(db, _even_half(h))
-        yield from _gen3(p, b2, c, a2)
-        yield from _gen3(_add(p, b2), a, _sub(b, b2), c)
-        yield from _gen3(_add(p, _sub(a, da), _sub(b2, db)),
-                         _neg(b2), c, _neg(_sub(a, a2)))
+        yield from _gen3(p, (sa, w2), b, c)
+        yield from _gen3(p + w2 * sa, (sa, w - w2), b, c)
+    elif d == 2 or (h != 2 and h >= d):
+        # split the larger of b/c; an even-size first part needs extent >= 3
+        w2, h2 = w // 2, _even_half(h)
+        yield from _gen3(p, (sb, h2), c, (sa, w2))
+        yield from _gen3(p + h2 * sb, a, (sb, h - h2), c)
+        yield from _gen3(p + (w - 1) * sa + (h2 - 1) * sb, (-sb, h2), c, (-sa, w - w2))
     else:
-        c2 = _mul(dc, _even_half(d))
-        yield from _gen3(p, c2, a2, b)
-        yield from _gen3(_add(p, c2), a, b, _sub(c, c2))
-        yield from _gen3(_add(p, _sub(a, da), _sub(c2, dc)),
-                         _neg(c2), _neg(_sub(a, a2)), b)
+        w2, d2 = w // 2, _even_half(d)
+        yield from _gen3(p, (sc, d2), (sa, w2), b)
+        yield from _gen3(p + d2 * sc, a, b, (sc, d - d2))
+        yield from _gen3(p + (w - 1) * sa + (d2 - 1) * sc, (-sc, d2), (-sa, w - w2), b)
 
 
-def _top2(p, a, b):
-    # top-level 2D path, no exit constraint
-    w, h = _ext(a), _ext(b)
-    if h == 1:
-        yield from _fill(p, a)
+def _peel(p, axes):
+    # top-level path over the axes of extent > 1, major first, with no exit
+    # constraint: an odd major over an even cross-section recurses on all but
+    # its last slice, then walks the final 1-thick slab the same way
+    if len(axes) < 2:
+        yield _run(p, *axes[0]) if axes else (p,)
         return
-    if w == 1:
-        yield from _fill(p, b)
-        return
-    if w % 2 == 0 or h % 2 == 1:
-        yield from _gen2(p, a, b)
-        return
-    a1 = _mul(_unit(a), w - 1)
-    last = p
-    for q in _gen2(p, a1, b):
-        last = q
-        yield q
-    yield from _fill(_add(last, _unit(a)), b)
-
-
-def _gilbert_cells(du: int, dv: int, dw: int):
-    """Unit-step Hamiltonian path over a du x dv x dw box, major axis first."""
-    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    dims = (du, dv, dw)
-    live = [i for i in range(3) if dims[i] > 1]
-    if not live:
-        yield (0, 0, 0)
-        return
-    if len(live) == 1:
-        i = live[0]
-        yield from _fill((0, 0, 0), _mul(axes[i], dims[i]))
-        return
-    if len(live) == 2:
-        i, j = live
-        yield from _top2((0, 0, 0), _mul(axes[i], dims[i]), _mul(axes[j], dims[j]))
-        return
-
-    a, b, c = (_mul(axes[i], dims[i]) for i in range(3))
-    if du % 2 == 0 or (dv * dw) % 2 == 1:
-        yield from _gen3((0, 0, 0), a, b, c)
-        return
-    # odd major over an even cross-section: recurse on the first du-1 slices,
-    # then serpentine the final 1-thick slab
-    last = (0, 0, 0)
-    for q in _gen3((0, 0, 0), _mul(axes[0], du - 1), b, c):
-        last = q
-        yield q
-    yield from _top2(_add(last, (1, 0, 0)), b, c)
+    (s, n), *rest = axes
+    gen = _gen2 if len(axes) == 2 else _gen3
+    if n % 2 == 0 or math.prod(m for _, m in rest) % 2 == 1:
+        yield from gen(p, *axes)
+    else:
+        yield from gen(p, (s, n - 1), *rest)
+        yield from _peel(p + (n - 1) * s, rest)
 
 
 def gilbert3d(dims, axis_priority=(0, 1, 2)) -> np.ndarray:
@@ -283,14 +171,9 @@ def gilbert3d(dims, axis_priority=(0, 1, 2)) -> np.ndarray:
     t, h, w = check_dims(dims)
     if sorted(axis_priority) != [0, 1, 2]:
         raise ValueError(f"axis_priority must permute (0,1,2), got {axis_priority}")
-    p0, p1, p2 = axis_priority
-    d = (t, h, w)
-    strides = (h * w, w, 1)
-    lin = np.empty(t * h * w, dtype=np.int64)
-    s = (strides[p0], strides[p1], strides[p2])
-    for i, cell in enumerate(_gilbert_cells(d[p0], d[p1], d[p2])):
-        lin[i] = cell[0] * s[0] + cell[1] * s[1] + cell[2] * s[2]
-    return _frozen(lin)
+    axes = ((h * w, t), (w, h), (1, w))
+    runs = _peel(0, [axes[i] for i in axis_priority if axes[i][1] > 1])
+    return _frozen(np.fromiter(itertools.chain.from_iterable(runs), np.int64, t * h * w))
 
 
 def raster(dims) -> np.ndarray:

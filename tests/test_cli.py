@@ -86,7 +86,7 @@ class TestOversizedDims:
 class TestSynthPreprocess:
     @pytest.mark.parametrize("flag, value, field", [
         ("--drift", "inf", "drift"), ("--drift", "nan", "drift"), ("--drift", "-0.5", "drift"),
-        ("--blobs", "-1", "n_blobs")])
+        ("--blobs", "-1", "n_blobs"), ("--blobs", "100000000000", "n_blobs")])
     def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flag, value, field):
         out = tmp_path / "g.sic"
         assert run("synth", "--dims", "12,8,8", flag, value, "--out", str(out)) == 2
@@ -197,7 +197,9 @@ class TestPipeline:
     @pytest.mark.parametrize("flag, value", [
         ("--batch-size", "0"), ("--batch-size", "-1"), ("--epochs", "0"),
         ("--lr", "nan"), ("--lr", "-0.001"), ("--stride", "0"), ("--hidden", "0"),
-        ("--state-size", "0"), ("--lambda", "nan"), ("--lambda", "inf")])
+        ("--state-size", "0"), ("--lambda", "nan"), ("--lambda", "inf"),
+        ("--val-fraction", "inf"), ("--val-fraction", "nan"), ("--val-fraction", "0"),
+        ("--val-fraction", "1"), ("--val-fraction", "-0.5")])
     def test_bad_training_flag_is_usage_error(self, trained, tmp_path, flag, value):
         _, grid_path, _ = trained
         out = tmp_path / "bad"

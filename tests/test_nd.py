@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -95,6 +96,26 @@ class TestConv2d:
             return nd.mean(nd.square(nd.conv2d(x_, k_, b_, stride=2, padding=1)))
 
         assert nd.grad_check(f, [x, k, b], tolerance=1e-3).passed
+
+    def test_conv_tape_holds_no_padded_input(self, monkeypatch):
+        # the backward needs only the padded shape; the tape keeps x anyway
+        padded = []
+        pad = nd._np_pad2d
+
+        def tracked_pad(*args):
+            xp = pad(*args)
+            padded.append(weakref.ref(xp))
+            return xp
+
+        monkeypatch.setattr(nd, "_np_pad2d", tracked_pad)
+        r = rng(5)
+        x = Tensor(r.normal(size=(2, 2, 5, 5)), requires_grad=True)
+        k = Tensor(r.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = nd.mean(nd.conv2d(x, k, Tensor(np.zeros(3)), stride=2, padding=1))
+        assert len(padded) == 1 and padded[0]() is None
+        tape.backward(loss)
+        assert x.grad.shape == x.data.shape
 
     @pytest.mark.parametrize("frames", [1, 3])
     def test_conv_transpose_grads(self, frames):

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +51,23 @@ class TestGilbert:
     def test_rejects_zero_dim(self):
         with pytest.raises(ValueError):
             sfc.gilbert3d((0, 4, 4))
+
+    def test_orders_and_routes_are_pinned(self):
+        # sha256 of little-endian int64 visit orders, fixed before the
+        # construction moved from coordinate tuples to linear strides
+        orders = hashlib.sha256()
+        for dims in itertools.product(range(1, 9), repeat=3):
+            for prio in ((0, 1, 2), (1, 2, 0)):
+                orders.update(sfc.gilbert3d(dims, prio).astype("<i8").tobytes())
+        assert orders.hexdigest() == (
+            "aef7decf2d5d34ae316f9ebe97d6fae10caf44b0f50095e0cd083a115ce2ffbb")
+        tables = hashlib.sha256()
+        for kind in ("hilbert_spatial_first", "hilbert_temporal_first"):
+            for dims in ((14, 4, 4), (14, 8, 8), (14, 16, 16)):
+                tables.update(np.ascontiguousarray(
+                    sfc.routes(kind, dims, 4)).astype("<i8").tobytes())
+        assert tables.hexdigest() == (
+            "416894a8c0017d31178e16b1f38d2eea7770b756b131f631b25ff4f46c572159")
 
     def test_variants_differ(self):
         a = sfc.gilbert3d((4, 8, 8), (0, 1, 2))
