@@ -125,6 +125,8 @@ def cmd_synth(a) -> int:
 
 
 def cmd_preprocess(a) -> int:
+    if not 0 <= a.land_threshold <= 1:  # also refuses nan
+        raise ValueError(f"--land-threshold must be in [0, 1], got {a.land_threshold}")
     grid = data.read_grid(a.input)
     inputs = _digests(a.input)
     if grid.shape[0] == 0:
@@ -283,10 +285,12 @@ def cmd_eval(a) -> int:
     fc, truth = _load_complete(a.forecast), _load_complete(a.truth)
     if fc.shape[1:] != truth.shape[1:]:
         raise FormatError(f"forecast grid {fc.shape[1:]} differs from truth {truth.shape[1:]}")
+    if truth.land_mask.all():
+        raise FormatError(f"empty ocean mask: the land mask of {a.truth} covers every pixel")
     inputs = _digests(a.forecast, a.truth)
     common = np.intersect1d(fc.dates, truth.dates)
     if common.size == 0:
-        raise ValueError("forecast and truth share no dates")
+        raise FormatError("forecast and truth share no dates")
     fi = np.searchsorted(fc.dates, common)
     ti = np.searchsorted(truth.dates, common)
     ocean = ~truth.land_mask

@@ -22,6 +22,9 @@ MAGIC = b"SICG1\x00"
 IDW_SPATIAL_RADIUS, IDW_TEMPORAL_RADIUS = 3, 2
 IDW_BANDWIDTH, IDW_TIME_SCALE = 2.0, 1.0
 IDW_CHUNK = 1 << 18
+# synth_generate: the most Gaussian evaluations (T * n_blobs * H * W) a series
+# may take, about 15 s at some 14 ns each
+SYNTH_MAX_EVALS = 1 << 30
 
 
 class FormatError(ValueError):
@@ -177,6 +180,9 @@ def synth_generate(seed: int, t: int, h: int, w: int, n_blobs: int = 3,
         raise ValueError("dims must be >= 8")
     if not 0 <= n_blobs <= h * w:  # bounds the draws below by the grid size
         raise ValueError(f"n_blobs must be in [0, {h * w}] (H*W), got {n_blobs}")
+    if t * n_blobs * h * w > SYNTH_MAX_EVALS:  # the time is linear in it
+        raise ValueError(f"n_blobs {n_blobs} over {t}x{h}x{w} frames takes "
+                         f"{t * n_blobs * h * w} evaluations, over {SYNTH_MAX_EVALS}")
     if not (math.isfinite(drift) and drift >= 0):
         raise ValueError(f"drift must be finite and >= 0, got {drift}")
     rng = np.random.default_rng(seed)

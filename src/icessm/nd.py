@@ -157,10 +157,10 @@ def _tracking(inputs) -> bool:
 def _make(out_data, inputs, backward) -> Tensor:
     """Wrap an op result; record the backward rule when taping.
 
-    ``backward(g)`` returns one gradient per input, in input order: None,
-    or an array of the input's shape or of the shape the forward broadcast
-    it to. The recorded rule delivers each array whose input requires a
-    gradient: summed over the broadcast axes, then accumulated."""
+    ``backward(g)`` returns one gradient per input, in input order: an array
+    of the input's shape or of the shape the forward broadcast it to. The
+    recorded rule delivers each one whose input requires a gradient: summed
+    over the broadcast axes, then accumulated."""
     track = _tracking(inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
@@ -170,7 +170,7 @@ def _make(out_data, inputs, backward) -> Tensor:
             g, out.grad = out.grad, None
             if g is not None:
                 for t, grad in zip(inputs, backward(g), strict=True):
-                    if grad is not None and t.requires_grad:
+                    if t.requires_grad:
                         t._accum(_unbroadcast(grad, t.data.shape))
 
         _TAPE.record(run)
@@ -249,7 +249,7 @@ def silu(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     x = a.data
-    out_data = (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))).astype(np.float32)
+    out_data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     return _make(out_data, (a,), lambda g: (g * _np_sigmoid(x),))
 
 
@@ -358,13 +358,8 @@ def matmul(a: Tensor, w: Tensor) -> Tensor:
     if w.data.ndim != 2 or a.data.shape[-1] != w.data.shape[0]:
         raise ValueError(f"matmul shapes {a.data.shape} x {w.data.shape}")
 
-    def bw(g):
-        dw = None
-        if w.requires_grad:  # the wavelet branch multiplies by the constant Haar matrix
-            dw = a.data.reshape(-1, w.data.shape[0]).T @ g.reshape(-1, w.data.shape[1])
-        return g @ w.data.T, dw
-
-    return _make(a.data @ w.data, (a, w), bw)
+    return _make(a.data @ w.data, (a, w), lambda g: (
+        g @ w.data.T, a.data.reshape(-1, w.data.shape[0]).T @ g.reshape(-1, w.data.shape[1])))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -413,14 +408,12 @@ def pad2d(x: Tensor, pads: tuple[int, int, int, int]) -> Tensor:
                  lambda g: (_fold_replicated(g.copy(), pads),))
 
 
-def _conv_cols(xp: np.ndarray, kernels: np.ndarray, s: int,
-               ho: int | None = None, wo: int | None = None):
+def _conv_cols(xp: np.ndarray, kernels: np.ndarray, s: int):
     """im2col product of kernels[Co, Ci, kh, kw] with the stride-s windows of
     xp[T, Ci, Hp, Wp]; returns it as [T, Co, Ho, Wo] and the [T, Ci*kh*kw, Ho*Wo] columns."""
     co, ci, kh, kw = kernels.shape
     t, _, hp, wp = xp.shape
-    if ho is None:
-        ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
+    ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
     cols = np.empty((t, ci, kh, kw, ho, wo), dtype=np.float32)
     for i, j in np.ndindex(kh, kw):
         cols[:, :, i, j] = xp[:, :, i:i + s * ho:s, j:j + s * wo:s]
@@ -460,15 +453,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
         raise ValueError(f"conv2d: stride {stride} < 1 or kernel ({kh},{kw}) larger "
                          f"than padded input {xp.shape[2:]}")
     out_data, cols = _conv_cols(xp, kernels.data, stride)
-    out_data = out_data + bias.data[None, :, None, None]
+    out_data += bias.data[None, :, None, None]
     xp_shape = xp.shape  # the tape keeps the shape, not the padded array
 
     def bw(g):
-        dx = None
-        if x.requires_grad:  # the encoder's first conv reads the constant input frames
-            dxp = _conv_cols_adjoint(g, kernels.data, xp_shape, stride)
-            dx = dxp[..., padding:xp_shape[2] - padding, padding:xp_shape[3] - padding]
-        return dx, _conv_kernel_grad(g, cols, kernels.data.shape), g.sum(axis=(0, 2, 3))
+        dxp = _conv_cols_adjoint(g, kernels.data, xp_shape, stride)
+        return (dxp[..., padding:xp_shape[2] - padding, padding:xp_shape[3] - padding],
+                _conv_kernel_grad(g, cols, kernels.data.shape), g.sum(axis=(0, 2, 3)))
 
     return _make(out_data, (x, kernels, bias), bw)
 
@@ -496,8 +487,8 @@ def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor,
     out_data = (xp[:, :, padding:hp - padding, padding:wp - padding]
                 + bias.data[None, :, None, None])
 
-    def bw(g):
-        dy, cols = _conv_cols(_np_pad2d(g, (padding,) * 4, "zero"), kernels.data, stride, ho, wo)
+    def bw(g):  # the padded g is (ho - 1) * stride + kh high, so _conv_cols gives ho rows
+        dy, cols = _conv_cols(_np_pad2d(g, (padding,) * 4, "zero"), kernels.data, stride)
         return dy, _conv_kernel_grad(y.data, cols, kernels.data.shape), g.sum(axis=(0, 2, 3))
 
     return _make(out_data, (y, kernels, bias), bw)
@@ -583,7 +574,7 @@ def conv1d_depthwise(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     out_data = np.zeros_like(x.data)
     for j in range(k):
         out_data += kernels.data[:, j] * xp[j:j + length]
-    out_data = out_data + bias.data
+    out_data += bias.data
     rows = tuple(range(x.data.ndim - 1))
 
     def bw(g):
@@ -611,7 +602,7 @@ def group_conv1d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"weights shape {weights.data.shape} != {(g_count, 3, 3)}")
     xg = x.data.reshape(*x.data.shape[:-1], g_count, 3)
     out_data = np.einsum("gij,...gj->...gi", weights.data, xg).reshape(x.data.shape)
-    out_data = out_data + bias.data
+    out_data += bias.data
 
     def bw(g):
         gg = g.reshape(xg.shape)
@@ -619,7 +610,7 @@ def group_conv1d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
                 np.einsum("ngi,ngj->gij", gg.reshape(-1, g_count, 3), xg.reshape(-1, g_count, 3)),
                 g)
 
-    return _make(out_data.astype(np.float32), (x, weights, bias), bw)
+    return _make(out_data, (x, weights, bias), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ the program: the package itself, the benchmark (``perfbench/``) or the tools
 Likewise every defaulted parameter of a public function or method is passed
 by some program call: an option that only tests set is a code path nothing
 runs. And one function delivers gradients: an op's backward returns them and
-``nd._make`` accumulates them; only ``Tape.backward``'s seed does so too."""
+``nd._make`` accumulates them; only ``Tape.backward``'s seed does so too. So
+only the tape reads ``requires_grad``: every backward computes the gradient of
+every input, and ``nd._make`` alone decides which inputs receive one."""
 
 import ast
 from pathlib import Path
@@ -176,3 +178,18 @@ def test_only_make_delivers_gradients():
                       and isinstance(call.func, ast.Attribute) and call.func.attr == "_accum"}
                      - ACCUM_CALLERS)
     assert not callers, f"functions that accumulate gradients outside nd._make: {callers}"
+
+
+# the tape's own bookkeeping: which ops are recorded and which inputs get an entry
+REQUIRES_GRAD_READERS = {"nd._tracking", "nd._make"}
+
+
+def test_only_the_tape_reads_requires_grad():
+    # an op computes its whole gradient tuple; a constant input's entry is dropped by nd._make
+    readers = sorted({name for mod, tree in package_trees().items()
+                      for name, node in scopes(mod, tree)
+                      if name.split(".")[:2] != ["nd", "Tensor"]   # its own attribute
+                      for attr in ast.walk(node) if isinstance(attr, ast.Attribute)
+                      and attr.attr == "requires_grad" and isinstance(attr.ctx, ast.Load)}
+                     - REQUIRES_GRAD_READERS)
+    assert not readers, f"functions that read requires_grad outside the tape: {readers}"

@@ -93,6 +93,24 @@ class TestSynthPreprocess:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_synth_over_the_evaluation_budget_is_usage_error(self, tmp_path, capsys):
+        # inside sfc.MAX_CELLS and H*W, but 8 * 724^4 Gaussians would take hours
+        out = tmp_path / "g.sic"
+        start = time.monotonic()
+        assert run("synth", "--dims", "8,724,724", "--blobs", "524176", "--out", str(out)) == 2
+        assert time.monotonic() - start < 2.0
+        assert "n_blobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1.5"])
+    def test_bad_land_threshold_is_usage_error(self, tmp_path, capsys, value):
+        # the input does not exist: the threshold is refused before it is read
+        out = tmp_path / "p.sic"
+        assert run("preprocess", "--input", str(tmp_path / "nope.sic"), "--out", str(out),
+                   "--land-threshold", value) == 2
+        assert "--land-threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synth_deterministic(self, tmp_path):
         a, b = tmp_path / "a.sic", tmp_path / "b.sic"
         run("synth", "--seed", "7", "--dims", "20,8,8", "--out", str(a))
@@ -427,6 +445,28 @@ class TestPipeline:
         out = tmp_path / "eval"
         assert run("eval", "--forecast", str(fc), "--truth", str(truth),
                    "--out", str(out)) == 3
+        assert not (out / "report.json").exists()
+
+    def test_eval_all_land_truth_is_data_error(self, tmp_path, capsys):
+        fc, truth = tmp_path / "fc.sic", tmp_path / "truth.sic"
+        for path, land in ((fc, False), (truth, True)):
+            data.write_grid(data.Grid3(np.zeros((3, 4, 4)), np.arange(3),
+                                       np.full((4, 4), land)), path)
+        out = tmp_path / "eval"
+        assert run("eval", "--forecast", str(fc), "--truth", str(truth),
+                   "--out", str(out)) == 3
+        assert "empty ocean mask" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_eval_disjoint_dates_is_data_error(self, tmp_path, capsys):
+        fc, truth = tmp_path / "fc.sic", tmp_path / "truth.sic"
+        for path, first in ((fc, 0), (truth, 3)):
+            data.write_grid(data.Grid3(np.full((3, 4, 4), 0.5), np.arange(first, first + 3),
+                                       np.zeros((4, 4), dtype=bool)), path)
+        out = tmp_path / "eval"
+        assert run("eval", "--forecast", str(fc), "--truth", str(truth),
+                   "--out", str(out)) == 3
+        assert "share no dates" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     def test_eval_constant_truth_reports_null_nse(self, tmp_path):

@@ -806,6 +806,7 @@ class TestGradientHandOff:
         report = nd.grad_check(f, xs)
         assert report.passed, report
         full = [x.grad for x in xs]
+        # every backward computes all its entries; nd._make drops the constant's alone
         for const in range(len(values)):
             xs = [Tensor(v, requires_grad=i != const) for i, v in enumerate(values)]
             with Tape() as tape:
