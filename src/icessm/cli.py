@@ -288,20 +288,17 @@ def cmd_eval(a) -> int:
     if truth.land_mask.all():
         raise FormatError(f"empty ocean mask: the land mask of {a.truth} covers every pixel")
     inputs = _digests(a.forecast, a.truth)
-    common = np.intersect1d(fc.dates, truth.dates)
+    common, fi, ti = np.intersect1d(fc.dates, truth.dates, return_indices=True)
     if common.size == 0:
         raise FormatError("forecast and truth share no dates")
-    fi = np.searchsorted(fc.dates, common)
-    ti = np.searchsorted(truth.dates, common)
-    ocean = ~truth.land_mask
-    report = metrics.evaluate(fc.frames[fi], truth.frames[ti], ocean)
+    yhat, y = fc.frames[fi], truth.frames[ti]
+    report = metrics.evaluate(yhat, y, ~truth.land_mask)
     # strict JSON: a non-finite score fails here, before any file is written
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
     out_dir = Path(a.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
-    for k, day in enumerate(common):
-        bias = metrics.bias_map(fc.frames[fi[k]], truth.frames[ti[k]])
+    for day, bias in zip(common, yhat - y):
         metrics.write_bias_ppm(bias, out_dir / f"bias-day{int(day):05d}.ppm")
     _write_manifest(out_dir, "eval", a, inputs)
     nse = "n/a" if report.nse is None else f"{report.nse:.4f}"

@@ -62,8 +62,6 @@ def fill_missing_dates(g: Grid3) -> Grid3:
     Every absent day in a multi-day gap receives the same flat fill.
     """
     full = np.arange(g.dates[0], g.dates[-1] + 1, dtype=np.int64)
-    if full.shape == g.dates.shape:
-        return Grid3(g.frames.copy(), g.dates.copy(), g.land_mask.copy())
     # the range starts and ends at present dates, so both neighbors exist
     nxt = np.searchsorted(g.dates, full)           # first present date on or after each day
     prev = nxt - (g.dates[nxt] != full)            # last present date on or before it
@@ -77,13 +75,6 @@ def detect_land(g: Grid3, threshold: float = 0.95) -> np.ndarray:
     """Pixels missing in strictly more than ``threshold`` of all frames."""
     missing_frac = np.isnan(g.frames).mean(axis=0)
     return missing_frac > threshold
-
-
-def zero_land(g: Grid3, mask: np.ndarray) -> Grid3:
-    """Set land pixels to 0 in every frame and record the mask."""
-    frames = g.frames.copy()
-    frames[:, mask] = 0.0
-    return Grid3(frames, g.dates.copy(), g.land_mask | mask)
 
 
 def st_idw_fill(g: Grid3) -> Grid3:
@@ -129,17 +120,22 @@ def st_idw_fill(g: Grid3) -> Grid3:
 def preprocess(g: Grid3, land_threshold: float = 0.95, idw: bool = False) -> Grid3:
     """fill_missing_dates -> detect_land -> zero land -> optional ST-IDW.
 
+    Land is zeroed and recorded, and the values clipped to [0, 1], in place
+    on the new grid that fill_missing_dates returns; ``g`` is never written.
     The result has no missing values; raises if holes remain and ``idw`` is
     off.
     """
     g = fill_missing_dates(g)
-    g = zero_land(g, detect_land(g, land_threshold))
+    land = detect_land(g, land_threshold)
+    g.frames[:, land] = 0.0
+    g.land_mask |= land
     if idw:
         g = st_idw_fill(g)
     if np.isnan(g.frames).any():
         raise ValueError("missing pixels remain after preprocessing; "
                          "enable idw interpolation")
-    return Grid3(np.clip(g.frames, 0.0, 1.0), g.dates, g.land_mask)
+    np.clip(g.frames, 0.0, 1.0, out=g.frames)
+    return g
 
 
 @dataclass
@@ -148,7 +144,6 @@ class SampleWindow:
 
     input: np.ndarray   # [L_i, 1, H, W]
     target: np.ndarray  # [L_o, 1, H, W]
-    anchor_date: int
 
 
 def windows(g: Grid3, in_len: int, out_len: int, stride: int = 1) -> list[SampleWindow]:
@@ -164,8 +159,7 @@ def windows(g: Grid3, in_len: int, out_len: int, stride: int = 1) -> list[Sample
         raise ValueError(f"series length {t} shorter than window span {span}")
     frames = g.frames[:, None, :, :]
     frames.flags.writeable = False
-    return [SampleWindow(input=frames[a:a + in_len], target=frames[a + in_len:a + span],
-                         anchor_date=int(g.dates[a]))
+    return [SampleWindow(input=frames[a:a + in_len], target=frames[a + in_len:a + span])
             for a in range(0, t - span + 1, stride)]
 
 
@@ -223,6 +217,8 @@ def write_grid(g: Grid3, path) -> None:
     t, h, w = g.shape
     if max(t, h, w) >= 2 ** 32:
         raise FormatError("dims exceed u32")
+    if np.isinf(g.frames).any():
+        raise FormatError("a frame value is infinite; the container stores none")
     missing = np.isnan(g.frames)
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -230,7 +226,7 @@ def write_grid(g: Grid3, path) -> None:
         f.write(g.dates.astype("<i8").tobytes())
         f.write(np.packbits(g.land_mask.reshape(-1)).tobytes())
         f.write(np.packbits(missing.reshape(t, h * w), axis=1).tobytes())
-        f.write(np.nan_to_num(g.frames, nan=0.0).astype("<f4").tobytes())
+        f.write(np.where(missing, np.float32(0), g.frames).astype("<f4", copy=False))
 
 
 def read_grid(path) -> Grid3:
@@ -260,4 +256,6 @@ def read_grid(path) -> Grid3:
                             count=h * w).astype(bool).reshape(t, h, w)
     frames = take(4 * t * h * w).view("<f4").astype(np.float32).reshape(t, h, w)
     frames[missing] = np.nan
+    if np.isinf(frames).any():
+        raise FormatError("a frame value is infinite")
     return Grid3(frames, dates, land)

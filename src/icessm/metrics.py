@@ -1,13 +1,14 @@
 """Forecast evaluation: error metrics, extent/overlap scores, bias maps.
 
-All error metrics are computed over ocean pixels only (land is excluded via
-the mask) and reported as percentages. Extent uses the standard 15%
-concentration threshold, EXTENT_THRESHOLD.
+All error metrics, and the extents that evaluate reports, are computed over
+ocean pixels only (land is excluded via the mask); the errors are reported
+as percentages. Extent uses the standard 15% concentration threshold,
+EXTENT_THRESHOLD.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,15 +77,6 @@ def iou(yhat, y) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
-def bias_map(yhat, y) -> np.ndarray:
-    """Signed per-pixel error (prediction minus truth)."""
-    yhat = np.asarray(yhat, dtype=np.float32)
-    y = np.asarray(y, dtype=np.float32)
-    if yhat.shape != y.shape:
-        raise ValueError(f"shape mismatch {yhat.shape} vs {y.shape}")
-    return yhat - y
-
-
 def write_bias_ppm(bias: np.ndarray, path) -> None:
     """Render a signed error image to binary PPM: positive errors in the red
     channel, negative in the blue, both scaled by the largest |error|."""
@@ -107,28 +99,20 @@ class MetricsReport:
     mae: float
     nse: float | None   # None when the truth has zero variance over the mask
     iou: float
-    sie: float          # predicted extent area (last frame)
+    sie: float          # predicted ocean extent area (last frame)
     sie_true: float
     per_lead_day: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "overall": {
-                "rmse": self.rmse,
-                "mae": self.mae,
-                "nse": self.nse,
-                "iou": self.iou,
-                "sie": self.sie,
-                "sie_true": self.sie_true,
-            },
-            "per_lead_day": self.per_lead_day,
-        }
+        overall = asdict(self)
+        per_lead_day = overall.pop("per_lead_day")
+        return {"overall": overall, "per_lead_day": per_lead_day}
 
 
 def evaluate(yhat, y, ocean_mask=None) -> MetricsReport:
     """Score a [L, 1, H, W] (or [L, H, W]) forecast against ground truth,
-    the ocean mask covering one frame. The per-lead scores take the masked
-    pixels once, as [L, P] rows."""
+    the ocean mask covering one frame. The per-lead scores and the extents
+    take the masked pixels once, as [L, P] rows."""
     yhat = np.asarray(yhat, dtype=np.float32)
     y = np.asarray(y, dtype=np.float32)
     if yhat.ndim == 4:
@@ -137,14 +121,14 @@ def evaluate(yhat, y, ocean_mask=None) -> MetricsReport:
         raise ValueError(f"mask shape {np.shape(ocean_mask)} is not one frame of {yhat.shape}")
     a, b = (v.reshape(len(yhat), -1) for v in _masked(yhat, y, ocean_mask))
     per_day = [{"lead": lead + 1, "rmse": rmse(a[lead], b[lead]), "mae": mae(a[lead], b[lead]),
-                "iou": iou(yhat[lead], y[lead]), "nse": _nse_or_none(a[lead], b[lead], None)}
+                "iou": iou(a[lead], b[lead]), "nse": _nse_or_none(a[lead], b[lead], None)}
                for lead in range(len(yhat))]
     return MetricsReport(
         rmse=rmse(yhat, y, ocean_mask),
         mae=mae(yhat, y, ocean_mask),
         nse=_nse_or_none(yhat, y, ocean_mask),
-        iou=iou(yhat, y),
-        sie=sie(yhat[-1]),
-        sie_true=sie(y[-1]),
+        iou=iou(a, b),
+        sie=sie(a[-1]),
+        sie_true=sie(b[-1]),
         per_lead_day=per_day,
     )

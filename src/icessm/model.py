@@ -476,18 +476,28 @@ def history_csv(history: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Most float32 values a recursive forecast may hold: 1 GiB, or 4681 steps of
+# 14 frames at 64x64. Longer forecasts are refused before the first forward.
+MAX_FORECAST_VALUES = 1 << 28
+
+
 def recursive_forecast(x: np.ndarray, params: dict[str, Tensor], config: ModelConfig,
                        steps: int = 1) -> np.ndarray:
     """Chain prediction windows, re-feeding each clamped window as the next
-    input; returns [steps * out_len, 1, H, W]."""
+    input; returns [steps * out_len, 1, H, W]. Only the last in_len frames
+    of the stream are kept."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    stream = np.asarray(x, dtype=np.float32)
+    stream = np.asarray(x, dtype=np.float32)[-config.in_len:]
+    values = steps * config.out_len * stream[0].size
+    if values > MAX_FORECAST_VALUES:
+        raise ValueError(f"{steps} steps forecast {values} values, "
+                         f"over {MAX_FORECAST_VALUES}")
     outputs = []
     for _ in range(steps):
-        pred = forward(stream[-config.in_len:], params, config).mean
+        pred = forward(stream, params, config).mean
         outputs.append(pred)
-        stream = np.concatenate([stream, pred], axis=0)
+        stream = np.concatenate([stream, pred], axis=0)[-config.in_len:]
     return np.concatenate(outputs, axis=0)
 
 

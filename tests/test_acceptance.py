@@ -297,9 +297,9 @@ def test_criterion_07_loss_identities():
     rng = np.random.default_rng(9)
     a = Tensor(rng.uniform(size=(2, 1, 6, 6)).astype(np.float32))
     b = Tensor(rng.uniform(size=(2, 1, 6, 6)).astype(np.float32))
-    lam_zero = model.loss_total(a, b, 0.0).item() == model.loss_rec(a, b).item()
-    shift = model.loss_grad(nd.add(b, 0.3), b).item()
-    nll = model.loss_nll(b, Tensor(np.ones_like(b.data)), b).item()
+    lam_zero = float(model.loss_total(a, b, 0.0).data) == float(model.loss_rec(a, b).data)
+    shift = float(model.loss_grad(nd.add(b, 0.3), b).data)
+    nll = float(model.loss_nll(b, Tensor(np.ones_like(b.data)), b).data)
     nll_ok = abs(nll - 0.5 * math.log(2 * math.pi)) < 1e-4
     announce(7, lam_zero and shift < 1e-6 and nll_ok,
              f"lambda0 exact={lam_zero}, translation grad-loss {shift:.1e}, "

@@ -1,6 +1,7 @@
 """Every public top-level function and class of ``icessm`` has a caller in
 the program: the package itself, the benchmark (``perfbench/``) or the tools
-(``tools/``). A name that only tests reach is library surface nothing runs.
+(``tools/``), and so has every public method and property of those classes.
+A name that only tests reach is library surface nothing runs.
 Likewise every defaulted parameter of a public function or method is passed
 by some program call: an option that only tests set is a code path nothing
 runs. And one function delivers gradients: an op's backward returns them and
@@ -66,6 +67,30 @@ def test_every_public_name_has_a_program_caller():
     unused = [f"{mod}.{name}" for mod, tree in trees.items() for name in public_defs(tree)
               if (mod, name) not in refs and f"{mod}.{name}" not in EXCEPTIONS]
     assert not unused, f"public names that only tests reach: {unused}"
+
+
+def public_members(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, name) of each public method and property of the public classes
+    of ``tree``."""
+    return [(node.name, fn.name) for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for fn in node.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+
+
+def attribute_reads(path: Path) -> set[str]:
+    """The name of every attribute that the source at ``path`` reads."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_method_has_a_program_reader():
+    # the sources carry no types, so a read of ``.name`` on any object counts
+    # for every method or property of that name
+    read = set().union(*(attribute_reads(p) for p in sources()))
+    unread = [f"{mod}.{cls}.{name}" for mod, tree in package_trees().items()
+              for cls, name in public_members(tree) if name not in read]
+    assert not unread, f"public methods and properties that only tests reach: {unread}"
 
 
 def signatures(trees: dict[str, ast.Module]) -> dict[str, ast.arguments]:

@@ -280,6 +280,50 @@ class TestPipeline:
         ppms = list(out.glob("bias-day*.ppm"))
         assert len(ppms) == 24
 
+    def test_eval_overforecast_writes_all_red_bias_maps(self, tmp_path):
+        # every cell exactly 0.125 too high: full red, no green or blue, each day
+        frames = (np.arange(3 * 4 * 5) % 32).reshape(3, 4, 5) / 64
+        land = np.zeros((4, 5), dtype=bool)
+        fc, truth = tmp_path / "fc.sic", tmp_path / "truth.sic"
+        data.write_grid(data.Grid3(frames + 0.125, np.arange(3), land), fc)
+        data.write_grid(data.Grid3(frames, np.arange(3), land), truth)
+        out = tmp_path / "eval"
+        assert run("eval", "--forecast", str(fc), "--truth", str(truth),
+                   "--out", str(out)) == 0
+        ppms = sorted(out.glob("bias-day*.ppm"))
+        assert len(ppms) == 3
+        header = b"P6\n5 4\n255\n"
+        for ppm in ppms:
+            raw = ppm.read_bytes()
+            assert raw.startswith(header)
+            img = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(4, 5, 3)
+            assert (img == [255, 0, 0]).all()
+
+    def test_recurse_over_the_forecast_budget_is_usage_error(self, trained, tmp_path, capsys):
+        _, grid_path, model_dir = trained
+        out = tmp_path / "out"
+        t0 = time.monotonic()
+        assert run("recurse", "--model", str(model_dir), "--data", str(grid_path),
+                   "--steps", "100000000", "--out", str(out)) == 2
+        assert time.monotonic() - t0 < 1.0
+        assert "over" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "preprocess", "train"])
+    def test_infinite_value_in_input_is_data_error(self, trained, tmp_path, capsys, command):
+        # the container stores no inf; a hand-made file holding one is refused
+        _, grid_path, _ = trained
+        bad = tmp_path / "inf.sic"
+        bad.write_bytes(grid_path.read_bytes()[:-4] + np.float32(np.inf).tobytes())
+        out = tmp_path / "out"
+        argv = {"eval": ["--forecast", str(bad), "--truth", str(grid_path)],
+                "preprocess": ["--input", str(bad)],
+                "train": ["--data", str(bad), "--in-len", "4", "--out-len", "4",
+                          "--hidden", "8", "--fssm", "1", "--epochs", "1"]}[command]
+        assert run(command, *argv, "--out", str(out)) == 3
+        assert "infinite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_forecast_against_truth(self, trained):
         root, grid_path, model_dir = trained
         pred_dir = root / "pred2"

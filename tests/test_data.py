@@ -78,14 +78,6 @@ class TestDetectLand:
         assert mask[0, 0]
         assert not mask[0, 1]
 
-    def test_zero_land_zeroes_and_records(self):
-        frames = np.full((3, 2, 2), 0.7, dtype=np.float32)
-        mask = np.array([[True, False], [False, False]])
-        out = data.zero_land(grid_of(frames), mask)
-        assert (out.frames[:, 0, 0] == 0).all()
-        assert out.frames[0, 1, 1] == np.float32(0.7)
-        assert out.land_mask[0, 0]
-
 
 class TestStIdw:
     def test_single_neighbor(self):
@@ -200,6 +192,35 @@ class TestPreprocess:
         assert (out.frames[:, 0, 0] == 0).all()
         assert out.dates.tolist() == [0, 1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("dates", [[0, 1, 2], [0, 2, 3]], ids=["gapless", "gap"])
+    def test_zeroes_land_without_writing_the_input(self, dates):
+        # land is zeroed and clipped in place on the grid fill_missing_dates
+        # returns, never on the caller's
+        frames = np.full((3, 2, 2), 0.7, dtype=np.float32)
+        frames[:, 0, 0] = np.nan                     # always missing -> land
+        frames[1, 1, 1] = 1.5                        # clipped in the output only
+        g = grid_of(frames, dates=dates, land=np.array([[False, True], [False, False]]))
+        before = [a.copy() for a in (g.frames, g.dates, g.land_mask)]
+        out = data.preprocess(g)
+        assert (out.frames[:, 0, 0] == 0).all()
+        assert out.land_mask.tolist() == [[True, True], [False, False]]
+        assert out.frames.max() == 1.0
+        for a, b in zip((g.frames, g.dates, g.land_mask), before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_idw_output_pinned(self):
+        # a gappy 17-of-20-day series: date fill, land detection and ST-IDW
+        g = data.synth_generate(3, 20, 8, 8)
+        frames = g.frames.copy()
+        frames[:, g.land_mask] = np.nan
+        frames[np.random.default_rng(0).random(frames.shape) < 0.05] = np.nan
+        keep = np.setdiff1d(np.arange(20), [5, 11, 12])
+        out = data.preprocess(Grid3(frames[keep], g.dates[keep], np.zeros_like(g.land_mask)),
+                              idw=True)
+        blob = out.frames.tobytes() + out.dates.tobytes() + out.land_mask.tobytes()
+        assert hashlib.sha256(blob).hexdigest() == \
+            "2aa6befd8a912872836b412e630598a731e9ef008c4e0ad5f3fc6decc9d5adda"
+
     def test_leftover_holes_rejected_without_idw(self):
         frames = np.full((4, 3, 3), 0.5, dtype=np.float32)
         frames[1, 1, 1] = np.nan
@@ -226,8 +247,6 @@ class TestWindows:
         g = grid_of(frames, dates=np.arange(100, 100 + t))
         ws = data.windows(g, 14, 14, stride=2)
         assert len(ws) == (40 - 28) // 2 + 1
-        for i, sw in enumerate(ws[:-1]):
-            assert ws[i + 1].anchor_date - sw.anchor_date == 2
         sw = ws[1]
         assert sw.input.shape == (14, 1, 2, 2)
         assert sw.target.shape == (14, 1, 2, 2)
@@ -340,6 +359,23 @@ class TestContainer:
         assert len(blob) == 482
         assert hashlib.sha256(blob).hexdigest() == \
             "524cdf29ce53edab5356b55420d28aab48cff42dc1d6eeeeaab6d387755e13e8"
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_value_refused_before_writing(self, tmp_path, value):
+        frames = np.full((2, 3, 3), 0.5, dtype=np.float32)
+        frames[1, 2, 2] = value
+        path = tmp_path / "inf.sic"
+        with pytest.raises(data.FormatError, match="infinite"):
+            data.write_grid(grid_of(frames), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_value_refused_on_read(self, tmp_path, value):
+        path = tmp_path / "inf.sic"
+        data.write_grid(grid_of(np.full((2, 3, 3), 0.5)), path)
+        path.write_bytes(path.read_bytes()[:-4] + np.float32(value).astype("<f4").tobytes())
+        with pytest.raises(data.FormatError, match="infinite"):
+            data.read_grid(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "t.sic"

@@ -111,14 +111,6 @@ class TestExtent:
 
 
 class TestBiasMap:
-    def test_identical_all_zero(self):
-        y = rng(10).uniform(size=(4, 4)).astype(np.float32)
-        np.testing.assert_array_equal(metrics.bias_map(y, y), 0.0)
-
-    def test_constant_offset(self):
-        y = rng(11).uniform(size=(4, 4)).astype(np.float32)
-        np.testing.assert_allclose(metrics.bias_map(y + 0.125, y), 0.125, atol=1e-6)
-
     def test_checker_render_bounds(self, tmp_path):
         checker = np.indices((6, 6)).sum(axis=0) % 2
         bias = np.where(checker, 0.5, -0.5).astype(np.float32)
@@ -165,7 +157,7 @@ class TestEvaluate:
             assert row["lead"] == lead + 1
             for name in ("rmse", "mae"):
                 assert row[name] == pytest.approx(getattr(metrics, name)(a, b, mask), rel=1e-12)
-            assert row["iou"] == pytest.approx(metrics.iou(a, b), rel=1e-12)
+            assert row["iou"] == pytest.approx(metrics.iou(a[mask], b[mask]), rel=1e-12)
             if lead >= 2:
                 assert row["nse"] is None
             else:
@@ -174,8 +166,20 @@ class TestEvaluate:
         for name in ("rmse", "mae", "nse"):
             assert getattr(rep, name) == pytest.approx(getattr(metrics, name)(yh, yt, mask),
                                                        rel=1e-12)
-        assert rep.iou == pytest.approx(metrics.iou(yh, yt), rel=1e-12)
-        assert (rep.sie, rep.sie_true) == (metrics.sie(yh[-1]), metrics.sie(yt[-1]))
+        assert rep.iou == pytest.approx(metrics.iou(yh[:, mask], yt[:, mask]), rel=1e-12)
+        assert (rep.sie, rep.sie_true) == (metrics.sie(yh[-1][mask]), metrics.sie(yt[-1][mask]))
+
+    def test_land_cells_do_not_reach_the_extent_scores(self):
+        # a perfect forecast over the ocean, wrong on one land cell
+        y = rng(15).uniform(size=(2, 1, 6, 6)).astype(np.float32)
+        ocean = np.ones((6, 6), dtype=bool)
+        ocean[0, 0] = False
+        y[:, :, 0, 0] = 0.0
+        yhat = y.copy()
+        yhat[:, :, 0, 0] = 0.9
+        perfect, rep = metrics.evaluate(y, y, ocean), metrics.evaluate(yhat, y, ocean)
+        assert (rep.rmse, rep.iou, rep.sie) == (0.0, 1.0, perfect.sie)
+        assert [row["iou"] for row in rep.per_lead_day] == [1.0, 1.0]
 
     def test_zero_variance_overall_nse_is_none(self):
         y = np.full((2, 1, 3, 3), 0.4, dtype=np.float32)

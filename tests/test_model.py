@@ -57,7 +57,6 @@ def make_sample(seed, l_in=4, l_out=4, hw=8):
     return data.SampleWindow(
         input=r.uniform(size=(l_in, 1, hw, hw)).astype(np.float32),
         target=r.uniform(size=(l_out, 1, hw, hw)).astype(np.float32),
-        anchor_date=0,
     )
 
 
@@ -257,28 +256,28 @@ class TestBatchAxis:
 class TestLosses:
     def test_rec_identical_zero(self):
         y = Tensor(rng(20).uniform(size=(2, 1, 4, 4)))
-        assert model.loss_rec(y, y).item() == 0.0
+        assert float(model.loss_rec(y, y).data) == 0.0
 
     def test_rec_constant_offset(self):
         y = Tensor(rng(21).uniform(size=(2, 1, 4, 4)))
         yhat = nd.add(y, 0.5)
-        assert model.loss_rec(yhat, y).item() == pytest.approx(0.5, abs=1e-6)
+        assert float(model.loss_rec(yhat, y).data) == pytest.approx(0.5, abs=1e-6)
 
     def test_rec_matches_brute_force(self):
         r = rng(22)
         a = r.uniform(size=(2, 1, 3, 3)).astype(np.float32)
         b = r.uniform(size=(2, 1, 3, 3)).astype(np.float32)
         want = float(np.abs(a.astype(np.float64) - b).mean())
-        assert model.loss_rec(Tensor(a), Tensor(b)).item() == pytest.approx(want, abs=1e-6)
+        assert float(model.loss_rec(Tensor(a), Tensor(b)).data) == pytest.approx(want, abs=1e-6)
 
     def test_grad_identical_zero(self):
         y = Tensor(rng(23).uniform(size=(2, 1, 4, 4)))
-        assert model.loss_grad(y, y).item() == 0.0
+        assert float(model.loss_grad(y, y).data) == 0.0
 
     def test_grad_translation_invariance(self):
         y = Tensor(rng(24).uniform(size=(2, 1, 4, 4)))
         yhat = nd.add(y, 0.3)
-        assert model.loss_grad(yhat, y).item() == pytest.approx(0.0, abs=1e-6)
+        assert float(model.loss_grad(yhat, y).data) == pytest.approx(0.0, abs=1e-6)
 
     def test_grad_2x2_hand_case(self):
         # prediction [[0,0],[0,0]], truth [[0,1],[0,0]]
@@ -287,29 +286,30 @@ class TestLosses:
         # mean over 4 pixels per direction = 0.25 each; loss = 0.25
         yhat = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
         y = Tensor(np.array([[[[0.0, 1.0], [0.0, 0.0]]]], dtype=np.float32))
-        assert model.loss_grad(yhat, y).item() == pytest.approx(0.25, abs=1e-6)
+        assert float(model.loss_grad(yhat, y).data) == pytest.approx(0.25, abs=1e-6)
 
     def test_total_lambda_zero_is_rec(self):
         r = rng(25)
         a = Tensor(r.uniform(size=(2, 1, 4, 4)))
         b = Tensor(r.uniform(size=(2, 1, 4, 4)))
-        assert model.loss_total(a, b, 0.0).item() == model.loss_rec(a, b).item()
+        assert float(model.loss_total(a, b, 0.0).data) == float(model.loss_rec(a, b).data)
 
     def test_total_additive(self):
         r = rng(26)
         a = Tensor(r.uniform(size=(2, 1, 4, 4)))
         b = Tensor(r.uniform(size=(2, 1, 4, 4)))
         lam = 0.7
-        want = model.loss_rec(a, b).item() + lam * model.loss_grad(a, b).item()
-        assert model.loss_total(a, b, lam).item() == pytest.approx(want, abs=1e-6)
+        want = float(model.loss_rec(a, b).data) + lam * float(model.loss_grad(a, b).data)
+        assert float(model.loss_total(a, b, lam).data) == pytest.approx(want, abs=1e-6)
 
     def test_total_lambda_linearity(self):
         r = rng(27)
         a = Tensor(r.uniform(size=(2, 1, 4, 4)))
         b = Tensor(r.uniform(size=(2, 1, 4, 4)))
         lam = 0.4
-        diff = model.loss_total(a, b, 2 * lam).item() - model.loss_total(a, b, lam).item()
-        assert diff == pytest.approx(lam * model.loss_grad(a, b).item(), abs=1e-6)
+        diff = (float(model.loss_total(a, b, 2 * lam).data)
+                - float(model.loss_total(a, b, lam).data))
+        assert diff == pytest.approx(lam * float(model.loss_grad(a, b).data), abs=1e-6)
 
     def test_total_negative_lambda_rejected(self):
         y = Tensor(np.zeros((1, 1, 2, 2)))
@@ -320,7 +320,7 @@ class TestLosses:
         y = Tensor(rng(28).uniform(size=(2, 1, 4, 4)))
         one = Tensor(np.ones_like(y.data))
         want = 0.5 * math.log(2 * math.pi)
-        assert model.loss_nll(y, one, y).item() == pytest.approx(want, abs=1e-4)
+        assert float(model.loss_nll(y, one, y).data) == pytest.approx(want, abs=1e-4)
 
     def test_nll_minimized_at_mu_equals_y(self):
         y = Tensor(rng(29).uniform(size=(1, 1, 2, 2)))
@@ -343,7 +343,7 @@ class TestLosses:
         sigma = r.uniform(0.2, 2.0, size=(2, 1, 3, 3)).astype(np.float32)
         want = float(np.mean(0.5 * np.log(2 * np.pi * sigma.astype(np.float64) ** 2)
                              + (y - mu) ** 2 / (2.0 * sigma.astype(np.float64) ** 2)))
-        got = model.loss_nll(Tensor(mu), Tensor(sigma), Tensor(y)).item()
+        got = float(model.loss_nll(Tensor(mu), Tensor(sigma), Tensor(y)).data)
         assert got == pytest.approx(want, abs=1e-5)
 
     def test_nll_nonpositive_sigma_rejected(self):
@@ -506,6 +506,26 @@ class TestRecursive:
         with pytest.raises(ValueError):
             model.recursive_forecast(np.zeros((4, 1, 8, 8), np.float32),
                                      params, cfg, steps=0)
+
+    def test_each_step_sees_the_last_in_len_frames(self):
+        # out_len 3 < in_len 4: each input mixes the previous input and forecast
+        cfg = tiny_config(out_len=3)
+        params = model.init_params(rng(40), cfg)
+        x = rng(41).uniform(size=(4, 1, 8, 8)).astype(np.float32)
+        stream = x
+        for _ in range(3):
+            stream = np.concatenate([stream, model.forward(stream[-4:], params, cfg).mean])
+        np.testing.assert_array_equal(model.recursive_forecast(x, params, cfg, steps=3),
+                                      stream[4:])
+
+    def test_over_the_value_budget_refused_before_forward(self, monkeypatch):
+        cfg = tiny_config()
+        params = model.init_params(rng(42), cfg)
+        monkeypatch.setattr(model, "forward", lambda *a: pytest.fail("forward ran"))
+        steps = model.MAX_FORECAST_VALUES // (cfg.out_len * 8 * 8) + 1
+        with pytest.raises(ValueError, match="over"):
+            model.recursive_forecast(np.zeros((4, 1, 8, 8), np.float32), params, cfg,
+                                     steps=steps)
 
 
 class TestCheckpoint:

@@ -473,10 +473,10 @@ def composite_normalize(x, axis):
 
 class TestActivations:
     def test_silu_zero(self):
-        assert nd.silu(Tensor(0.0)).item() == 0.0
+        assert float(nd.silu(Tensor(0.0)).data) == 0.0
 
     def test_softplus_zero_is_ln2(self):
-        assert nd.softplus(Tensor(0.0)).item() == pytest.approx(math.log(2), abs=1e-6)
+        assert float(nd.softplus(Tensor(0.0)).data) == pytest.approx(math.log(2), abs=1e-6)
 
     def test_leaky_relu_negative(self):
         assert nd._np_leaky(np.array([-1.0], dtype=np.float32))[0] == pytest.approx(-0.01)
