@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, data, metrics, model, sfc
+from . import __version__, data, hsa, metrics, model, sfc
 from .data import FormatError
 from .nd import LEAKY_SLOPE, NumericalError, Tensor
 
@@ -314,7 +314,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", type=int, default=32)
     p.add_argument("--lambda", dest="lambda_grad", type=float, default=0.1)
     p.add_argument("--head", choices=("det", "gaussian"), default="det")
-    p.add_argument("--fusion", choices=model.FUSIONS, default="hsa")
+    p.add_argument("--fusion", choices=tuple(hsa.FUSERS), default="hsa")
     p.add_argument("--state-size", type=int, default=8)
     p.add_argument("--in-len", type=int, default=14)
     p.add_argument("--out-len", type=int, default=14)

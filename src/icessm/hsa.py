@@ -93,3 +93,12 @@ def ca_gate_fuse(x1: Tensor, x2: Tensor, xf: Tensor, p: dict[str, Tensor]) -> Te
     parts = [_channel_scale(nd.sigmoid(nd.linear(_pool_channels(x), p[f"w{i}"], p[f"b{i}"])), x)
              for i, x in enumerate((x1, x2, xf))]
     return nd.add(nd.add(parts[0], parts[1]), parts[2])
+
+
+# fusion name -> (layout of its params for D channels, fuser of (x1, x2, xf, params));
+# each fuser is looked up by name at call time, so perfbench's spans on this module see it
+FUSERS = {
+    "hsa": (hsa_layout, lambda x1, x2, xf, p: hsa_fuse(x1, x2, xf, p)),
+    "sum": (lambda d: [], lambda x1, x2, xf, p: sum_fuse(x1, x2, xf)),
+    "cagate": (ca_gate_layout, lambda x1, x2, xf, p: ca_gate_fuse(x1, x2, xf, p)),
+}

@@ -24,7 +24,6 @@ from . import hsa, metrics, nd, sfc, ssm, wavelet
 from .data import SampleWindow
 from .nd import NumericalError, Tensor
 
-FUSIONS = ("hsa", "sum", "cagate")
 HEADS = ("deterministic", "gaussian")
 
 
@@ -42,6 +41,9 @@ class ModelConfig:
     state_size: int = 8
 
     def __post_init__(self):
+        for name in ("in_len", "out_len", "hidden", "n_fssm", "n_routes", "state_size"):
+            if type(getattr(self, name)) is not int:   # 8.0 and True are refused too
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.n_fssm < 1:
             raise ValueError("n_fssm must be >= 1")
         if self.n_routes not in (1, 2, 4):
@@ -58,7 +60,7 @@ class ModelConfig:
             raise ValueError(f"unknown scan kind {self.scan_kind!r}")
         if self.head not in HEADS:
             raise ValueError(f"unknown head {self.head!r}")
-        if self.fusion not in FUSIONS:
+        if self.fusion not in hsa.FUSERS:
             raise ValueError(f"unknown fusion {self.fusion!r}")
 
     @property
@@ -104,12 +106,12 @@ def param_layout(config: ModelConfig):
         return [(f"{name}_k", kernel, nd.normal_init(math.prod(kernel[1:]))),
                 (f"{name}_b", (n,), 0.0), (f"{name}_g", (n,), 1.0), (f"{name}_be", (n,), 0.0)]
 
-    fusion = {"hsa": nd.prefixed("hsa", hsa.hsa_layout(d)),
-              "cagate": nd.prefixed("cagate", hsa.ca_gate_layout(d)), "sum": []}[config.fusion]
+    fusion_layout, _ = hsa.FUSERS[config.fusion]
     # one block's entries, built once and shared by every block
     block = [*nd.prefixed("mamba", ssm.mamba_layout(d, config.state_size)),
              ("gains", (d, 3), 1.0),  # detail-band gains
-             *fusion, ("dw_k", (d, 3, 3), nd.normal_init(9)), ("dw_b", (d,), 0.0)]
+             *nd.prefixed(config.fusion, fusion_layout(d)),
+             ("dw_k", (d, 3, 3), nd.normal_init(9)), ("dw_b", (d,), 0.0)]
     for i in range(config.n_fssm):
         yield from nd.prefixed(f"fssm{i}", block)
     yield from nd.prefixed("enc", conv("enc1", (dh, 1, 3, 3), dh) + conv("enc2", (d, dh, 3, 3), d))
@@ -163,12 +165,8 @@ def _fssm_block(z: Tensor, blk: dict[str, Tensor], table: np.ndarray,
     # sum its gradient in another order, and training would not repeat bit for bit
     x2 = x1 if table.shape[1] == 1 else nd.index(vol, np.s_[-1])
     xf = wavelet.freq_branch(z, blk["gains"])
-    if config.fusion == "hsa":
-        fused = hsa.hsa_fuse(x1, x2, xf, nd.sub_params(blk, "hsa"))
-    elif config.fusion == "sum":
-        fused = hsa.sum_fuse(x1, x2, xf)
-    else:
-        fused = hsa.ca_gate_fuse(x1, x2, xf, nd.sub_params(blk, "cagate"))
+    _, fuse = hsa.FUSERS[config.fusion]
+    fused = fuse(x1, x2, xf, nd.sub_params(blk, config.fusion))
     mixed = nd.depthwise_conv2d(fused, blk["dw_k"], blk["dw_b"])
     return nd.add(z, mixed)
 

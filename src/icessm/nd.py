@@ -8,7 +8,9 @@ input that requires a gradient gets its entry summed over the axes it was
 broadcast along and accumulated into ``.grad``, additively across fan-out.
 ``Tape.backward`` replays the rules in exact reverse execution order and
 drops each rule, with the arrays it holds and its output's gradient, once it
-has run.
+has run. A gradient is a read-only value handed over by reference: an input
+keeps the first one it receives and sums a later one out of place, so no code
+writes into a ``.grad`` array or into a gradient that a rule receives.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class Tape:
 
 
 class Tensor:
-    """A dense float32 array with an optional gradient buffer."""
+    """A dense float32 array with an optional, read-only gradient."""
 
     __slots__ = ("data", "grad", "requires_grad")
 
@@ -115,11 +117,7 @@ class Tensor:
         self.grad = None
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # a copy: rules hand the same array to several inputs
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float32)
-        else:
-            self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -135,8 +133,6 @@ def param(data) -> Tensor:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over axes that were broadcast in the forward op."""
-    if g.shape == shape:
-        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -275,17 +271,14 @@ def _np_leaky_slope(y: np.ndarray) -> np.ndarray:
 
 
 def mean(a: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
+    out_data = a.data.mean(axis=axis, dtype=np.float32)
+    count = a.data.size // max(out_data.size, 1)   # the values behind each mean
 
     def bw(g):
         gg = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape) / count,)
+        return (np.broadcast_to(gg / count, a.data.shape),)
 
-    return _make(a.data.mean(axis=axis, dtype=np.float32), (a,), bw)
+    return _make(out_data, (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -19,15 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KINDS = ("raster", "zorder", "peano", "hilbert_spatial_first", "hilbert_temporal_first")
-
-# axis priority handed to the generalized-Hilbert generator, per kind
-_HILBERT_PRIORITY = {
-    "hilbert_temporal_first": (0, 1, 2),  # T major, then H, then W
-    "hilbert_spatial_first": (1, 2, 0),   # H major, then W, then T
-}
-
-
 # Most cells one order may enumerate: T*H*W, Peano's enclosing power-of-three
 # cube or Z-order's enclosing power-of-two box. No enumeration, route table or
 # locality score peaks above about 105 bytes a cell, so work within the budget
@@ -245,17 +236,22 @@ def peano(dims) -> np.ndarray:
     return _frozen((coords[0] * h * w + coords[1] * w + coords[2])[keep])
 
 
+# scan kind -> the generator of its order over dims (T, H, W)
+ORDERS = {
+    "raster": raster,
+    "zorder": zorder,
+    "peano": peano,
+    "hilbert_spatial_first": lambda dims: gilbert3d(dims, (1, 2, 0)),   # H major, then W, then T
+    "hilbert_temporal_first": lambda dims: gilbert3d(dims, (0, 1, 2)),  # T major, then H, then W
+}
+KINDS = tuple(ORDERS)
+
+
 def make_order(kind: str, dims) -> np.ndarray:
     """Build a scan order by kind name."""
-    if kind == "raster":
-        return raster(dims)
-    if kind == "zorder":
-        return zorder(dims)
-    if kind == "peano":
-        return peano(dims)
-    if kind in _HILBERT_PRIORITY:
-        return gilbert3d(dims, _HILBERT_PRIORITY[kind])
-    raise ValueError(f"unknown scan kind {kind!r}")
+    if kind not in ORDERS:
+        raise ValueError(f"unknown scan kind {kind!r}")
+    return ORDERS[kind](dims)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 The training-based criteria (8, 9, 10) run real optimization loops and
-dominate the runtime (several minutes on one CPU core).
+dominate the runtime; criterion 9's six trainings run side by side, one per
+spawned worker process, up to the number of CPUs.
 """
 
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -324,44 +328,56 @@ def test_criterion_08_overfit_and_determinism():
              f"bit-identical reruns={identical}, {elapsed:.0f}s")
 
 
-@pytest.fixture(scope="module")
-def ablation():
-    """Six training runs: hilbert-t/2-routes vs raster/1-route, 3 seeds each.
-
-    Pure-advection synthetic data (no seasonal cycle) and a fixed epoch
-    budget so both configurations get identical optimization; only the scan
-    configuration differs.
-    """
-    t0 = time.monotonic()
+def _ablation_data():
+    """Pure-advection synthetic data (no seasonal cycle): the grid, and its
+    train, validation and test windows."""
     grid = data.synth_generate(seed=42, t=120, h=16, w=16, n_blobs=4,
                                drift=0.7, season_period=1e9)
     wins = data.windows(grid, 14, 14)
-    train_set, val_set, test_set = wins[:60], wins[60:72], wins[72:]
-    ocean = ~grid.land_mask
+    return grid, wins[:60], wins[60:72], wins[72:]
 
+
+def _ablation_run(kind, routes, seed):
+    """One training of the ablation, in a worker process: its config, its
+    mean test MAE and its trained parameters."""
+    grid, train_set, val_set, test_set = _ablation_data()
+    cfg = model.ModelConfig(hidden=16, n_fssm=2, n_routes=routes, scan_kind=kind)
+    res = model.train(train_set, val_set, cfg, seed=seed, max_epochs=30,
+                      patience=10 ** 9, batch_size=4, lr=1e-3)
+    per_window = [metrics.mae(model.forward(Tensor(s.input), res.params, cfg).mean,
+                              s.target, ~grid.land_mask) for s in test_set]
+    return cfg, float(np.mean(per_window)), res.params
+
+
+@pytest.fixture(scope="module")
+def ablation():
+    """Six training runs: hilbert-t/2-routes vs raster/1-route, 3 seeds each,
+    side by side on up to six spawned worker processes.
+
+    A fixed epoch budget gives both configurations identical optimization;
+    only the scan configuration differs. Each worker's BLAS runs one thread,
+    so the workers do not contend for cores.
+    """
+    t0 = time.monotonic()
+    jobs = [(kind, routes, seed) for kind, routes in (("hilbert_temporal_first", 2), ("raster", 1))
+            for seed in (0, 1, 2)]
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("OPENBLAS_NUM_THREADS", "1")   # read as each worker imports numpy
+        with ProcessPoolExecutor(min(len(jobs), os.cpu_count()),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            runs = list(pool.map(_ablation_run, *zip(*jobs)))
     results = {}
-    keep = {}
-    for kind, routes in (("hilbert_temporal_first", 2), ("raster", 1)):
-        cfg = model.ModelConfig(hidden=16, n_fssm=2, n_routes=routes,
-                                scan_kind=kind)
-        maes = []
-        for seed in (0, 1, 2):
-            res = model.train(train_set, val_set, cfg, seed=seed, max_epochs=30,
-                              patience=10 ** 9, batch_size=4, lr=1e-3)
-            per_window = [metrics.mae(
-                model.forward(Tensor(s.input), res.params, cfg).mean,
-                s.target, ocean) for s in test_set]
-            maes.append(float(np.mean(per_window)))
-            if kind == "hilbert_temporal_first" and seed == 0:
-                keep = {"params": res.params, "config": cfg}
-        results[kind] = maes
+    for (kind, _, _), (_, mae, _) in zip(jobs, runs):
+        results.setdefault(kind, []).append(mae)
+    grid = _ablation_data()[0]
+    config, _, params = runs[0]                   # hilbert, seed 0
     return {
         "grid": grid,
-        "ocean": ocean,
-        "test_set": test_set,
+        "ocean": ~grid.land_mask,
         "results": results,
         "elapsed": time.monotonic() - t0,
-        **keep,
+        "params": params,
+        "config": config,
     }
 
 

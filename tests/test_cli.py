@@ -408,6 +408,23 @@ class TestPipeline:
         assert run("predict", "--model", str(bad), "--data", str(grid_path),
                    "--out", str(tmp_path / "o")) == 3
 
+    @pytest.mark.parametrize("key, number", [("in_len", "4.0"), ("hidden", "8.0"),
+                                             ("n_fssm", "1e400")])
+    def test_config_number_of_the_wrong_type_is_data_error(self, trained, tmp_path, capsys,
+                                                           key, number):
+        # (8, 3) == (8.0, 3), so the checkpoint check alone lets a float
+        # through; JSON reads 1e400 as inf
+        _, grid_path, model_dir = trained
+        bad = tmp_path / "model"
+        bad.mkdir()
+        (bad / "model.ckpt").write_bytes((model_dir / "model.ckpt").read_bytes())
+        config = json.loads((model_dir / "config.json").read_text())
+        (bad / "config.json").write_text(json.dumps({**config, key: "?"}).replace('"?"', number))
+        assert run("predict", "--model", str(bad), "--data", str(grid_path),
+                   "--out", str(tmp_path / "o")) == 3
+        assert f"{key} must be an int" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("damage", ["truncated", "trailing-bytes", "other-config"])
     def test_corrupt_checkpoint_is_data_error(self, trained, tmp_path, damage):
         _, grid_path, model_dir = trained

@@ -71,6 +71,7 @@ class TestConfig:
         dict(n_fssm=0), dict(n_routes=3), dict(lambda_grad=-0.1),
         dict(in_len=0), dict(head="median"), dict(scan_kind="spiral"),
         dict(fusion="mlp"), dict(hidden=7),
+        dict(hidden=8.0), dict(n_routes=True), dict(out_len=float("inf")),
     ])
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):

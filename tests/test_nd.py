@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from icessm import nd
+from icessm import data, model, nd
 from icessm.nd import Tape, Tensor
 
 from oracles import (full_history_ssm_recurrence, naive_conv2d, naive_conv_transpose2d,
@@ -619,13 +619,14 @@ class TestTape:
             tape.backward(y)
         np.testing.assert_array_equal(x.grad, (a + b) / 4)
 
-    def test_first_gradient_is_copied(self):
-        # add hands one gradient array to both inputs; they must not share it
+    def test_shared_first_gradient_is_never_written(self):
+        # add(a, b) hands one gradient array to both inputs, then mul(a, 2)
+        # hands a another: the sum is a new array, so b's gradient stays 0.25
         a = Tensor(np.ones(4), requires_grad=True)
         b = Tensor(np.ones(4), requires_grad=True)
         with Tape() as tape:
-            y = nd.add(a, b)
-            tape.backward(nd.mean(nd.add(y, nd.mul(a, 2.0))))
+            y = nd.mul(a, 2.0)
+            tape.backward(nd.mean(nd.add(y, nd.add(a, b))))
         assert not np.shares_memory(a.grad, b.grad)
         np.testing.assert_array_equal(a.grad, 0.75)
         np.testing.assert_array_equal(b.grad, 0.25)
@@ -815,6 +816,40 @@ class TestGradientHandOff:
             for i, x in enumerate(xs):
                 if i != const:
                     np.testing.assert_array_equal(x.grad, full[i])
+
+    @pytest.mark.parametrize("size, overrides", [
+        (16, {}),
+        (16, {"head": "gaussian", "fusion": "sum", "n_routes": 1}),
+        (16, {"fusion": "cagate", "n_routes": 4}),
+        (16, {"out_len": 7}),
+        (16, {"lambda_grad": 0.0}),
+        (20, {}),                     # an odd latent side: freq_branch pads
+    ])
+    def test_no_rule_writes_into_a_gradient(self, monkeypatch, size, overrides):
+        # gradients are handed over by reference, so every rule of a training
+        # step must run on a read-only view of its output's gradient
+        make, accum = nd._make, Tensor._accum
+        delivered = []
+
+        def read_only(g):
+            if isinstance(g, np.ndarray):  # a product of two 0-d arrays is a numpy scalar
+                g = g.view()
+                g.flags.writeable = False
+            return g
+
+        def accum_checked(t, g):
+            delivered.append((np.shape(g) == t.data.shape, g.dtype == np.float32))
+            accum(t, g)
+
+        monkeypatch.setattr(nd, "_make", lambda out_data, inputs, backward: make(
+            out_data, inputs, lambda g: backward(read_only(g))))
+        monkeypatch.setattr(Tensor, "_accum", accum_checked)
+        config = model.ModelConfig(hidden=8, n_fssm=2, **overrides)
+        wins = data.windows(data.synth_generate(0, 30, size, size), 14, config.out_len)
+        res = model.train(wins[:2], wins[-1:], config, max_epochs=1, max_steps=1)
+        assert all(p.grad is not None for p in res.params.values())
+        assert len(delivered) > len(res.params)
+        assert all(shape and dtype for shape, dtype in delivered)
 
 
 class TestCheckpoint:
