@@ -87,12 +87,13 @@ def st_idw_fill(g: Grid3) -> Grid3:
     d^2 = dh^2 + dw^2 + (IDW_TIME_SCALE*dt)^2; one day equals IDW_TIME_SCALE
     pixels. Valid pixels are left untouched. The grid is padded with NaN
     once, and the missing pixels' neighborhoods are gathered from it about
-    IDW_CHUNK values at a time; a missing pixel with no valid neighbor
-    raises, the first in C order.
+    IDW_CHUNK values at a time; with its holes zeroed, a chunk's weighted sum
+    and weight sum are two float64 products with the kernel. A missing pixel
+    with no valid neighbor raises, the first in C order.
     """
     src = g.frames
     out = src.copy()
-    missing = np.argwhere(np.isnan(src))
+    missing = np.flatnonzero(np.isnan(src))  # C order
     # an offset past the grid's extent only ever reaches padding
     radii = [min(r, max(n - 1, 0)) for r, n in
              zip((IDW_TEMPORAL_RADIUS, IDW_SPATIAL_RADIUS, IDW_SPATIAL_RADIUS), g.shape)]
@@ -103,17 +104,16 @@ def st_idw_fill(g: Grid3) -> Grid3:
     hoods = sliding_window_view(padded, d2.shape)  # hoods[t, h, w]: pixel's neighborhood
     step = max(1, IDW_CHUNK // kernel.size)
     for c0 in range(0, len(missing), step):
-        ti, hi, wi = missing[c0:c0 + step].T
-        window = hoods[ti, hi, wi].reshape(len(ti), -1)
-        valid = ~np.isnan(window)
-        found = valid.any(axis=1)
-        if not found.all():
-            bt, bh, bw = missing[c0 + int(np.argmin(found))]
+        ti, hi, wi = np.unravel_index(missing[c0:c0 + step], src.shape)
+        window = hoods[ti, hi, wi].reshape(len(ti), -1)  # a gathered copy
+        hole = np.isnan(window)
+        window[hole] = 0.0
+        wsum = ~hole @ kernel  # every kernel weight is positive
+        if not wsum.all():
+            bt, bh, bw = (int(i[np.argmin(wsum)]) for i in (ti, hi, wi))
             raise ValueError(f"missing pixel (t={bt}, h={bh}, w={bw}) has no "
                              f"valid neighbor within the radius")
-        wgt = kernel * valid
-        num = (wgt * np.nan_to_num(window, copy=False)).sum(axis=1)
-        out[ti, hi, wi] = num / wgt.sum(axis=1)
+        out[ti, hi, wi] = (window @ kernel) / wsum
     return Grid3(out, g.dates.copy(), g.land_mask.copy())
 
 

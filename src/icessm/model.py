@@ -48,8 +48,10 @@ class ModelConfig:
             raise ValueError("n_fssm must be >= 1")
         if self.n_routes not in (1, 2, 4):
             raise ValueError("n_routes must be 1, 2 or 4")
-        if not (math.isfinite(self.lambda_grad) and self.lambda_grad >= 0):
-            raise ValueError(f"lambda_grad must be finite and >= 0, got {self.lambda_grad}")
+        if isinstance(self.lambda_grad, bool) or not (  # True >= 0 would pass
+                math.isfinite(self.lambda_grad) and self.lambda_grad >= 0):
+            raise ValueError(f"lambda_grad must be a finite number >= 0, "
+                             f"got {self.lambda_grad!r}")
         if self.in_len < 1 or self.out_len < 1:
             raise ValueError("window lengths must be >= 1")
         if self.hidden < 2 or self.hidden % 2:

@@ -1,5 +1,5 @@
-"""The summary of tools/bench_pairs.py on a fixed list of runs, and the
-assignment of pairs to exported copies."""
+"""The summary and verdicts of tools/bench_pairs.py on fixed lists of runs,
+and the assignment of pairs to exported copies."""
 
 import importlib.util
 from pathlib import Path
@@ -11,7 +11,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-BETTER = {"throughput": "higher", "latency_ms_p50": "lower"}
+END_TO_END = [{"name": "throughput", "better": "higher", "bound": 0.25},
+              {"name": "latency_ms_p50", "better": "lower", "bound": 0.25}]
 
 
 def run(pair, side, throughput, latency, workload="train-s16", failed=0):
@@ -30,14 +31,14 @@ RUNS = [
 
 
 def test_wins_count_ties_for_neither_side():
-    s = bench_pairs.summarize(RUNS, BETTER)["train-s16"]
+    s = bench_pairs.summarize(RUNS, END_TO_END)["train-s16"]
     assert (s["throughput"]["change_wins"], s["throughput"]["parent_wins"]) == (3, 0)
     assert (s["latency_ms_p50"]["change_wins"], s["latency_ms_p50"]["parent_wins"]) == (2, 1)
     assert s["throughput"]["pairs"] == 4
 
 
 def test_medians_and_inclusive_quartiles():
-    s = bench_pairs.summarize(RUNS, BETTER)["train-s16"]
+    s = bench_pairs.summarize(RUNS, END_TO_END)["train-s16"]
     # parent throughput 10, 12, 11, 13 (pair 4 has no partner)
     assert s["throughput"]["parent"] == pytest.approx({"median": 11.5, "q1": 10.75,
                                                        "q3": 12.25})
@@ -46,7 +47,7 @@ def test_medians_and_inclusive_quartiles():
 
 
 def test_operations_and_workloads_are_separate():
-    summary = bench_pairs.summarize(RUNS, BETTER)
+    summary = bench_pairs.summarize(RUNS, END_TO_END)
     assert list(summary) == ["train-s16", "preprocess"]
     assert summary["train-s16"]["operations"] == {"parent": {"attempted": 40, "failed": 0},
                                                   "change": {"attempted": 40, "failed": 1}}
@@ -58,3 +59,48 @@ def test_operations_and_workloads_are_separate():
 def test_pairs_take_turns_over_the_copies():
     assert bench_pairs.COPIES == 2
     assert [bench_pairs.tree_copy(pair) for pair in range(10)] == [0, 1] * 5
+
+
+def verdict_of(parent, change):
+    """The throughput verdict of pairs (parent[i], change[i]); latency is fixed."""
+    runs = [run(i, side, value, 100.0) for i, pair in enumerate(zip(parent, change))
+            for side, value in zip(("parent", "change"), pair)]
+    return bench_pairs.summarize(runs, END_TO_END)["train-s16"]["throughput"]["verdict"]
+
+
+PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 101.0, 99.0]
+
+
+@pytest.mark.parametrize("parent, change, expect", [
+    # 10/10 wins, median 120 against 100 and an interquartile range of 2
+    (PARENT, [v + 20.0 for v in PARENT], "gain"),
+    # 9/10 wins is still a gain
+    (PARENT, [v + 20.0 for v in PARENT[:9]] + [90.0], "gain"),
+    # 8/10 wins is not, however far apart the medians
+    (PARENT, [v + 20.0 for v in PARENT[:8]] + [90.0, 90.0], "within bound"),
+    # 10/10 wins, but the medians 1 apart against an interquartile range of 2
+    (PARENT, [v + 1.0 for v in PARENT], "within bound"),
+    # the median 30% below the parent's, over the 25% bound
+    (PARENT, [v - 30.0 for v in PARENT], "worse"),
+    # 20% below: inside the bound
+    (PARENT, [v - 20.0 for v in PARENT], "within bound"),
+    # the parent's own runs have an interquartile range of 120 around a
+    # median of 100, wider than the bound
+    ([40.0, 160.0] * 5, [45.0, 150.0] * 5, "unresolved"),
+    # as wide, but every run of the change beats every run of the parent:
+    # all 10 pairs won, the medians 30.5 apart against a range of 60
+    ([40.0] * 5 + [100.0] * 5, [100.5] * 10, "within bound"),
+], ids=["gain", "gain-9-of-10", "8-of-10", "inside-iqr", "worse", "inside-bound",
+        "unresolved", "wide-but-apart"])
+def test_verdicts(parent, change, expect):
+    assert verdict_of(parent, change) == expect
+
+
+def test_verdict_follows_the_metric_direction():
+    # lower latency is better: the same numbers are a gain for latency
+    runs = [run(i, side, 10.0, value) for i, pair in
+            enumerate(zip(PARENT, [v - 20.0 for v in PARENT]))
+            for side, value in zip(("parent", "change"), pair)]
+    rows = bench_pairs.summarize(runs, END_TO_END)["train-s16"]
+    assert rows["latency_ms_p50"]["verdict"] == "gain"
+    assert rows["throughput"]["verdict"] == "within bound"

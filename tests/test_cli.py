@@ -395,9 +395,10 @@ class TestPipeline:
         assert code == 4
 
     @pytest.mark.parametrize("text", ['{"in_len": 4, "colour": "red"}', '{"in_len": 4,',
-                                      '[4]', '{"hidden": 0}', '{"lambda_grad": NaN}'],
+                                      '[4]', '{"hidden": 0}', '{"lambda_grad": NaN}',
+                                      '{"lambda_grad": true}'],
                              ids=["unknown-key", "invalid-json", "not-an-object",
-                                  "hidden-zero", "lambda-nan"])
+                                  "hidden-zero", "lambda-nan", "lambda-bool"])
     def test_bad_config_is_data_error(self, trained, tmp_path, text):
         # a config.json that does not describe a ModelConfig is a data error
         _, grid_path, model_dir = trained

@@ -166,7 +166,11 @@ class TestStIdw:
         frames[r.random(frames.shape) < 0.3] = np.nan
         g = grid_of(frames)
         gathered_at_once = int(np.isnan(frames).sum()) * 5 * 7 * 7 * 8
-        bound = 8 * frames.nbytes + 32 * data.IDW_CHUNK
+        # whole-grid arrays (output, padded copy, hole index) stay under four
+        # frames' worth; per chunk, the float32 gather, its two hole masks and
+        # one float64 operand take 14 bytes a value (peak 5.4 MiB of 6.5 here;
+        # two float64 [n, 245] temporaries per chunk peaked at 8.0 MiB)
+        bound = 4 * frames.nbytes + 16 * data.IDW_CHUNK
         assert bound < gathered_at_once / 4
         tracemalloc.start()
         try:
@@ -175,6 +179,18 @@ class TestStIdw:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    def test_output_pinned_over_many_chunks(self):
+        # 12 chunks of IDW_CHUNK // 245 holes; the hash was computed with
+        # st_idw_fill as of commit dd72453, before a chunk's sums became
+        # kernel products, so the products must match it bit for bit
+        r = np.random.default_rng(22)
+        frames = r.uniform(size=(60, 64, 64)).astype(np.float32)
+        frames[r.random(frames.shape) < 0.05] = np.nan
+        assert np.isnan(frames).sum() > 11 * (data.IDW_CHUNK // 245)
+        out = data.st_idw_fill(grid_of(frames)).frames
+        assert hashlib.sha256(out.tobytes()).hexdigest() == \
+            "0037f56c87b4468b926aa78fc95c6aa1ede677f333a354172df78d5888be279b"
 
 
 class TestPreprocess:

@@ -72,6 +72,7 @@ class TestConfig:
         dict(in_len=0), dict(head="median"), dict(scan_kind="spiral"),
         dict(fusion="mlp"), dict(hidden=7),
         dict(hidden=8.0), dict(n_routes=True), dict(out_len=float("inf")),
+        dict(lambda_grad=True),
     ])
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):

@@ -14,9 +14,9 @@ layout of one directory: byte-identical trees in two directories have read
 workload, on copy 0 at seed ``TRACE_SEED``, for the per-layer rows.
 
 The output holds every run with the copy it ran, and per workload and
-end-to-end metric each side's median and quartiles and the number of pairs
+end-to-end metric each side's median and quartiles, the number of pairs
 the change won (better in the direction ``BENCHMARK.json`` gives; a tie
-counts for neither side). It is
+counts for neither side) and a ``verdict`` (see ``verdict``). It is
 rewritten after every pair, so an interrupted run leaves what it measured.
 """
 
@@ -51,12 +51,38 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], change_wins: int, better: str,
+            bound: float) -> str:
+    """What one metric's pairs show, first rule that holds:
+
+    - "gain": the change won at least 9 of 10 pairs, and its median is better
+      than the parent's by more than the parent's interquartile range;
+    - "worse": its median is worse than the parent's by more than ``bound``,
+      a fraction of the parent's median;
+    - "unresolved": the parent's interquartile range is wider than ``bound``,
+      unless every run of the change beats every run of the parent;
+    - "within bound": otherwise.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    p1, p_med, p3 = quartiles(parent)
+    ahead = sign * (quartiles(change)[1] - p_med)
+    if 10 * change_wins >= 9 * len(parent) and ahead > p3 - p1:
+        return "gain"
+    if -ahead > bound * abs(p_med):
+        return "worse"
+    apart = min(sign * v for v in change) > max(sign * v for v in parent)
+    if p3 - p1 > bound * abs(p_med) and not apart:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: each side's operations attempted and failed, and per
-    metric each side's median and quartiles and the pairs each side won.
-    ``runs`` are untraced run records (``pair``, ``side``, ``workload``,
-    ``attempted``, ``failed``, ``metrics``: name -> value); ``better`` maps each
-    end-to-end metric to "higher" or "lower". Unmatched runs are left out."""
+    metric each side's median and quartiles, the pairs each side won and the
+    verdict. ``runs`` are untraced run records (``pair``, ``side``,
+    ``workload``, ``attempted``, ``failed``, ``metrics``: name -> value);
+    ``end_to_end`` are ``BENCHMARK.json``'s metrics (``name``, ``better``:
+    "higher" or "lower", ``bound``). Unmatched runs are left out."""
     by_key: dict[tuple, dict] = {}
     for run in runs:
         by_key.setdefault((run["workload"], run["pair"]), {})[run["side"]] = run
@@ -66,7 +92,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                  and all(side in p for side in SIDES)]
         rows = {"operations": {side: {key: sum(p[side][key] for p in pairs)
                                       for key in ("attempted", "failed")} for side in SIDES}}
-        for metric, direction in better.items():
+        for spec in end_to_end:
+            metric, direction = spec["name"], spec["better"]
             vals = {side: [p[side]["metrics"][metric] for p in pairs] for side in SIDES}
             sign = 1.0 if direction == "higher" else -1.0
             diffs = [sign * (c - p) for p, c in zip(vals["parent"], vals["change"])]
@@ -76,6 +103,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             for side in SIDES:
                 q1, med, q3 = quartiles(vals[side])
                 row[side] = {"median": med, "q1": q1, "q3": q3}
+            row["verdict"] = verdict(vals["parent"], vals["change"], row["change_wins"],
+                                     direction, spec["bound"])
             rows[metric] = row
         out[workload] = rows
     return out
@@ -119,7 +148,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--seed", type=int, default=5, help="seed of the untraced pairs")
     args = p.parse_args(argv)
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = bench["end_to_end"]
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -146,8 +175,9 @@ def main(argv=None) -> int:
                     doc["runs"].append({"pair": pair, "side": side, "workload": workload,
                                         "trace": 0, "copy": copy, **run})
                     print(f"pair {pair} copy {copy} {workload} {side}: " + ", ".join(
-                        f"{m}={run['metrics'][m]:.4g}" for m in better), flush=True)
-            doc["summary"] = summarize([r for r in doc["runs"] if r["trace"] == 0], better)
+                        f"{m['name']}={run['metrics'][m['name']]:.4g}" for m in end_to_end),
+                        flush=True)
+            doc["summary"] = summarize([r for r in doc["runs"] if r["trace"] == 0], end_to_end)
             save()
         for workload in workloads:
             rows = {}
