@@ -485,7 +485,7 @@ def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor,
 
 
 def _tap_group(span: int) -> int:
-    """Rows per block of _np_taps: 512 KiB row blocks stay in L2."""
+    """Rows of ``span`` values per block of _np_taps and the norms' variance: 512 KiB stay in L2."""
     return max(1, (1 << 19) // (4 * span))
 
 
@@ -509,28 +509,27 @@ def depthwise_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     The padded frames of one channel form one row of N*Hp*Wp pixels. Output pixel
     (n, r, q) sits at (n*Hp + r)*Wp + q, tap (i, j) reads i*Wp + j further on. The
-    tape keeps x, not these rows: the backward pads x again."""
+    forward pads a block of rows at a time, the backward all of x again: the tape keeps x."""
     c, kh, kw = kernels.data.shape
     *_, ci, h, w = x.data.shape
     if ci != c:
         raise ValueError(f"depthwise channels: input {ci} != kernel {c}")
     pads = (kh // 2, kh // 2, kw // 2, kw // 2)
 
-    def padded():
-        return _np_pad2d(x.data.reshape(-1, c, h, w).transpose(1, 0, 2, 3), pads, "replicate")
+    def padded(b=np.s_[:]):  # the channels b of every frame, channel-major
+        return _np_pad2d(x.data.reshape(-1, c, h, w)[:, b].swapaxes(0, 1), pads, "replicate")
 
-    xp = padded()
-    shape = _, n, hp, wp = xp.shape
-    size = n * hp * wp
-    xf = xp.reshape(c, size)
+    n, hp, wp = x.data.size // (c * h * w), h + 2 * pads[0], w + 2 * pads[2]
+    shape, size = (c, n, hp, wp), n * hp * wp
     offs = [i * wp + j for i, j in np.ndindex(kh, kw)]
     reach = offs[-1]                        # flat distance from tap (0, 0) to the last tap
     span = size - reach                     # flat positions up to the last output pixel
     kf = kernels.data.reshape(c, -1)        # tap t reads at offset offs[t]
     group, out_data = _tap_group(span), np.empty((n, c, h, w), dtype=np.float32)
-    for lo in range(0, c, group):  # one block of rows at a time, cropped into out_data
+    for lo in range(0, c, group):  # pad, convolve and crop one block of rows at a time
         b = np.s_[lo:lo + group]
-        rows = _np_taps(xf[b], kf[b], offs, span, np.empty_like(xf[b]))
+        xf = padded(b).reshape(-1, size)
+        rows = _np_taps(xf, kf[b], offs, span, np.empty_like(xf))
         np.add(rows.reshape(-1, n, hp, wp)[..., :h, :w].transpose(1, 0, 2, 3),
                bias.data[b, None, None], out=out_data[:, b])
     out_data = _np_leaky(out_data).reshape(x.data.shape)
@@ -613,14 +612,22 @@ NORM_EPS = 1e-5
 def _norm_affine(x: Tensor, stats_shape, axis: int, gamma: Tensor, beta: Tensor,
                  view, leaky: bool) -> Tensor:
     """Normalise x over ``axis`` of its ``stats_shape`` view, scale by gamma and shift
-    by beta (both reshaped to ``view``), then, if ``leaky``, the leaky ReLU. One taped op."""
+    by beta (both reshaped to ``view``), then, if ``leaky``, the leaky ReLU. One taped op,
+    computed in place in the centred copy of x; the tape keeps the mean and the standard
+    deviation, and the backward rebuilds x-hat from x."""
     xs = x.data.reshape(stats_shape)
-    xc = xs - xs.mean(axis=axis, keepdims=True, dtype=np.float32)
-    std = np.sqrt((xc * xc).mean(axis=axis, keepdims=True, dtype=np.float32) + NORM_EPS)
-    xhat = np.divide(xc, std, out=xc).reshape(x.data.shape)
+    mu = xs.mean(axis=axis, keepdims=True, dtype=np.float32)
+    xc, var = xs - mu, np.empty_like(mu)
+    # the variance a block of axis-0 rows at a time; a reduced axis 0 is one block
+    group = _tap_group(xc[:1].size or 1) if axis else len(xc) or 1
+    for lo in range(0, len(xc), group):
+        part = xc[lo:lo + group]
+        np.mean(part * part, axis=axis, keepdims=True, dtype=np.float32, out=var[lo:lo + group])
+    std = np.sqrt(var + NORM_EPS)
+    out_data = np.divide(xc, std, out=xc).reshape(x.data.shape)     # x-hat, then the output
     gv = gamma.data.reshape(view)
     shared = tuple(i for i, size in enumerate(view) if size == 1)   # axes gamma broadcasts over
-    out_data = xhat * gv
+    out_data *= gv
     out_data += beta.data.reshape(view)
     if leaky:
         _np_leaky(out_data)
@@ -628,12 +635,13 @@ def _norm_affine(x: Tensor, stats_shape, axis: int, gamma: Tensor, beta: Tensor,
     def bw(g):
         if leaky:
             g = g * _np_leaky_slope(out_data)
+        xh = xs - mu                        # x-hat again, by the forward's own operations
+        xh /= std
         gx = (g * gv).reshape(stats_shape)
-        xh = xhat.reshape(stats_shape)
         dx = (gx - gx.mean(axis=axis, keepdims=True)
               - xh * (gx * xh).mean(axis=axis, keepdims=True)) / std
         return (dx.reshape(x.data.shape),
-                (g * xhat).sum(axis=shared).reshape(gamma.data.shape),
+                (g * xh.reshape(x.data.shape)).sum(axis=shared).reshape(gamma.data.shape),
                 g.sum(axis=shared).reshape(beta.data.shape))
 
     return _make(out_data, (x, gamma, beta), bw)

@@ -1,7 +1,9 @@
 """The summary and verdicts of tools/bench_pairs.py on fixed lists of runs,
-and the assignment of pairs to exported copies."""
+the assignment of pairs to exported copies, and the order and medians of the
+traced runs with a stubbed perfbench."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,6 +61,41 @@ def test_operations_and_workloads_are_separate():
 def test_pairs_take_turns_over_the_copies():
     assert bench_pairs.COPIES == 2
     assert [bench_pairs.tree_copy(pair) for pair in range(10)] == [0, 1] * 5
+
+
+def test_traced_runs_alternate_and_report_medians(tmp_path, monkeypatch):
+    # the stub's every metric is the number of runs before it, so a per-layer row
+    # shows which runs its median came from
+    calls = []
+
+    def perfbench(tree, workload, seed, seconds, trace):
+        calls.append((tree.name, workload, seed, trace))
+        metrics = dict.fromkeys(("throughput", "latency_ms_p50", "setup_s", "peak_rss_mb",
+                                 "nd.conv2d.self_ms"), float(len(calls) - 1))
+        return {"env": {}, "correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: ref)
+    monkeypatch.setattr(bench_pairs, "perfbench", perfbench)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["p", "c", "--pairs", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    workloads = [w["name"] for w in json.loads(
+        (_PATH.parent.parent / "BENCHMARK.json").read_text())["workloads"]]
+    untraced = 2 * 2 * len(workloads)
+    assert [c[3] for c in calls] == [0] * untraced + [1] * 6 * len(workloads)
+    for i, workload in enumerate(workloads):
+        first = untraced + 6 * i
+        assert calls[first:first + 6] == [
+            (f"{side}-0", workload, bench_pairs.TRACE_SEED, 1)
+            for side in ("parent", "change", "change", "parent", "parent", "change")]
+        traced = [r for r in doc["runs"] if r["trace"] == 1 and r["workload"] == workload]
+        assert [(r["pair"], r["side"]) for r in traced] == [
+            (0, "parent"), (0, "change"), (1, "change"), (1, "parent"), (2, "parent"),
+            (2, "change")]
+        # parent runs first + 0, 3, 4 and change runs first + 1, 2, 5
+        assert doc["per_layer"][workload]["nd.conv2d.self_ms"] == {
+            "parent": first + 3.0, "change": first + 2.0}
+    assert len(doc["runs"]) == untraced + 6 * len(workloads)
 
 
 def verdict_of(parent, change):

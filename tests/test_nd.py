@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -17,6 +18,10 @@ from oracles import (full_history_ssm_recurrence, naive_conv2d, naive_conv_trans
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def sha256_of(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
 class TestLinear:
@@ -256,6 +261,35 @@ class TestConv2d:
 
         assert nd.grad_check(f, [x, k, b], tolerance=1e-3).passed
 
+    def test_depthwise_at_64_pinned(self):
+        # sha256 of the output and the three gradients of a decoder-sized input, whose
+        # 16 channels span 8 blocks of 2; computed with the depthwise conv that padded
+        # every channel at once
+        r = rng(42)
+        x = Tensor(r.normal(size=(14, 16, 64, 64)), requires_grad=True)
+        k = Tensor(r.normal(size=(16, 3, 3)) * 0.5, requires_grad=True)
+        b = Tensor(r.normal(size=16), requires_grad=True)
+        with Tape() as tape:
+            y = nd.depthwise_conv2d(x, k, b)
+            tape.backward(nd.mean(nd.mul(y, Tensor(rng(43).normal(size=x.shape)))))
+        assert sha256_of(y.data, x.grad, k.grad, b.grad) == \
+            "68d77cc406a3786104825017af1f6aa03215820f61d39f02900eff1b2af03b7a"
+
+    def test_depthwise_pads_one_block_at_a_time(self):
+        # untaped at [14, 16, 64, 64]: the output (3.7 MB) and one block of 2 padded
+        # channels, its tap rows and its tap product (0.5 MB each); a whole padded
+        # copy of the input is another 3.9 MB
+        r = rng(44)
+        x = Tensor(r.normal(size=(14, 16, 64, 64)))
+        k, b = Tensor(r.normal(size=(16, 3, 3))), Tensor(r.normal(size=16))
+        tracemalloc.start()
+        try:
+            y = nd.depthwise_conv2d(x, k, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < y.data.nbytes + 4 * (1 << 19)
+
     def test_bad_geometry(self):
         x, b = Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(1))
         with pytest.raises(ValueError):
@@ -449,6 +483,51 @@ class TestNorms:
         np.testing.assert_array_equal(y1, y2)     # same float32 operations in the same order
         for a, e in zip(g1, g2):
             np.testing.assert_allclose(a, e, rtol=1e-4, atol=1e-6)
+
+    # sha256 of the output and the three gradients, computed with the norms that
+    # took the variance of the whole input at once and kept x-hat on the tape. The
+    # rows span several variance blocks: 3 of 1024 rows, 4 of 4 frames and 7 of 2
+    # frames; the 1-D input is longer than a block, and its reduced axis is never split
+    @pytest.mark.parametrize("norm, shape, pin", [
+        ("layernorm-last", (3000, 2, 64),
+         "fcee8103328247e4ad7a9bb5bbd74de921d6de4bf35f5d229dc705fb99847ef7"),
+        ("layernorm-channel-leaky", (14, 8, 64, 64),
+         "9342c4db9b43b2cb6567b24257430fd9c539ec4f8c4525c2cb8de99d4d3e7379"),
+        ("groupnorm", (14, 16, 64, 64),
+         "28f1d10555c7eb5022aec07d0c4659d1c32cecb0026be560ceb0e3ae02c0ea84"),
+        ("layernorm-1d", (300000,),
+         "115881965938ec9dff84ba553976893696e1080484198551c049f42918f76d61"),
+    ], ids=["layernorm-last", "layernorm-channel-leaky", "groupnorm", "layernorm-1d"])
+    def test_blocked_norms_pinned(self, norm, shape, pin):
+        r = rng(40)
+        x = Tensor(r.normal(size=shape) * 2 + 0.5, requires_grad=True)
+        c = shape[1] if norm in ("layernorm-channel-leaky", "groupnorm") else shape[-1]
+        g = Tensor(r.normal(size=c), requires_grad=True)
+        b = Tensor(r.normal(size=c), requires_grad=True)
+        with Tape() as tape:
+            if norm == "groupnorm":
+                y = nd.groupnorm(x, 4, g, b)
+            elif norm == "layernorm-channel-leaky":
+                y = nd.layernorm(x, g, b, axis=1, leaky=True)
+            else:
+                y = nd.layernorm(x, g, b)
+            tape.backward(nd.mean(nd.mul(y, Tensor(rng(41).normal(size=shape)))))
+        assert sha256_of(y.data, x.grad, g.grad, b.grad) == pin
+
+    def test_groupnorm_tape_keeps_no_normalised_input(self):
+        # after a taped forward at [14, 16, 64, 64] only the output (3.7 MB) and the
+        # per-group mean and std live on; x-hat beside the output was another 3.7 MB
+        r = rng(45)
+        x = Tensor(r.normal(size=(14, 16, 64, 64)), requires_grad=True)
+        g, b = Tensor(r.normal(size=16), requires_grad=True), Tensor(r.normal(size=16))
+        with Tape():
+            tracemalloc.start()
+            try:
+                y = nd.groupnorm(x, 4, g, b)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert held <= y.data.nbytes + (64 << 10)
 
 
 def taped_leaky_relu(a):

@@ -10,14 +10,17 @@ on each side at the benchmark's own run length; which side goes first
 alternates from pair to pair, so a slow drift of the machine favours neither,
 and so does which copy both sides run (``tree_copy``), so neither does the
 layout of one directory: byte-identical trees in two directories have read
-4-19% apart on forecast-s64. Then each side gets one ``--trace 1`` run per
-workload, on copy 0 at seed ``TRACE_SEED``, for the per-layer rows.
+4-19% apart on forecast-s64. Then, per workload, ``TRACED_RUNS`` pairs of
+``--trace 1`` runs follow on copy 0 at seed ``TRACE_SEED``, again alternating
+which side goes first; each per-layer row is a side's median over them, so one
+slow stretch of the machine does not read as a layer's difference.
 
-The output holds every run with the copy it ran, and per workload and
-end-to-end metric each side's median and quartiles, the number of pairs
-the change won (better in the direction ``BENCHMARK.json`` gives; a tie
-counts for neither side) and a ``verdict`` (see ``verdict``). It is
-rewritten after every pair, so an interrupted run leaves what it measured.
+The output holds every run, traced or not, with its pair and the copy it
+ran, and per workload and end-to-end metric each side's median and
+quartiles, the number of pairs the change won (better in the direction
+``BENCHMARK.json`` gives; a tie counts for neither side) and a ``verdict``
+(see ``verdict``). It is rewritten after every pair, so an interrupted run
+leaves what it measured.
 """
 
 from __future__ import annotations
@@ -36,11 +39,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACE_SEED = 1  # seed of the traced runs, fixed so per-layer rows compare across changes
 COPIES = 2      # exports of each side; the pairs take turns over them
+TRACED_RUNS = 3  # traced runs of each side per workload
 
 
 def tree_copy(pair: int) -> int:
     """The export of each side that pair ``pair`` runs."""
     return pair % COPIES
+
+
+def order(pair: int) -> tuple[str, str]:
+    """The sides of pair ``pair`` in the order they run: parent first in even pairs."""
+    return SIDES if pair % 2 == 0 else SIDES[::-1]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -110,6 +119,17 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def per_layer(runs: list[dict]) -> dict:
+    """Metric name -> side -> the median of that side's values over ``runs``
+    (run records with ``side`` and ``metrics``: name -> value)."""
+    values: dict[str, dict] = {}
+    for run in runs:
+        for name, value in run["metrics"].items():
+            values.setdefault(name, {}).setdefault(run["side"], []).append(value)
+    return {name: {side: statistics.median(vals) for side, vals in sides.items()}
+            for name, sides in values.items()}
+
+
 def export(ref: str, dest: Path) -> str:
     """Write the committed files of ``ref`` into ``dest``; return its commit id."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{ref}^{{commit}}"], cwd=ROOT,
@@ -166,10 +186,9 @@ def main(argv=None) -> int:
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
         for pair in range(args.pairs):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
             copy = tree_copy(pair)
             for workload in workloads:
-                for side in order:
+                for side in order(pair):
                     run = perfbench(trees[side, copy], workload, args.seed, seconds, 0)
                     doc.setdefault("environment", run.pop("env"))
                     doc["runs"].append({"pair": pair, "side": side, "workload": workload,
@@ -180,15 +199,15 @@ def main(argv=None) -> int:
             doc["summary"] = summarize([r for r in doc["runs"] if r["trace"] == 0], end_to_end)
             save()
         for workload in workloads:
-            rows = {}
-            for side in SIDES:
-                run = perfbench(trees[side, 0], workload, TRACE_SEED, seconds, 1)
-                run.pop("env")
-                doc["runs"].append({"pair": None, "side": side, "workload": workload,
-                                    "trace": 1, "copy": 0, **run})
-                for name, value in run["metrics"].items():
-                    rows.setdefault(name, {})[side] = value
-            doc["per_layer"][workload] = rows
+            traced = []
+            for pair in range(TRACED_RUNS):
+                for side in order(pair):
+                    run = perfbench(trees[side, 0], workload, TRACE_SEED, seconds, 1)
+                    run.pop("env")
+                    traced.append({"pair": pair, "side": side, "workload": workload,
+                                   "trace": 1, "copy": 0, **run})
+            doc["runs"] += traced
+            doc["per_layer"][workload] = per_layer(traced)
             save()
             print(f"traced {workload}", flush=True)
     return 0
