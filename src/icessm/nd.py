@@ -5,10 +5,14 @@ tape is active and an input requires gradients, records a backward rule on
 the tape through ``_make``. An op's backward maps its output's gradient to
 one gradient per input, in input order; ``_make`` alone hands them over: an
 input that requires a gradient gets its entry summed over the axes it was
-broadcast along and accumulated into ``.grad``, additively across fan-out.
+broadcast along and accumulated in its holder, additively across fan-out. A
+leaf is its own holder (its ``.grad``); a taped op's output gets one that owns
+no array. A record keeps the output's holder, each receiving input's holder and
+shape, and the backward, which closes over only the arrays it reads, so an
+array that no backward reads is freed once its caller drops it.
 ``Tape.backward`` replays the rules in exact reverse execution order and
 drops each rule, with the arrays it holds and its output's gradient, once it
-has run. A gradient is a read-only value handed over by reference: an input
+has run. A gradient is a read-only value handed over by reference: a holder
 keeps the first one it receives and sums a later one out of place, so no code
 writes into a ``.grad`` array or into a gradient that a rule receives.
 """
@@ -88,22 +92,36 @@ class Tape:
         if self._replayed:
             raise RuntimeError("a tape replays once")
         self._replayed = True
-        loss._accum(np.ones_like(loss.data))
+        (loss._holder or loss)._accum(np.ones_like(loss.data))
         records = self._records
         while records:
             records.pop()()
 
 
-class Tensor:
-    """A dense float32 array with an optional, read-only gradient."""
+class _Holder:
+    """Where a gradient accumulates: the one place, for leaves and op outputs."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+    def _accum(self, g: np.ndarray) -> None:
+        self.grad = g if self.grad is None else self.grad + g
+
+
+class Tensor(_Holder):
+    """A dense float32 array with an optional, read-only gradient; a taped
+    op's output keeps it in ``_holder``, any other tensor is its own holder."""
+
+    __slots__ = ("data", "requires_grad", "_holder")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float32)
         self.data = arr
-        self.grad: np.ndarray | None = None
+        self.grad = None
         self.requires_grad = bool(requires_grad)
+        self._holder: _Holder | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -115,9 +133,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def _accum(self, g: np.ndarray) -> None:
-        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -153,18 +168,20 @@ def _make(out_data, inputs, backward) -> Tensor:
     ``backward(g)`` returns one gradient per input, in input order: an array
     of the input's shape or of the shape the forward broadcast it to. The
     recorded rule delivers each one whose input requires a gradient: summed
-    over the broadcast axes, then accumulated."""
+    over the broadcast axes, then accumulated in its holder."""
     track = _tracking(inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
+        node = out._holder = _Holder()
+        sinks = [(t._holder or t, t.data.shape) if t.requires_grad else None for t in inputs]
 
         def run():
             # outputs that never received a gradient are off the loss path
-            g, out.grad = out.grad, None
+            g, node.grad = node.grad, None
             if g is not None:
-                for t, grad in zip(inputs, backward(g), strict=True):
-                    if t.requires_grad:
-                        t._accum(_unbroadcast(grad, t.data.shape))
+                for sink, grad in zip(sinks, backward(g), strict=True):
+                    if sink:
+                        sink[0]._accum(_unbroadcast(grad, sink[1]))
 
         _TAPE.record(run)
     return out
@@ -273,10 +290,11 @@ def _np_leaky_slope(y: np.ndarray) -> np.ndarray:
 def mean(a: Tensor, axis=None) -> Tensor:
     out_data = a.data.mean(axis=axis, dtype=np.float32)
     count = a.data.size // max(out_data.size, 1)   # the values behind each mean
+    shape = a.data.shape
 
     def bw(g):
         gg = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / count, a.data.shape),)
+        return (np.broadcast_to(gg / count, shape),)
 
     return _make(out_data, (a,), bw)
 
@@ -319,9 +337,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def index(a: Tensor, idx) -> Tensor:
     """Basic (slice) indexing ``a[idx]``; backward scatters into zeros."""
+    shape = a.data.shape
 
     def bw(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(shape, dtype=np.float32)
         buf[idx] = g
         return (buf,)
 

@@ -1,6 +1,6 @@
 """The summary and verdicts of tools/bench_pairs.py on fixed lists of runs,
-the assignment of pairs to exported copies, and the order and medians of the
-traced runs with a stubbed perfbench."""
+the assignment of pairs to exported copies, the order and medians of the
+traced runs with a stubbed perfbench, and the traced peak of one operation."""
 
 import importlib.util
 import json
@@ -76,6 +76,8 @@ def test_traced_runs_alternate_and_report_medians(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: ref)
     monkeypatch.setattr(bench_pairs, "perfbench", perfbench)
+    monkeypatch.setattr(bench_pairs, "traced_peak",
+                        lambda tree, workload, seed: len(tree.name) + seed)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["p", "c", "--pairs", "2", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -96,6 +98,16 @@ def test_traced_runs_alternate_and_report_medians(tmp_path, monkeypatch):
         assert doc["per_layer"][workload]["nd.conv2d.self_ms"] == {
             "parent": first + 3.0, "change": first + 2.0}
     assert len(doc["runs"]) == untraced + 6 * len(workloads)
+    # copy 0 of each side at the untraced pairs' seed: len("parent-0") + 5
+    assert doc["traced_peak_bytes"] == {w: {"parent": 13, "change": 13} for w in workloads}
+
+
+def test_traced_peak_runs_one_checked_operation_of_the_tree():
+    # a preprocess operation holds at least its 365x64x64 float32 grid
+    root = _PATH.parent.parent
+    assert bench_pairs.traced_peak(root, "preprocess", 0) > 365 * 64 * 64 * 4
+    with pytest.raises(RuntimeError, match="no-such-workload"):
+        bench_pairs.traced_peak(root, "no-such-workload", 0)
 
 
 def verdict_of(parent, change):

@@ -736,9 +736,24 @@ class TestTape:
             out = nd.mean(z)
             tape.backward(out)
         assert tape._records == []
-        assert all(t.grad is None for t in (y, z, w, out))
+        assert all(t.grad is None and t._holder.grad is None for t in (y, z, w, out))
         np.testing.assert_array_equal(x.grad, 1.0)
         assert c.grad is None
+
+    def test_an_output_no_rule_reads_is_freed_before_replay(self):
+        # add's and reshape's rules read no array, and mean's keeps the shape
+        # only: once the caller drops the sum, no record holds its array
+        a = Tensor(rng(22).normal(size=(4, 6)), requires_grad=True)
+        b = Tensor(rng(23).normal(size=(4, 6)), requires_grad=True)
+        with Tape() as tape:
+            total = nd.add(a, b)
+            kept = weakref.ref(total.data)
+            out = nd.mean(nd.reshape(total, (24,)))
+            del total
+            assert kept() is None
+            tape.backward(out)
+        np.testing.assert_array_equal(a.grad, np.float32(1 / 24))
+        np.testing.assert_array_equal(b.grad, np.float32(1 / 24))
 
     def test_nested_tape_rejected(self):
         with Tape():
@@ -906,9 +921,10 @@ class TestGradientHandOff:
     ])
     def test_no_rule_writes_into_a_gradient(self, monkeypatch, size, overrides):
         # gradients are handed over by reference, so every rule of a training
-        # step must run on a read-only view of its output's gradient
-        make, accum = nd._make, Tensor._accum
-        delivered = []
+        # step must run on a read-only view of its output's gradient; leaves and
+        # op outputs' holders all accumulate through _Holder._accum
+        make, accum = nd._make, nd._Holder._accum
+        delivered, shapes = [], {}
 
         def read_only(g):
             if isinstance(g, np.ndarray):  # a product of two 0-d arrays is a numpy scalar
@@ -916,13 +932,19 @@ class TestGradientHandOff:
                 g.flags.writeable = False
             return g
 
-        def accum_checked(t, g):
-            delivered.append((np.shape(g) == t.data.shape, g.dtype == np.float32))
-            accum(t, g)
+        def make_checked(out_data, inputs, backward):
+            out = make(out_data, inputs, lambda g: backward(read_only(g)))
+            if out._holder is not None:
+                shapes[out._holder] = out.data.shape
+            return out
 
-        monkeypatch.setattr(nd, "_make", lambda out_data, inputs, backward: make(
-            out_data, inputs, lambda g: backward(read_only(g))))
-        monkeypatch.setattr(Tensor, "_accum", accum_checked)
+        def accum_checked(holder, g):
+            shape = holder.data.shape if isinstance(holder, Tensor) else shapes[holder]
+            delivered.append((np.shape(g) == shape, g.dtype == np.float32))
+            accum(holder, g)
+
+        monkeypatch.setattr(nd, "_make", make_checked)
+        monkeypatch.setattr(nd._Holder, "_accum", accum_checked)
         config = model.ModelConfig(hidden=8, n_fssm=2, **overrides)
         wins = data.windows(data.synth_generate(0, 30, size, size), 14, config.out_len)
         res = model.train(wins[:2], wins[-1:], config, max_epochs=1, max_steps=1)

@@ -13,7 +13,9 @@ layout of one directory: byte-identical trees in two directories have read
 4-19% apart on forecast-s64. Then, per workload, ``TRACED_RUNS`` pairs of
 ``--trace 1`` runs follow on copy 0 at seed ``TRACE_SEED``, again alternating
 which side goes first; each per-layer row is a side's median over them, so one
-slow stretch of the machine does not read as a layer's difference.
+slow stretch of the machine does not read as a layer's difference. Last,
+per workload and side, ``traced_peak`` counts the live bytes of one warm
+operation, which peak RSS only bounds: RSS follows the allocator's layout.
 
 The output holds every run, traced or not, with its pair and the copy it
 ran, and per workload and end-to-end metric each side's median and
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -40,6 +43,24 @@ SIDES = ("parent", "change")
 TRACE_SEED = 1  # seed of the traced runs, fixed so per-layer rows compare across changes
 COPIES = 2      # exports of each side; the pairs take turns over them
 TRACED_RUNS = 3  # traced runs of each side per workload
+
+# Builds one workload of the tree it runs in from perfbench/workloads.py, as
+# perfbench/run.py does (BLAS on one thread; the set-up ends with a warm-up
+# operation), then prints the tracemalloc peak of one more operation and checks it.
+PEAK_PROBE = """
+import sys, tempfile, tracemalloc
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+from workloads import WORKLOADS
+with tempfile.TemporaryDirectory() as tmp:
+    workload = WORKLOADS[sys.argv[1]](int(sys.argv[2]), Path(tmp))
+    tracemalloc.start()
+    out = workload.run()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    workload.check(out)
+print(peak)
+"""
 
 
 def tree_copy(pair: int) -> int:
@@ -159,6 +180,19 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+def traced_peak(tree: Path, workload: str, seed: int) -> int:
+    """The tracemalloc peak, in bytes, of one warm operation of ``workload``,
+    built at ``seed`` in a fresh process from the source tree ``tree``."""
+    env = {**os.environ, **dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
+    proc = subprocess.run([sys.executable, "-c", PEAK_PROBE, workload, str(seed)], cwd=tree,
+                          env=env, capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        raise RuntimeError(f"traced peak of {workload} in {tree} exited with "
+                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return int(proc.stdout.split()[-1])
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -180,7 +214,8 @@ def main(argv=None) -> int:
         doc = {"refs": {side: {"ref": ref, "commit": shas[side]}
                         for side, ref in zip(SIDES, (args.parent, args.change))},
                "seed": args.seed, "trace_seed": TRACE_SEED, "seconds": seconds,
-               "pairs": args.pairs, "runs": [], "summary": {}, "per_layer": {}}
+               "pairs": args.pairs, "runs": [], "summary": {}, "per_layer": {},
+               "traced_peak_bytes": {}}
 
         def save():
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
@@ -210,6 +245,11 @@ def main(argv=None) -> int:
             doc["per_layer"][workload] = per_layer(traced)
             save()
             print(f"traced {workload}", flush=True)
+        for workload in workloads:
+            doc["traced_peak_bytes"][workload] = {
+                side: traced_peak(trees[side, 0], workload, args.seed) for side in SIDES}
+            save()
+            print(f"traced peak {workload}: {doc['traced_peak_bytes'][workload]}", flush=True)
     return 0
 
 
