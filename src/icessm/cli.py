@@ -156,21 +156,22 @@ def _load_series(path) -> data.Grid3:
     return grid
 
 
-def _check_out_dir(out_dir: Path) -> None:
-    """Refuse, before any work, an ``out_dir`` that the command could not
-    create once it is done: one that exists and is not a directory, or whose
+def _check_out_dir(out: str) -> Path:
+    """``out`` as a Path, refused before any work if the command could not
+    create it once it is done: if it exists and is not a directory, or its
     nearest existing ancestor is not one."""
+    out_dir = Path(out)
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not existing.is_dir():
         raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
+    return out_dir
 
 
 def cmd_train(a) -> int:
     if not 0 < a.val_fraction < 1:  # also refuses nan
         raise ValueError(f"--val-fraction must be in (0, 1), got {a.val_fraction}")
     config = _config_from_args(a)
-    out_dir = Path(a.out)
-    _check_out_dir(out_dir)
+    out_dir = _check_out_dir(a.out)
     grid = _load_series(a.data)
     inputs = _digests(a.data)
     wins = data.windows(grid, a.in_len, a.out_len, stride=a.stride)
@@ -249,12 +250,12 @@ def _input_window(grid: data.Grid3, in_len: int, anchor: int | None):
 
 
 def cmd_predict(a) -> int:
+    out_dir = _check_out_dir(a.out)
     params, config = _load_model(a.model)
     grid = _load_series(a.data)
     inputs = _digests(*_model_files(a.model), a.data)
     window, start = _input_window(grid, config.in_len, a.anchor)
     fc = model.forward(Tensor(window), params, config)
-    out_dir = Path(a.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data.write_grid(_forecast_grid(fc.mean, start, grid.land_mask),
                     out_dir / "forecast.sic")
@@ -267,12 +268,12 @@ def cmd_predict(a) -> int:
 
 
 def cmd_recurse(a) -> int:
+    out_dir = _check_out_dir(a.out)
     params, config = _load_model(a.model)
     grid = _load_series(a.data)
     inputs = _digests(*_model_files(a.model), a.data)
     window, start = _input_window(grid, config.in_len, a.anchor)
     pred = model.recursive_forecast(window, params, config, steps=a.steps)
-    out_dir = Path(a.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data.write_grid(_forecast_grid(pred, start, grid.land_mask),
                     out_dir / "forecast.sic")
@@ -282,6 +283,7 @@ def cmd_recurse(a) -> int:
 
 
 def cmd_eval(a) -> int:
+    out_dir = _check_out_dir(a.out)
     fc, truth = _load_complete(a.forecast), _load_complete(a.truth)
     if fc.shape[1:] != truth.shape[1:]:
         raise FormatError(f"forecast grid {fc.shape[1:]} differs from truth {truth.shape[1:]}")
@@ -295,7 +297,6 @@ def cmd_eval(a) -> int:
     report = metrics.evaluate(yhat, y, ~truth.land_mask)
     # strict JSON: a non-finite score fails here, before any file is written
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
-    out_dir = Path(a.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
     for day, bias in zip(common, yhat - y):

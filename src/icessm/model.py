@@ -404,6 +404,8 @@ def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if max_epochs < 1:
         raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
+    if patience < 1:
+        raise ValueError(f"patience must be >= 1, got {patience}")
     if not (math.isfinite(lr) and lr >= 0):
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
     rng = np.random.default_rng(seed)

@@ -25,6 +25,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class NumericalError(RuntimeError):
@@ -417,31 +418,31 @@ def pad2d(x: Tensor, pads: tuple[int, int, int, int]) -> Tensor:
                  lambda g: (_fold_replicated(g.copy(), pads),))
 
 
-def _conv_cols(xp: np.ndarray, kernels: np.ndarray, s: int):
+def _conv_cols(x: np.ndarray, kernels: np.ndarray, s: int, p: int):
     """im2col product of kernels[Co, Ci, kh, kw] with the stride-s windows of
-    xp[T, Ci, Hp, Wp]; returns it as [T, Co, Ho, Wo] and the [T, Ci*kh*kw, Ho*Wo] columns."""
+    x[T, Ci, H, W] zero-padded by p; returns it as [T, Co, Ho, Wo] and the
+    [T, Ci*kh*kw, Ho*Wo] columns. numpy copies the window view only where windows
+    overlap or skip pixels, so a 1x1 stride-1 kernel's columns are a view of x."""
     co, ci, kh, kw = kernels.shape
-    t, _, hp, wp = xp.shape
-    ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
-    cols = np.empty((t, ci, kh, kw, ho, wo), dtype=np.float32)
-    for i, j in np.ndindex(kh, kw):
-        cols[:, :, i, j] = xp[:, :, i:i + s * ho:s, j:j + s * wo:s]
-    cols = cols.reshape(t, ci * kh * kw, ho * wo)
+    win = sliding_window_view(_np_pad2d(x, (p,) * 4, "zero"), (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    t, _, ho, wo = win.shape[:4]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(t, ci * kh * kw, ho * wo)
     return np.matmul(kernels.reshape(co, -1), cols).reshape(t, co, ho, wo), cols
 
 
-def _conv_cols_adjoint(g: np.ndarray, kernels: np.ndarray, shape, s: int) -> np.ndarray:
-    """Adjoint of _conv_cols in xp (col2im): each tap's kernel transpose applied to
-    g[T, Co, Ho, Wo] and scattered back into zeros of ``shape`` [T, Ci, Hp, Wp], one
-    tap at a time, so no [T, Ci*kh*kw, Ho*Wo] product is ever whole."""
+def _conv_cols_adjoint(g: np.ndarray, kernels: np.ndarray, shape, s: int, p: int) -> np.ndarray:
+    """Adjoint of _conv_cols in x (col2im): each tap's kernel transpose applied to
+    g[T, Co, Ho, Wo] and scattered back into zeros of ``shape`` [T, Ci, H, W] padded
+    by p, one tap at a time, so no [T, Ci*kh*kw, Ho*Wo] product is ever whole;
+    returns the view of the unpadded pixels."""
     co, ci, kh, kw = kernels.shape
-    t, _, ho, wo = g.shape
+    (t, _, ho, wo), (h, w) = g.shape, shape[2:]
     gf = g.reshape(t, co, ho * wo)
     taps = np.ascontiguousarray(kernels.transpose(2, 3, 1, 0))        # [kh, kw, Ci, Co]
-    dxp = np.zeros(shape, dtype=np.float32)
+    dxp = np.zeros((t, ci, h + 2 * p, w + 2 * p), dtype=np.float32)
     for i, j in np.ndindex(kh, kw):
         dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += (taps[i, j] @ gf).reshape(t, ci, ho, wo)
-    return dxp
+    return dxp[..., p:p + h, p:p + w]
 
 
 def _conv_kernel_grad(g: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
@@ -457,17 +458,16 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
     _, ci, kh, kw = kernels.data.shape
     if x.data.shape[1] != ci:
         raise ValueError(f"conv2d channels: input {x.data.shape[1]} != kernel {ci}")
-    xp = _np_pad2d(x.data, (padding,) * 4, "zero")
-    if stride < 1 or kh > xp.shape[2] or kw > xp.shape[3]:
+    padded = tuple(n + 2 * padding for n in x.data.shape[2:])
+    if stride < 1 or kh > padded[0] or kw > padded[1]:
         raise ValueError(f"conv2d: stride {stride} < 1 or kernel ({kh},{kw}) larger "
-                         f"than padded input {xp.shape[2:]}")
-    out_data, cols = _conv_cols(xp, kernels.data, stride)
+                         f"than padded input {padded}")
+    out_data, cols = _conv_cols(x.data, kernels.data, stride, padding)
     out_data += bias.data[None, :, None, None]
-    xp_shape = xp.shape  # the tape keeps the shape, not the padded array
+    shape = x.data.shape  # the rule keeps the shape, not x
 
     def bw(g):
-        dxp = _conv_cols_adjoint(g, kernels.data, xp_shape, stride)
-        return (dxp[..., padding:xp_shape[2] - padding, padding:xp_shape[3] - padding],
+        return (_conv_cols_adjoint(g, kernels.data, shape, stride, padding),
                 _conv_kernel_grad(g, cols, kernels.data.shape), g.sum(axis=(0, 2, 3)))
 
     return _make(out_data, (x, kernels, bias), bw)
@@ -488,16 +488,13 @@ def conv_transpose2d(y: Tensor, kernels: Tensor, bias: Tensor,
     t, _, ho, wo = y.data.shape
     h = (ho - 1) * stride + kh - 2 * padding
     w = (wo - 1) * stride + kw - 2 * padding
-    hp, wp = h + 2 * padding, w + 2 * padding
     if h < 1 or w < 1:
         raise ValueError("padding too large for conv_transpose2d output")
-
-    xp = _conv_cols_adjoint(y.data, kernels.data, (t, ci, hp, wp), stride)
-    out_data = (xp[:, :, padding:hp - padding, padding:wp - padding]
+    out_data = (_conv_cols_adjoint(y.data, kernels.data, (t, ci, h, w), stride, padding)
                 + bias.data[None, :, None, None])
 
-    def bw(g):  # the padded g is (ho - 1) * stride + kh high, so _conv_cols gives ho rows
-        dy, cols = _conv_cols(_np_pad2d(g, (padding,) * 4, "zero"), kernels.data, stride)
+    def bw(g):  # g padded is (ho - 1) * stride + kh high, so _conv_cols gives ho rows
+        dy, cols = _conv_cols(g, kernels.data, stride, padding)
         return dy, _conv_kernel_grad(y.data, cols, kernels.data.shape), g.sum(axis=(0, 2, 3))
 
     return _make(out_data, (y, kernels, bias), bw)

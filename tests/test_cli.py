@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from icessm import data, model, sfc
-from icessm.cli import main
+from icessm.cli import _config_from_args, build_parser, main
 
 
 def run(*argv):
@@ -182,6 +182,25 @@ class TestSynthPreprocess:
         assert run("preprocess", "--input", str(src), "--out", str(tmp_path / "x.sic")) == 3
 
 
+def test_model_flag_defaults_are_model_config_defaults():
+    # _add_model_flags writes each default of ModelConfig a second time
+    a = build_parser().parse_args(["train", "--data", "grid.sic", "--out", "run"])
+    assert _config_from_args(a) == model.ModelConfig()
+
+
+def assert_out_refused(tmp_path, capsys, out, command, *argv):
+    """``command`` with ``--out`` at ``out`` under the file tmp_path/file exits 3
+    before any work: it prints nothing to stdout and writes nothing."""
+    (tmp_path / "file").write_text("not a directory")
+    code = run(command, *argv, "--out", str(tmp_path / out))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "is not a directory" in captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "not a directory"
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
@@ -214,6 +233,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("flag, value", [
         ("--batch-size", "0"), ("--batch-size", "-1"), ("--epochs", "0"),
+        ("--patience", "0"), ("--patience", "-1"),
         ("--lr", "nan"), ("--lr", "-0.001"), ("--stride", "0"), ("--hidden", "0"),
         ("--state-size", "0"), ("--lambda", "nan"), ("--lambda", "inf"),
         ("--val-fraction", "inf"), ("--val-fraction", "nan"), ("--val-fraction", "0"),
@@ -363,14 +383,18 @@ class TestPipeline:
     @pytest.mark.parametrize("out", ["file", "file/run"])
     def test_out_under_a_file_is_refused_before_training(self, trained, tmp_path, capsys, out):
         _, grid_path, _ = trained
-        (tmp_path / "file").write_text("not a directory")
-        code = run("train", "--data", str(grid_path), "--out", str(tmp_path / out),
-                   "--in-len", "4", "--out-len", "4", "--hidden", "8", "--fssm", "1",
-                   "--epochs", "1")
-        captured = capsys.readouterr()
-        assert code == 3
-        assert "is not a directory" in captured.err
-        assert "epoch" not in captured.out
+        assert_out_refused(tmp_path, capsys, out, "train", "--data", str(grid_path),
+                           "--in-len", "4", "--out-len", "4", "--hidden", "8", "--fssm", "1",
+                           "--epochs", "1")
+
+    @pytest.mark.parametrize("command", ["predict", "recurse", "eval"])
+    @pytest.mark.parametrize("out", ["file", "file/run"])
+    def test_out_under_a_file_is_refused_before_loading(self, trained, tmp_path, capsys,
+                                                        command, out):
+        _, grid_path, model_dir = trained
+        inputs = (["--forecast", str(grid_path), "--truth", str(grid_path)] if command == "eval"
+                  else ["--model", str(model_dir), "--data", str(grid_path)])
+        assert_out_refused(tmp_path, capsys, out, command, *inputs)
 
     @pytest.mark.parametrize("command", ["predict", "recurse"])
     def test_negative_anchor_is_usage_error(self, trained, tmp_path, command):

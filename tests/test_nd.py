@@ -122,6 +122,21 @@ class TestConv2d:
         tape.backward(loss)
         assert x.grad.shape == x.data.shape
 
+    def test_1x1_conv_tape_keeps_only_its_output(self):
+        # the head's 1x1 conv at train-s16, [56, 16, 16, 16]: its columns are a view
+        # of x, so only the output (0.06 MiB) lives on; a copy of x was 0.88 MiB more
+        r = rng(46)
+        x = Tensor(r.normal(size=(56, 16, 16, 16)), requires_grad=True)
+        k, b = Tensor(r.normal(size=(1, 16, 1, 1)), requires_grad=True), Tensor(np.zeros(1))
+        with Tape():
+            tracemalloc.start()
+            try:
+                y = nd.conv2d(x, k, b)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert held <= y.data.nbytes + (16 << 10)
+
     @pytest.mark.parametrize("frames", [1, 3])
     def test_conv_transpose_grads(self, frames):
         # the decoder's geometry: 4x4 kernel, stride 2, padding 1, with bias
@@ -194,7 +209,7 @@ class TestConv2d:
         r = rng(t + co + ho)
         g = r.normal(size=(t, co, ho, ho)).astype(np.float32)
         kernels = r.normal(size=(co, ci, k, k)).astype(np.float32)
-        got = nd._conv_cols_adjoint(g, kernels, (t, ci, hp, hp), s)
+        got = nd._conv_cols_adjoint(g, kernels, (t, ci, hp, hp), s, 0)
         assert got.tobytes() == single_product_conv_cols_adjoint(
             g, kernels, (t, ci, hp, hp), s).tobytes()
 
