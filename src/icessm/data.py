@@ -23,7 +23,7 @@ IDW_SPATIAL_RADIUS, IDW_TEMPORAL_RADIUS = 3, 2
 IDW_BANDWIDTH, IDW_TIME_SCALE = 2.0, 1.0
 IDW_CHUNK = 1 << 18
 # synth_generate: the most Gaussian evaluations (T * n_blobs * H * W) a series
-# may take, about 15 s at some 14 ns each
+# may take, about 9 s at some 8 ns each on a 64x64 grid
 SYNTH_MAX_EVALS = 1 << 30
 
 
@@ -188,16 +188,16 @@ def synth_generate(seed: int, t: int, h: int, w: int, n_blobs: int = 3,
     amp = rng.uniform(0.5, 1.0, size=n_blobs)
     phase = rng.uniform(0.0, 1.0)
 
-    hh, ww = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    hh, ww = np.arange(h), np.arange(w)
     for ti in range(t):
         season = 0.6 + 0.4 * math.sin(2 * math.pi * (ti / season_period + phase))
         acc = np.zeros((h, w), dtype=np.float64)
         for b in range(n_blobs):
             ch = (centers[b, 0] + velocity[b, 0] * ti) % h
             cw = (centers[b, 1] + velocity[b, 1] * ti) % w
-            dh = np.minimum(np.abs(hh - ch), h - np.abs(hh - ch))
+            dh = np.minimum(np.abs(hh - ch), h - np.abs(hh - ch))   # toroidal, per axis
             dw = np.minimum(np.abs(ww - cw), w - np.abs(ww - cw))
-            acc += amp[b] * np.exp(-(dh ** 2 + dw ** 2) / (2.0 * radius[b] ** 2))
+            acc += amp[b] * np.exp(-(dh[:, None] ** 2 + dw ** 2) / (2.0 * radius[b] ** 2))
         frames[ti] = np.clip(season * acc, 0.0, 1.0)
 
     land = np.zeros((h, w), dtype=bool)

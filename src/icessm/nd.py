@@ -689,13 +689,11 @@ def groupnorm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
 SCAN_CHUNK = 64
 
 
-def _scan_chunk(h: np.ndarray, abar: np.ndarray, dtc: np.ndarray, bc: np.ndarray,
-                xc: np.ndarray) -> np.ndarray:
+def _scan_chunk(h: np.ndarray, abar: np.ndarray, dtb: np.ndarray, xc: np.ndarray) -> np.ndarray:
     """The states [c, R, S, D] of one chunk of c steps, from the state h [R, S, D]
-    entering it and its decays abar [c, R, S, D]; dtc [c, R, 1], bc [c, R, S]
-    and xc [c, R, D] are its rows."""
-    hs = np.empty_like(abar)
-    np.multiply((dtc * bc)[..., None], xc[:, :, None, :], out=hs)
+    entering it and its decays abar [c, R, S, D]; dtb [c, R, S] (dt_l B_l) and
+    xc [c, R, D] are its rows."""
+    hs = np.einsum("lrs,lrd->lrsd", dtb, xc, out=np.empty_like(abar))
     decayed = np.empty_like(h)
     for ab, hk in zip(abar, hs):  # h_l = bx_l + abar_l * h_{l-1}, in place
         hk += np.multiply(ab, h, out=decayed)
@@ -727,6 +725,7 @@ def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Te
         raise ValueError("ssm_recurrence shape mismatch")
     at = np.ascontiguousarray(a.data.T)                                 # [S, D]
     dtv = dt.data[..., None]
+    dtb = dtv * b.data                                                  # [L, R, S]
     starts = range(0, L, SCAN_CHUNK)
     entry = np.empty((len(starts), r, s, d), dtype=np.float32)          # h_{l0 - 1}
     y = np.empty((L, r, d), dtype=np.float32)
@@ -735,7 +734,7 @@ def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Te
         chunk = np.s_[l0:l0 + SCAN_CHUNK]
         entry[k] = h
         abar = np.exp(dtv[chunk][..., None] * at)                       # [c, R, S, D]
-        hs = _scan_chunk(h, abar, dtv[chunk], b.data[chunk], x.data[chunk])
+        hs = _scan_chunk(h, abar, dtb[chunk], x.data[chunk])
         h = hs[-1]
         if not np.isfinite(h).all():  # a non-finite entry stays non-finite
             bad = ~np.isfinite(hs).reshape(len(hs), r, -1).all(axis=2)      # [steps, R]
@@ -748,12 +747,14 @@ def ssm_recurrence(x: Tensor, dt: Tensor, a: Tensor, b: Tensor, c: Tensor) -> Te
         dh_b = np.empty((L, r, d), dtype=np.float32)                    # B_l^T dh_l
         dh_x = np.empty((L, r, s), dtype=np.float32)                    # dh_l x_l
         dc = np.empty((L, r, s), dtype=np.float32)
+        dh_chunk = np.empty((min(L, SCAN_CHUNK), r, s, d), dtype=np.float32)
         for k in reversed(range(len(starts))):
             l0, l1 = starts[k], min(starts[k] + SCAN_CHUNK, L)
             chunk = np.s_[l0:l1]
             np.exp(dtv[chunk][..., None] * at, out=q[chunk])
-            hs = _scan_chunk(entry[k], q[chunk], dtv[chunk], b.data[chunk], x.data[chunk])
-            dh = c.data[chunk][..., None] * g[chunk][:, :, None, :]  # g_l C_l, then all of dL/dh_l:
+            hs = _scan_chunk(entry[k], q[chunk], dtb[chunk], x.data[chunk])
+            # g_l C_l, then all of dL/dh_l:
+            dh = np.einsum("lrs,lrd->lrsd", c.data[chunk], g[chunk], out=dh_chunk[:l1 - l0])
             if l1 < L:                                      # the next chunk's first step
                 dh[-1] += q[l1]
                 q[l1] *= entry[k + 1]

@@ -19,17 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Most cells one order may enumerate: T*H*W, Peano's enclosing power-of-three
-# cube or Z-order's enclosing power-of-two box. No enumeration, route table or
-# locality score peaks above about 105 bytes a cell, so work within the budget
-# stays under about 440 MB; dims beyond it are refused before any allocation.
+# Most cells, T*H*W, one order may visit. No order, route table or locality
+# score peaks above about 80 bytes a cell, so work within the budget stays
+# under about 340 MB; dims beyond it are refused before any allocation.
 MAX_CELLS = 1 << 22
-
-
-def _check_cells(dims, cells: int) -> None:
-    if cells > MAX_CELLS:
-        raise ValueError(f"dims {dims} would enumerate {cells} cells, "
-                         f"over the budget of {MAX_CELLS}")
 
 
 def check_dims(dims) -> tuple[int, int, int]:
@@ -38,7 +31,9 @@ def check_dims(dims) -> tuple[int, int, int]:
     t, h, w = (int(d) for d in dims)
     if min(t, h, w) < 1:
         raise ValueError(f"all dims must be >= 1, got {(t, h, w)}")
-    _check_cells((t, h, w), t * h * w)
+    if t * h * w > MAX_CELLS:
+        raise ValueError(f"dims {(t, h, w)} hold {t * h * w} cells, "
+                         f"over the budget of {MAX_CELLS}")
     return t, h, w
 
 
@@ -176,64 +171,51 @@ def raster(dims) -> np.ndarray:
 def zorder(dims) -> np.ndarray:
     """Morton order with per-axis bit budgets ceil(log2(dim)).
 
-    Codes decoding outside the cuboid are skipped, so the result stays a
-    bijection for non power-of-two dims. Bits are assigned LSB-first cycling
-    w, h, t (fastest axis gets the least significant bit, matching raster).
+    Each cell's code interleaves its coordinates' bits LSB-first cycling w, h,
+    t (fastest axis gets the least significant bit, matching raster); an axis
+    whose bits run out drops out of the cycle. The cells are returned sorted
+    by code, so the order is a bijection for non power-of-two dims.
     """
     t, h, w = check_dims(dims)
-    d = (t, h, w)
-    bits = [max(1, math.ceil(math.log2(x))) if x > 1 else 0 for x in d]
-    total = sum(bits)
-    _check_cells(d, 1 << total)
-
-    codes = np.arange(1 << total, dtype=np.int64)
-    coords = [np.zeros_like(codes) for _ in range(3)]
-    level = [0, 0, 0]
+    bits = [(x - 1).bit_length() for x in (t, h, w)]
+    parts = [np.zeros(x, dtype=np.int64) for x in (t, h, w)]  # each axis's code bits
     pos = 0
-    k = 0
-    while pos < total:
-        ax = (2, 1, 0)[k % 3]
-        k += 1
-        if level[ax] >= bits[ax]:
-            continue
-        coords[ax] |= ((codes >> pos) & 1) << level[ax]
-        level[ax] += 1
-        pos += 1
-    keep = (coords[0] < t) & (coords[1] < h) & (coords[2] < w)
-    return _frozen((coords[0] * h * w + coords[1] * w + coords[2])[keep])
+    for level in range(max(bits)):
+        for ax in (2, 1, 0):
+            if level < bits[ax]:
+                parts[ax] |= (np.arange(len(parts[ax])) >> level & 1) << pos
+                pos += 1
+    codes = parts[0][:, None, None] | parts[1][:, None] | parts[2]
+    return _frozen(np.argsort(codes, axis=None))
 
 
 def peano(dims) -> np.ndarray:
-    """Peano order on the smallest enclosing power-of-3 cube, compacted.
+    """Peano order of the smallest enclosing power-of-3 cube, restricted to
+    the cuboid.
 
-    The serpentine base-3 curve: digit at position p (MSB first, axes cycling
-    t, h, w) is reflected to 2-digit when the sum of all earlier digits of the
-    other axes is odd. Compaction drops out-of-range cells, which keeps
-    bijectivity but may break step adjacency (acceptable for a baseline).
+    The serpentine base-3 curve: its digit at position p (MSB first, axes
+    cycling t, h, w) is the coordinate digit, reflected to 2-digit when the
+    earlier digits of the other axes sum to an odd number (a reflected digit
+    keeps its parity). The cells are returned sorted by curve position, which
+    keeps bijectivity but may break step adjacency where the cube overhangs
+    the cuboid (acceptable for a baseline).
     """
     t, h, w = check_dims(dims)
     n = 0
-    side = 1
-    while side < max(t, h, w):
-        side *= 3
+    while 3 ** n < max(t, h, w):
         n += 1
-    _check_cells((t, h, w), side ** 3)
-
-    ndig = 3 * n
-    idx = np.arange(side ** 3, dtype=np.int64)
-    coords = [np.zeros_like(idx) for _ in range(3)]
-    total = np.zeros_like(idx)
-    peraxis = [np.zeros_like(idx) for _ in range(3)]
-    for p in range(ndig):
+    coords = [np.arange(x, dtype=np.int32).reshape(s)
+              for x, s in zip((t, h, w), ((-1, 1, 1), (-1, 1), (-1,)))]
+    odd = [np.zeros_like(c) for c in coords]  # parity of each axis's digits so far
+    keys = np.zeros((2, t, h, w), dtype=np.int64)  # 3**21 < 2**63: 21 digits a key
+    for p in range(3 * n):
         ax = p % 3
-        a = idx // 3 ** (ndig - 1 - p) % 3       # base-3 digit p, MSB first
-        s = total - peraxis[ax]
-        dd = np.where(s % 2 == 1, 2 - a, a)
-        coords[ax] += dd * 3 ** (n - 1 - p // 3)
-        total += a
-        peraxis[ax] += a
-    keep = (coords[0] < t) & (coords[1] < h) & (coords[2] < w)
-    return _frozen((coords[0] * h * w + coords[1] * w + coords[2])[keep])
+        digit = coords[ax] // 3 ** (n - 1 - p // 3) % 3
+        key = keys[p // 21]
+        key *= 3
+        key += np.where(odd[ax - 1] ^ odd[ax - 2], 2 - digit, digit)
+        odd[ax] = odd[ax] ^ (digit & 1)
+    return _frozen(np.lexsort((keys[1].ravel(), keys[0].ravel())))
 
 
 # scan kind -> the generator of its order over dims (T, H, W)

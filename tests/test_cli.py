@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from icessm import data, model, sfc
-from icessm.cli import _config_from_args, build_parser, main
+from icessm.cli import _config_from_args, _parse_dims, build_parser, main
 
 
 def run(*argv):
@@ -50,21 +50,22 @@ class TestScan:
 class TestBenchLocality:
     def test_five_rows(self, tmp_path):
         out = tmp_path / "loc.csv"
-        assert run("bench-locality", "--dims", "8,8,8", "--out", str(out)) == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 6  # header + 5 kinds
-        assert lines[0].startswith("kind,mean_gap")
+        # 200,8,8: 12800 cells, though Peano's enclosing cube holds 243**3
+        for dims in ("8,8,8", "200,8,8"):
+            assert run("bench-locality", "--dims", dims, "--out", str(out)) == 0
+            lines = out.read_text().strip().splitlines()
+            assert len(lines) == 6  # header + 5 kinds
+            assert lines[0].startswith("kind,mean_gap")
 
 
 class TestOversizedDims:
     @pytest.mark.parametrize("argv", [
-        ("scan", "--kind", "peano", "--dims", "1000,1,1"),
-        ("scan", "--kind", "peano", "--dims", "82,1,1"),        # 243**3 cube
-        ("scan", "--kind", "zorder", "--dims", "1,1025,2049"),  # 2**23 box
+        ("scan", "--kind", "peano", "--dims", "2049,2049,1"),   # 2**22 + 4097 cells
+        ("scan", "--kind", "zorder", "--dims", "2049,2049,1"),
         ("scan", "--kind", "hilbert-t", "--dims", "3000,3000,3000"),
         ("bench-locality", "--dims", "300,300,300"),
         ("synth", "--dims", "100000,1000,1000"),
-    ], ids=["peano", "peano-cube", "zorder-box", "hilbert", "bench-locality", "synth"])
+    ], ids=["peano", "zorder", "hilbert", "bench-locality", "synth"])
     def test_refused_before_allocating(self, tmp_path, argv):
         out = tmp_path / "out"
         tracemalloc.start()
@@ -77,10 +78,20 @@ class TestOversizedDims:
         assert peak < 4 << 20   # one int64 array at the cell budget is 32 MiB
         assert not out.exists()
 
-    def test_budget_edge_accepted(self, tmp_path):
+    def test_budget_edge_accepted(self):
+        # the budget counts T*H*W, whatever box or cube an order's curve spans
+        assert _parse_dims("2048,2048,1") == (2048, 2048, 1)
+        assert 2048 * 2048 == sfc.MAX_CELLS
+        with pytest.raises(ValueError, match="over the budget"):
+            _parse_dims("2048,2049,1")
+
+    @pytest.mark.parametrize("dims", ["1000,1,1", "82,1,1"], ids=["peano", "peano-cube"])
+    def test_peano_past_its_enclosing_cube_accepted(self, tmp_path, dims):
+        # enclosing cubes of 2187**3 and 243**3 cells; a line's Peano order is raster
         out = tmp_path / "order.txt"
-        assert run("scan", "--kind", "peano", "--dims", "81,1,1", "--out", str(out)) == 0
-        assert len(out.read_text().splitlines()[1].split()) == 81
+        assert run("scan", "--kind", "peano", "--dims", dims, "--out", str(out)) == 0
+        n = int(dims.split(",")[0])
+        assert out.read_text().splitlines()[1].split() == [str(i) for i in range(n)]
 
 
 class TestSynthPreprocess:

@@ -182,6 +182,15 @@ class TestForward:
                             params, cfg)
         assert out.mean.shape == (4, 1, 8, 8)
 
+    @pytest.mark.parametrize("kind", ["peano", "zorder"])
+    def test_thin_window_past_the_enclosing_cube(self, kind):
+        # the 14x162x1 latent holds 2268 cells; Peano's enclosing cube holds 243**3
+        cfg = tiny_config(in_len=14, out_len=1, scan_kind=kind)
+        params = model.init_params(rng(14), cfg)
+        out = model.forward(rng(15).uniform(size=(14, 1, 648, 4)).astype(np.float32),
+                            params, cfg)
+        assert out.mean.shape == (1, 1, 648, 4)
+
     @pytest.mark.parametrize("head", ["deterministic", "gaussian"])
     @pytest.mark.parametrize("out_len", [4, 3])
     def test_zero_head_forecasts_persistence(self, head, out_len):

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +140,47 @@ class TestPeano:
     @given(dims=dims_st)
     def test_random_dims_bijective(self, dims):
         assert_bijective(sfc.peano(dims), dims)
+
+
+class TestZorderPeanoKeys:
+    # odd, 1-thick and non-power-of-base extents, and grids far inside their box or cube
+    SWEEP = list(itertools.product((1, 2, 3, 5, 9, 10, 17), repeat=3)) + [
+        (14, 16, 16), (3, 81, 80), (30, 28, 29), (1, 80, 1), (81, 1, 2), (30, 64, 64)]
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("zorder", "90dea66427fb6a76525351ff288320f48c0cc3ca0cabe8bffd3b297dd09d2073"),
+        ("peano", "5191556ee2b6e495d8ae432a04bf0920c7f9175b2394c42abd6c04ad9fa10be7"),
+    ])
+    def test_orders_are_pinned(self, kind, digest):
+        # sha256 of little-endian int64 visit orders, fixed while each order
+        # still enumerated its enclosing box or cube and dropped the cells outside
+        orders = hashlib.sha256()
+        for dims in self.SWEEP:
+            orders.update(sfc.make_order(kind, dims).astype("<i8").tobytes())
+        assert orders.hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", ["zorder", "peano"])
+    def test_sub_grid_keeps_its_order(self, kind):
+        # a cell's key depends on the cell, not on the grid, so the cells of
+        # (1, 81, 3) keep their order inside (1, 2200, 3), whose 24 Peano
+        # digits fill both of its int64 keys
+        big = sfc.make_order(kind, (1, 2200, 3))
+        assert_bijective(big, (1, 2200, 3))
+        assert np.array_equal(big[big < 81 * 3], sfc.make_order(kind, (1, 81, 3)))
+
+    @pytest.mark.parametrize("dims", [(14, 16, 16), (1, 1025, 3)])
+    @pytest.mark.parametrize("kind", ["zorder", "peano"])
+    def test_memory_is_bounded_per_cell(self, kind, dims):
+        # 25-35 bytes a cell measured; enumerating the enclosing box or cube
+        # peaked at 65-621 here, and Peano's 3**7 cube at 1x1025x3 was refused
+        sfc.make_order(kind, dims)
+        tracemalloc.start()
+        try:
+            sfc.make_order(kind, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * math.prod(dims)
 
 
 class TestRoutes:
