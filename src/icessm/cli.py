@@ -1,7 +1,8 @@
 """Command-line pipeline: scan orders, synthetic data, train/predict/eval.
 
-Every subcommand writes plain files (CSV/JSON/PPM/binary grids) plus a
-manifest recording the arguments, seed and package version. Exit codes:
+Every subcommand writes plain files (CSV/JSON/PPM/binary grids) and returns
+its output directory and input digests, where ``main`` writes a manifest
+recording the arguments, seed and package version. Exit codes:
 0 success, 2 usage error, 3 data/format error, 4 numerical failure.
 """
 
@@ -48,14 +49,25 @@ def _digests(*paths) -> dict[str, str]:
     return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
 
 
+def _check_out_dir(out: str | Path) -> Path:
+    """``out`` as a Path, refused before any work if the command could not
+    create it once it is done: if it exists and is not a directory, or its
+    nearest existing ancestor is not one."""
+    out_dir = Path(out)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
+    return out_dir
+
+
 def _write_manifest(out_dir: Path, command: str, a: argparse.Namespace,
-                    inputs: dict[str, str] | None = None) -> None:
+                    inputs: dict[str, str]) -> None:
     """Record the run: arguments, versions, the digests of the files the
     command read (``_digests``), wall time since ``main`` set ``a.started``
     and the process's peak resident set and minor page faults."""
     usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
-        "inputs": inputs or {},
+        "inputs": inputs,
         "command": command,
         "args": {k: v for k, v in vars(a).items()
                  if v is not None and not callable(v) and k not in ("command", "started")},
@@ -82,25 +94,24 @@ def _config_from_args(a) -> model.ModelConfig:
     )
 
 
-def cmd_scan(a) -> int:
+def cmd_scan(a) -> tuple[Path, dict[str, str]]:
+    out_dir = _check_out_dir(Path(a.out).parent)
     dims = _parse_dims(a.dims)
     kind = KIND_NAMES[a.kind]
     table = sfc.routes(kind, dims, a.routes)
-    out = Path(a.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    sfc.write_orders(out, kind, dims, table)
-    _write_manifest(out.parent, "scan", a)
-    print(f"wrote {table.shape[1]} order(s) to {out}")
-    return 0
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sfc.write_orders(a.out, kind, dims, table)
+    print(f"wrote {table.shape[1]} order(s) to {a.out}")
+    return out_dir, {}
 
 
-def cmd_bench_locality(a) -> int:
+def cmd_bench_locality(a) -> tuple[Path, dict[str, str]]:
+    out_dir = _check_out_dir(Path(a.out).parent)
     dims = _parse_dims(a.dims)
     rows = [(kind, sfc.locality_score(sfc.make_order(kind, dims), dims))
             for kind in KIND_NAMES.values()]
-    out = Path(a.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as f:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(a.out, "w", encoding="utf-8") as f:
         f.write("kind,mean_gap,arithmetic_mean_gap,median_gap,max_gap,"
                 "t_mean,h_mean,w_mean\n")
         for kind, s in rows:
@@ -108,36 +119,33 @@ def cmd_bench_locality(a) -> int:
                     f"{s.median_gap:.6f},{s.max_gap},"
                     f"{s.axis_mean_gaps[0]:.6f},{s.axis_mean_gaps[1]:.6f},"
                     f"{s.axis_mean_gaps[2]:.6f}\n")
-    _write_manifest(out.parent, "bench-locality", a)
-    print(f"wrote locality table ({len(rows)} kinds) to {out}")
-    return 0
+    print(f"wrote locality table ({len(rows)} kinds) to {a.out}")
+    return out_dir, {}
 
 
-def cmd_synth(a) -> int:
+def cmd_synth(a) -> tuple[Path, dict[str, str]]:
+    out_dir = _check_out_dir(Path(a.out).parent)
     dims = _parse_dims(a.dims)
     grid = data.synth_generate(a.seed, *dims, n_blobs=a.blobs, drift=a.drift)
-    out = Path(a.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    data.write_grid(grid, out)
-    _write_manifest(out.parent, "synth", a)
-    print(f"wrote synthetic grid {dims} to {out}")
-    return 0
+    out_dir.mkdir(parents=True, exist_ok=True)
+    data.write_grid(grid, a.out)
+    print(f"wrote synthetic grid {dims} to {a.out}")
+    return out_dir, {}
 
 
-def cmd_preprocess(a) -> int:
+def cmd_preprocess(a) -> tuple[Path, dict[str, str]]:
     if not 0 <= a.land_threshold <= 1:  # also refuses nan
         raise ValueError(f"--land-threshold must be in [0, 1], got {a.land_threshold}")
+    out_dir = _check_out_dir(Path(a.out).parent)
     grid = data.read_grid(a.input)
     inputs = _digests(a.input)
     if grid.shape[0] == 0:
         raise FormatError(f"{a.input} holds an empty series (0 frames)")
     out_grid = data.preprocess(grid, land_threshold=a.land_threshold, idw=a.idw)
-    out = Path(a.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    data.write_grid(out_grid, out)
-    _write_manifest(out.parent, "preprocess", a, inputs)
-    print(f"preprocessed {a.input} -> {out} ({out_grid.shape[0]} days)")
-    return 0
+    out_dir.mkdir(parents=True, exist_ok=True)
+    data.write_grid(out_grid, a.out)
+    print(f"preprocessed {a.input} -> {a.out} ({out_grid.shape[0]} days)")
+    return out_dir, inputs
 
 
 def _load_complete(path) -> data.Grid3:
@@ -156,18 +164,7 @@ def _load_series(path) -> data.Grid3:
     return grid
 
 
-def _check_out_dir(out: str) -> Path:
-    """``out`` as a Path, refused before any work if the command could not
-    create it once it is done: if it exists and is not a directory, or its
-    nearest existing ancestor is not one."""
-    out_dir = Path(out)
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
-    return out_dir
-
-
-def cmd_train(a) -> int:
+def cmd_train(a) -> tuple[Path, dict[str, str]]:
     if not 0 < a.val_fraction < 1:  # also refuses nan
         raise ValueError(f"--val-fraction must be in (0, 1), got {a.val_fraction}")
     config = _config_from_args(a)
@@ -195,10 +192,9 @@ def cmd_train(a) -> int:
         f.write("\n")
     with open(out_dir / "history.csv", "w", encoding="utf-8") as f:
         f.write(model.history_csv(result.history))
-    _write_manifest(out_dir, "train", a, inputs)
     print(f"best val MAE {result.best_val_mae:.4f}% at epoch {result.best_epoch}; "
           f"checkpoint in {out_dir}")
-    return 0
+    return out_dir, inputs
 
 
 def _model_files(model_dir: str) -> tuple[Path, Path]:
@@ -249,7 +245,7 @@ def _input_window(grid: data.Grid3, in_len: int, anchor: int | None):
     return grid.frames[anchor:anchor + in_len, None, :, :], int(grid.dates[anchor]) + in_len
 
 
-def cmd_predict(a) -> int:
+def cmd_predict(a) -> tuple[Path, dict[str, str]]:
     out_dir = _check_out_dir(a.out)
     params, config = _load_model(a.model)
     grid = _load_series(a.data)
@@ -262,12 +258,11 @@ def cmd_predict(a) -> int:
     if fc.sigma is not None:
         data.write_grid(_forecast_grid(fc.sigma, start, grid.land_mask),
                         out_dir / "sigma.sic")
-    _write_manifest(out_dir, "predict", a, inputs)
     print(f"wrote forecast ({fc.mean.shape[0]} days from day {start}) to {out_dir}")
-    return 0
+    return out_dir, inputs
 
 
-def cmd_recurse(a) -> int:
+def cmd_recurse(a) -> tuple[Path, dict[str, str]]:
     out_dir = _check_out_dir(a.out)
     params, config = _load_model(a.model)
     grid = _load_series(a.data)
@@ -277,12 +272,11 @@ def cmd_recurse(a) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     data.write_grid(_forecast_grid(pred, start, grid.land_mask),
                     out_dir / "forecast.sic")
-    _write_manifest(out_dir, "recurse", a, inputs)
     print(f"wrote {pred.shape[0]}-day recursive forecast to {out_dir}")
-    return 0
+    return out_dir, inputs
 
 
-def cmd_eval(a) -> int:
+def cmd_eval(a) -> tuple[Path, dict[str, str]]:
     out_dir = _check_out_dir(a.out)
     fc, truth = _load_complete(a.forecast), _load_complete(a.truth)
     if fc.shape[1:] != truth.shape[1:]:
@@ -301,11 +295,10 @@ def cmd_eval(a) -> int:
     (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
     for day, bias in zip(common, yhat - y):
         metrics.write_bias_ppm(bias, out_dir / f"bias-day{int(day):05d}.ppm")
-    _write_manifest(out_dir, "eval", a, inputs)
     nse = "n/a" if report.nse is None else f"{report.nse:.4f}"
     print(f"rmse {report.rmse:.4f}% mae {report.mae:.4f}% nse {nse} "
           f"iou {report.iou:.4f} ({common.size} days) -> {out_dir}")
-    return 0
+    return out_dir, inputs
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -394,7 +387,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.started = time.monotonic()
-        return args.func(args)
+        out_dir, inputs = args.func(args)
+        _write_manifest(out_dir, args.command, args, inputs)
+        return 0
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4

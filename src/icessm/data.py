@@ -23,7 +23,7 @@ IDW_SPATIAL_RADIUS, IDW_TEMPORAL_RADIUS = 3, 2
 IDW_BANDWIDTH, IDW_TIME_SCALE = 2.0, 1.0
 IDW_CHUNK = 1 << 18
 # synth_generate: the most Gaussian evaluations (T * n_blobs * H * W) a series
-# may take, about 9 s at some 8 ns each on a 64x64 grid
+# may take, about 9 s at some 6-9 ns each on grids from 8x8 to 300x300
 SYNTH_MAX_EVALS = 1 << 30
 
 
@@ -188,17 +188,26 @@ def synth_generate(seed: int, t: int, h: int, w: int, n_blobs: int = 3,
     amp = rng.uniform(0.5, 1.0, size=n_blobs)
     phase = rng.uniform(0.0, 1.0)
 
+    # math.sin per frame: np.sin may round differently
+    season = np.array([0.6 + 0.4 * math.sin(2 * math.pi * (ti / season_period + phase))
+                       for ti in range(t)])
     hh, ww = np.arange(h), np.arange(w)
-    for ti in range(t):
-        season = 0.6 + 0.4 * math.sin(2 * math.pi * (ti / season_period + phase))
-        acc = np.zeros((h, w), dtype=np.float64)
+    # a block of frames at a time, at most 2**14 float64 cells (128 KiB) each:
+    # the Python loop over blobs runs once a block, not once a frame, and each
+    # transient stays small enough to reuse heap memory; 512 KiB blocks
+    # page-faulted fresh memory for them and took longer than frame by frame
+    step = max(1, (1 << 14) // (h * w))
+    for t0 in range(0, t, step):
+        ts = np.arange(t0, min(t0 + step, t))[:, None]
+        acc = np.zeros((len(ts), h, w), dtype=np.float64)
         for b in range(n_blobs):
-            ch = (centers[b, 0] + velocity[b, 0] * ti) % h
-            cw = (centers[b, 1] + velocity[b, 1] * ti) % w
+            ch = (centers[b, 0] + velocity[b, 0] * ts) % h
+            cw = (centers[b, 1] + velocity[b, 1] * ts) % w
             dh = np.minimum(np.abs(hh - ch), h - np.abs(hh - ch))   # toroidal, per axis
             dw = np.minimum(np.abs(ww - cw), w - np.abs(ww - cw))
-            acc += amp[b] * np.exp(-(dh[:, None] ** 2 + dw ** 2) / (2.0 * radius[b] ** 2))
-        frames[ti] = np.clip(season * acc, 0.0, 1.0)
+            acc += amp[b] * np.exp(-(dh[:, :, None] ** 2 + dw[:, None] ** 2)
+                                   / (2.0 * radius[b] ** 2))
+        frames[t0:t0 + step] = np.clip(season[t0:t0 + step, None, None] * acc, 0.0, 1.0)
 
     land = np.zeros((h, w), dtype=bool)
     land[:h // 8 + 1, :w // 4 + 1] = True

@@ -283,10 +283,7 @@ def loss_total(yhat: Tensor, y: Tensor, lam: float) -> Tensor:
     """Reconstruction plus lam-weighted gradient loss."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    rec = loss_rec(yhat, y)
-    if lam == 0:
-        return rec
-    return nd.add(rec, nd.mul(loss_grad(yhat, y), float(lam)))
+    return nd.add(loss_rec(yhat, y), nd.mul(loss_grad(yhat, y), float(lam)))
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -416,12 +413,10 @@ def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
     best_state: dict[str, np.ndarray] | None = None
     bad_epochs = 0
     global_step = 0
-    done = False
 
     for epoch in range(max_epochs):
         order = rng.permutation(len(train_set))
-        epoch_loss = 0.0
-        n_batches = 0
+        losses = []
         for start in range(0, len(order), batch_size):
             batch = [train_set[i] for i in order[start:start + batch_size]]
             opt.zero_grad()
@@ -433,15 +428,13 @@ def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
                     raise NumericalError(f"non-finite loss at step {global_step}")
                 tape.backward(loss)
             opt.step()
-            epoch_loss += loss_val
-            n_batches += 1
+            losses.append(loss_val)
             global_step += 1
             if max_steps is not None and global_step >= max_steps:
-                done = True
                 break
 
         val_mae = validation_mae(val_set, params, config, batch_size)
-        row = {"epoch": epoch, "train_loss": epoch_loss / max(n_batches, 1),
+        row = {"epoch": epoch, "train_loss": sum(losses) / len(losses),
                "val_mae": val_mae, "lr": lr}
         result.history.append(row)
         if log:
@@ -454,9 +447,7 @@ def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if bad_epochs >= patience:
-                done = True
-        if done:
+        if bad_epochs >= patience or (max_steps is not None and global_step >= max_steps):
             break
 
     if best_state is not None:

@@ -245,12 +245,10 @@ def _rotated(kind: str, dims) -> np.ndarray:
     """Regenerate the order on the 90-degree rotated spatial grid and map the
     visited cells back to original coordinates."""
     t, h, w = dims
-    lin = make_order(kind, (t, w, h))
-    # rotated cell (t, a, b) corresponds to original (h, w) = (b, W-1-a)
-    rt = lin // (w * h)
-    ra = (lin % (w * h)) // h
-    rb = lin % h
-    return rt * h * w + rb * w + (w - 1 - ra)
+    # rotated cell (t, a, b) is original (h, w) = (b, W-1-a): the original
+    # linear indices, rotated into a [T, W, H] grid
+    rotated = np.arange(t * h * w).reshape(t, h, w)[:, :, ::-1].transpose(0, 2, 1)
+    return rotated.reshape(-1)[make_order(kind, (t, w, h))]
 
 
 def routes(kind: str, dims, n_routes: int) -> np.ndarray:
@@ -294,7 +292,7 @@ def locality_score(order: np.ndarray, dims) -> LocalityStats:
     """Gap statistics of the visit ``order`` over the ``dims`` cuboid."""
     rank = np.argsort(order).reshape(dims)
     per_axis = [np.abs(np.diff(rank, axis=ax)).ravel() for ax in range(3)]
-    gaps = np.concatenate(per_axis) if order.size > 1 else np.array([], dtype=np.int64)
+    gaps = np.concatenate(per_axis)
     if gaps.size == 0:
         return LocalityStats(0.0, 0.0, 0.0, 0, (0.0, 0.0, 0.0))
     axis_means = tuple(

@@ -407,6 +407,37 @@ class TestPipeline:
                   else ["--model", str(model_dir), "--data", str(grid_path)])
         assert_out_refused(tmp_path, capsys, out, command, *inputs)
 
+    @pytest.mark.parametrize("command", ["scan", "bench-locality", "synth", "preprocess"])
+    def test_file_out_under_a_file_is_refused_before_work(self, trained, tmp_path, capsys,
+                                                          command):
+        # these commands write one file; the directory that holds it is checked
+        _, grid_path, _ = trained
+        inputs = {"scan": ["--kind", "raster", "--dims", "2,2,2"],
+                  "preprocess": ["--input", str(grid_path)]}.get(command, [])
+        assert_out_refused(tmp_path, capsys, "file/out", command, *inputs)
+
+    @pytest.mark.parametrize("command", ["scan", "bench-locality", "synth", "preprocess",
+                                         "train", "predict", "recurse", "eval"])
+    def test_each_command_writes_one_manifest_of_its_own(self, trained, tmp_path, command):
+        _, grid_path, model_dir = trained
+        out = tmp_path / "out"
+        from_model = ["--model", str(model_dir), "--data", str(grid_path), "--out", str(out)]
+        argv = {
+            "scan": ["--kind", "raster", "--dims", "2,2,2", "--out", str(out / "order.txt")],
+            "bench-locality": ["--dims", "2,2,2", "--out", str(out / "loc.csv")],
+            "synth": ["--dims", "8,8,8", "--out", str(out / "g.sic")],
+            "preprocess": ["--input", str(grid_path), "--out", str(out / "p.sic")],
+            "train": ["--data", str(grid_path), "--out", str(out), "--in-len", "4",
+                      "--out-len", "4", "--hidden", "8", "--fssm", "1", "--epochs", "1"],
+            "predict": from_model,
+            "recurse": from_model,
+            "eval": ["--forecast", str(grid_path), "--truth", str(grid_path), "--out", str(out)],
+        }[command]
+        assert run(command, *argv) == 0
+        manifests = list(out.glob("manifest-*.json"))
+        assert [p.name for p in manifests] == [f"manifest-{command}.json"]
+        assert json.loads(manifests[0].read_text())["command"] == command
+
     @pytest.mark.parametrize("command", ["predict", "recurse"])
     def test_negative_anchor_is_usage_error(self, trained, tmp_path, command):
         _, grid_path, model_dir = trained

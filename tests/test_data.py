@@ -330,6 +330,26 @@ class TestSynth:
         g = data.synth_generate(5, 20, 12, 12, n_blobs=5)
         assert (g.frames >= 0).all() and (g.frames <= 1).all()
 
+    @pytest.mark.parametrize("seed, dims, kwargs, digest", [
+        (5, (365, 64, 64), {},
+         "234ebb86b5e6201c4fe81b3a37463487a8dfe2dc1ab7da6d9e166d855d2ffa3e"),
+        (3, (20, 8, 8), {"n_blobs": 0},
+         "a11937f356a9b0ba592c82f5290bac8016cb33a3f9bc68d3490147c158ebb10d"),
+        (7, (20, 16, 16), {"n_blobs": 256},
+         "6f4e698c19d7985a8f1ec797420bb4b231e2b56a7c2003f434d55658864c1703"),
+        (2, (600, 9, 13), {"n_blobs": 4, "drift": 3.0},
+         "e3a571f529119c3f394ba1445bb67880e8f48359db8d215977668b057ee7a58c"),
+        (4, (30, 12, 10), {"season_period": 1e9},
+         "bcd6d0cd4f7dbcf580ff7d3f5488f73d4d9188a0f370320c9d6436bcfce41138"),
+        (1, (20, 100, 100), {},
+         "374f2aba9925089d4c90f7510c79730160f85e80a540aceb83a520a93fd35f5a"),
+    ], ids=["365x64x64", "no-blobs", "256-blobs", "non-square", "flat-season", "100x100"])
+    def test_frames_are_pinned(self, seed, dims, kwargs, digest):
+        # sha256 of little-endian float32 frames, fixed while each frame's
+        # blobs were evaluated one frame at a time
+        g = data.synth_generate(seed, *dims, **kwargs)
+        assert hashlib.sha256(g.frames.astype("<f4").tobytes()).hexdigest() == digest
+
 
 class TestContainer:
     def test_round_trip_bit_exact(self, tmp_path):

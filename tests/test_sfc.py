@@ -208,6 +208,17 @@ class TestRoutes:
         for r in sfc.routes("hilbert_temporal_first", (3, 4, 6), 4).T:
             assert (manhattan_steps(r, (3, 4, 6)) == 1).all()
 
+    def test_rotated_routes_are_pinned_off_square(self):
+        # sha256 of little-endian int64 4-route tables at H != W, fixed while
+        # the rotated route recomputed each cell's coordinates
+        tables = hashlib.sha256()
+        for kind in sfc.KINDS:
+            for dims in ((14, 4, 8), (3, 7, 2), (2, 13, 6)):
+                tables.update(np.ascontiguousarray(
+                    sfc.routes(kind, dims, 4)).astype("<i8").tobytes())
+        assert tables.hexdigest() == (
+            "dda414ca1e8505db43858efebb07fadec466cd48d1452995c7ae148e59ea6f29")
+
     def test_unsupported_count(self):
         with pytest.raises(ValueError):
             sfc.routes("raster", (2, 2, 2), 3)
