@@ -60,15 +60,15 @@ def _check_out_dir(out: str | Path) -> Path:
     return out_dir
 
 
-def _write_manifest(out_dir: Path, command: str, a: argparse.Namespace,
-                    inputs: dict[str, str]) -> None:
-    """Record the run: arguments, versions, the digests of the files the
-    command read (``_digests``), wall time since ``main`` set ``a.started``
-    and the process's peak resident set and minor page faults."""
+def _write_manifest(out_dir: Path, a: argparse.Namespace, inputs: dict[str, str]) -> None:
+    """Record the run in the command's existing ``out_dir``: arguments,
+    versions, the digests of the files the command read (``_digests``), wall
+    time since ``main`` set ``a.started`` and the process's peak resident set
+    and minor page faults."""
     usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
         "inputs": inputs,
-        "command": command,
+        "command": a.command,
         "args": {k: v for k, v in vars(a).items()
                  if v is not None and not callable(v) and k not in ("command", "started")},
         "version": __version__,
@@ -79,8 +79,7 @@ def _write_manifest(out_dir: Path, command: str, a: argparse.Namespace,
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
         "minor_faults": usage.ru_minflt,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"manifest-{command}.json", "w", encoding="utf-8") as f:
+    with open(out_dir / f"manifest-{a.command}.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -388,7 +387,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.started = time.monotonic()
         out_dir, inputs = args.func(args)
-        _write_manifest(out_dir, args.command, args, inputs)
+        _write_manifest(out_dir, args, inputs)
         return 0
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
