@@ -206,6 +206,26 @@ class TestStIdw:
         assert hashlib.sha256(out.tobytes()).hexdigest() == \
             "0037f56c87b4468b926aa78fc95c6aa1ede677f333a354172df78d5888be279b"
 
+    @pytest.mark.parametrize("t, digest", [
+        (12, "c0f00de29b59e5fe295865ba330e4015cd4806b5e67cf2dbe742f7923534b39b"),
+        (3, "6e7de9e30665ed4eb61e34a5b42eea0710678adda7c34dfacb2b6b2e2e249576"),
+        (2, "d124d5579ef179a8f379c8bc097910212dd8ea44b9826c8cfc574d28050c21b5"),
+    ], ids=["T=12", "T=3", "T=2"])
+    def test_output_pinned_at_the_ends_of_the_series(self, t, digest):
+        # holes only in the first and last two frames, whose neighborhoods
+        # reach past the series, over 2-4 chunks; at T = 3 every frame has
+        # holes and a neighborhood spans the series, and at T = 2 the
+        # temporal radius is clipped to 1. The hashes were computed with
+        # st_idw_fill as of commit cb18b21, which NaN-padded the whole grid once
+        r = np.random.default_rng(28)
+        frames = r.uniform(size=(t, 64, 64)).astype(np.float32)
+        holes = r.random(frames.shape) < 0.2
+        holes[2:-2] = False
+        frames[holes] = np.nan
+        out = data.st_idw_fill(grid_of(frames)).frames
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
 
 class TestPreprocess:
     def test_invariants(self):
