@@ -11,6 +11,7 @@ weighting over space and time.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +86,12 @@ def st_idw_fill(g: Grid3) -> Grid3:
     The weight of a valid neighbor at offset (dt, dh, dw) is
     exp(-d^2 / (2 * IDW_BANDWIDTH^2)) with
     d^2 = dh^2 + dw^2 + (IDW_TIME_SCALE*dt)^2; one day equals IDW_TIME_SCALE
-    pixels. Valid pixels are left untouched. The grid is padded with NaN
-    once, and the missing pixels' neighborhoods are gathered from it about
-    IDW_CHUNK values at a time; with its holes zeroed, a chunk's weighted sum
-    and weight sum are two float64 products with the kernel. A missing pixel
-    with no valid neighbor raises, the first in C order.
+    pixels. Valid pixels are left untouched. The missing pixels'
+    neighborhoods are gathered about IDW_CHUNK values at a time, each chunk
+    from a NaN-padded copy of just the frames they reach; with its holes
+    zeroed, a chunk's weighted sum and weight sum are two float64 products
+    with the kernel. A missing pixel with no valid neighbor raises, the first
+    in C order. ``g`` is never written.
     """
     src = g.frames
     out = src.copy()
@@ -100,12 +102,16 @@ def st_idw_fill(g: Grid3) -> Grid3:
     dt, dh, dw = np.ogrid[tuple(slice(-r, r + 1) for r in radii)]
     d2 = (dh ** 2 + dw ** 2 + (IDW_TIME_SCALE * dt) ** 2).astype(np.float64)
     kernel = np.exp(-d2 / (2.0 * IDW_BANDWIDTH ** 2)).reshape(-1)
-    padded = np.pad(src, [(r, r) for r in radii], constant_values=np.nan)
-    hoods = sliding_window_view(padded, d2.shape)  # hoods[t, h, w]: pixel's neighborhood
+    (t, h, w), (rt, rh, rw) = src.shape, radii
     step = max(1, IDW_CHUNK // kernel.size)
     for c0 in range(0, len(missing), step):
         ti, hi, wi = np.unravel_index(missing[c0:c0 + step], src.shape)
-        window = hoods[ti, hi, wi].reshape(len(ti), -1)  # a gathered copy
+        # C order sorts ti, so the chunk's neighborhoods span frames t0 to t1 - 1
+        t0, t1 = ti[0] - rt, ti[-1] + rt + 1
+        padded = np.full((t1 - t0, h + 2 * rh, w + 2 * rw), np.nan, dtype=np.float32)
+        padded[max(-t0, 0):min(t1, t) - t0, rh:rh + h, rw:rw + w] = src[max(t0, 0):t1]
+        hoods = sliding_window_view(padded, d2.shape)  # hoods[t - ti[0], h, w]
+        window = hoods[ti - ti[0], hi, wi].reshape(len(ti), -1)  # a gathered copy
         hole = np.isnan(window)
         window[hole] = 0.0
         wsum = ~hole @ kernel  # every kernel weight is positive
@@ -228,42 +234,47 @@ def write_grid(g: Grid3, path) -> None:
         raise FormatError("dims exceed u32")
     if np.isinf(g.frames).any():
         raise FormatError("a frame value is infinite; the container stores none")
-    missing = np.isnan(g.frames)
+    missing = np.isnan(g.frames).reshape(-1)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(np.array([t, h, w], dtype="<u4").tobytes())
         f.write(g.dates.astype("<i8").tobytes())
         f.write(np.packbits(g.land_mask.reshape(-1)).tobytes())
         f.write(np.packbits(missing.reshape(t, h * w), axis=1).tobytes())
-        f.write(np.where(missing, np.float32(0), g.frames).astype("<f4", copy=False))
+        # the frames go out 2**16 values at a time, missing ones as 0, so no
+        # zero-filled copy of the whole grid is made
+        flat = g.frames.reshape(-1)
+        for i in range(0, flat.size, 1 << 16):
+            block = flat[i:i + (1 << 16)].astype("<f4")  # a copy
+            block[missing[i:i + (1 << 16)]] = 0.0
+            f.write(block)
 
 
 def read_grid(path) -> Grid3:
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:len(MAGIC)] != MAGIC:
-        raise FormatError(f"bad magic {blob[:len(MAGIC)]!r}")
-    off = len(MAGIC) + 12
-    if len(blob) < off:
-        raise FormatError("truncated container header")
-    t, h, w = (int(v) for v in np.frombuffer(blob[len(MAGIC):off], dtype="<u4"))
-    mask_bytes = (h * w + 7) // 8
-    # check the exact size the header implies before allocating anything
-    size = off + 8 * t + mask_bytes * (t + 1) + 4 * t * h * w
-    if len(blob) != size:
-        what = "truncated container" if len(blob) < size else "trailing bytes in container"
-        raise FormatError(f"{what}: {len(blob)} bytes, header implies {size}")
-
-    def take(n: int) -> np.ndarray:
-        nonlocal off
-        off += n
-        return np.frombuffer(blob, dtype=np.uint8, count=n, offset=off - n)
-
-    dates = take(8 * t).view("<i8").astype(np.int64)
-    land = np.unpackbits(take(mask_bytes), count=h * w).astype(bool).reshape(h, w)
-    missing = np.unpackbits(take(mask_bytes * t).reshape(t, mask_bytes), axis=1,
-                            count=h * w).astype(bool).reshape(t, h, w)
-    frames = take(4 * t * h * w).view("<f4").astype(np.float32).reshape(t, h, w)
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(len(MAGIC) + 12)
+        if head[:len(MAGIC)] != MAGIC:
+            raise FormatError(f"bad magic {head[:len(MAGIC)]!r}")
+        if len(head) < len(MAGIC) + 12:
+            raise FormatError("truncated container header")
+        t, h, w = (int(v) for v in np.frombuffer(head[len(MAGIC):], dtype="<u4"))
+        mask_bytes = (h * w + 7) // 8
+        # check the exact size the header implies before allocating anything
+        expect = len(head) + 8 * t + mask_bytes * (t + 1) + 4 * t * h * w
+        if size != expect:
+            what = "truncated container" if size < expect else "trailing bytes in container"
+            raise FormatError(f"{what}: {size} bytes, header implies {expect}")
+        dates = np.frombuffer(f.read(8 * t), dtype="<i8").astype(np.int64)
+        if (np.diff(dates) <= 0).any():
+            raise FormatError("dates must be strictly increasing")
+        bits = np.frombuffer(f.read(mask_bytes * (t + 1)), dtype=np.uint8)
+        land = np.unpackbits(bits[:mask_bytes], count=h * w).view(bool).reshape(h, w)
+        missing = np.unpackbits(bits[mask_bytes:].reshape(t, mask_bytes), axis=1,
+                                count=h * w).view(bool).reshape(t, h, w)
+        frames = np.empty((t, h, w), dtype="<f4")
+        if f.readinto(frames) != frames.nbytes:  # the file shrank since fstat
+            raise FormatError("truncated container")
     frames[missing] = np.nan
     if np.isinf(frames).any():
         raise FormatError("a frame value is infinite")

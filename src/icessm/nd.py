@@ -897,15 +897,16 @@ def load_params(path) -> dict[str, Tensor]:
         return out
 
     (count,) = struct.unpack("<Q", take(8))
-    shapes = []
+    shapes = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<Q", take(8))
         name = take(nlen).decode("utf-8")
+        if name in shapes:
+            raise ValueError(f"checkpoint names tensor {name} twice")
         (ndim,) = struct.unpack("<Q", take(8))
-        dims = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        shapes.append((name, dims))
+        shapes[name] = struct.unpack(f"<{ndim}Q", take(8 * ndim))
     params = {}
-    for name, dims in shapes:
+    for name, dims in shapes.items():
         n = math.prod(dims)  # exact: np.prod would wrap around in int64
         arr = np.frombuffer(take(4 * n), dtype="<f4").reshape(dims).copy()
         params[name] = Tensor(arr, requires_grad=True)

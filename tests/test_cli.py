@@ -1,12 +1,13 @@
 import hashlib
 import json
+import struct
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from icessm import data, model, sfc
+from icessm import data, model, nd, sfc
 from icessm.cli import _config_from_args, _parse_dims, build_parser, main
 
 
@@ -212,6 +213,15 @@ def assert_out_refused(tmp_path, capsys, out, command, *argv):
     assert (tmp_path / "file").read_text() == "not a directory"
 
 
+def grid_reader_argv(command, grid, truth):
+    """The arguments, apart from ``--out``, of ``command`` reading ``grid``; ``eval``
+    scores it against ``truth``."""
+    return {"eval": ["--forecast", str(grid), "--truth", str(truth)],
+            "preprocess": ["--input", str(grid)],
+            "train": ["--data", str(grid), "--in-len", "4", "--out-len", "4",
+                      "--hidden", "8", "--fssm", "1", "--epochs", "1"]}[command]
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
@@ -347,12 +357,21 @@ class TestPipeline:
         bad = tmp_path / "inf.sic"
         bad.write_bytes(grid_path.read_bytes()[:-4] + np.float32(np.inf).tobytes())
         out = tmp_path / "out"
-        argv = {"eval": ["--forecast", str(bad), "--truth", str(grid_path)],
-                "preprocess": ["--input", str(bad)],
-                "train": ["--data", str(bad), "--in-len", "4", "--out-len", "4",
-                          "--hidden", "8", "--fssm", "1", "--epochs", "1"]}[command]
-        assert run(command, *argv, "--out", str(out)) == 3
+        assert run(command, *grid_reader_argv(command, bad, grid_path), "--out", str(out)) == 3
         assert "infinite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "preprocess", "train"])
+    def test_dates_not_increasing_is_data_error(self, trained, tmp_path, capsys, command):
+        # the container's first two dates swapped: they follow the 6-byte
+        # magic and three u32 dims
+        _, grid_path, _ = trained
+        raw = grid_path.read_bytes()
+        bad = tmp_path / "swapped.sic"
+        bad.write_bytes(raw[:18] + raw[26:34] + raw[18:26] + raw[34:])
+        out = tmp_path / "out"
+        assert run(command, *grid_reader_argv(command, bad, grid_path), "--out", str(out)) == 3
+        assert "dates must be strictly increasing" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_forecast_against_truth(self, trained):
@@ -492,8 +511,9 @@ class TestPipeline:
         assert f"{key} must be an int" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("damage", ["truncated", "trailing-bytes", "other-config"])
-    def test_corrupt_checkpoint_is_data_error(self, trained, tmp_path, damage):
+    @pytest.mark.parametrize("damage", ["truncated", "trailing-bytes", "duplicate-name",
+                                        "other-config"])
+    def test_corrupt_checkpoint_is_data_error(self, trained, tmp_path, capsys, damage):
         _, grid_path, model_dir = trained
         ckpt = (model_dir / "model.ckpt").read_bytes()
         config = json.loads((model_dir / "config.json").read_text())
@@ -501,6 +521,14 @@ class TestPipeline:
             ckpt = ckpt[:len(ckpt) // 2]
         elif damage == "trailing-bytes":
             ckpt += bytes(4)
+        elif damage == "duplicate-name":  # every tensor, then one of them again
+            params = nd.load_params(model_dir / "model.ckpt")
+            entries = [*params.items(), ("fssm0.mamba.ln_gamma", params["fssm0.mamba.ln_gamma"])]
+            ckpt = struct.pack("<Q", len(entries))
+            for name, t in entries:
+                ckpt += struct.pack(f"<Q{len(name)}sQ{t.data.ndim}Q", len(name), name.encode(),
+                                    t.data.ndim, *t.data.shape)
+            ckpt += b"".join(t.data.astype("<f4").tobytes() for _, t in entries)
         else:  # names and shapes of a hidden-8 model under a hidden-16 config
             config["hidden"] = 16
         bad = tmp_path / "model"
@@ -509,6 +537,8 @@ class TestPipeline:
         (bad / "config.json").write_text(json.dumps(config))
         assert run("predict", "--model", str(bad), "--data", str(grid_path),
                    "--out", str(tmp_path / "o")) == 3
+        if damage == "duplicate-name":
+            assert "names tensor fssm0.mamba.ln_gamma twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("hidden", 1_000_000), ("state_size", 10 ** 9), ("n_fssm", 10 ** 9)],

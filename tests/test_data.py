@@ -24,6 +24,16 @@ def grid_of(frames, dates=None, land=None):
     return Grid3(frames, dates, land)
 
 
+def traced_peak(fn, *args):
+    """The tracemalloc peak of one call of ``fn``, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFillMissingDates:
     def test_single_gap_mean(self):
         g = Grid3(np.stack([np.full((2, 2), 0.2), np.full((2, 2), 0.4)]),
@@ -180,19 +190,13 @@ class TestStIdw:
         frames[r.random(frames.shape) < 0.3] = np.nan
         g = grid_of(frames)
         gathered_at_once = int(np.isnan(frames).sum()) * 5 * 7 * 7 * 8
-        # whole-grid arrays (output, padded copy, hole index) stay under four
-        # frames' worth; per chunk, the float32 gather, its two hole masks and
-        # one float64 operand take 14 bytes a value (peak 5.4 MiB of 6.5 here;
-        # two float64 [n, 245] temporaries per chunk peaked at 8.0 MiB)
-        bound = 4 * frames.nbytes + 16 * data.IDW_CHUNK
+        # whole-grid arrays (output, hole index) stay under two frames' worth;
+        # per chunk, the float32 gather, its two hole masks and one float64
+        # operand take 14 bytes a value (peak 4.7 MiB of 5.2 here; two float64
+        # [n, 245] temporaries per chunk peaked at 8.0 MiB)
+        bound = 2 * frames.nbytes + 16 * data.IDW_CHUNK
         assert bound < gathered_at_once / 4
-        tracemalloc.start()
-        try:
-            data.st_idw_fill(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+        assert traced_peak(data.st_idw_fill, g) < bound
 
     def test_output_pinned_over_many_chunks(self):
         # 12 chunks of IDW_CHUNK // 245 holes; the hash was computed with
@@ -453,3 +457,35 @@ class TestContainer:
         path.write_bytes(path.read_bytes() + bytes(1))
         with pytest.raises(data.FormatError, match="trailing bytes"):
             data.read_grid(path)
+
+    def test_dates_not_increasing_rejected(self, tmp_path):
+        # the dates follow the 6-byte magic and three u32 dims; swap the first two
+        path = tmp_path / "d.sic"
+        data.write_grid(grid_of(np.zeros((3, 4, 4))), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:18] + raw[26:34] + raw[18:26] + raw[34:])
+        with pytest.raises(data.FormatError, match="strictly increasing"):
+            data.read_grid(path)
+
+
+class TestContainerMemory:
+    # the benchmark's grid size, with holes and land; each pin is a multiple
+    # of the frames' bytes
+    @pytest.fixture
+    def grid(self):
+        r = np.random.default_rng(5)
+        frames = r.uniform(size=(365, 64, 64)).astype(np.float32)
+        frames[r.random(frames.shape) < 0.05] = np.nan
+        return grid_of(frames, land=r.random((64, 64)) < 0.1)
+
+    def test_read_holds_the_frames_once(self, tmp_path, grid):
+        # the frames are read straight into their array: no copy of the file
+        # beside them, only the missing bitmaps' boolean masks (a quarter each)
+        path = tmp_path / "g.sic"
+        data.write_grid(grid, path)
+        assert traced_peak(data.read_grid, path) < 2 * grid.frames.nbytes
+
+    def test_write_copies_no_whole_grid(self, tmp_path, grid):
+        # the missing mask (a quarter of the frames' bytes) and one block of
+        # zero-filled frames at a time, never a zero-filled copy of the grid
+        assert traced_peak(data.write_grid, grid, tmp_path / "g.sic") < grid.frames.nbytes / 2
