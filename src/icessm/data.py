@@ -245,7 +245,7 @@ def write_grid(g: Grid3, path) -> None:
         # zero-filled copy of the whole grid is made
         flat = g.frames.reshape(-1)
         for i in range(0, flat.size, 1 << 16):
-            block = flat[i:i + (1 << 16)].astype("<f4")  # a copy
+            block = flat[i:i + (1 << 16)].astype("<f4")  # a copy: g is not written
             block[missing[i:i + (1 << 16)]] = 0.0
             f.write(block)
 
