@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .nd import _fresh_file
+
 MAGIC = b"SICG1\x00"
 # st_idw_fill: neighborhood radii (pixels, days), Gaussian bandwidth (pixels),
 # pixels per day, and the neighbor values it gathers per pass
@@ -235,7 +237,7 @@ def write_grid(g: Grid3, path) -> None:
     if np.isinf(g.frames).any():
         raise FormatError("a frame value is infinite; the container stores none")
     missing = np.isnan(g.frames).reshape(-1)
-    with open(path, "wb") as f:
+    with _fresh_file(path) as f:
         f.write(MAGIC)
         f.write(np.array([t, h, w], dtype="<u4").tobytes())
         f.write(g.dates.astype("<i8").tobytes())

@@ -19,8 +19,11 @@ writes into a ``.grad`` array or into a gradient that a rule receives.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import errno
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -864,6 +867,32 @@ def sub_params(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
     return {name[len(head):]: t for name, t in params.items() if name.startswith(head)}
 
 
+@contextlib.contextmanager
+def _fresh_file(path):
+    """A new file, opened "xb" beside the file ``path`` resolves to, that
+    takes that file's name once the block ends: the old file is unlinked and
+    the new one renamed onto its name. No file just written is truncated or
+    renamed over, which ext4 (``auto_da_alloc``) would first flush to the
+    disk. An exception in the block deletes the new file and leaves ``path``
+    as it was. Nothing is fsynced.
+    """
+    dest = os.path.realpath(path)
+    if os.path.isdir(dest):  # as open(path, "wb") would, before writing anything
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    head, tail = os.path.split(dest)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            yield f
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(dest)
+        os.rename(tmp, dest)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_params(path, params: dict[str, Tensor]) -> None:
     """Write a flat named-tensor container.
 
@@ -871,7 +900,7 @@ def save_params(path, params: dict[str, Tensor]) -> None:
     u64 ndim, u64 dims. Payloads follow as little-endian float32 in header
     order.
     """
-    with open(path, "wb") as f:
+    with _fresh_file(path) as f:
         f.write(struct.pack("<Q", len(params)))
         for name, t in params.items():
             raw = name.encode("utf-8")

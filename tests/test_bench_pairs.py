@@ -78,6 +78,7 @@ def test_traced_runs_alternate_and_report_medians(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "perfbench", perfbench)
     monkeypatch.setattr(bench_pairs, "traced_peak",
                         lambda tree, workload, seed: len(tree.name) + seed)
+    monkeypatch.setattr(bench_pairs, "rewrite_ms", lambda workdir: 1.5)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["p", "c", "--pairs", "2", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -100,6 +101,12 @@ def test_traced_runs_alternate_and_report_medians(tmp_path, monkeypatch):
     assert len(doc["runs"]) == untraced + 6 * len(workloads)
     # copy 0 of each side at the untraced pairs' seed: len("parent-0") + 5
     assert doc["traced_peak_bytes"] == {w: {"parent": 13, "change": 13} for w in workloads}
+    assert doc["environment"] == {"inplace_rewrite_ms": 1.5}
+
+
+def test_rewrite_probe_times_rewrites_and_leaves_no_file(tmp_path):
+    assert bench_pairs.rewrite_ms(tmp_path, size=1 << 16, rewrites=3) > 0
+    assert not any(tmp_path.iterdir())
 
 
 def test_traced_peak_runs_one_checked_operation_of_the_tree():

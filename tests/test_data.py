@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -466,6 +468,70 @@ class TestContainer:
         path.write_bytes(raw[:18] + raw[26:34] + raw[18:26] + raw[34:])
         with pytest.raises(data.FormatError, match="strictly increasing"):
             data.read_grid(path)
+
+
+    def test_rewrite_leaves_an_open_reader_the_old_bytes(self, tmp_path):
+        # the new container is a new file moved onto the name, not the old
+        # one truncated and written again
+        path = tmp_path / "g.sic"
+        data.write_grid(grid_of(np.zeros((2, 4, 4))), path)
+        old = path.read_bytes()
+        with open(path, "rb") as f:
+            data.write_grid(grid_of(np.full((3, 4, 4), 0.5)), path)
+            assert f.read() == old
+        assert data.read_grid(path).shape == (3, 4, 4)
+
+    def test_failed_rewrite_keeps_the_old_container(self, tmp_path, monkeypatch):
+        # the disk fills once the header and dates are written
+        r = np.random.default_rng(6)
+        frames = r.uniform(size=(4, 5, 6)).astype(np.float32)
+        frames[1, 2, 3] = np.nan
+        g = grid_of(frames, land=r.uniform(size=(5, 6)) > 0.7)
+        path = tmp_path / "g.sic"
+        data.write_grid(g, path)
+        old = path.read_bytes()
+
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(data.np, "packbits", disk_full)
+        with pytest.raises(OSError) as err:
+            data.write_grid(grid_of(np.zeros((3, 5, 6))), path)
+        monkeypatch.undo()
+        assert err.value.errno == errno.ENOSPC
+        assert [p.name for p in tmp_path.iterdir()] == ["g.sic"]
+        assert path.read_bytes() == old
+        back = data.read_grid(path)
+        assert (back.frames.view(np.uint32) == g.frames.view(np.uint32)).all()
+        np.testing.assert_array_equal(back.land_mask, g.land_mask)
+
+    def test_directory_destination_refused_without_a_temporary(self, tmp_path):
+        dest = tmp_path / "d"
+        dest.mkdir()
+        with pytest.raises(IsADirectoryError):
+            data.write_grid(grid_of(np.zeros((2, 4, 4))), dest)
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert not any(dest.iterdir())
+
+    def test_symlink_destination_written_through(self, tmp_path):
+        # a link to a file not yet written makes it, as open would; a rewrite
+        # replaces the file it points to and keeps the link
+        store = tmp_path / "store"
+        store.mkdir()
+        link = tmp_path / "g.sic"
+        link.symlink_to(store / "g.sic")
+        for t in (2, 3):
+            data.write_grid(grid_of(np.full((t, 4, 4), 0.5)), link)
+            assert link.is_symlink()
+            assert data.read_grid(store / "g.sic").shape == (t, 4, 4)
+        assert [p.name for p in store.iterdir()] == ["g.sic"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.sic", "store"]
+
+    def test_written_file_has_the_mode_open_gives(self, tmp_path):
+        with open(tmp_path / "plain", "wb"):
+            pass
+        data.write_grid(grid_of(np.zeros((2, 4, 4))), tmp_path / "g.sic")
+        assert os.stat(tmp_path / "g.sic").st_mode == os.stat(tmp_path / "plain").st_mode
 
 
 class TestContainerMemory:

@@ -62,6 +62,9 @@ def damaged(draw, blob: bytes, header: int, word: int):
 
 
 def _parse_or_reject(read, path, blob):
+    # a fresh file per example: truncating the last example's file may wait
+    # for its blocks to reach the disk (ext4's auto_da_alloc)
+    path.unlink(missing_ok=True)
     path.write_bytes(blob)
     try:
         read(path)

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import math
+import os
 import tracemalloc
 import warnings
 import weakref
@@ -991,3 +993,31 @@ class TestCheckpoint:
         path.write_bytes(raw[:-5])
         with pytest.raises(ValueError):
             nd.load_params(path)
+
+    def test_written_bytes_pinned(self, tmp_path):
+        params = {"enc.w": Tensor(np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 8),
+                  "b": Tensor(np.full(3, -1.5)), "s": Tensor(np.float32(2.0))}
+        path = tmp_path / "ckpt.bin"
+        nd.save_params(path, params)
+        blob = path.read_bytes()
+        assert len(blob) == 207
+        assert hashlib.sha256(blob).hexdigest() == \
+            "8fcf5ea7379ec5fcb08ab03abbcd583a486f91ea0c041e057294e192db38a245"
+
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        # the disk fills once the header is written, before the payloads
+        path = tmp_path / "ckpt.bin"
+        nd.save_params(path, {"w": Tensor(rng(26).normal(size=(3, 3)))})
+        old = path.read_bytes()
+
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(nd.np, "ascontiguousarray", disk_full)
+        with pytest.raises(OSError) as err:
+            nd.save_params(path, {"w": Tensor(np.zeros((4, 4))), "b": Tensor(np.ones(4))})
+        monkeypatch.undo()
+        assert err.value.errno == errno.ENOSPC
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+        assert path.read_bytes() == old
+        assert list(nd.load_params(path)) == ["w"]

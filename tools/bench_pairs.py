@@ -16,6 +16,10 @@ which side goes first; each per-layer row is a side's median over them, so one
 slow stretch of the machine does not read as a layer's difference. Last,
 per workload and side, ``traced_peak`` counts the live bytes of one warm
 operation, which peak RSS only bounds: RSS follows the allocator's layout.
+Before the pairs, ``rewrite_ms`` times in-place rewrites of a file in the
+work directory, so the output says whether the host makes a rewrite wait for
+the disk, which a tree that truncates its outputs pays in every preprocess
+operation.
 
 The output holds every run, traced or not, with its pair and the copy it
 ran, and per workload and end-to-end metric each side's median and
@@ -36,6 +40,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +66,25 @@ with tempfile.TemporaryDirectory() as tmp:
     workload.check(out)
 print(peak)
 """
+
+
+def rewrite_ms(workdir: Path, size: int = 6 << 20, rewrites: int = 5) -> float:
+    """The median ms of ``rewrites`` rewrites, in place (``open(path, "wb")``),
+    of a ``size``-byte file in ``workdir``, each 30 ms after the last. ext4
+    (``auto_da_alloc``) makes such a rewrite wait until the file's last
+    contents reach the disk; elsewhere it takes what writing ``size`` bytes
+    takes. The file is deleted."""
+    path, blob, times = workdir / "rewrite-probe.bin", bytes(size), []
+    path.write_bytes(blob)
+    try:
+        for _ in range(rewrites):
+            time.sleep(0.03)
+            t0 = time.perf_counter()
+            path.write_bytes(blob)
+            times.append(1e3 * (time.perf_counter() - t0))
+    finally:
+        path.unlink()
+    return statistics.median(times)
 
 
 def tree_copy(pair: int) -> int:
@@ -206,6 +230,7 @@ def main(argv=None) -> int:
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        stall = rewrite_ms(Path(tmp))
         trees = {(side, c): Path(tmp) / f"{side}-{c}" for side in SIDES for c in range(COPIES)}
         shas = {}
         for side, ref in zip(SIDES, (args.parent, args.change)):
@@ -225,7 +250,8 @@ def main(argv=None) -> int:
             for workload in workloads:
                 for side in order(pair):
                     run = perfbench(trees[side, copy], workload, args.seed, seconds, 0)
-                    doc.setdefault("environment", run.pop("env"))
+                    doc.setdefault("environment", {**(run.pop("env") or {}),
+                                                   "inplace_rewrite_ms": stall})
                     doc["runs"].append({"pair": pair, "side": side, "workload": workload,
                                         "trace": 0, "copy": copy, **run})
                     print(f"pair {pair} copy {copy} {workload} {side}: " + ", ".join(
