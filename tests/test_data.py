@@ -469,7 +469,6 @@ class TestContainer:
         with pytest.raises(data.FormatError, match="strictly increasing"):
             data.read_grid(path)
 
-
     def test_rewrite_leaves_an_open_reader_the_old_bytes(self, tmp_path):
         # the new container is a new file moved onto the name, not the old
         # one truncated and written again
