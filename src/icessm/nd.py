@@ -24,6 +24,7 @@ import ctypes
 import errno
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -874,23 +875,33 @@ def _fresh_file(path):
     the new one renamed onto its name. No file just written is truncated or
     renamed over, which ext4 (``auto_da_alloc``) would first flush to the
     disk. An exception in the block deletes the new file and leaves ``path``
-    as it was. Nothing is fsynced.
+    as it was; one in the unlink or the rename leaves the new file under its
+    temporary name. Only a regular file is replaced: a directory, FIFO or
+    device raises before anything is created. Nothing is fsynced, so a crash
+    before the kernel writes the new file back can leave ``path`` empty or
+    short, with the old file already gone.
     """
     dest = os.path.realpath(path)
-    if os.path.isdir(dest):  # as open(path, "wb") would, before writing anything
+    try:
+        kind = stat.S_IFMT(os.stat(dest).st_mode)
+    except FileNotFoundError:
+        kind = stat.S_IFREG
+    if kind == stat.S_IFDIR:  # as open(path, "wb") would, before writing anything
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if kind != stat.S_IFREG:
+        raise OSError(f"{path}: not a regular file, so it is not replaced")
     head, tail = os.path.split(dest)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     f = open(tmp, "xb")
     try:
         with f:
             yield f
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(dest)
-        os.rename(tmp, dest)
     except BaseException:
         os.unlink(tmp)
         raise
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(dest)
+    os.rename(tmp, dest)
 
 
 def save_params(path, params: dict[str, Tensor]) -> None:

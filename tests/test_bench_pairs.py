@@ -104,8 +104,9 @@ def test_traced_runs_alternate_and_report_medians(tmp_path, monkeypatch):
     assert doc["environment"] == {"inplace_rewrite_ms": 1.5}
 
 
-def test_rewrite_probe_times_rewrites_and_leaves_no_file(tmp_path):
-    assert bench_pairs.rewrite_ms(tmp_path, size=1 << 16, rewrites=3) > 0
+def test_rewrite_probe_times_rewrites_and_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "REWRITE_BYTES", 1 << 16)
+    assert bench_pairs.rewrite_ms(tmp_path) > 0
     assert not any(tmp_path.iterdir())
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 import struct
 import time
 import tracemalloc
@@ -171,6 +173,15 @@ class TestSynthPreprocess:
                         src)
         assert run("preprocess", "--input", str(src), "--out", str(tmp_path / "x.sic")) == 3
         assert "empty series" in capsys.readouterr().err
+
+    def test_fifo_out_is_data_error_and_kept(self, tmp_path, capsys):
+        # a grid replaces only a regular file, never a FIFO or device
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        assert run("synth", "--dims", "8,8,8", "--out", str(fifo)) == 3
+        assert "not a regular file" in capsys.readouterr().err
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("preprocess", "--input", str(tmp_path / "nope.sic"),

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import math
 import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -511,6 +512,37 @@ class TestContainer:
             data.write_grid(grid_of(np.zeros((2, 4, 4))), dest)
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
         assert not any(dest.iterdir())
+
+    def test_fifo_destination_refused_without_a_temporary(self, tmp_path):
+        # the old file is unlinked before the rename, so only a regular file
+        # is replaced: a FIFO or device stays as it is
+        fifo = tmp_path / "f"
+        os.mkfifo(fifo)
+        with pytest.raises(OSError, match="not a regular file"):
+            data.write_grid(grid_of(np.zeros((2, 4, 4))), fifo)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+    def test_failed_rename_keeps_the_new_container_under_its_temporary_name(
+            self, tmp_path, monkeypatch):
+        # the old file is gone by then; the new bytes must not go with it
+        new = grid_of(np.full((3, 4, 4), 0.5))
+        data.write_grid(new, tmp_path / "ref.sic")
+        out = tmp_path / "out"
+        out.mkdir()
+        data.write_grid(grid_of(np.zeros((2, 4, 4))), out / "g.sic")
+
+        def no_rename(*args, **kwargs):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "rename", no_rename)
+        with pytest.raises(OSError) as err:
+            data.write_grid(new, out / "g.sic")
+        monkeypatch.undo()
+        assert err.value.errno == errno.EIO
+        [tmp] = out.iterdir()
+        assert tmp.name.startswith(".g.sic.") and tmp.name.endswith(".tmp")
+        assert tmp.read_bytes() == (tmp_path / "ref.sic").read_bytes()
 
     def test_symlink_destination_written_through(self, tmp_path):
         # a link to a file not yet written makes it, as open would; a rewrite

@@ -48,6 +48,8 @@ SIDES = ("parent", "change")
 TRACE_SEED = 1  # seed of the traced runs, fixed so per-layer rows compare across changes
 COPIES = 2      # exports of each side; the pairs take turns over them
 TRACED_RUNS = 3  # traced runs of each side per workload
+REWRITE_BYTES = 6 << 20  # the size of the preprocess workload's clean grid
+REWRITES = 5  # in-place rewrites that rewrite_ms times
 
 # Builds one workload of the tree it runs in from perfbench/workloads.py, as
 # perfbench/run.py does (BLAS on one thread; the set-up ends with a warm-up
@@ -68,16 +70,16 @@ print(peak)
 """
 
 
-def rewrite_ms(workdir: Path, size: int = 6 << 20, rewrites: int = 5) -> float:
-    """The median ms of ``rewrites`` rewrites, in place (``open(path, "wb")``),
-    of a ``size``-byte file in ``workdir``, each 30 ms after the last. ext4
-    (``auto_da_alloc``) makes such a rewrite wait until the file's last
-    contents reach the disk; elsewhere it takes what writing ``size`` bytes
+def rewrite_ms(workdir: Path) -> float:
+    """The median ms of ``REWRITES`` rewrites, in place (``open(path, "wb")``),
+    of a ``REWRITE_BYTES``-byte file in ``workdir``, each 30 ms after the
+    last. ext4 (``auto_da_alloc``) makes such a rewrite wait until the file's
+    last contents reach the disk; elsewhere it takes what writing the bytes
     takes. The file is deleted."""
-    path, blob, times = workdir / "rewrite-probe.bin", bytes(size), []
+    path, blob, times = workdir / "rewrite-probe.bin", bytes(REWRITE_BYTES), []
     path.write_bytes(blob)
     try:
-        for _ in range(rewrites):
+        for _ in range(REWRITES):
             time.sleep(0.03)
             t0 = time.perf_counter()
             path.write_bytes(blob)
