@@ -20,10 +20,12 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-# minor page faults per default-config training step (batch 4, 14x1x16x16),
-# over two steps after a warm-up step
+# minor page faults per default-config training step (batch 4, 14x1x16x16):
+# the median of five steps after two warm-up steps, since the first step
+# after one warm-up may still grow the heap
 FAULT_PROBE = """
 import resource
+import statistics
 import numpy as np
 from icessm import data, model, nd
 
@@ -34,17 +36,17 @@ opt = model.AdamW(params)
 x = nd.Tensor(np.stack([w.input for w in windows]))
 y = nd.Tensor(np.stack([w.target for w in windows]))
 
-def step():
+def faults():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     opt.zero_grad()
     with nd.Tape() as tape:
         tape.backward(model.sample_loss(model.forward_features(x, params, config), y, config))
     opt.step()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-step()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-step()
-step()
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 2)
+faults()
+faults()
+print(statistics.median(faults() for _ in range(5)))
 """
 
 
@@ -511,8 +513,8 @@ class TestTraining:
     def test_steps_reuse_freed_pages(self):
         # a fresh process, so that no earlier 64x64 forward has raised glibc's
         # dynamic mmap threshold: with nd's fixed thresholds a default step
-        # (batch 4, 14x1x16x16) after a warm-up faults in about 30 pages,
-        # against about 7700 when the replay's frees went back to the kernel
+        # (batch 4, 14x1x16x16) after two warm-ups faults in 0-18 pages,
+        # against about 6000 when the replay's frees went back to the kernel
         src = str(Path(model.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
