@@ -217,10 +217,7 @@ def _load_model(model_dir: str) -> tuple[model.ModelParams, model.ModelConfig]:
         config = model.ModelConfig(**raw)
     except (ValueError, TypeError) as e:  # JSONDecodeError is a ValueError
         raise FormatError(f"bad model config {cfg_path}: {e}") from e
-    try:
-        return model.load_checkpoint(ckpt_path, config), config
-    except ValueError as e:  # truncated, trailing bytes, or not this config's layout
-        raise FormatError(f"bad checkpoint {ckpt_path}: {e}") from e
+    return model.load_checkpoint(ckpt_path, config), config
 
 
 def _forecast_grid(pred: np.ndarray, start_date: int, land_mask) -> data.Grid3:

@@ -1,4 +1,4 @@
-"""Gridded concentration series: container format, preprocessing, windowing.
+"""Concentration series and checkpoints: containers, preprocessing, windowing.
 
 A series is a [T, H, W] stack of daily frames with values in [0, 1], NaN as
 the missing-value sentinel, a per-pixel land mask, and strictly increasing
@@ -10,14 +10,18 @@ weighting over space and time.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import math
 import os
+import stat
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .nd import _fresh_file
+from .nd import Tensor
 
 MAGIC = b"SICG1\x00"
 # st_idw_fill: neighborhood radii (pixels, days), Gaussian bandwidth (pixels),
@@ -31,7 +35,7 @@ SYNTH_MAX_EVALS = 1 << 30
 
 
 class FormatError(ValueError):
-    """Container bytes do not parse."""
+    """Grid or checkpoint bytes do not parse, or a checkpoint does not fit its config."""
 
 
 @dataclass
@@ -224,10 +228,46 @@ def synth_generate(seed: int, t: int, h: int, w: int, n_blobs: int = 3,
 
 
 # ---------------------------------------------------------------------------
-# binary container
-# little-endian: magic, u32 T/H/W, i64 dates, land bitmap, per-frame missing
-# bitmaps, then T*H*W float32 (missing positions stored as 0, bitmap wins)
+# binary containers: .sic grids and checkpoints. A grid is, little-endian: magic,
+# u32 T/H/W, i64 dates, land bitmap, per-frame missing bitmaps, then T*H*W
+# float32 (missing positions stored as 0, bitmap wins)
 # ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _fresh_file(path):
+    """A new file, opened "xb" beside the file ``path`` resolves to, that
+    takes that file's name once the block ends: the old file is unlinked and
+    the new one renamed onto its name. No file just written is truncated or
+    renamed over, which ext4 (``auto_da_alloc``) would first flush to the
+    disk. An exception in the block deletes the new file and leaves ``path``
+    as it was; one in the unlink or the rename leaves the new file under its
+    temporary name. Only a regular file is replaced: a directory, FIFO or
+    device raises before anything is created. Nothing is fsynced, so a crash
+    before the kernel writes the new file back can leave ``path`` empty or
+    short, with the old file already gone.
+    """
+    dest = os.path.realpath(path)
+    try:
+        kind = stat.S_IFMT(os.stat(dest).st_mode)
+    except FileNotFoundError:
+        kind = stat.S_IFREG
+    if kind == stat.S_IFDIR:  # as open(path, "wb") would, before writing anything
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if kind != stat.S_IFREG:
+        raise OSError(f"{path}: not a regular file, so it is not replaced")
+    head, tail = os.path.split(dest)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            yield f
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(dest)
+    os.rename(tmp, dest)
 
 
 def write_grid(g: Grid3, path) -> None:
@@ -281,3 +321,58 @@ def read_grid(path) -> Grid3:
     if np.isinf(frames).any():
         raise FormatError("a frame value is infinite")
     return Grid3(frames, dates, land)
+
+
+def save_params(path, params: dict[str, Tensor]) -> None:
+    """Write a flat named-tensor container.
+
+    Header: u64 entry count, then per entry u64 name length, UTF-8 name,
+    u64 ndim, u64 dims. Payloads follow as little-endian float32 in header
+    order.
+    """
+    with _fresh_file(path) as f:
+        f.write(struct.pack("<Q", len(params)))
+        for name, t in params.items():
+            raw = name.encode("utf-8")
+            f.write(struct.pack(f"<Q{len(raw)}sQ{t.data.ndim}Q", len(raw), raw,
+                                t.data.ndim, *t.data.shape))
+        for t in params.values():
+            f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+
+
+def load_params(path) -> dict[str, Tensor]:
+    """The tensors of a save_params container, in its order."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    off = 0
+
+    def take(n):
+        nonlocal off
+        if off + n > len(blob):
+            raise FormatError("truncated checkpoint")
+        off += n
+        return blob[off - n:off]
+
+    (count,) = struct.unpack("<Q", take(8))
+    shapes = {}
+    for _ in range(count):
+        (nlen,) = struct.unpack("<Q", take(8))
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"checkpoint tensor name is not UTF-8: {e}") from None
+        if name in shapes:
+            raise FormatError(f"checkpoint names tensor {name} twice")
+        (ndim,) = struct.unpack("<Q", take(8))
+        shapes[name] = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+    params = {}
+    for name, dims in shapes.items():
+        raw = take(4 * math.prod(dims))  # exact: np.prod would wrap around in int64
+        try:
+            arr = np.frombuffer(raw, dtype="<f4").reshape(dims)
+        except ValueError as e:  # a shape numpy cannot hold, such as 65 axes
+            raise FormatError(f"checkpoint tensor {name}: {e}") from None
+        params[name] = Tensor(arr.copy(), requires_grad=True)
+    if off != len(blob):
+        raise FormatError("trailing bytes in checkpoint")
+    return params

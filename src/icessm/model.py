@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import hsa, metrics, nd, sfc, ssm, wavelet
-from .data import SampleWindow
+from . import data, hsa, metrics, nd, sfc, ssm, wavelet
+from .data import FormatError, SampleWindow
 from .nd import NumericalError, Tensor
 
 HEADS = ("deterministic", "gaussian")
@@ -500,22 +500,22 @@ def recursive_forecast(x: np.ndarray, params: dict[str, Tensor], config: ModelCo
 
 
 def save_checkpoint(path, params: dict[str, Tensor]) -> None:
-    nd.save_params(path, params)
+    data.save_params(path, params)
 
 
 def load_checkpoint(path, config: ModelConfig) -> ModelParams:
     """Load a checkpoint written for ``config``. Its names and shapes are
     checked against ``param_layout(config)`` first, so a config that does not
-    match (however large) allocates nothing."""
-    stored = nd.load_params(path)
+    match (however large) allocates nothing; a mismatch raises FormatError."""
+    stored = data.load_params(path)
     params = ModelParams()
     for name, shape, _ in param_layout(config):
         if name not in stored:
-            raise ValueError(f"checkpoint does not match config (missing {name})")
+            raise FormatError(f"checkpoint does not match config (missing {name})")
         if stored[name].data.shape != shape:
-            raise ValueError(f"checkpoint tensor {name} has shape "
-                             f"{stored[name].data.shape}, expected {shape}")
+            raise FormatError(f"checkpoint tensor {name} has shape "
+                              f"{stored[name].data.shape}, expected {shape}")
         params[name] = stored.pop(name)
     if stored:
-        raise ValueError(f"checkpoint does not match config (extra={sorted(stored)[:3]})")
+        raise FormatError(f"checkpoint does not match config (extra={sorted(stored)[:3]})")
     return params

@@ -19,13 +19,8 @@ writes into a ``.grad`` array or into a gradient that a rule receives.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
-import errno
 import math
-import os
-import stat
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -839,7 +834,7 @@ def grad_check(f, xs, tolerance: float = 1e-3, step: float = 1e-3) -> GradCheckR
 
 
 # ---------------------------------------------------------------------------
-# named parameters: layouts and the checkpoint container
+# named parameters: layouts
 # ---------------------------------------------------------------------------
 
 
@@ -866,90 +861,3 @@ def sub_params(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
     """The entries named ``prefix.*``, with ``prefix.`` stripped."""
     head = prefix + "."
     return {name[len(head):]: t for name, t in params.items() if name.startswith(head)}
-
-
-@contextlib.contextmanager
-def _fresh_file(path):
-    """A new file, opened "xb" beside the file ``path`` resolves to, that
-    takes that file's name once the block ends: the old file is unlinked and
-    the new one renamed onto its name. No file just written is truncated or
-    renamed over, which ext4 (``auto_da_alloc``) would first flush to the
-    disk. An exception in the block deletes the new file and leaves ``path``
-    as it was; one in the unlink or the rename leaves the new file under its
-    temporary name. Only a regular file is replaced: a directory, FIFO or
-    device raises before anything is created. Nothing is fsynced, so a crash
-    before the kernel writes the new file back can leave ``path`` empty or
-    short, with the old file already gone.
-    """
-    dest = os.path.realpath(path)
-    try:
-        kind = stat.S_IFMT(os.stat(dest).st_mode)
-    except FileNotFoundError:
-        kind = stat.S_IFREG
-    if kind == stat.S_IFDIR:  # as open(path, "wb") would, before writing anything
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    if kind != stat.S_IFREG:
-        raise OSError(f"{path}: not a regular file, so it is not replaced")
-    head, tail = os.path.split(dest)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    f = open(tmp, "xb")
-    try:
-        with f:
-            yield f
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(dest)
-    os.rename(tmp, dest)
-
-
-def save_params(path, params: dict[str, Tensor]) -> None:
-    """Write a flat named-tensor container.
-
-    Header: u64 entry count, then per entry u64 name length, UTF-8 name,
-    u64 ndim, u64 dims. Payloads follow as little-endian float32 in header
-    order.
-    """
-    with _fresh_file(path) as f:
-        f.write(struct.pack("<Q", len(params)))
-        for name, t in params.items():
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<Q", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<Q", t.data.ndim))
-            f.write(struct.pack(f"<{t.data.ndim}Q", *t.data.shape))
-        for t in params.values():
-            f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
-
-
-def load_params(path) -> dict[str, Tensor]:
-    with open(path, "rb") as f:
-        blob = f.read()
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(blob):
-            raise ValueError("truncated checkpoint")
-        out = blob[off:off + n]
-        off += n
-        return out
-
-    (count,) = struct.unpack("<Q", take(8))
-    shapes = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<Q", take(8))
-        name = take(nlen).decode("utf-8")
-        if name in shapes:
-            raise ValueError(f"checkpoint names tensor {name} twice")
-        (ndim,) = struct.unpack("<Q", take(8))
-        shapes[name] = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-    params = {}
-    for name, dims in shapes.items():
-        n = math.prod(dims)  # exact: np.prod would wrap around in int64
-        arr = np.frombuffer(take(4 * n), dtype="<f4").reshape(dims).copy()
-        params[name] = Tensor(arr, requires_grad=True)
-    if off != len(blob):
-        raise ValueError("trailing bytes in checkpoint")
-    return params

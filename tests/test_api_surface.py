@@ -7,7 +7,9 @@ by some program call: an option that only tests set is a code path nothing
 runs. And one function delivers gradients: an op's backward returns them and
 ``nd._make`` accumulates them; only ``Tape.backward``'s seed does so too. So
 only the tape reads ``requires_grad``: every backward computes the gradient of
-every input, and ``nd._make`` alone decides which inputs receive one."""
+every input, and ``nd._make`` alone decides which inputs receive one. A
+``_``-prefixed name belongs to its module: no other module of the package
+imports or reads it (tests, the benchmark and the tools may)."""
 
 import ast
 from pathlib import Path
@@ -218,3 +220,11 @@ def test_only_the_tape_reads_requires_grad():
                       and attr.attr == "requires_grad" and isinstance(attr.ctx, ast.Load)}
                      - REQUIRES_GRAD_READERS)
     assert not readers, f"functions that read requires_grad outside the tape: {readers}"
+
+
+def test_no_module_reaches_into_another():
+    trees = package_trees()
+    reached = sorted(f"{mod} uses {owner}.{name}" for mod in trees
+                     for owner, name in references(PACKAGE / f"{mod}.py", set(trees))
+                     if owner != mod and name.startswith("_"))
+    assert not reached, f"private names used outside their module: {reached}"

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from icessm import data, model, nd, sfc
+from icessm import data, model, sfc
 from icessm.cli import _config_from_args, _parse_dims, build_parser, main
 
 
@@ -533,7 +533,7 @@ class TestPipeline:
         elif damage == "trailing-bytes":
             ckpt += bytes(4)
         elif damage == "duplicate-name":  # every tensor, then one of them again
-            params = nd.load_params(model_dir / "model.ckpt")
+            params = data.load_params(model_dir / "model.ckpt")
             entries = [*params.items(), ("fssm0.mamba.ln_gamma", params["fssm0.mamba.ln_gamma"])]
             ckpt = struct.pack("<Q", len(entries))
             for name, t in entries:

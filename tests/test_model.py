@@ -675,7 +675,7 @@ class TestCheckpoint:
         # the layout digest those checkpoints were pinned to
         assert hashlib.sha256(layout.encode()).hexdigest() == \
             "e1bc36b0c04c1bcd57b6dc23f61b9617134b8e1d014d718f429d851a6ba19668"
-        nd.save_params(tmp_path / "old.ckpt", old)
+        data.save_params(tmp_path / "old.ckpt", old)
         model.save_checkpoint(tmp_path / "new.ckpt", params)
         from_old = model.load_checkpoint(tmp_path / "old.ckpt", cfg)
         from_new = model.load_checkpoint(tmp_path / "new.ckpt", cfg)
@@ -690,5 +690,5 @@ class TestCheckpoint:
         cfg = tiny_config()
         path = tmp_path / "m.ckpt"
         model.save_checkpoint(path, model.init_params(rng(42), cfg))
-        with pytest.raises(ValueError):
+        with pytest.raises(data.FormatError, match="does not match config"):
             model.load_checkpoint(path, tiny_config(n_fssm=2))
