@@ -32,10 +32,14 @@ IDW_CHUNK = 1 << 18
 # synth_generate: the most Gaussian evaluations (T * n_blobs * H * W) a series
 # may take, about 9 s at some 6-9 ns each on grids from 8x8 to 300x300
 SYNTH_MAX_EVALS = 1 << 30
+# fill_missing_dates: the most values (days * H * W) a filled series may hold,
+# 1 GiB of float32; its first and last dates alone set the days
+FILL_MAX_VALUES = 1 << 28
 
 
 class FormatError(ValueError):
-    """Grid or checkpoint bytes do not parse, or a checkpoint does not fit its config."""
+    """A grid or checkpoint is refused: its bytes do not parse, a checkpoint does
+    not fit its config, or a series' dates span more days than can be filled."""
 
 
 @dataclass
@@ -66,9 +70,15 @@ def fill_missing_dates(g: Grid3) -> Grid3:
     filling each absent date with the elementwise mean of the nearest
     preceding and succeeding present frames.
 
-    Every absent day in a multi-day gap receives the same flat fill.
+    Every absent day in a multi-day gap receives the same flat fill. A series
+    whose filled [days, H, W] would exceed FILL_MAX_VALUES is refused first.
     """
-    full = np.arange(g.dates[0], g.dates[-1] + 1, dtype=np.int64)
+    _, h, w = g.shape
+    days = int(g.dates[-1]) - int(g.dates[0]) + 1  # exact: int64 may wrap
+    if days * h * w > FILL_MAX_VALUES:
+        raise FormatError(f"dates span {days} days of {h}x{w} frames, over "
+                          f"{FILL_MAX_VALUES} values once filled")
+    full = g.dates[0] + np.arange(days, dtype=np.int64)
     # the range starts and ends at present dates, so both neighbors exist
     nxt = np.searchsorted(g.dates, full)           # first present date on or after each day
     prev = nxt - (g.dates[nxt] != full)            # last present date on or before it

@@ -204,6 +204,24 @@ class TestSynthPreprocess:
         assert peak < 2 * src.stat().st_size  # nothing sized by the header
         assert run("preprocess", "--input", str(src), "--out", str(tmp_path / "x.sic")) == 3
 
+    def test_hostile_date_span_is_data_error(self, tmp_path, capsys):
+        # two 8x8 frames dated day 0 and day 10^12: the 570-byte file would
+        # fill to 10^12 frames, 7.28 TiB of day stamps alone
+        src = tmp_path / "span.sic"
+        data.write_grid(data.Grid3(np.zeros((2, 8, 8)), np.array([0, 10 ** 12]),
+                                   np.zeros((8, 8), bool)), src)
+        g = data.read_grid(src)
+        tracemalloc.start()
+        try:
+            with pytest.raises(data.FormatError, match="dates span 1000000000001 days"):
+                data.preprocess(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * src.stat().st_size  # nothing sized by the dates
+        assert run("preprocess", "--input", str(src), "--out", str(tmp_path / "x.sic")) == 3
+        assert "dates span" in capsys.readouterr().err
+
 
 def test_model_flag_defaults_are_model_config_defaults():
     # _add_model_flags writes each default of ModelConfig a second time

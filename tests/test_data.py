@@ -75,6 +75,21 @@ class TestFillMissingDates:
                                       expect_frames.view(np.uint32))
         np.testing.assert_array_equal(out.land_mask, g.land_mask)
 
+    def test_span_at_the_budget(self, monkeypatch):
+        # 2x3 frames: a 10-day span fills 60 values, exactly the budget
+        monkeypatch.setattr(data, "FILL_MAX_VALUES", 60)
+        g = grid_of(np.ones((2, 2, 3)), dates=np.array([0, 9]))
+        assert data.fill_missing_dates(g).shape == (10, 2, 3)
+
+    @pytest.mark.parametrize("dates", [[0, 10], [0, 2 ** 63 - 1]],
+                             ids=["one-day-over", "int64-wide"])
+    def test_span_over_the_budget_refused(self, monkeypatch, dates):
+        # the span is counted exactly, so 2^63 days do not wrap in int64
+        monkeypatch.setattr(data, "FILL_MAX_VALUES", 60)
+        g = grid_of(np.ones((2, 2, 3)), dates=np.array(dates))
+        with pytest.raises(data.FormatError, match=f"dates span {dates[1] - dates[0] + 1} days"):
+            data.fill_missing_dates(g)
+
 
 class TestDetectLand:
     def test_always_missing_is_land(self):
