@@ -152,8 +152,8 @@ def preprocess(g: Grid3, land_threshold: float = 0.95, idw: bool = False) -> Gri
     g.frames[:, land] = 0.0
     g.land_mask |= land
     if idw:
-        g = st_idw_fill(g)
-    if np.isnan(g.frames).any():
+        g = st_idw_fill(g)  # fills every hole or raises
+    elif np.isnan(g.frames).any():
         raise ValueError("missing pixels remain after preprocessing; "
                          "enable idw interpolation")
     np.clip(g.frames, 0.0, 1.0, out=g.frames)
