@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, data, hsa, metrics, model, sfc
 from .data import FormatError
-from .nd import LEAKY_SLOPE, NumericalError, Tensor
+from .nd import LEAKY_SLOPE, NumericalError
 
 KIND_NAMES = {
     "raster": "raster",
@@ -226,9 +226,10 @@ def _forecast_grid(pred: np.ndarray, start_date: int, land_mask) -> data.Grid3:
     return data.Grid3(frames, dates, land_mask)
 
 
-def _input_window(grid: data.Grid3, in_len: int, anchor: int | None):
+def _input_window(grid: data.Grid3, in_len: int, anchor: int | None, days: int):
     """The in_len frames [in_len, 1, H, W] from index ``anchor`` (default: the
-    last in_len), and the date of the first day after them."""
+    last in_len), and the date of the first day after them; a FormatError
+    when the ``days`` days forecast from that date pass the int64 date range."""
     t = grid.shape[0]
     if t < in_len:
         raise ValueError(f"series too short for in_len {in_len}")
@@ -238,7 +239,10 @@ def _input_window(grid: data.Grid3, in_len: int, anchor: int | None):
         raise ValueError(f"--anchor must be >= 0, got {anchor}")
     if anchor + in_len > t:
         raise ValueError(f"anchor {anchor} leaves fewer than {in_len} frames")
-    return grid.frames[anchor:anchor + in_len, None, :, :], int(grid.dates[anchor]) + in_len
+    start = int(grid.dates[anchor]) + in_len
+    if start + days - 1 > np.iinfo(np.int64).max:
+        raise FormatError(f"a {days}-day forecast from day {start} has dates past the int64 range")
+    return grid.frames[anchor:anchor + in_len, None, :, :], start
 
 
 def cmd_predict(a) -> tuple[Path, dict[str, str]]:
@@ -246,8 +250,8 @@ def cmd_predict(a) -> tuple[Path, dict[str, str]]:
     params, config = _load_model(a.model)
     grid = _load_series(a.data)
     inputs = _digests(*_model_files(a.model), a.data)
-    window, start = _input_window(grid, config.in_len, a.anchor)
-    fc = model.forward(Tensor(window), params, config)
+    window, start = _input_window(grid, config.in_len, a.anchor, config.out_len)
+    fc = model.forward(window, params, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     data.write_grid(_forecast_grid(fc.mean, start, grid.land_mask),
                     out_dir / "forecast.sic")
@@ -263,7 +267,7 @@ def cmd_recurse(a) -> tuple[Path, dict[str, str]]:
     params, config = _load_model(a.model)
     grid = _load_series(a.data)
     inputs = _digests(*_model_files(a.model), a.data)
-    window, start = _input_window(grid, config.in_len, a.anchor)
+    window, start = _input_window(grid, config.in_len, a.anchor, a.steps * config.out_len)
     pred = model.recursive_forecast(window, params, config, steps=a.steps)
     out_dir.mkdir(parents=True, exist_ok=True)
     data.write_grid(_forecast_grid(pred, start, grid.land_mask),

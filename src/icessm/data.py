@@ -57,8 +57,8 @@ class Grid3:
             raise ValueError(f"dates shape {self.dates.shape} != ({t},)")
         if self.land_mask.shape != (h, w):
             raise ValueError(f"land mask shape {self.land_mask.shape} != ({h}, {w})")
-        if t > 1 and not (np.diff(self.dates) > 0).all():
-            raise ValueError("dates must be strictly increasing")
+        if not (self.dates[1:] > self.dates[:-1]).all():  # np.diff would wrap in int64
+            raise FormatError("dates must be strictly increasing")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -160,29 +160,16 @@ def preprocess(g: Grid3, land_threshold: float = 0.95, idw: bool = False) -> Gri
     return g
 
 
-@dataclass
-class SampleWindow:
-    """Adjacent, non-overlapping input/target windows cut from a series."""
-
-    input: np.ndarray   # [L_i, 1, H, W]
-    target: np.ndarray  # [L_o, 1, H, W]
-
-
-def windows(g: Grid3, in_len: int, out_len: int, stride: int = 1) -> list[SampleWindow]:
-    """All stride-spaced windows; count = (T - in_len - out_len)//stride + 1.
-
-    Each window's input and target are read-only views of ``g.frames``.
-    """
+def windows(g: Grid3, in_len: int, out_len: int, stride: int = 1) -> np.ndarray:
+    """All stride-spaced windows as one read-only view of ``g.frames``,
+    [N, in_len + out_len, 1, H, W] with N = (T - in_len - out_len)//stride + 1:
+    window i holds frames i*stride onward, its input the first in_len."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    t = g.shape[0]
     span = in_len + out_len
-    if t < span:
-        raise ValueError(f"series length {t} shorter than window span {span}")
-    frames = g.frames[:, None, :, :]
-    frames.flags.writeable = False
-    return [SampleWindow(input=frames[a:a + in_len], target=frames[a + in_len:a + span])
-            for a in range(0, t - span + 1, stride)]
+    if g.shape[0] < span:
+        raise ValueError(f"series length {g.shape[0]} shorter than window span {span}")
+    return np.moveaxis(sliding_window_view(g.frames[:, None], span, axis=0), -1, 1)[::stride]
 
 
 def synth_generate(seed: int, t: int, h: int, w: int, n_blobs: int = 3,
@@ -318,8 +305,6 @@ def read_grid(path) -> Grid3:
             what = "truncated container" if size < expect else "trailing bytes in container"
             raise FormatError(f"{what}: {size} bytes, header implies {expect}")
         dates = np.frombuffer(f.read(8 * t), dtype="<i8").astype(np.int64)
-        if (np.diff(dates) <= 0).any():
-            raise FormatError("dates must be strictly increasing")
         bits = np.frombuffer(f.read(mask_bytes * (t + 1)), dtype=np.uint8)
         land = np.unpackbits(bits[:mask_bytes], count=h * w).view(bool).reshape(h, w)
         missing = np.unpackbits(bits[mask_bytes:].reshape(t, mask_bytes), axis=1,

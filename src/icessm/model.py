@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import data, hsa, metrics, nd, sfc, ssm, wavelet
-from .data import FormatError, SampleWindow
+from .data import FormatError
 from .nd import NumericalError, Tensor
 
 HEADS = ("deterministic", "gaussian")
@@ -244,11 +244,9 @@ def _predict(xb: np.ndarray, params: dict[str, Tensor],
     return np.clip(mu.data, 0.0, 1.0), None if sigma is None else sigma.data
 
 
-def forward(x: Tensor | np.ndarray, params: dict[str, Tensor],
-            config: ModelConfig) -> Forecast:
+def forward(x: np.ndarray, params: dict[str, Tensor], config: ModelConfig) -> Forecast:
     """Inference on one window x[L_in, 1, H, W], run as a batch of one: clamp
     the mean into [0, 1] and expose sigma when gaussian."""
-    x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
     mean, sigma = _predict(x[None], params, config)
     return Forecast(mean=mean[0], sigma=None if sigma is None else sigma[0])
 
@@ -370,32 +368,33 @@ class TrainResult:
     best_val_mae: float = math.inf
 
 
-def validation_mae(val_set: list[SampleWindow], params: dict[str, Tensor],
+def validation_mae(val_set: np.ndarray, params: dict[str, Tensor],
                    config: ModelConfig, batch_size: int = 4) -> float:
-    """Mean over windows of the per-window MAE; one forward per chunk of at
-    most ``batch_size`` windows."""
+    """Mean over the windows val_set[N, in_len + out_len, 1, H, W] of the
+    per-window MAE; one forward per chunk of at most ``batch_size`` windows."""
     total = 0.0
     for start in range(0, len(val_set), batch_size):
         chunk = val_set[start:start + batch_size]
-        means, _ = _predict(np.stack([s.input for s in chunk]), params, config)
-        for mean, swin in zip(means, chunk):
-            total += metrics.mae(mean, swin.target)
+        means, _ = _predict(chunk[:, :config.in_len], params, config)
+        for mean, target in zip(means, chunk[:, config.in_len:]):
+            total += metrics.mae(mean, target)
     return total / len(val_set)
 
 
-def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
+def train(train_set: np.ndarray, val_set: np.ndarray,
           config: ModelConfig, seed: int = 0, max_epochs: int = 50,
           patience: int = 10, batch_size: int = 4, lr: float = 1e-3,
           max_steps: int | None = None,
           log=None) -> TrainResult:
-    """AdamW training with early stopping on validation MAE.
+    """AdamW training with early stopping on validation MAE, on window sets
+    [N, in_len + out_len, 1, H, W] such as ``data.windows`` returns.
 
     Each step takes one forward pass over its batch and one loss, the mean
     over the batch. Deterministic for a fixed seed. Aborts with the offending
     step index if the loss goes non-finite. lr = 0 leaves the parameters as
     initialised.
     """
-    if not train_set or not val_set:
+    if not len(train_set) or not len(val_set):
         raise ValueError("train and validation splits must be nonempty")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -418,11 +417,11 @@ def train(train_set: list[SampleWindow], val_set: list[SampleWindow],
         order = rng.permutation(len(train_set))
         losses = []
         for start in range(0, len(order), batch_size):
-            batch = [train_set[i] for i in order[start:start + batch_size]]
+            batch = train_set[order[start:start + batch_size]]
             opt.zero_grad()
             with nd.Tape() as tape:
-                raw = forward_features(Tensor(np.stack([s.input for s in batch])), params, config)
-                loss = sample_loss(raw, Tensor(np.stack([s.target for s in batch])), config)
+                raw = forward_features(Tensor(batch[:, :config.in_len]), params, config)
+                loss = sample_loss(raw, Tensor(batch[:, config.in_len:]), config)
                 loss_val = float(loss.data)
                 if not math.isfinite(loss_val):
                     raise NumericalError(f"non-finite loss at step {global_step}")

@@ -313,11 +313,11 @@ def test_criterion_07_loss_identities():
 def test_criterion_08_overfit_and_determinism():
     t0 = time.monotonic()
     grid = data.synth_generate(11, 28, 16, 16, n_blobs=3, drift=0.3)
-    sw = data.windows(grid, 14, 14)[0]
+    sw = data.windows(grid, 14, 14)[:1]
     cfg = model.ModelConfig()
     kw = dict(seed=1, max_epochs=200, max_steps=200, patience=10 ** 9, batch_size=1)
-    a = model.train([sw], [sw], cfg, **kw)
-    b = model.train([sw], [sw], cfg, **kw)
+    a = model.train(sw, sw, cfg, **kw)
+    b = model.train(sw, sw, cfg, **kw)
     first = a.history[0]["train_loss"]
     last = a.history[-1]["train_loss"]
     reduction = 1.0 - last / first
@@ -344,8 +344,8 @@ def _ablation_run(kind, routes, seed):
     cfg = model.ModelConfig(hidden=16, n_fssm=2, n_routes=routes, scan_kind=kind)
     res = model.train(train_set, val_set, cfg, seed=seed, max_epochs=30,
                       patience=10 ** 9, batch_size=4, lr=1e-3)
-    per_window = [metrics.mae(model.forward(Tensor(s.input), res.params, cfg).mean,
-                              s.target, ~grid.land_mask) for s in test_set]
+    per_window = [metrics.mae(model.forward(s[:14], res.params, cfg).mean,
+                              s[14:], ~grid.land_mask) for s in test_set]
     return cfg, float(np.mean(per_window)), res.params
 
 

@@ -76,18 +76,20 @@ def test_traced_runs_alternate_and_report_medians(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: ref)
     monkeypatch.setattr(bench_pairs, "perfbench", perfbench)
-    monkeypatch.setattr(bench_pairs, "traced_peak",
-                        lambda tree, workload, seed: len(tree.name) + seed)
-    monkeypatch.setattr(bench_pairs, "rewrite_ms", lambda workdir: 1.5)
+    peaks_after = []  # the perfbench runs made before each traced peak
+    monkeypatch.setattr(bench_pairs, "traced_peak", lambda tree, workload, seed:
+                        peaks_after.append(len(calls)) or len(tree.name) + seed)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["p", "c", "--pairs", "2", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     workloads = [w["name"] for w in json.loads(
         (_PATH.parent.parent / "BENCHMARK.json").read_text())["workloads"]]
     untraced = 2 * 2 * len(workloads)
-    assert [c[3] for c in calls] == [0] * untraced + [1] * 6 * len(workloads)
+    # the traced runs and peaks come first, so a run stopped for time still has them
+    assert [c[3] for c in calls] == [1] * 6 * len(workloads) + [0] * untraced
+    assert peaks_after == [6 * len(workloads)] * 2 * len(workloads)
     for i, workload in enumerate(workloads):
-        first = untraced + 6 * i
+        first = 6 * i
         assert calls[first:first + 6] == [
             (f"{side}-0", workload, bench_pairs.TRACE_SEED, 1)
             for side in ("parent", "change", "change", "parent", "parent", "change")]
@@ -101,13 +103,8 @@ def test_traced_runs_alternate_and_report_medians(tmp_path, monkeypatch):
     assert len(doc["runs"]) == untraced + 6 * len(workloads)
     # copy 0 of each side at the untraced pairs' seed: len("parent-0") + 5
     assert doc["traced_peak_bytes"] == {w: {"parent": 13, "change": 13} for w in workloads}
-    assert doc["environment"] == {"inplace_rewrite_ms": 1.5}
-
-
-def test_rewrite_probe_times_rewrites_and_leaves_no_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(bench_pairs, "REWRITE_BYTES", 1 << 16)
-    assert bench_pairs.rewrite_ms(tmp_path) > 0
-    assert not any(tmp_path.iterdir())
+    assert doc["summary"]["train-s16"]["throughput"]["pairs"] == 2
+    assert doc["environment"] == {}
 
 
 def test_traced_peak_runs_one_checked_operation_of_the_tree():

@@ -403,6 +403,21 @@ class TestPipeline:
         assert "dates must be strictly increasing" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "recurse"])
+    def test_forecast_dates_past_int64_are_data_error(self, trained, tmp_path, capsys,
+                                                      command):
+        # the series' last date is the largest int64, so its forecast's are past it
+        _, grid_path, model_dir = trained
+        grid = data.read_grid(grid_path)
+        late = tmp_path / "late.sic"
+        data.write_grid(data.Grid3(grid.frames, np.iinfo(np.int64).max - np.arange(23, -1, -1),
+                                   grid.land_mask), late)
+        out = tmp_path / "out"
+        assert run(command, "--model", str(model_dir), "--data", str(late),
+                   "--out", str(out)) == 3
+        assert "past the int64 range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_forecast_against_truth(self, trained):
         root, grid_path, model_dir = trained
         pred_dir = root / "pred2"

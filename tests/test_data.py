@@ -37,6 +37,17 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+class TestGrid3:
+    # each pair's difference is past the int64 range, so np.diff would wrap it
+    def test_decreasing_dates_refused(self):
+        with pytest.raises(data.FormatError, match="dates must be strictly increasing"):
+            grid_of(np.zeros((2, 2, 2)), dates=np.array([2 ** 62 + 1, -(2 ** 62) - 1]))
+
+    def test_increasing_dates_accepted(self):
+        g = grid_of(np.zeros((2, 2, 2)), dates=np.array([-(2 ** 62) - 1, 2 ** 62 + 1]))
+        assert g.dates.tolist() == [-(2 ** 62) - 1, 2 ** 62 + 1]
+
+
 class TestFillMissingDates:
     def test_single_gap_mean(self):
         g = Grid3(np.stack([np.full((2, 2), 0.2), np.full((2, 2), 0.4)]),
@@ -318,25 +329,35 @@ class TestWindows:
         frames = np.arange(t, dtype=np.float32)[:, None, None] * np.ones((t, 2, 2), np.float32)
         g = grid_of(frames, dates=np.arange(100, 100 + t))
         ws = data.windows(g, 14, 14, stride=2)
-        assert len(ws) == (40 - 28) // 2 + 1
+        assert ws.shape == ((40 - 28) // 2 + 1, 28, 1, 2, 2)
         sw = ws[1]
-        assert sw.input.shape == (14, 1, 2, 2)
-        assert sw.target.shape == (14, 1, 2, 2)
-        assert sw.input[0, 0, 0, 0] == 2.0
-        assert sw.target[0, 0, 0, 0] == 16.0
+        assert sw[:14].shape == (14, 1, 2, 2)
+        assert sw[14:].shape == (14, 1, 2, 2)
+        assert sw[0, 0, 0, 0] == 2.0
+        assert sw[14, 0, 0, 0] == 16.0
 
     def test_too_short_series(self):
         with pytest.raises(ValueError):
             data.windows(grid_of(np.zeros((20, 4, 4))), 14, 14)
 
     def test_windows_are_read_only_views(self):
-        g = grid_of(np.zeros((30, 4, 4)))
-        for sw in data.windows(g, 14, 14):
-            for arr in (sw.input, sw.target):
-                assert np.shares_memory(arr, g.frames)
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[0, 0, 0, 0] = 1.0
+        g = grid_of(np.arange(30 * 4 * 4).reshape(30, 4, 4))
+        ws = data.windows(g, 14, 14)
+        assert ws.shape == (3, 28, 1, 4, 4)
+        assert np.shares_memory(ws, g.frames)
+        assert not ws.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ws[0, 0, 0, 0, 0] = 1.0
+        for i, sw in enumerate(ws):
+            np.testing.assert_array_equal(sw[:, 0], g.frames[i:i + 28])
         assert g.frames.flags.writeable
+
+    @pytest.mark.parametrize("stride, count", [(1, 13), (2, 7), (5, 3), (12, 2), (13, 1)])
+    def test_stride_count(self, stride, count):
+        g = grid_of(np.arange(40)[:, None, None] * np.ones((40, 2, 2)))
+        ws = data.windows(g, 14, 14, stride=stride)
+        assert ws.shape == (count, 28, 1, 2, 2)
+        assert ws[:, 0, 0, 0, 0].tolist() == list(range(0, 13, stride))
 
 
 class TestSynth:

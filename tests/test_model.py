@@ -33,8 +33,8 @@ config = model.ModelConfig()
 windows = data.windows(data.synth_generate(0, 40, 16, 16), 14, 14)[:4]
 params = model.init_params(np.random.default_rng(0), config)
 opt = model.AdamW(params)
-x = nd.Tensor(np.stack([w.input for w in windows]))
-y = nd.Tensor(np.stack([w.target for w in windows]))
+x = nd.Tensor(windows[:, :14])
+y = nd.Tensor(windows[:, 14:])
 
 def faults():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -77,12 +77,11 @@ def tiny_config(**kw):
     return model.ModelConfig(**base)
 
 
-def make_sample(seed, l_in=4, l_out=4, hw=8):
-    r = rng(seed)
-    return data.SampleWindow(
-        input=r.uniform(size=(l_in, 1, hw, hw)).astype(np.float32),
-        target=r.uniform(size=(l_out, 1, hw, hw)).astype(np.float32),
-    )
+def make_windows(*seeds, l_in=4, l_out=4, hw=8):
+    """A window set [len(seeds), l_in + l_out, 1, hw, hw], one window drawn per seed."""
+    return np.stack([np.concatenate([r.uniform(size=(l_in, 1, hw, hw)),
+                                     r.uniform(size=(l_out, 1, hw, hw))]).astype(np.float32)
+                     for r in map(rng, seeds)])
 
 
 class TestConfig:
@@ -253,20 +252,19 @@ class TestBatchAxis:
     def test_batch_loss_and_grads_are_per_sample_means(self, head):
         cfg = tiny_config(head=head, out_len=3)
         params = model.init_params(rng(62), cfg)
-        samples = [make_sample(s, l_out=3) for s in (63, 64, 65)]
+        samples = make_windows(63, 64, 65, l_out=3)
 
         def loss_and_grads(batch):
             for p in params.values():
                 p.zero_grad()
             with nd.Tape() as tape:
-                raw = model.forward_features(Tensor(np.stack([s.input for s in batch])),
-                                             params, cfg)
-                loss = model.sample_loss(raw, Tensor(np.stack([s.target for s in batch])), cfg)
+                raw = model.forward_features(Tensor(batch[:, :4]), params, cfg)
+                loss = model.sample_loss(raw, Tensor(batch[:, 4:]), cfg)
                 tape.backward(loss)
             return float(loss.data), {k: p.grad.copy() for k, p in params.items()}
 
         loss, grads = loss_and_grads(samples)
-        singles = [loss_and_grads([s]) for s in samples]
+        singles = [loss_and_grads(s[None]) for s in samples]
         assert loss == pytest.approx(np.mean([l for l, _ in singles]), abs=1e-6)
         for k, g in grads.items():
             want = np.mean([gs[k] for _, gs in singles], axis=0)
@@ -393,7 +391,7 @@ class TestLosses:
 class TestTraining:
     def test_zero_lr_keeps_params_bit_identical(self):
         cfg = tiny_config()
-        train_set = [make_sample(31)]
+        train_set = make_windows(31)
         res = model.train(train_set, train_set, cfg, seed=0, max_epochs=3,
                           batch_size=1, lr=0.0)
         fresh = model.init_params(np.random.default_rng(0), cfg)
@@ -402,7 +400,7 @@ class TestTraining:
 
     def test_fixed_seed_bit_identical_history(self):
         cfg = tiny_config()
-        train_set = [make_sample(s) for s in range(3)]
+        train_set = make_windows(0, 1, 2)
         kw = dict(seed=7, max_epochs=2, batch_size=2, lr=1e-3)
         a = model.train(train_set, train_set[:1], cfg, **kw)
         b = model.train(train_set, train_set[:1], cfg, **kw)
@@ -413,28 +411,28 @@ class TestTraining:
     def test_loss_decreases_on_single_sample(self):
         cfg = tiny_config()
         g = data.synth_generate(9, 8, 8, 8, n_blobs=2, drift=0.3)
-        sw = data.windows(g, 4, 4)[0]
-        res = model.train([sw], [sw], cfg, seed=1, max_epochs=40, batch_size=1,
+        sw = data.windows(g, 4, 4)[:1]
+        res = model.train(sw, sw, cfg, seed=1, max_epochs=40, batch_size=1,
                           patience=40)
         assert res.history[-1]["train_loss"] < 0.5 * res.history[0]["train_loss"]
 
     def test_early_stopping_patience(self):
         cfg = tiny_config()
-        sw = make_sample(33)
-        res = model.train([sw], [sw], cfg, seed=2, max_epochs=50, batch_size=1,
+        sw = make_windows(33)
+        res = model.train(sw, sw, cfg, seed=2, max_epochs=50, batch_size=1,
                           patience=2, lr=0.0)
         # lr=0 means val MAE never improves after epoch 0; stop at patience
         assert len(res.history) == 3
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
-            model.train([], [make_sample(34)], tiny_config())
+            model.train(make_windows(34)[:0], make_windows(34), tiny_config())
 
     @pytest.mark.parametrize("kw", [dict(batch_size=0), dict(max_epochs=0), dict(lr=-1e-3),
                                     dict(lr=math.nan), dict(lr=math.inf)])
     def test_bad_schedule_rejected(self, kw):
         with pytest.raises(ValueError):
-            model.train([make_sample(35)], [make_sample(36)], tiny_config(), **kw)
+            model.train(make_windows(35), make_windows(36), tiny_config(), **kw)
 
     def test_tape_records_per_step_are_pinned(self, monkeypatch):
         # one step at the default config records 259 backward rules: 267 before
@@ -454,7 +452,7 @@ class TestTraining:
         enter, make = nd.Tape.__enter__, nd._make
         monkeypatch.setattr(nd.Tape, "__enter__", lambda tape: tapes.append(tape) or enter(tape))
         monkeypatch.setattr(nd, "_make", lambda *args: outputs.append(make(*args)) or outputs[-1])
-        res = model.train([make_sample(37)], [make_sample(38)], tiny_config(), seed=0,
+        res = model.train(make_windows(37), make_windows(38), tiny_config(), seed=0,
                           max_epochs=1, batch_size=1)
         assert len(tapes) == 1 and tapes[0]._records == []
         taped = [t for t in outputs if t.requires_grad]
@@ -532,7 +530,7 @@ class TestTraining:
             nd.mean(nd.mul(nd.div(1.0, nd.add(nd.mul(raw, 0.0), 1e-30)), 0.0))))
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
                 nd.NumericalError, match=r"non-finite gradient of fssm0\.mamba\.ln_gamma at step 0"):
-            model.train([make_sample(50)], [make_sample(51)], tiny_config(), seed=0,
+            model.train(make_windows(50), make_windows(51), tiny_config(), seed=0,
                         max_epochs=1, batch_size=1)
 
     def test_adamw_touches_nothing_on_nonfinite_gradient(self):

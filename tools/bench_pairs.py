@@ -4,29 +4,27 @@
 
 Each ref's committed files are exported (``git archive``) into ``COPIES``
 fresh directories of its own, so both sides run exactly what is committed and
-the repository's own checkout and ``.git`` are left alone. For each pair and
-each workload in ``BENCHMARK.json``, ``perfbench/run.py --trace 0`` runs once
-on each side at the benchmark's own run length; which side goes first
-alternates from pair to pair, so a slow drift of the machine favours neither,
-and so does which copy both sides run (``tree_copy``), so neither does the
-layout of one directory: byte-identical trees in two directories have read
-4-19% apart on forecast-s64. Then, per workload, ``TRACED_RUNS`` pairs of
-``--trace 1`` runs follow on copy 0 at seed ``TRACE_SEED``, again alternating
-which side goes first; each per-layer row is a side's median over them, so one
-slow stretch of the machine does not read as a layer's difference. Last,
-per workload and side, ``traced_peak`` counts the live bytes of one warm
-operation, which peak RSS only bounds: RSS follows the allocator's layout.
-Before the pairs, ``rewrite_ms`` times in-place rewrites of a file in the
-work directory, so the output says whether the host makes a rewrite wait for
-the disk, which a tree that truncates its outputs pays in every preprocess
-operation.
+the repository's own checkout and ``.git`` are left alone. First, per
+workload in ``BENCHMARK.json``, ``TRACED_RUNS`` pairs of
+``perfbench/run.py --trace 1`` runs on copy 0 at seed ``TRACE_SEED``, with
+the side that goes first alternating; each per-layer row is a side's median
+over them, so one slow stretch of the machine does not read as a layer's
+difference. Then, per workload and side, ``traced_peak`` counts the live
+bytes of one warm operation, which peak RSS only bounds: RSS follows the
+allocator's layout. These come first so that a run stopped for time still has
+them. Last, for each pair and each workload, ``--trace 0`` runs once on each
+side at the benchmark's own run length; which side goes first alternates from
+pair to pair, so a slow drift of the machine favours neither, and so does
+which copy both sides run (``tree_copy``), so neither does the layout of one
+directory: byte-identical trees in two directories have read 4-19% apart on
+forecast-s64.
 
 The output holds every run, traced or not, with its pair and the copy it
 ran, and per workload and end-to-end metric each side's median and
 quartiles, the number of pairs the change won (better in the direction
 ``BENCHMARK.json`` gives; a tie counts for neither side) and a ``verdict``
-(see ``verdict``). It is rewritten after every pair, so an interrupted run
-leaves what it measured.
+(see ``verdict``). It is rewritten after each workload's traced runs, each
+traced peak and every pair, so an interrupted run leaves what it measured.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,8 +45,6 @@ SIDES = ("parent", "change")
 TRACE_SEED = 1  # seed of the traced runs, fixed so per-layer rows compare across changes
 COPIES = 2      # exports of each side; the pairs take turns over them
 TRACED_RUNS = 3  # traced runs of each side per workload
-REWRITE_BYTES = 6 << 20  # the size of the preprocess workload's clean grid
-REWRITES = 5  # in-place rewrites that rewrite_ms times
 
 # Builds one workload of the tree it runs in from perfbench/workloads.py, as
 # perfbench/run.py does (BLAS on one thread; the set-up ends with a warm-up
@@ -68,25 +63,6 @@ with tempfile.TemporaryDirectory() as tmp:
     workload.check(out)
 print(peak)
 """
-
-
-def rewrite_ms(workdir: Path) -> float:
-    """The median ms of ``REWRITES`` rewrites, in place (``open(path, "wb")``),
-    of a ``REWRITE_BYTES``-byte file in ``workdir``, each 30 ms after the
-    last. ext4 (``auto_da_alloc``) makes such a rewrite wait until the file's
-    last contents reach the disk; elsewhere it takes what writing the bytes
-    takes. The file is deleted."""
-    path, blob, times = workdir / "rewrite-probe.bin", bytes(REWRITE_BYTES), []
-    path.write_bytes(blob)
-    try:
-        for _ in range(REWRITES):
-            time.sleep(0.03)
-            t0 = time.perf_counter()
-            path.write_bytes(blob)
-            times.append(1e3 * (time.perf_counter() - t0))
-    finally:
-        path.unlink()
-    return statistics.median(times)
 
 
 def tree_copy(pair: int) -> int:
@@ -232,7 +208,6 @@ def main(argv=None) -> int:
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        stall = rewrite_ms(Path(tmp))
         trees = {(side, c): Path(tmp) / f"{side}-{c}" for side in SIDES for c in range(COPIES)}
         shas = {}
         for side, ref in zip(SIDES, (args.parent, args.change)):
@@ -247,29 +222,15 @@ def main(argv=None) -> int:
         def save():
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
-        for pair in range(args.pairs):
-            copy = tree_copy(pair)
-            for workload in workloads:
-                for side in order(pair):
-                    run = perfbench(trees[side, copy], workload, args.seed, seconds, 0)
-                    doc.setdefault("environment", {**(run.pop("env") or {}),
-                                                   "inplace_rewrite_ms": stall})
-                    doc["runs"].append({"pair": pair, "side": side, "workload": workload,
-                                        "trace": 0, "copy": copy, **run})
-                    print(f"pair {pair} copy {copy} {workload} {side}: " + ", ".join(
-                        f"{m['name']}={run['metrics'][m['name']]:.4g}" for m in end_to_end),
-                        flush=True)
-            doc["summary"] = summarize([r for r in doc["runs"] if r["trace"] == 0], end_to_end)
-            save()
+        def record(run, **keys):
+            doc.setdefault("environment", run.pop("env") or {})
+            doc["runs"].append({**keys, **run})
+            return doc["runs"][-1]
+
         for workload in workloads:
-            traced = []
-            for pair in range(TRACED_RUNS):
-                for side in order(pair):
-                    run = perfbench(trees[side, 0], workload, TRACE_SEED, seconds, 1)
-                    run.pop("env")
-                    traced.append({"pair": pair, "side": side, "workload": workload,
-                                   "trace": 1, "copy": 0, **run})
-            doc["runs"] += traced
+            traced = [record(perfbench(trees[side, 0], workload, TRACE_SEED, seconds, 1),
+                             pair=pair, side=side, workload=workload, trace=1, copy=0)
+                      for pair in range(TRACED_RUNS) for side in order(pair)]
             doc["per_layer"][workload] = per_layer(traced)
             save()
             print(f"traced {workload}", flush=True)
@@ -278,6 +239,17 @@ def main(argv=None) -> int:
                 side: traced_peak(trees[side, 0], workload, args.seed) for side in SIDES}
             save()
             print(f"traced peak {workload}: {doc['traced_peak_bytes'][workload]}", flush=True)
+        for pair in range(args.pairs):
+            copy = tree_copy(pair)
+            for workload in workloads:
+                for side in order(pair):
+                    run = record(perfbench(trees[side, copy], workload, args.seed, seconds, 0),
+                                 pair=pair, side=side, workload=workload, trace=0, copy=copy)
+                    print(f"pair {pair} copy {copy} {workload} {side}: " + ", ".join(
+                        f"{m['name']}={run['metrics'][m['name']]:.4g}" for m in end_to_end),
+                        flush=True)
+            doc["summary"] = summarize([r for r in doc["runs"] if r["trace"] == 0], end_to_end)
+            save()
     return 0
 
 
