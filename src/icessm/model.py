@@ -417,11 +417,12 @@ def train(train_set: np.ndarray, val_set: np.ndarray,
         order = rng.permutation(len(train_set))
         losses = []
         for start in range(0, len(order), batch_size):
-            batch = train_set[order[start:start + batch_size]]
+            # a copy each: split from one copy, the inputs would be copied again by the reshape
+            batch = order[start:start + batch_size]
             opt.zero_grad()
             with nd.Tape() as tape:
-                raw = forward_features(Tensor(batch[:, :config.in_len]), params, config)
-                loss = sample_loss(raw, Tensor(batch[:, config.in_len:]), config)
+                raw = forward_features(Tensor(train_set[batch, :config.in_len]), params, config)
+                loss = sample_loss(raw, Tensor(train_set[batch, config.in_len:]), config)
                 loss_val = float(loss.data)
                 if not math.isfinite(loss_val):
                     raise NumericalError(f"non-finite loss at step {global_step}")
